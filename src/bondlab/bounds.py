@@ -1,11 +1,16 @@
-"""Exact evaluation of bondage upper-bound formulas.
+"""Exact evaluation of bondage upper-bound formulas, and the bound registry.
 
 Every integer term here is computed with exact arithmetic: cubic-root floors
 by an integer scan, square-root floors and ceilings by integer-square-root
-predicates, and rational thresholds by cleared-denominator comparisons.
-Floating point appears only in cross-check bisection values and in the
-logarithmic genus/order clauses where the source formulas are themselves
-stated over reals.
+predicates, and rational and radical thresholds by cleared-denominator or
+integer-power comparisons.  No float decides a bound, a threshold or a
+check: floating point appears only in cross-check values (bisection roots,
+the ``details`` of a report, ``order_lower_bound``/``size_lower_bound``) and
+in the ``ceil(log ...)`` terms of the genus/order clauses.
+
+:data:`REGISTRY` describes each bound once: its name, formula, hypothesis
+and value.  The report here and the checks of the verification harness are
+both loops over it.
 """
 
 from __future__ import annotations
@@ -48,9 +53,12 @@ __all__ = [
     "BoundEntry",
     "BoundReport",
     "build_bound_report",
+    "BoundParams",
+    "Bound",
+    "REGISTRY",
+    "REPORTED",
     "ORDER_RATIO_BOUNDS",
     "SIZE_RATIO_BOUNDS",
-    "GENUS_ORDER_THRESHOLD_SLACK",
 ]
 
 # Ratio-threshold constants: the additive term guaranteed once
@@ -70,8 +78,6 @@ SIZE_RATIO_BOUNDS: tuple[tuple[Fraction, int], ...] = (
     (Fraction(12), 4),
     (Fraction(21), 3),
 )
-
-GENUS_ORDER_THRESHOLD_SLACK = 1e-9
 
 
 def _require_chi_nonpositive(chi: int) -> None:
@@ -309,21 +315,21 @@ class ClauseBound:
 def bound_genus_order(delta: int, n: int, h: int, k: int) -> list[ClauseBound]:
     """Six order-threshold clauses with logarithmic genus terms.
 
-    Thresholds are compared in double precision with a 1e-9 slack; both
-    genera must be at least 1 for the clauses to make sense.
+    Each threshold ``n >= h^p/q`` is compared exactly in integers, as
+    ``n^q >= h^p``; both genera must be at least 1 for the clauses to make
+    sense.
     """
     if n < 1 or h < 1 or k < 1:
         raise ValueError("requires n >= 1, h >= 1, k >= 1")
-    slack = GENUS_ORDER_THRESHOLD_SLACK
     lh = math.log(h)
     lk = math.log(k)
     clauses = [
-        ("h_log2", math.ceil(lh * lh) + 3, n >= h - slack, "n >= h"),
-        ("h_log", math.ceil(lh) + 3, n >= h**1.9 - slack, "n >= h^1.9"),
-        ("h_const", 4, n >= h**2.5 - slack, "n >= h^2.5"),
-        ("k_log2", math.ceil(lk * lk) + 2, n >= k / 6 - slack, "n >= k/6"),
-        ("k_log", math.ceil(lk) + 3, n >= k**1.6 - slack, "n >= k^1.6"),
-        ("k_const", 3, n >= k * k - slack, "n >= k^2"),
+        ("h_log2", math.ceil(lh * lh) + 3, n >= h, "n >= h"),
+        ("h_log", math.ceil(lh) + 3, n**10 >= h**19, "n >= h^1.9"),
+        ("h_const", 4, n**2 >= h**5, "n >= h^2.5"),
+        ("k_log2", math.ceil(lk * lk) + 2, 6 * n >= k, "n >= k/6"),
+        ("k_log", math.ceil(lk) + 3, n**5 >= k**8, "n >= k^1.6"),
+        ("k_const", 3, n >= k * k, "n >= k^2"),
     ]
     return [
         ClauseBound(name=name, additive_term=delta + term, applicable=ok, threshold=thr)
@@ -332,12 +338,20 @@ def bound_genus_order(delta: int, n: int, h: int, k: int) -> list[ClauseBound]:
 
 
 def order_lower_bound(chi: int) -> float:
-    """(3 + sqrt(17 - 8*chi)) / 2, a floor on the order of nontrivial graphs."""
+    """(3 + sqrt(17 - 8*chi)) / 2, a floor on the order of nontrivial graphs.
+
+    A float for display; the ``order_floor`` registry row decides
+    ``n >= order_lower_bound(chi)`` exactly.
+    """
     return (3 + math.sqrt(17 - 8 * chi)) / 2
 
 
 def size_lower_bound(chi: int) -> float:
-    """5/2 - chi + sqrt(17 - 8*chi)/2, a floor on the size."""
+    """5/2 - chi + sqrt(17 - 8*chi)/2, a floor on the size.
+
+    A float for display; the ``size_floor`` registry row decides
+    ``m >= size_lower_bound(chi)`` exactly.
+    """
     return 2.5 - chi + math.sqrt(17 - 8 * chi) / 2
 
 
@@ -393,8 +407,131 @@ def comparison_table(chi_lo: int, chi_hi: int) -> list[tuple[int, int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Aggregated report
+# The bound registry and the aggregated report
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class BoundParams:
+    """The parameters the registry rows read; None marks an unknown value.
+
+    ``girth`` is ``math.inf`` for a forest.  ``chi`` is a certified maximum
+    Euler characteristic and ``h``/``k`` are certified orientable and
+    non-orientable genera; a disconnected graph has no 2-cell embedding, so
+    all three stay None for it.  The last four fields are filled in by the
+    verification harness from the graph itself: connectivity, the
+    Hartnell-Rall edge bound, the bondage number ``b`` and its proxy ``b'``.
+    """
+
+    delta: int
+    chi: int | None
+    girth: int | float | None = None
+    n: int | None = None
+    m: int | None = None
+    h: int | None = None
+    k: int | None = None
+    connected: bool = False
+    edge_bound: int | None = None
+    b: int | None = None
+    b_prime: int | None = None
+
+
+@dataclass(frozen=True)
+class Bound:
+    """One registry row: a bound, its hypothesis, and where it is used.
+
+    ``value(p)`` is an upper bound on the :class:`BoundParams` field named
+    by ``target`` (``"b"`` or ``"b_prime"``); when ``target`` is None it is
+    the exact verdict of a lower bound on the order or size instead.  It is
+    only called where :meth:`applicable` holds.  ``reported`` rows are the
+    entries of :func:`build_bound_report`, ``checked`` rows the checks of
+    the verification harness.  ``detail`` names a float cross-check value
+    the report shows beside an applicable entry.
+    """
+
+    name: str
+    formula: str
+    needs_chi: bool
+    applies: Callable[[BoundParams], bool]
+    value: Callable[[BoundParams], int | bool]
+    target: str | None = "b"
+    reported: bool = True
+    checked: bool = True
+    detail: tuple[str, Callable[[BoundParams], float]] | None = None
+
+    def applicable(self, p: BoundParams) -> bool:
+        """The hypothesis: ``chi`` known where the row needs it, then ``applies``."""
+        return (not self.needs_chi or p.chi is not None) and self.applies(p)
+
+
+def _girth_applies(p: BoundParams) -> bool:
+    return p.chi <= 0 and p.girth is not None and p.girth != math.inf and p.girth >= 3
+
+
+def _floor_holds(w: int, chi: int) -> bool:
+    """w >= sqrt(17 - 8*chi), decided in integers."""
+    return w >= 0 and w * w >= 17 - 8 * chi
+
+
+# Rows name the bound functions, which are looked up when a row is
+# evaluated, so wrapping a module function also wraps every row that uses it.
+REGISTRY: tuple[Bound, ...] = (
+    Bound("hartnell_rall", "min over edges of d(u)+d(v)-1-|N(u) and N(v)|", False,
+          lambda p: p.edge_bound is not None, lambda p: p.edge_bound, reported=False),
+    Bound("average_degree", "floor(4m/n) - 1, connected graphs", False,
+          lambda p: p.connected, lambda p: (4 * p.m - p.n) // p.n, reported=False),
+    Bound("acyclic", "2, graphs with no cycle", False,
+          lambda p: p.girth == math.inf, lambda p: 2, reported=False),
+    Bound("genus", "min(delta+h+2, delta+k+1) over embeddable genera", False,
+          lambda p: p.h is not None or p.k is not None,
+          lambda p: bound_genus(p.delta, p.h, p.k)),
+    Bound("cubic", "delta + floor(t), t the largest real root of z^3+z^2+(3chi-8)z+9chi-12", True,
+          lambda p: p.chi <= 0, lambda p: bound_cubic(p.delta, p.chi),
+          detail=("cubic_root", lambda p: largest_root_bisect(improved_bound_cubic(p.chi), 1e-9))),
+    Bound("sqrt", "delta + 1 + floor(sqrt(4-3chi))", True,
+          lambda p: p.chi <= 0, lambda p: bound_sqrt(p.delta, p.chi)),
+    Bound("cubic_baseline",
+          "delta + floor(r), r the largest real root of z^3+2z^2+(6chi-7)z+18chi-24", True,
+          lambda p: p.chi <= 0, lambda p: p.delta + cubic_term_baseline(p.chi), checked=False,
+          detail=("baseline_cubic_root",
+                  lambda p: largest_root_bisect(baseline_bound_cubic(p.chi), 1e-9))),
+    Bound("sqrt_baseline", "delta + ceil(sqrt(12-6chi) - 1/2)", True,
+          lambda p: p.chi <= 0, lambda p: bound_sqrt_baseline(p.delta, p.chi), checked=False),
+    Bound("girth", "delta + floor((2+sqrt(g^2-g(g-2)chi))/(g-2)), g the girth", True,
+          _girth_applies, lambda p: bound_girth(p.delta, p.chi, int(p.girth)),
+          detail=("girth_root", lambda p: (
+              (2 + math.sqrt(p.girth * p.girth - p.girth * (p.girth - 2) * p.chi))
+              / (p.girth - 2)))),
+    Bound("girth_baseline", "delta + floor((sqrt(8g(2-g)chi+(3g-2)^2)-(g-6))/(2(g-2)))", True,
+          _girth_applies, lambda p: bound_girth_baseline(p.delta, p.chi, int(p.girth)),
+          checked=False),
+    Bound("triangle_free", "delta + 1 + floor(sqrt(4-2chi)), girth >= 4", True,
+          lambda p: p.chi <= 0 and p.girth is not None and p.girth >= 4,
+          lambda p: bound_triangle_free(p.delta, p.chi)),
+    Bound("order", "delta + floor(1/2 - 3chi/n + sqrt(25/4 - 21chi/n + 9chi^2/n^2))", True,
+          lambda p: p.chi <= 0 and p.n is not None, lambda p: bound_order(p.delta, p.chi, p.n),
+          detail=("order_threshold", lambda p: (
+              0.5 - 3 * p.chi / p.n
+              + math.sqrt(25 / 4 - 21 * p.chi / p.n + 9 * p.chi * p.chi / (p.n * p.n))))),
+    Bound("size", "delta + floor(3 - 18chi/(m+3chi)), m > -3chi", True,
+          lambda p: p.chi <= 0 and p.m is not None and p.m + 3 * p.chi > 0,
+          lambda p: bound_size(p.delta, p.chi, p.m),
+          detail=("size_threshold", lambda p: float(size_threshold(p.chi, p.m)))),
+    Bound("cubic_bprime", "delta + floor(t) bounding b', t the largest root as in cubic", True,
+          lambda p: p.chi <= 0, lambda p: bound_cubic(p.delta, p.chi),
+          target="b_prime", reported=False),
+    Bound("order_floor", "n >= (3+sqrt(17-8chi))/2, n >= 2", True,
+          lambda p: p.n is not None and p.n >= 2,
+          lambda p: _floor_holds(2 * p.n - 3, p.chi), target=None, reported=False),
+    Bound("size_floor", "m >= 5/2 - chi + sqrt(17-8chi)/2, n >= 2", True,
+          lambda p: p.n is not None and p.n >= 2 and p.m is not None,
+          lambda p: _floor_holds(2 * p.m - 5 + 2 * p.chi, p.chi), target=None, reported=False),
+)
+
+# The report lists the bounds in chi first, then those that stand without it.
+REPORTED: tuple[Bound, ...] = tuple(
+    sorted((row for row in REGISTRY if row.reported), key=lambda row: not row.needs_chi)
+)
 
 
 @dataclass(frozen=True)
@@ -420,20 +557,6 @@ class BoundReport:
         raise KeyError(name)
 
 
-_PROVENANCE = {
-    "cubic": "delta + floor(t), t the largest real root of z^3+z^2+(3chi-8)z+9chi-12",
-    "sqrt": "delta + 1 + floor(sqrt(4-3chi))",
-    "cubic_baseline": "delta + floor(r), r the largest real root of z^3+2z^2+(6chi-7)z+18chi-24",
-    "sqrt_baseline": "delta + ceil(sqrt(12-6chi) - 1/2)",
-    "girth": "delta + floor((2+sqrt(g^2-g(g-2)chi))/(g-2)), g the girth",
-    "girth_baseline": "delta + floor((sqrt(8g(2-g)chi+(3g-2)^2)-(g-6))/(2(g-2)))",
-    "triangle_free": "delta + 1 + floor(sqrt(4-2chi)), girth >= 4",
-    "order": "delta + floor(1/2 - 3chi/n + sqrt(25/4 - 21chi/n + 9chi^2/n^2))",
-    "size": "delta + floor(3 - 18chi/(m+3chi)), m > -3chi",
-    "genus": "min(delta+h+2, delta+k+1) over embeddable genera",
-}
-
-
 def build_bound_report(
     delta: int,
     chi: int,
@@ -443,65 +566,22 @@ def build_bound_report(
     h: int | None = None,
     k: int | None = None,
 ) -> BoundReport:
-    """Evaluate every applicable closed-form bound for one parameter set.
+    """Evaluate every reported registry row for one parameter set.
 
     ``girth`` may be ``math.inf`` for forests; girth-based entries then stay
-    inapplicable (the acyclic rule lives with the verification harness, not
-    here).  Genus parameters are optional because they come from a separate
-    search.
+    inapplicable.  Genus parameters are optional because they come from a
+    separate search.
     """
+    p = BoundParams(delta, chi, girth, n, m, h, k)
     entries: list[BoundEntry] = []
     details: dict[str, float] = {}
-
-    def add(name: str, term: int | None, applicable: bool) -> None:
-        entries.append(
-            BoundEntry(
-                name=name,
-                additive_term=term if applicable else None,
-                bound_value=delta + term if applicable else None,
-                applicable=applicable,
-                provenance=_PROVENANCE[name],
-            )
-        )
-
-    chi_ok = chi <= 0
-    add("cubic", cubic_term(chi) if chi_ok else None, chi_ok)
-    add("sqrt", bound_sqrt(0, chi) if chi_ok else None, chi_ok)
-    add("cubic_baseline", cubic_term_baseline(chi) if chi_ok else None, chi_ok)
-    add("sqrt_baseline", bound_sqrt_baseline(0, chi) if chi_ok else None, chi_ok)
-    if chi_ok:
-        details["cubic_root"] = largest_root_bisect(improved_bound_cubic(chi), 1e-9)
-        details["baseline_cubic_root"] = largest_root_bisect(baseline_bound_cubic(chi), 1e-9)
-
-    finite_girth = girth is not None and girth != math.inf and int(girth) >= 3
-    if finite_girth and chi_ok:
-        g = int(girth)
-        add("girth", bound_girth(0, chi, g), True)
-        add("girth_baseline", bound_girth_baseline(0, chi, g), True)
-        details["girth_root"] = (2 + math.sqrt(g * g - g * (g - 2) * chi)) / (g - 2)
-    else:
-        add("girth", None, False)
-        add("girth_baseline", None, False)
-    triangle_free = girth is not None and (girth == math.inf or girth >= 4)
-    add("triangle_free", bound_triangle_free(0, chi) if chi_ok and triangle_free else None,
-        chi_ok and triangle_free)
-
-    if n is not None and chi_ok:
-        add("order", order_term(chi, n), True)
-        details["order_threshold"] = (
-            0.5 - 3 * chi / n + math.sqrt(25 / 4 - 21 * chi / n + 9 * chi * chi / (n * n))
-        )
-    else:
-        add("order", None, False)
-    if m is not None and chi_ok and m + 3 * chi > 0:
-        add("size", size_term(chi, m), True)
-        details["size_threshold"] = float(size_threshold(chi, m))
-    else:
-        add("size", None, False)
-    if h is not None or k is not None:
-        value = bound_genus(0, h, k)
-        add("genus", value, True)
-    else:
-        add("genus", None, False)
-
+    for row in REPORTED:
+        if not row.applicable(p):
+            entries.append(BoundEntry(row.name, None, None, False, row.formula))
+            continue
+        value = row.value(p)
+        entries.append(BoundEntry(row.name, value - delta, value, True, row.formula))
+        if row.detail is not None:
+            key, evaluate = row.detail
+            details[key] = evaluate(p)
     return BoundReport(delta=delta, chi=chi, entries=tuple(entries), details=details)

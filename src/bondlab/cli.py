@@ -32,28 +32,16 @@ from .graphs import (
     make_family,
     parse_graph6,
 )
-from .harness import emit_comparison_table, emit_report, verify_corpus
+from .harness import CHECKS, emit_comparison_table, emit_report, graph_params, verify_corpus
 
-_CHECK_DOC = """\
-bound columns and their formulas:
-  hartnell_rall   min over edges of d(u)+d(v)-1-|N(u) and N(v)|
-  average_degree  b <= 4m/n - 1 (size lower bound rearranged)
-  ad_term         b <= 2*floor(2m/n) - 1
-  b_le_bprime     b <= b' = min(edge term, ad term)
-  acyclic         b <= 2 for graphs with no cycle
-  genus           min(delta+h+2, delta+k+1), h/k the certified genera
-  cubic           delta + floor(t), t the largest root of z^3+z^2+(3chi-8)z+9chi-12
-  sqrt            delta + 1 + floor(sqrt(4-3chi))
-  girth           delta + floor((2+sqrt(g^2-g(g-2)chi))/(g-2))
-  triangle_free   delta + 1 + floor(sqrt(4-2chi)) when girth >= 4
-  order           delta + floor(1/2 - 3chi/n + sqrt(25/4 - 21chi/n + 9chi^2/n^2))
-  size            delta + floor(3 - 18chi/(m+3chi)) when m > -3chi
-  cubic_bprime    b' <= delta + floor(t) (same cubic, proxy side)
-  order_floor     n >= (3+sqrt(17-8chi))/2
-  size_floor      m >= 5/2 - chi + sqrt(17-8chi)/2
-All chi-dependent rows require the embedding search to certify chi exactly;
-otherwise they are reported as skipped.
-"""
+
+def _epilog(title: str, rows: Sequence[bnd.Bound]) -> str:
+    """Help text naming each registry row of a command with its formula."""
+    lines = [f"{title} and their formulas (upper bounds on b unless stated):"]
+    lines += [f"  {row.name:<15} {row.formula}" for row in rows]
+    lines.append("All chi-dependent rows require the embedding search to certify chi exactly;")
+    lines.append("otherwise they are reported as skipped.")
+    return "\n".join(lines) + "\n"
 
 
 def _error(message: str) -> None:
@@ -114,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "bounds",
         help="evaluate every applicable upper-bound formula",
-        epilog=_CHECK_DOC,
+        epilog=_epilog("bound entries", bnd.REPORTED),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     p.add_argument("--graph6", help="derive delta, chi, girth, n, m from this graph")
@@ -136,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "verify",
         help="run the verification harness over a graph6 corpus",
-        epilog=_CHECK_DOC,
+        epilog=_epilog("bound columns", CHECKS),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     p.add_argument("corpus", nargs="?", default="-",
@@ -267,32 +255,20 @@ def _cmd_chi(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    girth_value = args.girth
     if args.graph6 is not None:
         g = parse_graph6(args.graph6)
-        stats = degree_stats(g)
-        delta = stats.max_degree
-        shortest = girth(g)
-        girth_value = None if shortest == math.inf else int(shortest)
-        n, m = g.n, g.m
         search = max_euler_characteristic(g, budget=args.budget, strict=args.strict)
         if not search.certified:
             _error("chi search did not certify an exact value; rerun with a larger --budget")
             return 3
-        chi = search.chi
-        h = (2 - search.orientable.chi) // 2 if search.orientable.certified else None
-        k = (
-            2 - search.nonorientable.chi
-            if search.nonorientable is not None and search.nonorientable.certified
-            else None
-        )
+        p = graph_params(g, search)
     else:
         if args.delta is None or args.chi is None:
             _error("either --graph6 or both --delta and --chi are required")
             return 2
-        delta, chi, n, m = args.delta, args.chi, args.n, args.m
-        h, k = args.genus_h, args.genus_k
-    report = bnd.build_bound_report(delta, chi, girth=girth_value, n=n, m=m, h=h, k=k)
+        p = bnd.BoundParams(args.delta, args.chi, args.girth, args.n, args.m,
+                            args.genus_h, args.genus_k)
+    report = bnd.build_bound_report(p.delta, p.chi, girth=p.girth, n=p.n, m=p.m, h=p.h, k=p.k)
     if args.format == "json":
         payload = {
             "delta": report.delta,

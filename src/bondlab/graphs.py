@@ -27,7 +27,6 @@ __all__ = [
     "common_neighbors",
     "components",
     "components_with_vertices",
-    "canonical_code",
 ]
 
 GRAPH6_HEADER = ">>graph6<<"
@@ -138,20 +137,7 @@ class Graph:
         return Graph(self.n, adj)
 
     def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        seen = 1
-        frontier = 1
-        while frontier:
-            grown = seen
-            rest = frontier
-            while rest:
-                v = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                grown |= self.adjacency[v]
-            frontier = grown & ~seen
-            seen = grown
-        return seen == (1 << self.n) - 1
+        return self.n <= 1 or _closure(self.adjacency, 1) == (1 << self.n) - 1
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -165,6 +151,21 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _closure(adjacency: Sequence[int], seed: int) -> int:
+    """Bitmask of the vertices reachable from the vertex set ``seed``."""
+    seen = frontier = seed
+    while frontier:
+        grown = seen
+        rest = frontier
+        while rest:
+            v = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            grown |= adjacency[v]
+        frontier = grown & ~seen
+        seen = grown
+    return seen
 
 
 @dataclass(frozen=True)
@@ -238,17 +239,7 @@ def components_with_vertices(g: Graph) -> list[tuple[Graph, tuple[int, ...]]]:
     for start in range(g.n):
         if seen & (1 << start):
             continue
-        comp = 1 << start
-        frontier = comp
-        while frontier:
-            grown = comp
-            rest = frontier
-            while rest:
-                v = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                grown |= g.adjacency[v]
-            frontier = grown & ~comp
-            comp = grown
+        comp = _closure(g.adjacency, 1 << start)
         seen |= comp
         verts = []
         rest = comp
@@ -424,37 +415,7 @@ def _mask_connected(n: int, code: int, pairs: list[tuple[int, int]]) -> bool:
         if code >> k & 1:
             adj[i] |= 1 << j
             adj[j] |= 1 << i
-    seen = 1
-    frontier = 1
-    while frontier:
-        grown = seen
-        rest = frontier
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            grown |= adj[v]
-        frontier = grown & ~seen
-        seen = grown
-    return seen == (1 << n) - 1
-
-
-def canonical_code(n: int, code: int) -> int:
-    """Minimum edge-bit code over all vertex permutations (exhaustive)."""
-    pairs = _pair_order(n)
-    index = {p: k for k, p in enumerate(pairs)}
-    best = code
-    for perm in permutations(range(n)):
-        moved = 0
-        rest = code
-        while rest:
-            k = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            i, j = pairs[k]
-            a, b = perm[i], perm[j]
-            moved |= 1 << index[(a, b) if a < b else (b, a)]
-        if moved < best:
-            best = moved
-    return best
+    return _closure(adj, 1) == (1 << n) - 1
 
 
 def _canonical_codes_bulk(n: int, codes: list[int]) -> list[int]:

@@ -1,11 +1,11 @@
 """Per-graph verification: invariants, embedding search, bounds, exact bondage.
 
 For every input graph the harness computes the exact invariants, runs the
-Euler-characteristic search, evaluates each upper bound whose hypotheses
-hold, and records whether the exact bondage number respects it.  Bounds
-that depend on the characteristic are only ever asserted when the search
-certified the value exactly; otherwise they are marked skipped, never
-pass/fail.
+Euler-characteristic search, evaluates each checked row of the bound
+registry (``bounds.REGISTRY``) whose hypotheses hold, and records whether
+the exact bondage number respects it.  Bounds that depend on the
+characteristic are only ever asserted when the search certified the value
+exactly; otherwise they are marked skipped, never pass/fail.
 """
 
 from __future__ import annotations
@@ -14,19 +14,20 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from . import bounds as bnd
 from .bondage import bondage_number, compute_b_prime, hartnell_rall_bound
 from .domination import domination_number
-from .embedding import DEFAULT_BUDGET, max_euler_characteristic
+from .embedding import DEFAULT_BUDGET, ChiSearchResult, max_euler_characteristic
 from .graphs import Graph, GraphFormatError, degree_stats, emit_graph6, girth, parse_graph6
 
 __all__ = [
     "TheoremCheck",
     "VerificationRecord",
     "CorpusSummary",
+    "graph_params",
     "verify_graph",
     "verify_corpus",
     "emit_report",
@@ -36,21 +37,8 @@ __all__ = [
     "REPORT_JSON_SCHEMA",
 ]
 
-CHECK_NAMES = (
-    "hartnell_rall",
-    "average_degree",
-    "acyclic",
-    "genus",
-    "cubic",
-    "sqrt",
-    "girth",
-    "triangle_free",
-    "order",
-    "size",
-    "cubic_bprime",
-    "order_floor",
-    "size_floor",
-)
+CHECKS = tuple(row for row in bnd.REGISTRY if row.checked)
+CHECK_NAMES = tuple(row.name for row in CHECKS)
 
 
 @dataclass(frozen=True)
@@ -112,6 +100,36 @@ class CorpusSummary:
         return self.failures == 0
 
 
+def graph_params(g: Graph, search: ChiSearchResult | None) -> bnd.BoundParams:
+    """The bound parameters of ``g``, given its chi search (None if not run).
+
+    Only certified values are read from the search: ``chi``, ``h`` and
+    ``k`` stay None where it left them open.
+    """
+    chi = h = k = None
+    if search is not None:
+        if search.certified:
+            chi = search.chi
+        if search.orientable.certified:
+            h = (2 - search.orientable.chi) // 2
+        if search.nonorientable is not None and search.nonorientable.certified:
+            k = 2 - search.nonorientable.chi
+    return bnd.BoundParams(degree_stats(g).max_degree, chi, girth(g), g.n, g.m, h, k)
+
+
+def _check(row: bnd.Bound, p: bnd.BoundParams) -> TheoremCheck:
+    """Evaluate one registry row; ``satisfied`` is None when it is skipped."""
+    if not row.applicable(p):
+        return TheoremCheck(row.name, False, None, None, None)
+    value = row.value(p)
+    if row.target is None:
+        return TheoremCheck(row.name, True, None, value, None)
+    target = getattr(p, row.target)
+    if target is None:
+        return TheoremCheck(row.name, True, value, None, None)
+    return TheoremCheck(row.name, True, value, target <= value, value - target)
+
+
 def verify_graph(
     g: Graph,
     budget: int = DEFAULT_BUDGET,
@@ -121,106 +139,38 @@ def verify_graph(
     """Compute all invariants for one graph and test every applicable bound."""
     if g.m < 1:
         raise ValueError("verification needs at least one edge")
-    stats = degree_stats(g)
-    delta = stats.max_degree
-    shortest = girth(g)
-    girth_value = None if shortest == math.inf else int(shortest)
     gamma = domination_number(g).gamma
-    bond = bondage_number(g, cap=bondage_cap)
-    b = bond.b
+    b = bondage_number(g, cap=bondage_cap).b
     connected = g.is_connected()
     b_prime = compute_b_prime(g).b_prime if connected else None
-
-    chi = chi_or = chi_nonor = None
-    chi_certified = chi_exhaustive = False
-    or_certified = nonor_certified = False
-    if connected:
-        search = max_euler_characteristic(g, budget=budget, strict=strict)
-        chi = search.chi if search.certified else None
-        chi_certified = search.certified
-        chi_exhaustive = search.exhaustive
-        if search.orientable.certified:
-            chi_or = search.orientable.chi
-            or_certified = True
-        if search.nonorientable is not None and search.nonorientable.certified:
-            chi_nonor = search.nonorientable.chi
-            nonor_certified = True
-
-    checks: list[TheoremCheck] = []
-
-    def add(name: str, hypothesis: bool, bound: int | None, value: int | None = None) -> None:
-        """Record one b-style bound; ``value`` defaults to the bondage number."""
-        target = b if value is None else value
-        if not hypothesis or bound is None or target is None:
-            checks.append(TheoremCheck(name, hypothesis, bound if hypothesis else None, None, None))
-            return
-        checks.append(
-            TheoremCheck(name, True, bound, target <= bound, bound - target)
-        )
-
-    def add_float(name: str, hypothesis: bool, value: float | None, minimum: float | None) -> None:
-        """Record a lower-bound check on a graph invariant (order or size)."""
-        if not hypothesis or value is None or minimum is None:
-            checks.append(TheoremCheck(name, hypothesis, None, None, None))
-            return
-        checks.append(TheoremCheck(name, True, None, value >= minimum - 1e-9, None))
-
-    hr = hartnell_rall_bound(g)
-    add("hartnell_rall", True, hr.edge_bound)
-    # size vs bondage: 4m >= n(b+1), i.e. b <= (4m - n) / n
-    add("average_degree", connected, (4 * g.m - g.n) // g.n if connected else None)
-    add("acyclic", girth_value is None, 2)
-
-    genus_bound = None
-    if or_certified or nonor_certified:
-        h = (2 - chi_or) // 2 if or_certified else None
-        k = 2 - chi_nonor if nonor_certified else None
-        genus_bound = bnd.bound_genus(delta, h, k)
-    add("genus", genus_bound is not None, genus_bound)
-
-    chi_ok = chi_certified and chi is not None and chi <= 0
-    add("cubic", chi_ok, bnd.bound_cubic(delta, chi) if chi_ok else None)
-    add("sqrt", chi_ok, bnd.bound_sqrt(delta, chi) if chi_ok else None)
-    girth_ok = chi_ok and girth_value is not None
-    add("girth", girth_ok, bnd.bound_girth(delta, chi, girth_value) if girth_ok else None)
-    tf_ok = chi_ok and (girth_value is None or girth_value >= 4)
-    add("triangle_free", tf_ok, bnd.bound_triangle_free(delta, chi) if tf_ok else None)
-    order_ok = chi_ok and connected
-    add("order", order_ok, bnd.bound_order(delta, chi, g.n) if order_ok else None)
-    size_ok = chi_ok and connected and g.m + 3 * chi > 0
-    add("size", size_ok, bnd.bound_size(delta, chi, g.m) if size_ok else None)
-    add(
-        "cubic_bprime",
-        chi_ok and connected,
-        bnd.bound_cubic(delta, chi) if chi_ok and connected else None,
-        value=b_prime,
+    search = max_euler_characteristic(g, budget=budget, strict=strict) if connected else None
+    p = replace(
+        graph_params(g, search),
+        connected=connected,
+        edge_bound=hartnell_rall_bound(g).edge_bound,
+        b=b,
+        b_prime=b_prime,
     )
-    floor_ok = connected and g.n >= 2 and chi_certified and chi is not None
-    add_float("order_floor", floor_ok, g.n if floor_ok else None,
-              bnd.order_lower_bound(chi) if floor_ok else None)
-    add_float("size_floor", floor_ok, g.m if floor_ok else None,
-              bnd.size_lower_bound(chi) if floor_ok else None)
-
     return VerificationRecord(
         graph6=emit_graph6(g),
         n=g.n,
         m=g.m,
-        delta=delta,
-        min_degree=stats.min_degree,
-        girth=girth_value,
+        delta=p.delta,
+        min_degree=min(map(g.degree, range(g.n))),
+        girth=None if p.girth == math.inf else p.girth,
         gamma=gamma,
         b=b,
         b_prime=b_prime,
-        chi=chi,
-        chi_certified=chi_certified,
-        chi_exhaustive=chi_exhaustive,
-        chi_orientable=chi_or,
-        chi_nonorientable=chi_nonor,
+        chi=p.chi,
+        chi_certified=p.chi is not None,
+        chi_exhaustive=search is not None and search.exhaustive,
+        chi_orientable=None if p.h is None else 2 - 2 * p.h,
+        chi_nonorientable=None if p.k is None else 2 - p.k,
         connected=connected,
         b_exceeds_bprime=(
             None if b_prime is None or b is None else b > b_prime
         ),
-        checks=tuple(checks),
+        checks=tuple(_check(row, p) for row in CHECKS),
     )
 
 
@@ -309,7 +259,7 @@ REPORT_JSON_SCHEMA = {
                             "type": "object",
                             "required": ["name", "hypothesis_met", "satisfied"],
                             "properties": {
-                                "name": {"type": "string"},
+                                "name": {"type": "string", "enum": list(CHECK_NAMES)},
                                 "hypothesis_met": {"type": "boolean"},
                                 "bound_value": {"type": ["integer", "null"]},
                                 "satisfied": {"type": ["boolean", "null"]},

@@ -166,6 +166,16 @@ class TestClosedFormBounds:
         small = {c.name: c for c in bnd.bound_genus_order(0, 2, 3, 1)}
         assert not small["h_log2"].applicable  # n < h
 
+    def test_genus_order_thresholds_exact_at_equality(self):
+        # n = k^1.6 exactly with k = 6^5, n = 6^8.
+        clauses = {c.name: c for c in bnd.bound_genus_order(0, 6**8, 1, 6**5)}
+        assert clauses["k_log"].applicable
+        # n = h^2.5 exactly with h = 1553^2, n = 1553^5.
+        clauses = {c.name: c for c in bnd.bound_genus_order(0, 1553**5, 1553**2, 1)}
+        assert clauses["h_const"].applicable
+        below = {c.name: c for c in bnd.bound_genus_order(0, 1553**5 - 1, 1553**2, 1)}
+        assert not below["h_const"].applicable
+
     def test_lower_bounds(self):
         assert bnd.order_lower_bound(2) == 2
         assert bnd.order_lower_bound(-1) == 4
@@ -173,6 +183,39 @@ class TestClosedFormBounds:
         assert bnd.size_lower_bound(2) == 1
         assert bnd.size_lower_bound(-1) == 6
         assert bnd.size_lower_bound(0) == pytest.approx(2.5 + math.sqrt(17) / 2)
+
+
+class TestRegistry:
+    def _row(self, name):
+        (row,) = [r for r in bnd.REGISTRY if r.name == name]
+        return row
+
+    def test_names_unique(self):
+        names = [r.name for r in bnd.REGISTRY]
+        assert len(names) == len(set(names))
+
+    def test_exact_floors_agree_with_float_floors(self):
+        order_floor = self._row("order_floor")
+        size_floor = self._row("size_floor")
+        for chi in range(-300, 3):
+            order_min = bnd.order_lower_bound(chi)
+            size_min = bnd.size_lower_bound(chi)
+            for v in range(1, 401):
+                p = bnd.BoundParams(0, chi, n=v, m=v)
+                assert order_floor.value(p) == (v >= order_min), (chi, v)
+                assert size_floor.value(p) == (v >= size_min), (chi, v)
+
+    def test_rows_call_module_functions_at_call_time(self, monkeypatch):
+        calls = []
+        original = bnd.bound_cubic
+
+        def counted(delta, chi):
+            calls.append((delta, chi))
+            return original(delta, chi)
+
+        monkeypatch.setattr(bnd, "bound_cubic", counted)
+        assert bnd.build_bound_report(4, -4).entry("cubic").bound_value == 8
+        assert calls == [(4, -4)]
 
 
 class TestSignFamilies:

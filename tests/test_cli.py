@@ -211,6 +211,19 @@ class TestHelpAndEnvironment:
             assert name in out
         assert "largest root" in out
 
+    @pytest.mark.parametrize("command", ["verify", "bounds"])
+    def test_help_names_exactly_the_registry_rows(self, capsys, command):
+        from bondlab import bounds
+        from bondlab.harness import CHECK_NAMES
+
+        expected = {"verify": list(CHECK_NAMES), "bounds": [r.name for r in bounds.REPORTED]}
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        out = capsys.readouterr().out
+        epilog = out[out.index("and their formulas"):].splitlines()[1:]
+        named = [line.split()[0] for line in epilog if line.startswith("  ")]
+        assert named == expected[command]
+
     def test_threads_default_from_environment(self, monkeypatch):
         monkeypatch.setenv("BONDLAB_THREADS", "3")
         parser = cli.build_parser()

@@ -1,9 +1,11 @@
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import jsonschema
 import pytest
 
+from bondlab import harness
 from bondlab.graphs import Graph, make_family, emit_graph6
 from bondlab.harness import (
     CSV_COLUMNS,
@@ -81,6 +83,40 @@ class TestVerifyGraph:
     def test_records_reproducible_run_to_run(self):
         g = make_family("kmn", 3, 3)
         assert verify_graph(g) == verify_graph(g)
+
+
+def _certified_search(chi):
+    """A chi search result that certifies ``chi`` on both sides."""
+
+    def side(value):
+        return SimpleNamespace(chi=value, certified=True)
+
+    return SimpleNamespace(chi=chi, certified=True, exhaustive=True,
+                           orientable=side(chi - chi % 2), nonorientable=side(chi))
+
+
+class TestForcedChi:
+    """Every check decided, FAIL verdicts included, under a stubbed chi search.
+
+    No graph of the benchmark corpora has a certified chi <= 0, so this is
+    what exercises the chi-dependent checks end to end.  The golden file
+    was written by the registry-free verifier that preceded the registry.
+    """
+
+    FAMILIES = [("kmn", 3, 3), ("qd", 3), ("petersen",), ("kn", 5), ("wn", 5),
+                ("cn", 6), ("kmn", 4, 4), ("pn", 5)]
+
+    def test_matches_golden_csv(self, monkeypatch):
+        records = []
+        for chi in (0, -1, -3, -6):
+            monkeypatch.setattr(
+                harness, "max_euler_characteristic",
+                lambda g, budget, strict, chi=chi: _certified_search(chi),
+            )
+            records += [verify_graph(make_family(*f)) for f in self.FAMILIES]
+        golden = (DATA / "verify_forced_chi.csv").read_text()
+        assert emit_report(records, "csv") == golden
+        assert "FAIL" in golden
 
 
 class TestVerifyCorpus:
