@@ -1,18 +1,22 @@
 """Exact bondage numbers and the computable edge/average-degree proxy.
 
-The bondage number is found by definition: enumerate edge subsets of growing
-size in colexicographic order and stop at the first subset whose removal
-raises the domination number.  The default cap (max degree plus min degree
-minus one) is a proven upper bound, so the search always terminates with an
-exact answer on nonempty graphs.
+Removing edges never creates a dominating set, so ``gamma(G - S) >
+gamma(G)`` holds exactly when ``S`` breaks every minimum dominating set
+``D`` of ``G``.  ``S`` breaks ``D`` when, for some vertex ``v`` outside
+``D``, ``S`` contains every edge from ``v`` into ``D``; each such edge set
+``E(v, D)`` is a *breaker* of ``D``.  The search lists the minimum
+dominating sets once, then branches and bounds over breaker bitmasks for
+the smallest edge set that holds a breaker of every one of them.  One
+domination solve on ``G - S`` certifies the answer.  The default cap (max
+degree plus min degree minus one) is a proven upper bound, so the search
+always finds the exact value on nonempty graphs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
-from .domination import domination_number
+from .domination import domination_number, minimum_dominating_sets
 from .graphs import Graph, common_neighbors, components_with_vertices, degree_stats
 
 __all__ = [
@@ -51,16 +55,6 @@ class HartnellRallBound:
     edge_bound: int
     witness_edge: tuple[int, int]
     degree_bound: int
-
-
-def _colex_subsets(m: int, k: int) -> Iterator[tuple[int, ...]]:
-    """k-subsets of range(m) in colexicographic order."""
-    if k == 0:
-        yield ()
-        return
-    for last in range(k - 1, m):
-        for rest in _colex_subsets(last, k - 1):
-            yield rest + (last,)
 
 
 def hartnell_rall_bound(g: Graph) -> HartnellRallBound:
@@ -106,19 +100,110 @@ def compute_b_prime(g: Graph, relaxed_ad_term: bool = False) -> BPrimeResult:
     )
 
 
-def _bondage_connected(g: Graph, cap: int) -> tuple[int, tuple[tuple[int, int], ...]] | None:
-    gamma0 = domination_number(g).gamma
+def _breaker_families(g: Graph, gamma: int) -> list[list[int]]:
+    """For each minimum dominating set ``D``, its breakers ``E(v, D)``.
+
+    A breaker is a bitmask over the indices of ``g.edges()``.  Breakers of
+    one set are pairwise disjoint, since each holds only edges at its ``v``.
+    """
+    bit = [[0] * g.n for _ in range(g.n)]
+    for i, (u, v) in enumerate(g.edges()):
+        bit[u][v] = bit[v][u] = 1 << i
+    return [
+        [sum(bit[v][u] for u in dom) for v in range(g.n) if v not in dom]
+        for dom in minimum_dominating_sets(g, gamma)
+    ]
+
+
+def _cover_bound(reaches: list[int]) -> int:
+    """A lower bound on the edges needed to meet every mask in ``reaches``.
+
+    An edge meets at most as many masks as contain it, so ``k`` edges meet
+    at most the ``k`` largest of those counts.
+    """
+    hits: dict[int, int] = {}
+    for reach in reaches:
+        while reach:
+            low = reach & -reach
+            hits[low] = hits.get(low, 0) + 1
+            reach ^= low
+    left = len(reaches)
+    for k, h in enumerate(sorted(hits.values(), reverse=True), 1):
+        left -= h
+        if left <= 0:
+            return k
+    raise AssertionError("every mask holds an edge")
+
+
+def _bondage_connected(
+    g: Graph, gamma: int, cap: int
+) -> tuple[int, tuple[tuple[int, int], ...]] | None:
+    """The fewest edges, at most ``cap``, that break every minimum dominating set."""
+    best_size = cap + 1
+    best = 0
+
+    def search(removed: int, size: int, families: list[list[int]], forbidden: int) -> None:
+        # ``forbidden`` holds edges an earlier sibling branch removed on
+        # their own; every edge set holding one was searched there, so a
+        # breaker that meets ``forbidden`` is out of play.
+        nonlocal best_size, best
+        unbroken = []
+        reaches = []
+        most = 0
+        for breakers in families:
+            need = g.m
+            reach = 0
+            for b in breakers:
+                if b & forbidden:
+                    continue
+                new = b & ~removed
+                if not new:
+                    need = 0
+                    break
+                reach |= new
+                if new.bit_count() < need:
+                    need = new.bit_count()
+            if need:
+                if not reach:
+                    return
+                unbroken.append(breakers)
+                reaches.append(reach)
+                most = max(most, need)
+        if not unbroken:
+            best_size, best = size, removed
+            return
+        # Both bounds are admissible: the unbroken set needing the most new
+        # edges, and the edges that can meet every unbroken set's reach.
+        if size + most >= best_size or size + _cover_bound(reaches) >= best_size:
+            return
+        for b in sorted(unbroken[0], key=lambda b: (b & ~removed).bit_count()):
+            if b & forbidden:
+                continue
+            extra = (b & ~removed).bit_count()
+            if size + extra < best_size:
+                search(removed | b, size + extra, unbroken, forbidden)
+            if b.bit_count() == 1:
+                forbidden |= b
+
+    search(0, 0, _breaker_families(g, gamma), 0)
+    if best_size > cap:
+        return None
     edges = g.edges()
-    for k in range(1, min(cap, g.m) + 1):
-        for subset in _colex_subsets(g.m, k):
-            removed = [edges[i] for i in subset]
-            if domination_number(g.remove_edges(removed)).gamma > gamma0:
-                return k, tuple(removed)
-    return None
+    return best_size, tuple(e for i, e in enumerate(edges) if best >> i & 1)
+
+
+def _certified(
+    g: Graph, b: int, witness: tuple[tuple[int, int], ...], gamma_before: int, cap: int
+) -> BondageResult:
+    """The result for ``witness``, after checking that its removal raises gamma."""
+    gamma_after = domination_number(g.remove_edges(witness)).gamma
+    if gamma_after <= gamma_before:
+        raise AssertionError(f"bondage witness {witness} leaves gamma at {gamma_after}")
+    return BondageResult(b, witness, gamma_before, gamma_after, cap)
 
 
 def bondage_number(g: Graph, cap: int | None = None) -> BondageResult:
-    """Exact bondage number, certified by exhausting all smaller edge subsets.
+    """Exact bondage number, certified by one domination solve on ``G - S``.
 
     Disconnected graphs are handled componentwise: the bondage number of a
     disjoint union is the minimum over its components with at least one edge.
@@ -133,7 +218,7 @@ def bondage_number(g: Graph, cap: int | None = None) -> BondageResult:
     if len(parts) == 1:
         stats = degree_stats(g)
         use_cap = cap if cap is not None else stats.max_degree + stats.min_degree - 1
-        found = _bondage_connected(g, use_cap)
+        found = _bondage_connected(g, gamma_before, use_cap)
         if found is None:
             return BondageResult(
                 b=None,
@@ -143,9 +228,7 @@ def bondage_number(g: Graph, cap: int | None = None) -> BondageResult:
                 cap=use_cap,
                 exceeded_cap=True,
             )
-        b, witness = found
-        gamma_after = domination_number(g.remove_edges(witness)).gamma
-        return BondageResult(b, witness, gamma_before, gamma_after, use_cap)
+        return _certified(g, *found, gamma_before, use_cap)
 
     best: tuple[int, tuple[tuple[int, int], ...]] | None = None
     caps = []
@@ -156,7 +239,7 @@ def bondage_number(g: Graph, cap: int | None = None) -> BondageResult:
         sub_cap = cap if cap is not None else stats.max_degree + stats.min_degree - 1
         caps.append(sub_cap)
         limit = sub_cap if best is None else min(sub_cap, best[0] - 1)
-        found = _bondage_connected(sub, limit)
+        found = _bondage_connected(sub, domination_number(sub).gamma, limit)
         if found is not None:
             b, witness = found
             lifted = tuple(
@@ -174,6 +257,4 @@ def bondage_number(g: Graph, cap: int | None = None) -> BondageResult:
             cap=max(caps),
             exceeded_cap=True,
         )
-    b, witness = best
-    gamma_after = domination_number(g.remove_edges(witness)).gamma
-    return BondageResult(b, witness, gamma_before, gamma_after, max(caps))
+    return _certified(g, *best, gamma_before, max(caps))

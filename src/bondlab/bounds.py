@@ -473,6 +473,10 @@ def _floor_holds(w: int, chi: int) -> bool:
     return w >= 0 and w * w >= 17 - 8 * chi
 
 
+def _cubic(p: BoundParams) -> int:
+    return bound_cubic(p.delta, p.chi)
+
+
 # Rows name the bound functions, which are looked up when a row is
 # evaluated, so wrapping a module function also wraps every row that uses it.
 REGISTRY: tuple[Bound, ...] = (
@@ -486,7 +490,7 @@ REGISTRY: tuple[Bound, ...] = (
           lambda p: p.h is not None or p.k is not None,
           lambda p: bound_genus(p.delta, p.h, p.k)),
     Bound("cubic", "delta + floor(t), t the largest real root of z^3+z^2+(3chi-8)z+9chi-12", True,
-          lambda p: p.chi <= 0, lambda p: bound_cubic(p.delta, p.chi),
+          lambda p: p.chi <= 0, _cubic,
           detail=("cubic_root", lambda p: largest_root_bisect(improved_bound_cubic(p.chi), 1e-9))),
     Bound("sqrt", "delta + 1 + floor(sqrt(4-3chi))", True,
           lambda p: p.chi <= 0, lambda p: bound_sqrt(p.delta, p.chi)),
@@ -518,8 +522,7 @@ REGISTRY: tuple[Bound, ...] = (
           lambda p: bound_size(p.delta, p.chi, p.m),
           detail=("size_threshold", lambda p: float(size_threshold(p.chi, p.m)))),
     Bound("cubic_bprime", "delta + floor(t) bounding b', t the largest root as in cubic", True,
-          lambda p: p.chi <= 0, lambda p: bound_cubic(p.delta, p.chi),
-          target="b_prime", reported=False),
+          lambda p: p.chi <= 0, _cubic, target="b_prime", reported=False),
     Bound("order_floor", "n >= (3+sqrt(17-8chi))/2, n >= 2", True,
           lambda p: p.n is not None and p.n >= 2,
           lambda p: _floor_holds(2 * p.n - 3, p.chi), target=None, reported=False),

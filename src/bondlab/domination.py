@@ -2,18 +2,18 @@
 
 The solver deepens on target set size, branching on the closed neighbourhood
 of a most-constrained uncovered vertex; a greedy cover primes the upper
-bound.  Exact answers stay fast enough to sit inside the bondage search's
-inner loop at the intended instance sizes.
+bound.  The same branching search, run to completion at the domination
+number, lists every minimum dominating set for the bondage search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graphs import Graph
 
-__all__ = ["DominationResult", "domination_number", "is_dominating"]
+__all__ = ["DominationResult", "domination_number", "is_dominating", "minimum_dominating_sets"]
 
 DEFAULT_VERTEX_LIMIT = 40
 
@@ -50,29 +50,23 @@ def _greedy_cover(closed: Sequence[int], full: int) -> list[int]:
     return chosen
 
 
-def domination_number(g: Graph, vertex_limit: int = DEFAULT_VERTEX_LIMIT) -> DominationResult:
-    """Exact domination number with a deterministic minimum witness.
+def _dominating_sets(closed: Sequence[int], full: int, k: int) -> Iterator[tuple[int, ...]]:
+    """Dominating sets of at most ``k`` vertices in search order, none twice.
 
-    Raises ``ValueError`` above ``vertex_limit`` vertices; the search is
-    exponential and the guard keeps accidental large inputs from hanging.
+    Branches on the closed neighbourhood of a most-constrained uncovered
+    vertex; each branch excludes the candidates its earlier siblings took,
+    so no set is reached twice.  With ``k`` the domination number this
+    yields every minimum dominating set.
     """
-    if g.n < 1:
-        raise ValueError("domination needs at least one vertex")
-    if g.n > vertex_limit:
-        raise ValueError(f"instance-size guard: n={g.n} exceeds limit {vertex_limit}")
-    full = (1 << g.n) - 1
-    closed = [g.closed_mask(v) for v in range(g.n)]
-    greedy = _greedy_cover(closed, full)
-    max_cover = max(mask.bit_count() for mask in closed)
-    lower = -(-g.n // max_cover)
-
+    n = len(closed)
     chosen: list[int] = []
 
-    def dfs(covered: int, remaining: int) -> bool:
+    def dfs(covered: int, remaining: int, excluded: int) -> Iterator[tuple[int, ...]]:
         if covered == full:
-            return True
+            yield tuple(chosen)
+            return
         if remaining == 0:
-            return False
+            return
         uncovered = full & ~covered
         # Admissible bound: no pick covers more than max_gain new vertices.
         max_gain = 0
@@ -81,10 +75,10 @@ def domination_number(g: Graph, vertex_limit: int = DEFAULT_VERTEX_LIMIT) -> Dom
             if gain > max_gain:
                 max_gain = gain
         if max_gain * remaining < uncovered.bit_count():
-            return False
+            return
         # Branch on the uncovered vertex with the fewest dominators.
         pick = -1
-        pick_size = g.n + 2
+        pick_size = n + 2
         rest = uncovered
         while rest:
             u = (rest & -rest).bit_length() - 1
@@ -93,19 +87,49 @@ def domination_number(g: Graph, vertex_limit: int = DEFAULT_VERTEX_LIMIT) -> Dom
             if size < pick_size:
                 pick_size = size
                 pick = u
-        cand = closed[pick]
+        cand = closed[pick] & ~excluded
         while cand:
             c = (cand & -cand).bit_length() - 1
             cand &= cand - 1
             chosen.append(c)
-            if dfs(covered | closed[c], remaining - 1):
-                return True
+            yield from dfs(covered | closed[c], remaining - 1, excluded)
             chosen.pop()
-        return False
+            excluded |= 1 << c
 
+    return dfs(0, k, 0)
+
+
+def _closed_masks(g: Graph, vertex_limit: int) -> list[int]:
+    if g.n < 1:
+        raise ValueError("domination needs at least one vertex")
+    if g.n > vertex_limit:
+        raise ValueError(f"instance-size guard: n={g.n} exceeds limit {vertex_limit}")
+    return [g.closed_mask(v) for v in range(g.n)]
+
+
+def domination_number(g: Graph, vertex_limit: int = DEFAULT_VERTEX_LIMIT) -> DominationResult:
+    """Exact domination number with a deterministic minimum witness.
+
+    Raises ``ValueError`` above ``vertex_limit`` vertices; the search is
+    exponential and the guard keeps accidental large inputs from hanging.
+    """
+    closed = _closed_masks(g, vertex_limit)
+    full = (1 << g.n) - 1
+    greedy = _greedy_cover(closed, full)
+    max_cover = max(mask.bit_count() for mask in closed)
+    lower = -(-g.n // max_cover)
     for k in range(lower, len(greedy) + 1):
-        chosen.clear()
-        if dfs(0, k):
-            return DominationResult(gamma=k, witness=tuple(chosen))
+        for witness in _dominating_sets(closed, full, k):
+            return DominationResult(gamma=k, witness=witness)
     # The greedy cover always succeeds, so this is unreachable.
     raise AssertionError("search failed to reach the greedy upper bound")
+
+
+def minimum_dominating_sets(g: Graph, gamma: int) -> list[tuple[int, ...]]:
+    """Every dominating set of ``g`` with ``gamma`` vertices, each sorted.
+
+    ``gamma`` must be the domination number of ``g``: the sets come from the
+    same branching search as :func:`domination_number`, run to completion.
+    """
+    closed = _closed_masks(g, DEFAULT_VERTEX_LIMIT)
+    return [tuple(sorted(d)) for d in _dominating_sets(closed, (1 << g.n) - 1, gamma)]

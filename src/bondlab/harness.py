@@ -117,11 +117,17 @@ def graph_params(g: Graph, search: ChiSearchResult | None) -> bnd.BoundParams:
     return bnd.BoundParams(degree_stats(g).max_degree, chi, girth(g), g.n, g.m, h, k)
 
 
-def _check(row: bnd.Bound, p: bnd.BoundParams) -> TheoremCheck:
-    """Evaluate one registry row; ``satisfied`` is None when it is skipped."""
+def _check(row: bnd.Bound, p: bnd.BoundParams, values: dict) -> TheoremCheck:
+    """Evaluate one registry row; ``satisfied`` is None when it is skipped.
+
+    ``values`` caches each value function's result on ``p``, so rows that
+    share one (``cubic`` and ``cubic_bprime``) evaluate it once.
+    """
     if not row.applicable(p):
         return TheoremCheck(row.name, False, None, None, None)
-    value = row.value(p)
+    if row.value not in values:
+        values[row.value] = row.value(p)
+    value = values[row.value]
     if row.target is None:
         return TheoremCheck(row.name, True, None, value, None)
     target = getattr(p, row.target)
@@ -151,6 +157,7 @@ def verify_graph(
         b=b,
         b_prime=b_prime,
     )
+    values: dict = {}
     return VerificationRecord(
         graph6=emit_graph6(g),
         n=g.n,
@@ -170,7 +177,7 @@ def verify_graph(
         b_exceeds_bprime=(
             None if b_prime is None or b is None else b > b_prime
         ),
-        checks=tuple(_check(row, p) for row in CHECKS),
+        checks=tuple(_check(row, p, values) for row in CHECKS),
     )
 
 

@@ -1,16 +1,19 @@
 """Shared generators and independent oracles for the test suite.
 
 The oracles here deliberately take different routes from the library code:
-domination by raw subset enumeration, girth via per-edge shortest paths,
-isomorphism by permutation search, graph6 via networkx.  Agreement between
-two independent implementations is the point.
+domination by raw subset enumeration, bondage by re-solving domination on
+every edge subset, girth via per-edge shortest paths, isomorphism by
+permutation search, graph6 via networkx.  Agreement between two independent
+implementations is the point.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import combinations, permutations
+from typing import Iterator
 
+from bondlab.domination import domination_number
 from bondlab.embedding import RotationSystem
 from bondlab.graphs import Graph
 
@@ -61,6 +64,20 @@ def brute_domination_number(g: Graph) -> int:
     raise AssertionError("unreachable: the whole vertex set dominates")
 
 
+def brute_minimum_dominating_sets(g: Graph) -> list[tuple[int, ...]]:
+    """Every smallest dominating set, by raw subset enumeration, in lex order."""
+    full = (1 << g.n) - 1
+    gamma = brute_domination_number(g)
+    out = []
+    for subset in combinations(range(g.n), gamma):
+        covered = 0
+        for v in subset:
+            covered |= g.closed_mask(v)
+        if covered == full:
+            out.append(subset)
+    return out
+
+
 def brute_bondage_number(g: Graph) -> int:
     """Smallest edge set whose removal raises gamma, by raw enumeration."""
     gamma0 = brute_domination_number(g)
@@ -70,6 +87,37 @@ def brute_bondage_number(g: Graph) -> int:
             if brute_domination_number(g.remove_edges(subset)) > gamma0:
                 return k
     raise AssertionError("bondage is defined for nonempty graphs")
+
+
+def colex_subsets(m: int, k: int) -> Iterator[tuple[int, ...]]:
+    """k-subsets of range(m) in colexicographic order."""
+    if k == 0:
+        yield ()
+        return
+    for last in range(k - 1, m):
+        for rest in colex_subsets(last, k - 1):
+            yield rest + (last,)
+
+
+def colex_bondage_number(g: Graph) -> int:
+    """Bondage by definition: re-solve domination on every edge subset.
+
+    Subsets come in growing size and colex order, and nothing about minimum
+    dominating sets is used.
+    """
+    gamma0 = domination_number(g).gamma
+    edges = g.edges()
+    for k in range(1, g.m + 1):
+        for subset in colex_subsets(g.m, k):
+            if domination_number(g.remove_edges([edges[i] for i in subset])).gamma > gamma0:
+                return k
+    raise AssertionError("bondage is defined for nonempty graphs")
+
+
+def corona_path(k: int) -> Graph:
+    """P_k with a pendant vertex at each path vertex: 2^k minimum dominating sets."""
+    edges = [(i, i + 1) for i in range(k - 1)] + [(i, k + i) for i in range(k)]
+    return Graph.from_edges(2 * k, edges)
 
 
 def oracle_girth(g: Graph) -> float:

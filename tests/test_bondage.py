@@ -4,10 +4,16 @@ from hypothesis import strategies as st
 from itertools import combinations
 
 from bondlab.bondage import bondage_number, compute_b_prime, hartnell_rall_bound
-from bondlab.domination import domination_number
-from bondlab.graphs import Graph, make_family
+from bondlab.domination import domination_number, minimum_dominating_sets
+from bondlab.graphs import Graph, enumerate_connected_graphs, make_family
 
-from conftest import brute_bondage_number, random_connected_graph, random_graph
+from conftest import (
+    brute_bondage_number,
+    colex_bondage_number,
+    corona_path,
+    random_connected_graph,
+    random_graph,
+)
 
 
 class TestBondageNumber:
@@ -76,6 +82,27 @@ class TestBondageNumber:
         for k in range(1, r.b):
             for subset in combinations(g.edges(), k):
                 assert domination_number(g.remove_edges(subset)).gamma == gamma0
+
+
+class TestHittingSearch:
+    """The search over minimum dominating sets against the colex oracle."""
+
+    def test_matches_colex_search_on_small_corpus(self):
+        graphs = [g for g in enumerate_connected_graphs(6) if g.m]
+        assert len(graphs) == 142
+        for g in graphs:
+            assert bondage_number(g).b == colex_bondage_number(g), g.edges()
+
+    def test_corona_with_many_minimum_dominating_sets(self):
+        g = corona_path(10)
+        assert len(minimum_dominating_sets(g, domination_number(g).gamma)) == 1024
+        assert bondage_number(g).b == colex_bondage_number(g) == 2
+
+    def test_stress_graphs(self):
+        k333 = Graph.from_edges(9, [(u, v) for u, v in combinations(range(9), 2) if u // 3 != v // 3])
+        assert bondage_number(make_family("kmn", 5, 5)).b == 5
+        assert bondage_number(make_family("qd", 4)).b == 4
+        assert bondage_number(k333).b == 6
 
 
 @pytest.mark.xfail(

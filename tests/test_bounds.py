@@ -205,6 +205,17 @@ class TestRegistry:
                 assert order_floor.value(p) == (v >= order_min), (chi, v)
                 assert size_floor.value(p) == (v >= size_min), (chi, v)
 
+    def test_floor_rows_at_their_boundary(self):
+        # At n = 5 and chi = -4, w = 2n - 3 = 7 and w^2 = 49 = 17 + 32.
+        order_floor = self._row("order_floor")
+        assert order_floor.value(bnd.BoundParams(0, -4, n=5))
+        assert not order_floor.value(bnd.BoundParams(0, -5, n=5))
+        # At m = 10 and chi = -4, w = 2m - 5 + 2chi = 7 meets the same 49.
+        size_floor = self._row("size_floor")
+        assert size_floor.value(bnd.BoundParams(0, -4, n=5, m=10))
+        assert not size_floor.value(bnd.BoundParams(0, -5, n=5, m=10))
+        assert not size_floor.value(bnd.BoundParams(0, -4, n=5, m=9))
+
     def test_rows_call_module_functions_at_call_time(self, monkeypatch):
         calls = []
         original = bnd.bound_cubic

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bondlab.domination import domination_number, is_dominating
+from bondlab.domination import domination_number, is_dominating, minimum_dominating_sets
 from bondlab.graphs import Graph, components, make_family
 
-from conftest import brute_domination_number, random_graph
+from conftest import brute_domination_number, brute_minimum_dominating_sets, random_graph
 
 
 class TestDominationNumber:
@@ -47,6 +47,13 @@ class TestDominationNumber:
         assert is_dominating(g, result.witness)
         for smaller in combinations(range(g.n), result.gamma - 1):
             assert not is_dominating(g, smaller)
+
+    @given(st.integers(min_value=1, max_value=7), st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_minimum_dominating_sets_match_subset_enumeration(self, n, rng):
+        g = random_graph(rng, n)
+        found = minimum_dominating_sets(g, domination_number(g).gamma)
+        assert sorted(found) == brute_minimum_dominating_sets(g)
 
     def test_witness_deterministic(self):
         g = make_family("petersen")

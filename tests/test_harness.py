@@ -5,7 +5,8 @@ from types import SimpleNamespace
 import jsonschema
 import pytest
 
-from bondlab import harness
+from bondlab import bondage, harness
+from bondlab import bounds as bnd
 from bondlab.graphs import Graph, make_family, emit_graph6
 from bondlab.harness import (
     CSV_COLUMNS,
@@ -20,6 +21,22 @@ DATA = Path(__file__).parent / "data"
 
 
 class TestVerifyGraph:
+    def test_three_domination_solves_per_connected_record(self, monkeypatch):
+        # Two on G (the gamma column and bondage_number), one on G - S.
+        graphs = []
+        for module in (harness, bondage):
+            original = module.domination_number
+
+            def counted(g, original=original):
+                graphs.append(g)
+                return original(g)
+
+            monkeypatch.setattr(module, "domination_number", counted)
+        g = make_family("kmn", 3, 3)
+        rec = verify_graph(g)
+        assert graphs[:2] == [g, g] and len(graphs) == 3
+        assert graphs[2].m == g.m - rec.b
+
     def test_balanced_bipartite_four(self):
         rec = verify_graph(make_family("kmn", 4, 4))
         assert (rec.chi, rec.delta, rec.b, rec.b_prime, rec.gamma) == (0, 4, 4, 7, 2)
@@ -117,6 +134,24 @@ class TestForcedChi:
         golden = (DATA / "verify_forced_chi.csv").read_text()
         assert emit_report(records, "csv") == golden
         assert "FAIL" in golden
+
+    def test_cubic_bound_evaluated_once_per_record(self, monkeypatch):
+        # cubic and cubic_bprime share one value.
+        calls = []
+        original = bnd.bound_cubic
+
+        def counted(delta, chi):
+            calls.append((delta, chi))
+            return original(delta, chi)
+
+        monkeypatch.setattr(bnd, "bound_cubic", counted)
+        monkeypatch.setattr(
+            harness, "max_euler_characteristic",
+            lambda g, budget, strict: _certified_search(-3),
+        )
+        rec = verify_graph(make_family("petersen"))
+        assert calls == [(3, -3)]
+        assert rec.check("cubic").bound_value == rec.check("cubic_bprime").bound_value == 7
 
 
 class TestVerifyCorpus:
