@@ -205,49 +205,32 @@ def _certified(
 def bondage_number(g: Graph, cap: int | None = None) -> BondageResult:
     """Exact bondage number, certified by one domination solve on ``G - S``.
 
-    Disconnected graphs are handled componentwise: the bondage number of a
-    disjoint union is the minimum over its components with at least one edge.
-    A result with ``exceeded_cap`` set (never with the default cap) means the
+    Graphs are handled componentwise: ``gamma_before`` is the sum of the
+    component domination numbers, and the bondage number of a disjoint
+    union is the minimum over its components with at least one edge.  A
+    result with ``exceeded_cap`` set (never with the default cap) means the
     search proved ``b > cap`` without finding a witness.
     """
     if g.m == 0:
         raise ValueError("bondage number is undefined for empty graphs")
-    gamma_before = domination_number(g).gamma
-
-    parts = components_with_vertices(g)
-    if len(parts) == 1:
-        stats = degree_stats(g)
-        use_cap = cap if cap is not None else stats.max_degree + stats.min_degree - 1
-        found = _bondage_connected(g, gamma_before, use_cap)
-        if found is None:
-            return BondageResult(
-                b=None,
-                witness_edges=None,
-                gamma_before=gamma_before,
-                gamma_after=None,
-                cap=use_cap,
-                exceeded_cap=True,
-            )
-        return _certified(g, *found, gamma_before, use_cap)
-
+    gamma_before = 0
     best: tuple[int, tuple[tuple[int, int], ...]] | None = None
     caps = []
-    for sub, verts in parts:
+    for sub, verts in components_with_vertices(g):
+        gamma = domination_number(sub).gamma
+        gamma_before += gamma
         if sub.m == 0:
             continue
         stats = degree_stats(sub)
         sub_cap = cap if cap is not None else stats.max_degree + stats.min_degree - 1
         caps.append(sub_cap)
         limit = sub_cap if best is None else min(sub_cap, best[0] - 1)
-        found = _bondage_connected(sub, domination_number(sub).gamma, limit)
+        found = _bondage_connected(sub, gamma, limit)
         if found is not None:
+            # The limit makes every later find strictly smaller, and the
+            # reindexing keeps label order, so lifted edges stay sorted.
             b, witness = found
-            lifted = tuple(
-                (verts[u], verts[v]) if verts[u] < verts[v] else (verts[v], verts[u])
-                for u, v in witness
-            )
-            if best is None or b < best[0]:
-                best = (b, lifted)
+            best = (b, tuple((verts[u], verts[v]) for u, v in witness))
     if best is None:
         return BondageResult(
             b=None,

@@ -15,7 +15,6 @@ from typing import Sequence
 
 from . import bounds as bnd
 from .bondage import bondage_number, compute_b_prime
-from .domination import domination_number
 from .embedding import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -80,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_budget_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                       help="face-tracing step budget for the chi search")
+                       help="face-tracing step budget for the chi search (a hard cap)")
         p.add_argument("--strict", action="store_true",
                        help="treat budget exhaustion as an error (exit 3)")
 
@@ -184,7 +183,6 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
     stats = degree_stats(g)
     shortest = girth(g)
     connected = g.is_connected()
-    gamma = domination_number(g).gamma
     bond = bondage_number(g, cap=args.bondage_cap)
     bp = compute_b_prime(g) if connected else None
     data = {
@@ -196,7 +194,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
         "average_degree": f"{2 * g.m}/{g.n}",
         "girth": None if shortest == math.inf else int(shortest),
         "connected": connected,
-        "gamma": gamma,
+        "gamma": bond.gamma_before,
         "b": bond.b,
         "b_witness": [list(e) for e in bond.witness_edges] if bond.witness_edges else None,
         "b_exceeded_cap": bond.exceeded_cap,

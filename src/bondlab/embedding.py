@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import permutations
+from typing import Callable
+
 from .graphs import Graph, girth
 
 __all__ = [
@@ -323,17 +325,19 @@ class ChiSearchResult:
 
 
 class _Budget:
-    __slots__ = ("remaining", "strict", "exhausted")
+    __slots__ = ("remaining", "strict")
 
     def __init__(self, limit: int, strict: bool):
         self.remaining = limit
         self.strict = strict
-        self.exhausted = False
 
     def charge(self, amount: int) -> bool:
-        """Consume; returns False (or raises in strict mode) once spent."""
-        if self.remaining <= 0:
-            self.exhausted = True
+        """Consume ``amount`` steps if they fit in what remains.
+
+        A charge that does not fit is refused whole, so the budget is a hard
+        cap; refusal returns False, or raises in strict mode.
+        """
+        if amount > self.remaining:
             if self.strict:
                 raise BudgetExceededError("face-tracing budget exhausted in strict mode")
             return False
@@ -523,16 +527,18 @@ def _face_length_upper_bound(core: Graph) -> int:
 # -- scalar sweep ------------------------------------------------------------
 
 
-def _sweep_scalar(space: _SchemeSpace, start: int, stop: int, target: int,
-                  best: int, budget: _Budget) -> tuple[int, int | None, int]:
-    """Enumerate schemes [start, stop); returns (best, best_index, reached).
+def _sweep_scalar(space: _SchemeSpace, target: int,
+                  budget: _Budget) -> tuple[int, int | None, int]:
+    """Enumerate every scheme in order; returns (best, best_index, reached).
 
-    ``reached`` is how far the sweep got before the budget ran out (== stop
-    when complete).  ``best_index`` is the first scheme that strictly
-    improved on ``best``; the sweep stops early once ``target`` is hit.
+    ``reached`` is how far the sweep got before the budget ran out (==
+    ``space.total`` when complete).  ``best_index`` is the first scheme that
+    attains ``best`` (None if none was traced); the sweep stops early once
+    ``target`` is hit.
     """
     g = space.g
     nd = 2 * g.m
+    best = -(10**9)
     best_index = None
     fwd = [0] * nd
     bwd = [0] * nd
@@ -540,7 +546,7 @@ def _sweep_scalar(space: _SchemeSpace, start: int, stop: int, target: int,
     stamp_unsigned = [-1] * nd
     stamp_signed = [-1] * (2 * nd)
     digits = None
-    for index in range(start, stop):
+    for index in range(space.total):
         if not budget.charge(space.states):
             return best, best_index, index
         new_digits, sign_mask = space.decode(index)
@@ -592,20 +598,21 @@ def _sweep_scalar(space: _SchemeSpace, start: int, stop: int, target: int,
             best_index = index
             if best >= target:
                 return best, best_index, index + 1
-    return best, best_index, stop
+    return best, best_index, space.total
 
 
 # -- vectorised sweep --------------------------------------------------------
 
 
-def _sweep_vector(space: _SchemeSpace, start: int, stop: int, target: int,
-                  best: int, budget: _Budget) -> tuple[int, int | None, int]:
+def _sweep_vector(space: _SchemeSpace, target: int,
+                  budget: _Budget) -> tuple[int, int | None, int]:
     """Same contract as the scalar sweep, trading memory for numpy batches."""
     import numpy as np
 
     g = space.g
     nd = 2 * g.m
     n_states = space.states
+    best = -(10**9)
     best_index = None
 
     # Per-vertex tables: rows are candidate rotations, columns the incoming
@@ -637,9 +644,11 @@ def _sweep_vector(space: _SchemeSpace, start: int, stop: int, target: int,
     doubling = max(1, math.ceil(math.log2(n_states)))
     arange_states = np.arange(n_states, dtype=np.int16)
 
-    index = start
-    while index < stop:
-        block = min(_VECTOR_BLOCK, stop - index)
+    index = 0
+    while index < space.total:
+        # The last block shrinks to what the budget still covers, so the
+        # sweep reaches the same scheme as the scalar one when it runs out.
+        block = max(1, min(_VECTOR_BLOCK, space.total - index, budget.remaining // n_states))
         if not budget.charge(block * n_states):
             return best, best_index, index
         flat = np.arange(index, index + block, dtype=np.int64)
@@ -700,18 +709,29 @@ def _sweep_vector(space: _SchemeSpace, start: int, stop: int, target: int,
                 return best, best_index, index + pos + 1
             pos += 1
         index += block
-    return best, best_index, stop
+    return best, best_index, space.total
 
 
-def _run_sweep(space: _SchemeSpace, target: int, budget: _Budget) -> tuple[int, int | None, int]:
-    """Sweep one orientability class, picking the scalar or numpy path.
+def _search_side(core: Graph, signed: bool, cap: int, early_exit: bool, budget: _Budget,
+                 lift: Callable[[RotationSystem], RotationSystem]) -> SideResult:
+    """Sweep one orientability class of ``core``, whose chi is at most ``cap``.
 
-    Both paths enumerate the identical flat order and report the first
-    strict improvement, so results do not depend on which one runs.
+    Both sweeps enumerate the identical flat order and report the first
+    scheme attaining the best value, so the result does not depend on which
+    one runs: pure Python wins on small spaces, numpy on large ones.
     """
-    use_vector = space.total * space.states > _VECTOR_THRESHOLD
-    sweep = _sweep_vector if use_vector else _sweep_scalar
-    return sweep(space, 0, space.total, target, -(10**9), budget)
+    space = _SchemeSpace(core, signed)
+    sweep = _sweep_vector if space.total * space.states > _VECTOR_THRESHOLD else _sweep_scalar
+    best, index, reached = sweep(space, cap if early_exit else 10**9, budget)
+    found = index is not None
+    exhaustive = reached == space.total
+    return SideResult(
+        chi=best if found else None,
+        witness=lift(space.scheme(index)) if found else None,
+        exhaustive=exhaustive,
+        certified=found and (exhaustive or best >= cap),
+        searched=reached,
+    )
 
 
 def max_euler_characteristic(
@@ -725,14 +745,16 @@ def max_euler_characteristic(
 
     Searches rotation schemes of the reduced core (pendants stripped,
     suppressible degree-2 vertices contracted; both moves preserve chi).
-    The orientable class is swept first, then signed schemes for the
-    non-orientable class; a planar outcome settles the non-orientable value
-    at 1 without a sweep.  ``early_exit=False`` forces full enumeration of
-    the quotient so the ``exhaustive`` flag can be earned, not just
-    ``certified``.
+    Each orientability class is swept once by :func:`_search_side`: the
+    orientable class first, then signed schemes for the non-orientable
+    class; a planar outcome settles the non-orientable value at 1 without a
+    sweep.  ``early_exit=False`` forces full enumeration of the quotient so
+    the ``exhaustive`` flag can be earned, not just ``certified``.
 
-    Budget is counted in face-tracing steps (states traced).  In strict
-    mode running out raises :class:`BudgetExceededError`; otherwise partial
+    Budget is counted in face-tracing steps (states traced) and is a hard
+    cap: a scheme, or numpy block of schemes, is traced only if its steps
+    fit in what remains, so ``steps_used <= budget`` always.  In strict mode
+    running out raises :class:`BudgetExceededError`; otherwise partial
     results are returned with flags cleared.
     """
     if g.n < 1:
@@ -754,9 +776,7 @@ def max_euler_characteristic(
         ],
     )
 
-    def lift(core_rs: RotationSystem | None) -> RotationSystem | None:
-        if core_rs is None:
-            return None
+    def lift(core_rs: RotationSystem) -> RotationSystem:
         rot = {
             core_labels[i]: [core_labels[x] for x in core_rs.rotations[i]]
             for i in range(core.n)
@@ -783,21 +803,7 @@ def max_euler_characteristic(
     cap_or = chi_cap if chi_cap % 2 == 0 else chi_cap - 1
     cap_nonor = min(1, chi_cap)
 
-    # Orientable sweep.
-    space_or = _SchemeSpace(core, signed=False)
-    target_or = cap_or if early_exit else 10**9
-    best_or, idx_or, reached_or = _run_sweep(space_or, target_or, bud)
-    or_exhaustive = reached_or == space_or.total
-    or_certified = or_exhaustive or best_or >= cap_or
-    or_witness_core = space_or.scheme(idx_or) if idx_or is not None else None
-    or_side = SideResult(
-        chi=best_or if idx_or is not None else None,
-        witness=lift(or_witness_core),
-        exhaustive=or_exhaustive,
-        certified=or_certified and idx_or is not None,
-        searched=reached_or,
-    )
-
+    or_side = _search_side(core, False, cap_or, early_exit, bud, lift)
     nonor_side: SideResult | None = None
     if not orientable_only:
         if or_side.certified and or_side.chi == 2:
@@ -806,20 +812,10 @@ def max_euler_characteristic(
             # scheme realises it for trees and some planar cores).
             nonor_side = SideResult(chi=1, witness=None, exhaustive=False, certified=True)
         else:
-            space_no = _SchemeSpace(core, signed=True)
-            if space_no.sign_count == 0:
-                nonor_side = SideResult(chi=None, witness=None, exhaustive=True, certified=False)
-            else:
-                target_no = cap_nonor if early_exit else 10**9
-                best_no, idx_no, reached_no = _run_sweep(space_no, target_no, bud)
-                no_exhaustive = reached_no == space_no.total
-                nonor_side = SideResult(
-                    chi=best_no if idx_no is not None else None,
-                    witness=lift(space_no.scheme(idx_no)) if idx_no is not None else None,
-                    exhaustive=no_exhaustive,
-                    certified=(no_exhaustive or best_no >= cap_nonor) and idx_no is not None,
-                    searched=reached_no,
-                )
+            # The core has a cycle (it is not a tree, which returned above,
+            # and both reductions keep the cycle rank), so some edge sign is
+            # free and the signed space is not empty.
+            nonor_side = _search_side(core, True, cap_nonor, early_exit, bud, lift)
 
     # Combine.  The non-orientable side never exceeds 1, so a certified
     # planar outcome settles the overall maximum by itself.
@@ -830,17 +826,14 @@ def max_euler_characteristic(
         if s.chi == overall_chi and s.witness is not None:
             overall_witness = s.witness
             break
-    if orientable_only:
+    if nonor_side is None:
         overall_exhaustive = or_side.exhaustive
         overall_certified = or_side.certified
     else:
         or_settles = or_side.certified and or_side.chi == 2
-        overall_exhaustive = or_side.exhaustive and (
-            or_settles or (nonor_side is not None and nonor_side.exhaustive)
-        )
+        overall_exhaustive = or_side.exhaustive and (or_settles or nonor_side.exhaustive)
         overall_certified = or_side.certified and (
-            (nonor_side is not None and nonor_side.certified)
-            or (or_side.chi is not None and or_side.chi >= cap_nonor)
+            nonor_side.certified or or_side.chi >= cap_nonor
         )
     return ChiSearchResult(
         chi=overall_chi,

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 from . import bounds as bnd
 from .bondage import bondage_number, compute_b_prime, hartnell_rall_bound
-from .domination import domination_number
+from .domination import domination_number  # noqa: F401 (perfbench/run.py:install_tracer wraps it)
 from .embedding import DEFAULT_BUDGET, ChiSearchResult, max_euler_characteristic
 from .graphs import Graph, GraphFormatError, degree_stats, emit_graph6, girth, parse_graph6
 
@@ -145,15 +145,16 @@ def verify_graph(
     """Compute all invariants for one graph and test every applicable bound."""
     if g.m < 1:
         raise ValueError("verification needs at least one edge")
-    gamma = domination_number(g).gamma
-    b = bondage_number(g, cap=bondage_cap).b
+    bond = bondage_number(g, cap=bondage_cap)
+    b = bond.b
     connected = g.is_connected()
-    b_prime = compute_b_prime(g).b_prime if connected else None
+    proxy = compute_b_prime(g) if connected else None
+    b_prime = proxy.b_prime if connected else None
     search = max_euler_characteristic(g, budget=budget, strict=strict) if connected else None
     p = replace(
         graph_params(g, search),
         connected=connected,
-        edge_bound=hartnell_rall_bound(g).edge_bound,
+        edge_bound=proxy.edge_term if connected else hartnell_rall_bound(g).edge_bound,
         b=b,
         b_prime=b_prime,
     )
@@ -165,7 +166,7 @@ def verify_graph(
         delta=p.delta,
         min_degree=min(map(g.degree, range(g.n))),
         girth=None if p.girth == math.inf else p.girth,
-        gamma=gamma,
+        gamma=bond.gamma_before,
         b=b,
         b_prime=b_prime,
         chi=p.chi,

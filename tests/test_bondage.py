@@ -72,6 +72,15 @@ class TestBondageNumber:
         assert bondage_number(g).b == brute_bondage_number(g)
 
     @given(st.integers(min_value=2, max_value=7), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_gamma_before_sums_components(self, n, rng):
+        # Sparse draws make many of these graphs disconnected.
+        g = random_graph(rng, n, p=rng.uniform(0.1, 0.6))
+        if g.m == 0:
+            return
+        assert bondage_number(g).gamma_before == domination_number(g).gamma
+
+    @given(st.integers(min_value=2, max_value=7), st.randoms(use_true_random=False))
     @settings(max_examples=40, deadline=None)
     def test_witness_minimality_second_pass(self, n, rng):
         g = random_connected_graph(rng, n)

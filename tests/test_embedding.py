@@ -281,7 +281,38 @@ class TestMaxChi:
         g = make_family("kmn", 3, 3)
         result = max_euler_characteristic(g, budget=50, early_exit=False)
         assert not result.exhaustive
-        assert result.steps_used <= 50 + 4 * g.m
+        assert result.steps_used <= 50
+
+    @pytest.mark.parametrize("family, budget, path", [
+        (("kn", 6), 10**6, "_sweep_vector"),
+        (("kmn", 5, 5), 10**6, "_sweep_vector"),
+        (("kmn", 3, 3), 50, "_sweep_scalar"),
+    ])
+    def test_budget_is_a_hard_cap(self, monkeypatch, family, budget, path):
+        from bondlab import embedding
+
+        used = []
+        original = getattr(embedding, path)
+
+        def counted(*args):
+            used.append(path)
+            return original(*args)
+
+        monkeypatch.setattr(embedding, path, counted)
+        result = max_euler_characteristic(make_family(*family), budget=budget, early_exit=False)
+        assert used and not result.exhaustive
+        assert result.steps_used <= budget
+
+    def test_paths_stop_at_the_same_scheme(self, monkeypatch):
+        # The numpy sweep's last block shrinks to what the budget covers.
+        from bondlab import embedding
+
+        g = make_family("kmn", 3, 3)
+        scalar = max_euler_characteristic(g, budget=1000, early_exit=False)
+        monkeypatch.setattr(embedding, "_VECTOR_THRESHOLD", 0)
+        vector = max_euler_characteristic(g, budget=1000, early_exit=False)
+        assert scalar == vector
+        assert 1000 - 4 * g.m < scalar.steps_used <= 1000
 
     def test_rejects_disconnected(self):
         with pytest.raises(ValueError):

@@ -21,8 +21,9 @@ DATA = Path(__file__).parent / "data"
 
 
 class TestVerifyGraph:
-    def test_three_domination_solves_per_connected_record(self, monkeypatch):
-        # Two on G (the gamma column and bondage_number), one on G - S.
+    def test_two_domination_solves_per_connected_record(self, monkeypatch):
+        # One on G inside bondage_number, whose gamma the record reuses, and
+        # one on G - S to certify the witness.
         graphs = []
         for module in (harness, bondage):
             original = module.domination_number
@@ -34,8 +35,26 @@ class TestVerifyGraph:
             monkeypatch.setattr(module, "domination_number", counted)
         g = make_family("kmn", 3, 3)
         rec = verify_graph(g)
-        assert graphs[:2] == [g, g] and len(graphs) == 3
-        assert graphs[2].m == g.m - rec.b
+        assert graphs[0] == g and len(graphs) == 2
+        assert graphs[1].m == g.m - rec.b
+        assert rec.gamma == 2
+
+    def test_hartnell_rall_bound_once_per_record(self, monkeypatch):
+        # Connected records read the edge bound off the b' proxy.
+        calls = []
+        for module in (harness, bondage):
+            original = module.hartnell_rall_bound
+
+            def counted(g, original=original):
+                calls.append(g)
+                return original(g)
+
+            monkeypatch.setattr(module, "hartnell_rall_bound", counted)
+        triangle_and_edge = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (3, 4)])
+        for g in (make_family("kmn", 3, 3), triangle_and_edge):
+            calls.clear()
+            verify_graph(g)
+            assert calls == [g]
 
     def test_balanced_bipartite_four(self):
         rec = verify_graph(make_family("kmn", 4, 4))
