@@ -119,16 +119,30 @@ def _cover_bound(reaches: list[int]) -> int:
     """A lower bound on the edges needed to meet every mask in ``reaches``.
 
     An edge meets at most as many masks as contain it, so ``k`` edges meet
-    at most the ``k`` largest of those counts.
+    at most the ``k`` largest of those counts.  The counts are kept
+    bit-sliced: bit ``i`` of ``levels[j]`` is bit ``j`` of edge ``i``'s
+    count, and each mask is added to every edge at once by a ripple carry.
     """
-    hits: dict[int, int] = {}
+    levels: list[int] = []
     for reach in reaches:
-        while reach:
-            low = reach & -reach
-            hits[low] = hits.get(low, 0) + 1
-            reach ^= low
+        carry = reach
+        for j, level in enumerate(levels):
+            levels[j] = level ^ carry
+            carry &= level
+            if not carry:
+                break
+        else:
+            levels.append(carry)
+    edges = 0
+    for level in levels:
+        edges |= level
+    hits = []
+    while edges:
+        low = edges & -edges
+        hits.append(sum(1 << j for j, level in enumerate(levels) if level & low))
+        edges ^= low
     left = len(reaches)
-    for k, h in enumerate(sorted(hits.values(), reverse=True), 1):
+    for k, h in enumerate(sorted(hits, reverse=True), 1):
         left -= h
         if left <= 0:
             return k

@@ -13,6 +13,14 @@ neighbourhood).  Two exactness certificates are tracked: ``exhaustive``
 means the full quotient was enumerated, and ``certified`` additionally
 covers early exits that reach a proven upper bound on the characteristic
 (combinatorial face-length counting), which is just as exact.
+
+Large spaces are swept with numpy in the same flat order, where the sign
+mask changes fastest and then the rotation at the last vertex ``L`` with a
+choice.  The sweep traces everything away from ``L`` once per distinct
+(other rotations, sign mask) pair, with the states entering ``L`` made
+absorbing, and then each scheme only over the at most ``2 deg(L)`` states
+entering ``L``: their first-return map, ``L``'s rotation followed by the
+traced jump to the next entry, has one cycle per face through ``L``.
 """
 
 from __future__ import annotations
@@ -408,6 +416,23 @@ def _lift_witness(core_rs: dict[int, list[int]], neg: set[tuple[int, int]],
     )
 
 
+def _core(g: Graph) -> tuple[Graph, list[int], list[tuple]]:
+    """The reduced core relabelled 0..k-1, its original labels, and the ops."""
+    core_adj, ops = _reduce_graph(g)
+    core_labels = sorted(core_adj)
+    relabel = {v: i for i, v in enumerate(core_labels)}
+    core = Graph.from_edges(
+        len(core_labels),
+        [
+            (relabel[u], relabel[v])
+            for u in core_labels
+            for v in core_adj[u]
+            if u < v
+        ],
+    )
+    return core, core_labels, ops
+
+
 # -- scheme space ------------------------------------------------------------
 
 
@@ -604,16 +629,32 @@ def _sweep_scalar(space: _SchemeSpace, target: int,
 # -- vectorised sweep --------------------------------------------------------
 
 
-def _sweep_vector(space: _SchemeSpace, target: int,
-                  budget: _Budget) -> tuple[int, int | None, int]:
-    """Same contract as the scalar sweep, trading memory for numpy batches."""
+def _contracted_tracer(space: _SchemeSpace):
+    """Tracing by contraction: ``(window_chi, max_span)`` for ``space``.
+
+    ``window_chi(lo, hi)`` is the array of chi over the flat schemes
+    ``lo..hi-1``, and ``max_span`` the most schemes one call should take.
+    In the flat order the sign mask changes fastest, then the rotation at
+    ``L``, the last vertex with more than one candidate.  So a range of
+    schemes is traced once per distinct (other rotations, sign mask) pair,
+    with every state entering ``L`` made absorbing: one min-label doubling
+    gives the faces that avoid ``L`` and, for each state leaving ``L``, the
+    state at which its walk next enters ``L``.  For each scheme, ``L``'s
+    rotation followed by that jump is the first-return map on the at most
+    ``2 deg(L)`` states entering ``L``; its cycles are the faces through
+    ``L``, counted by a second doubling.  On the signed side
+    ``mirror(leave(e))`` lies on the mirror orbit of ``e``'s, which pairs
+    orbits into faces.  Past one block, a range is capped so that neither
+    stage's arrays hold more than a quarter of the cells of one block's
+    full next-state table.
+    """
     import numpy as np
 
     g = space.g
     nd = 2 * g.m
     n_states = space.states
-    best = -(10**9)
-    best_index = None
+    signed = space.signed
+    signs = space.sign_count
 
     # Per-vertex tables: rows are candidate rotations, columns the incoming
     # darts at the vertex (fixed order), entries the successor dart ids.
@@ -622,7 +663,7 @@ def _sweep_vector(space: _SchemeSpace, target: int,
     bwd_tables = []
     for v in range(g.n):
         cols = [space.dart_of[(x, v)] for x in sorted(g.neighbors(v))]
-        in_cols.append(np.array(cols, dtype=np.int64))
+        in_cols.append(np.array(cols, dtype=np.intp))
         fw = np.zeros((space.rot_counts[v], len(cols)), dtype=np.int16)
         bw = np.zeros_like(fw)
         for ci, rot in enumerate(space.candidates[v]):
@@ -641,61 +682,161 @@ def _sweep_vector(space: _SchemeSpace, target: int,
             free_bits[d] = b
             free_mask_cols[d] = True
 
+    last = max((v for v in range(g.n) if space.rot_counts[v] > 1), default=g.n - 1)
+    rot_last = space.rot_counts[last]
+    # States entering ``last``, numbered by slot: dart column j, and on the
+    # signed side direction s at slot 2j + s.
+    if signed:
+        enter = np.stack([2 * in_cols[last], 2 * in_cols[last] + 1], axis=1).ravel()
+    else:
+        enter = in_cols[last]
+    width = len(enter)
+    slot_of = np.full(n_states, -1, dtype=np.intp)
+    slot_of[enter] = np.arange(width)
+    labels = np.arange(n_states, dtype=np.int16)
+    labels_absorbing = labels.copy()
+    labels_absorbing[enter] = -1  # below every label, so walks into ``last`` are no face
+    slots = np.arange(width, dtype=np.int16)
     doubling = max(1, math.ceil(math.log2(n_states)))
-    arange_states = np.arange(n_states, dtype=np.int16)
+    doubling_last = math.ceil(math.log2(width))
+    if signed:
+        darts = (labels >> 1).astype(np.intp)
+        mirror_base = 2 * (darts ^ 1) + (1 ^ (labels & 1))
 
+    def trace_prefixes(keys):
+        """Faces avoiding ``last`` and the jump table, per (rotations, signs) key."""
+        count = len(keys)
+        rest = keys // signs if signed else keys.copy()
+        fwd = np.zeros((count, nd), dtype=np.int16)
+        bwd = np.zeros((count, nd), dtype=np.int16) if signed else None
+        for v in range(last - 1, -1, -1):
+            rows = rest % space.rot_counts[v]
+            rest //= space.rot_counts[v]
+            fwd[:, in_cols[v]] = fwd_tables[v][rows]
+            if signed:
+                bwd[:, in_cols[v]] = bwd_tables[v][rows]
+        for v in range(last + 1, g.n):
+            fwd[:, in_cols[v]] = fwd_tables[v][0]
+            if signed:
+                bwd[:, in_cols[v]] = bwd_tables[v][0]
+        if not signed:
+            nxt = fwd
+        else:
+            sign_mask = keys % signs + 1
+            neg = ((sign_mask[:, None] >> free_bits[None, :]) & 1).astype(np.int16)
+            neg &= free_mask_cols[None, :]
+            nxt = np.empty((count, n_states), dtype=np.int16)
+            nxt[:, 0::2] = 2 * np.where(neg == 0, fwd, bwd) + neg  # states (d, 0)
+            nxt[:, 1::2] = 2 * np.where(neg == 1, fwd, bwd) + (1 - neg)  # states (d, 1)
+        rows = np.arange(0, count * n_states, n_states, dtype=np.intp)[:, None]
+        reach = (nxt + rows).ravel()
+        entering = (enter + rows).ravel()
+        reach[entering] = entering
+        lbl = np.tile(labels_absorbing, count)
+        for _ in range(doubling):
+            np.minimum(lbl, lbl.take(reach), out=lbl)
+            reach = reach.take(reach)
+        lbl = lbl.reshape(count, n_states)
+        roots = lbl == labels
+        if signed:
+            mirror = mirror_base ^ neg[:, darts]
+            roots &= lbl.take(mirror + rows) >= labels
+        return roots.sum(axis=1), slot_of.take(reach % n_states)
+
+    def window_chi(lo, hi):
+        flat = np.arange(lo, hi, dtype=np.int64)
+        if signed:
+            sign_mask = flat % signs + 1
+            flat //= signs
+        rows_last = flat % rot_last
+        keys = flat // rot_last
+        if signed:
+            keys = keys * signs + (sign_mask - 1)
+        keys, which = np.unique(keys, return_inverse=True)
+        avoiding, jump = trace_prefixes(keys)
+
+        fw = fwd_tables[last][rows_last].astype(np.intp)
+        if not signed:
+            leave = fw
+        else:
+            bw = bwd_tables[last][rows_last].astype(np.intp)
+            cols = in_cols[last]
+            neg_in = (sign_mask[:, None] >> free_bits[cols]) & 1 & free_mask_cols[cols]
+            s2 = np.stack([neg_in, 1 ^ neg_in], axis=2).reshape(len(flat), width)
+            out = np.where(s2 == 1, np.repeat(bw, 2, axis=1), np.repeat(fw, 2, axis=1))
+            leave = 2 * out + s2
+            neg_out = (sign_mask[:, None] >> free_bits[out]) & 1 & free_mask_cols[out]
+            mirror = slot_of.take(2 * (out ^ 1) + (1 ^ s2 ^ neg_out))
+        first_return = jump.take(which[:, None] * n_states + leave)
+        rows = np.arange(0, len(flat) * width, width, dtype=np.intp)[:, None]
+        reach = (first_return + rows).ravel()
+        lbl = np.tile(slots, len(flat))
+        for step in range(doubling_last):
+            np.minimum(lbl, lbl.take(reach), out=lbl)
+            if step + 1 < doubling_last:
+                reach = reach.take(reach)
+        lbl = lbl.reshape(len(flat), width)
+        roots = lbl == slots
+        if signed:
+            roots &= lbl.take(mirror + rows) >= slots
+        return g.n - g.m + avoiding[which] + roots.sum(axis=1)
+
+    def pairs_at_most(span):
+        per_prefix = rot_last * signs
+        return min(span, signs * (-(-span // per_prefix) + 1))
+
+    cells = _VECTOR_BLOCK * n_states // 4
+    max_span = _VECTOR_BLOCK
+    while 2 * max_span * width <= cells and pairs_at_most(2 * max_span) * n_states <= cells:
+        max_span *= 2
+    return window_chi, max_span
+
+
+def _sweep_vector(space: _SchemeSpace, target: int,
+                  budget: _Budget) -> tuple[int, int | None, int]:
+    """Same contract as the scalar sweep, trading memory for numpy batches.
+
+    Schemes are traced a window at a time by :func:`_contracted_tracer`:
+    once per distinct (other rotations, sign mask) pair away from the
+    fastest-changing vertex ``L``, then per scheme only through the states
+    entering ``L``.  Budget charges stay per block of ``_VECTOR_BLOCK``
+    schemes.  A
+    window starts at one block and doubles up to the tracer's cap, and it
+    covers only whole blocks the remaining budget pays for.
+    """
+    import numpy as np
+
+    n_states = space.states
+    best = -(10**9)
+    best_index = None
+    window_chi, max_span = _contracted_tracer(space)
+
+    def blocks_from(index, remaining):
+        """End of the next block from ``index`` and the budget left after it."""
+        block = max(1, min(_VECTOR_BLOCK, space.total - index, remaining // n_states))
+        return index + block, remaining - block * n_states
+
+    span = _VECTOR_BLOCK
+    win_lo = win_hi = 0
+    chi_win = None
     index = 0
     while index < space.total:
         # The last block shrinks to what the budget still covers, so the
         # sweep reaches the same scheme as the scalar one when it runs out.
-        block = max(1, min(_VECTOR_BLOCK, space.total - index, budget.remaining // n_states))
-        if not budget.charge(block * n_states):
+        end, _ = blocks_from(index, budget.remaining)
+        if not budget.charge((end - index) * n_states):
             return best, best_index, index
-        flat = np.arange(index, index + block, dtype=np.int64)
-        rem = flat.copy()
-        if space.signed:
-            sign_mask = rem % space.sign_count + 1
-            rem //= space.sign_count
-        digit_arrays = [None] * g.n
-        for v in range(g.n - 1, -1, -1):
-            digit_arrays[v] = rem % space.rot_counts[v]
-            rem //= space.rot_counts[v]
-
-        fwd = np.zeros((block, nd), dtype=np.int16)
-        bwd = np.zeros((block, nd), dtype=np.int16) if space.signed else None
-        for v in range(g.n):
-            rows = digit_arrays[v]
-            fwd[:, in_cols[v]] = fwd_tables[v][rows]
-            if space.signed:
-                bwd[:, in_cols[v]] = bwd_tables[v][rows]
-
-        if not space.signed:
-            nxt = fwd
-        else:
-            neg = ((sign_mask[:, None] >> free_bits[None, :]) & 1).astype(np.int16)
-            neg &= free_mask_cols[None, :]
-            out0 = np.where(neg == 0, fwd, bwd)  # arriving with direction 0
-            nxt = np.empty((block, 2 * nd), dtype=np.int16)
-            nxt[:, 0::2] = 2 * out0 + neg  # states (d, 0)
-            out1 = np.where(neg == 1, fwd, bwd)  # direction flips to 0 iff neg
-            nxt[:, 1::2] = 2 * out1 + (1 - neg)  # states (d, 1)
-
-        lbl = np.broadcast_to(arange_states, (block, n_states)).copy()
-        reach = nxt.copy()
-        for _ in range(doubling):
-            np.minimum(lbl, np.take_along_axis(lbl, reach, axis=1), out=lbl)
-            reach = np.take_along_axis(reach, reach, axis=1)
-        roots = lbl == arange_states
-        if not space.signed:
-            faces = roots.sum(axis=1)
-        else:
-            darts = (arange_states >> 1).astype(np.int64)
-            sbits = arange_states & 1
-            neg_at = neg[:, darts]
-            mir = (((darts ^ 1) << 1) + (1 ^ sbits ^ neg_at)).astype(np.int16)
-            mir_lbl = np.take_along_axis(lbl, mir, axis=1)
-            faces = (roots & (mir_lbl >= arange_states)).sum(axis=1)
-        chi = g.n - g.m + faces.astype(np.int64)
+        if end > win_hi:
+            hi, remaining = end, budget.remaining
+            while hi < space.total and hi - index < span:
+                nxt_hi, nxt_remaining = blocks_from(hi, remaining)
+                if nxt_remaining < 0:
+                    break
+                hi, remaining = nxt_hi, nxt_remaining
+            win_lo, win_hi = index, hi
+            chi_win = window_chi(win_lo, win_hi)
+            span = min(2 * span, max_span)
+        chi = chi_win[index - win_lo:end - win_lo]
 
         pos = 0
         while True:
@@ -708,7 +849,7 @@ def _sweep_vector(space: _SchemeSpace, target: int,
             if best >= target:
                 return best, best_index, index + pos + 1
             pos += 1
-        index += block
+        index = end
     return best, best_index, space.total
 
 
@@ -763,18 +904,7 @@ def max_euler_characteristic(
         raise ValueError("chi search is defined for connected graphs; split components first")
 
     bud = _Budget(budget, strict)
-    core_adj, ops = _reduce_graph(g)
-    core_labels = sorted(core_adj)
-    relabel = {v: i for i, v in enumerate(core_labels)}
-    core = Graph.from_edges(
-        len(core_labels),
-        [
-            (relabel[u], relabel[v])
-            for u in core_labels
-            for v in core_adj[u]
-            if u < v
-        ],
-    )
+    core, core_labels, ops = _core(g)
 
     def lift(core_rs: RotationSystem) -> RotationSystem:
         rot = {

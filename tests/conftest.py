@@ -9,12 +9,13 @@ implementations is the point.
 
 from __future__ import annotations
 
+import math
 import random
 from itertools import combinations, permutations
 from typing import Iterator
 
 from bondlab.domination import domination_number
-from bondlab.embedding import RotationSystem
+from bondlab.embedding import _VECTOR_BLOCK, RotationSystem
 from bondlab.graphs import Graph
 
 
@@ -155,3 +156,130 @@ def are_isomorphic(a: Graph, b: Graph) -> bool:
         ):
             return True
     return False
+
+
+def reference_sweep_vector(space, target: int, budget) -> tuple[int, int | None, int]:
+    """The numpy sweep as it traced every scheme in full, block by block.
+
+    Kept verbatim apart from its name: each block builds the whole
+    next-state table per scheme and min-label doubles over all its states.
+    """
+    import numpy as np
+
+    g = space.g
+    nd = 2 * g.m
+    n_states = space.states
+    best = -(10**9)
+    best_index = None
+
+    # Per-vertex tables: rows are candidate rotations, columns the incoming
+    # darts at the vertex (fixed order), entries the successor dart ids.
+    in_cols = []
+    fwd_tables = []
+    bwd_tables = []
+    for v in range(g.n):
+        cols = [space.dart_of[(x, v)] for x in sorted(g.neighbors(v))]
+        in_cols.append(np.array(cols, dtype=np.int64))
+        fw = np.zeros((space.rot_counts[v], len(cols)), dtype=np.int16)
+        bw = np.zeros_like(fw)
+        for ci, rot in enumerate(space.candidates[v]):
+            k = len(rot)
+            for i, x in enumerate(rot):
+                slot = cols.index(space.dart_of[(x, v)])
+                fw[ci, slot] = space.dart_of[(v, rot[(i + 1) % k])]
+                bw[ci, slot] = space.dart_of[(v, rot[(i - 1) % k])]
+        fwd_tables.append(fw)
+        bwd_tables.append(bw)
+
+    free_bits = np.zeros(nd, dtype=np.int64)
+    free_mask_cols = np.zeros(nd, dtype=bool)
+    for b, e in enumerate(space.free_edges):
+        for d in (2 * e, 2 * e + 1):
+            free_bits[d] = b
+            free_mask_cols[d] = True
+
+    doubling = max(1, math.ceil(math.log2(n_states)))
+    arange_states = np.arange(n_states, dtype=np.int16)
+
+    index = 0
+    while index < space.total:
+        # The last block shrinks to what the budget still covers, so the
+        # sweep reaches the same scheme as the scalar one when it runs out.
+        block = max(1, min(_VECTOR_BLOCK, space.total - index, budget.remaining // n_states))
+        if not budget.charge(block * n_states):
+            return best, best_index, index
+        flat = np.arange(index, index + block, dtype=np.int64)
+        rem = flat.copy()
+        if space.signed:
+            sign_mask = rem % space.sign_count + 1
+            rem //= space.sign_count
+        digit_arrays = [None] * g.n
+        for v in range(g.n - 1, -1, -1):
+            digit_arrays[v] = rem % space.rot_counts[v]
+            rem //= space.rot_counts[v]
+
+        fwd = np.zeros((block, nd), dtype=np.int16)
+        bwd = np.zeros((block, nd), dtype=np.int16) if space.signed else None
+        for v in range(g.n):
+            rows = digit_arrays[v]
+            fwd[:, in_cols[v]] = fwd_tables[v][rows]
+            if space.signed:
+                bwd[:, in_cols[v]] = bwd_tables[v][rows]
+
+        if not space.signed:
+            nxt = fwd
+        else:
+            neg = ((sign_mask[:, None] >> free_bits[None, :]) & 1).astype(np.int16)
+            neg &= free_mask_cols[None, :]
+            out0 = np.where(neg == 0, fwd, bwd)  # arriving with direction 0
+            nxt = np.empty((block, 2 * nd), dtype=np.int16)
+            nxt[:, 0::2] = 2 * out0 + neg  # states (d, 0)
+            out1 = np.where(neg == 1, fwd, bwd)  # direction flips to 0 iff neg
+            nxt[:, 1::2] = 2 * out1 + (1 - neg)  # states (d, 1)
+
+        lbl = np.broadcast_to(arange_states, (block, n_states)).copy()
+        reach = nxt.copy()
+        for _ in range(doubling):
+            np.minimum(lbl, np.take_along_axis(lbl, reach, axis=1), out=lbl)
+            reach = np.take_along_axis(reach, reach, axis=1)
+        roots = lbl == arange_states
+        if not space.signed:
+            faces = roots.sum(axis=1)
+        else:
+            darts = (arange_states >> 1).astype(np.int64)
+            sbits = arange_states & 1
+            neg_at = neg[:, darts]
+            mir = (((darts ^ 1) << 1) + (1 ^ sbits ^ neg_at)).astype(np.int16)
+            mir_lbl = np.take_along_axis(lbl, mir, axis=1)
+            faces = (roots & (mir_lbl >= arange_states)).sum(axis=1)
+        chi = g.n - g.m + faces.astype(np.int64)
+
+        pos = 0
+        while True:
+            better = np.flatnonzero(chi[pos:] > best)
+            if better.size == 0:
+                break
+            pos += int(better[0])
+            best = int(chi[pos])
+            best_index = index + pos
+            if best >= target:
+                return best, best_index, index + pos + 1
+            pos += 1
+        index += block
+    return best, best_index, space.total
+
+
+def reference_cover_bound(reaches: list[int]) -> int:
+    """The cover bound by counting each edge's masks in a dict, bit by bit."""
+    hits: dict[int, int] = {}
+    for reach in reaches:
+        while reach:
+            low = reach & -reach
+            hits[low] = hits.get(low, 0) + 1
+            reach ^= low
+    left = len(reaches)
+    for k, h in enumerate(sorted(hits.values(), reverse=True), 1):
+        left -= h
+        if left <= 0:
+            return k
+    raise AssertionError("every mask holds an edge")

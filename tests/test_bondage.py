@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from itertools import combinations
 
-from bondlab.bondage import bondage_number, compute_b_prime, hartnell_rall_bound
+from bondlab.bondage import _cover_bound, bondage_number, compute_b_prime, hartnell_rall_bound
 from bondlab.domination import domination_number, minimum_dominating_sets
 from bondlab.graphs import Graph, enumerate_connected_graphs, make_family
 
@@ -13,6 +13,7 @@ from conftest import (
     corona_path,
     random_connected_graph,
     random_graph,
+    reference_cover_bound,
 )
 
 
@@ -112,6 +113,17 @@ class TestHittingSearch:
         assert bondage_number(make_family("kmn", 5, 5)).b == 5
         assert bondage_number(make_family("qd", 4)).b == 4
         assert bondage_number(k333).b == 6
+
+    @given(st.lists(st.integers(min_value=1, max_value=(1 << 80) - 1), min_size=1, max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_cover_bound_matches_per_bit_counting(self, reaches):
+        assert _cover_bound(reaches) == reference_cover_bound(reaches)
+
+    @given(st.lists(st.integers(min_value=1, max_value=15), min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_cover_bound_matches_on_few_edges(self, reaches):
+        # Few edges met by many masks: counts run deep into the carry chain.
+        assert _cover_bound(reaches) == reference_cover_bound(reaches)
 
 
 @pytest.mark.xfail(

@@ -1,8 +1,12 @@
 import random
+import tracemalloc
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bondlab import embedding
 from bondlab.embedding import (
     BudgetExceededError,
     RotationSystem,
@@ -11,9 +15,9 @@ from bondlab.embedding import (
     ringel_chi,
     trace_faces,
 )
-from bondlab.graphs import Graph, make_family
+from bondlab.graphs import Graph, enumerate_connected_graphs, make_family, parse_graph6
 
-from conftest import random_connected_graph, random_rotation_system
+from conftest import random_connected_graph, random_rotation_system, reference_sweep_vector
 
 
 def all_rotation_systems(g: Graph):
@@ -328,3 +332,115 @@ class TestMaxChi:
         g = make_family("cn", 5)
         result = max_euler_characteristic(g, early_exit=False)
         assert result.exhaustive and result.certified
+
+
+# ---------------------------------------------------------------------------
+# The contracted numpy sweep against the full-tracing one
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def corpus6():
+    return [g for g in enumerate_connected_graphs(6) if g.m > 0]
+
+
+def _sweep_both(core, signed, target, budget):
+    """(best, best_index, reached) and the budget left, from each numpy kernel."""
+    outcomes = []
+    for kernel in (embedding._sweep_vector, reference_sweep_vector):
+        left = embedding._Budget(budget, strict=False)
+        outcomes.append((kernel(embedding._SchemeSpace(core, signed), target, left),
+                         left.remaining))
+    return outcomes
+
+
+def _assert_sweeps_agree(g, budget, early_exit_off=True):
+    core = embedding._core(g)[0]
+    if core.m == 0:
+        return
+    cap = embedding._face_length_upper_bound(core)
+    for signed, side_cap in ((False, cap - cap % 2), (True, min(1, cap))):
+        for target in (side_cap, 10**9) if early_exit_off else (side_cap,):
+            new, old = _sweep_both(core, signed, target, budget)
+            assert new == old, (g.edges(), signed, budget, target)
+
+
+def _relabelled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+class TestContractedSweep:
+    """``_sweep_vector`` must reproduce the full trace of every scheme exactly."""
+
+    def test_corpus6_cores(self, corpus6):
+        # Budgets that cut the sweep inside a block, early and late.
+        for g in corpus6:
+            _assert_sweeps_agree(g, 10**5)
+            _assert_sweeps_agree(g, 10**6, early_exit_off=False)
+
+    @pytest.mark.parametrize("g", [
+        make_family("kmn", 5, 5),
+        make_family("qd", 4),
+        Graph.from_edges(9, [(u, v) for u in range(9) for v in range(u + 1, 9) if u // 3 != v // 3]),
+    ], ids=["K5,5", "Q4", "K3,3,3"])
+    def test_stress_graphs(self, g):
+        _assert_sweeps_agree(g, 10**6)
+
+    @given(st.integers(min_value=3, max_value=8), st.randoms(use_true_random=False))
+    @settings(max_examples=25, deadline=None)
+    def test_random_connected_graphs(self, n, rng):
+        _assert_sweeps_agree(random_connected_graph(rng, n, extra=0.5), 2 * 10**5)
+
+    @given(st.integers(min_value=3, max_value=7), st.booleans(), st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_each_scheme_matches_trace_faces(self, n, signed, rng):
+        core = embedding._core(random_connected_graph(rng, n, extra=0.5))[0]
+        if core.m == 0:
+            return
+        space = embedding._SchemeSpace(core, signed)
+        window_chi, _ = embedding._contracted_tracer(space)
+        lo = rng.randrange(space.total)
+        hi = min(space.total, lo + rng.randint(1, 200))
+        expected = [trace_faces(core, space.scheme(i)).chi for i in range(lo, hi)]
+        assert window_chi(lo, hi).tolist() == expected
+
+    @pytest.mark.parametrize("g", [
+        make_family("kmn", 5, 5),
+        make_family("qd", 4),
+        make_family("kn", 6),
+    ], ids=["K5,5", "Q4", "K6"])
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_each_scheme_matches_trace_faces_deep_in_the_space(self, g, signed):
+        core = embedding._core(g)[0]
+        space = embedding._SchemeSpace(core, signed)
+        window_chi, _ = embedding._contracted_tracer(space)
+        lo = min(space.total, 1 << 62) * 3 // 7
+        expected = [trace_faces(core, space.scheme(i)).chi for i in range(lo, lo + 300)]
+        assert window_chi(lo, lo + 300).tolist() == expected
+
+    def test_max_euler_characteristic_on_corpus6(self, corpus6, monkeypatch):
+        rng = random.Random(2024)
+        graphs = [_relabelled(g, rng) for g in corpus6]
+        new = [max_euler_characteristic(g, budget=3 * 10**5) for g in graphs]
+        monkeypatch.setattr(embedding, "_sweep_vector", reference_sweep_vector)
+        old = [max_euler_characteristic(g, budget=3 * 10**5) for g in graphs]
+        assert new == old
+
+    @pytest.mark.parametrize("graph6", ["E~~w", "E~~o", "E}~o", "E~~_"])
+    def test_peak_memory_no_higher_than_full_tracing(self, graph6, monkeypatch):
+        g = parse_graph6(graph6)
+        max_euler_characteristic(g, budget=10**5)  # numpy imported and warm
+
+        def peak():
+            tracemalloc.start()
+            try:
+                max_euler_characteristic(g, budget=3_000_000)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        new = peak()
+        monkeypatch.setattr(embedding, "_sweep_vector", reference_sweep_vector)
+        assert new <= peak()
