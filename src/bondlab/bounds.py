@@ -1,12 +1,14 @@
 """Exact evaluation of bondage upper-bound formulas, and the bound registry.
 
 Every integer term here is computed with exact arithmetic: cubic-root floors
-by an integer scan, square-root floors and ceilings by integer-square-root
-predicates, and rational and radical thresholds by cleared-denominator or
-integer-power comparisons.  No float decides a bound, a threshold or a
-check: floating point appears only in cross-check values (bisection roots,
-the ``details`` of a report, ``order_lower_bound``/``size_lower_bound``) and
-in the ``ceil(log ...)`` terms of the genus/order clauses.
+by an integer scan, and each radical floor floor((c + sqrt(r)) / a), for
+integers a > 0 and r >= 0, as the single expression (c + isqrt(r)) // a.
+That identity holds because for an integer q, a*q - c <= sqrt(r) exactly
+when a*q - c <= isqrt(r).  Rational thresholds are compared with cleared
+denominators.  No float decides a bound, a threshold or a check: floating
+point appears only in cross-check and display values (the ``details`` of a
+report, ``largest_root_bisect``, ``closed_form_root`` and
+``order_lower_bound``/``size_lower_bound``).
 
 :data:`REGISTRY` describes each bound once: its name, formula, hypothesis
 and value.  The report here and the checks of the verification harness are
@@ -39,7 +41,6 @@ __all__ = [
     "bound_order",
     "bound_size",
     "bound_genus",
-    "bound_genus_order",
     "order_lower_bound",
     "size_lower_bound",
     "order_term",
@@ -184,32 +185,14 @@ def bound_sqrt(delta: int, chi: int) -> int:
     return delta + 1 + math.isqrt(4 - 3 * chi)
 
 
-def _ceil_sqrt_minus_half(v: int) -> int:
-    """Smallest integer q with q >= sqrt(v) - 1/2, i.e. (2q+1)^2 >= 4v."""
-    q = max(0, math.isqrt(v) - 1)
-    while (2 * q + 1) ** 2 < 4 * v:
-        q += 1
-    return q
-
-
 def bound_sqrt_baseline(delta: int, chi: int) -> int:
-    """delta + ceil(sqrt(12 - 6*chi) - 1/2), the weaker closed form."""
-    _require_chi_nonpositive(chi)
-    return delta + _ceil_sqrt_minus_half(12 - 6 * chi)
+    """delta + ceil(sqrt(12 - 6*chi) - 1/2), the weaker closed form.
 
-
-def _floor_by_predicate(pred: Callable[[int], bool], estimate: int) -> int:
-    """Largest nonnegative integer satisfying a monotone predicate.
-
-    ``pred`` must be true on 0..floor and false beyond; ``estimate`` only
-    seeds the scan and never affects the result.
+    With v = 12 - 6*chi the term is the least q with (2q+1)^2 >= 4v; as 4v
+    is never an odd square, that is (isqrt(4v - 1) + 1) // 2.
     """
-    z = max(0, estimate)
-    while z > 0 and not pred(z):
-        z -= 1
-    while pred(z + 1):
-        z += 1
-    return z
+    _require_chi_nonpositive(chi)
+    return delta + (math.isqrt(4 * (12 - 6 * chi) - 1) + 1) // 2
 
 
 def bound_girth(delta: int, chi: int, g: int) -> int:
@@ -217,14 +200,7 @@ def bound_girth(delta: int, chi: int, g: int) -> int:
     _require_chi_nonpositive(chi)
     if not isinstance(g, int) or g < 3:
         raise ValueError(f"girth must be a finite integer >= 3, got {g}")
-    rad = g * g - g * (g - 2) * chi
-
-    def pred(z: int) -> bool:
-        w = (g - 2) * z - 2
-        return w <= 0 or w * w <= rad
-
-    est = int((2 + math.sqrt(rad)) / (g - 2))
-    return delta + _floor_by_predicate(pred, est)
+    return delta + (2 + math.isqrt(g * g - g * (g - 2) * chi)) // (g - 2)
 
 
 def bound_girth_baseline(delta: int, chi: int, g: int) -> int:
@@ -232,14 +208,7 @@ def bound_girth_baseline(delta: int, chi: int, g: int) -> int:
     _require_chi_nonpositive(chi)
     if not isinstance(g, int) or g < 3:
         raise ValueError(f"girth must be a finite integer >= 3, got {g}")
-    rad = 8 * g * (2 - g) * chi + (3 * g - 2) ** 2
-
-    def pred(z: int) -> bool:
-        w = 2 * (g - 2) * z + (g - 6)
-        return w <= 0 or w * w <= rad
-
-    est = int((math.sqrt(rad) - (g - 6)) / (2 * (g - 2)))
-    return delta + _floor_by_predicate(pred, est)
+    return delta + (math.isqrt(8 * g * (2 - g) * chi + (3 * g - 2) ** 2) - (g - 6)) // (2 * (g - 2))
 
 
 def bound_triangle_free(delta: int, chi: int) -> int:
@@ -251,20 +220,12 @@ def bound_triangle_free(delta: int, chi: int) -> int:
 def order_term(chi: int, n: int) -> int:
     """floor(c) for c = 1/2 - 3*chi/n + sqrt(25/4 - 21*chi/n + 9*chi^2/n^2).
 
-    The comparison is done with cleared denominators: z <= c iff
-    w = 2*n*z - n + 6*chi is nonpositive or w^2 <= 25n^2 - 84n*chi + 36chi^2.
+    Over the denominator 2n, c = (n - 6*chi + sqrt(25n^2 - 84n*chi + 36chi^2)) / (2n).
     """
     _require_chi_nonpositive(chi)
     if n < 1:
         raise ValueError(f"order must be positive, got {n}")
-    rad = 25 * n * n - 84 * n * chi + 36 * chi * chi
-
-    def pred(z: int) -> bool:
-        w = 2 * n * z - n + 6 * chi
-        return w <= 0 or w * w <= rad
-
-    est = int(0.5 - 3 * chi / n + math.sqrt(25 / 4 - 21 * chi / n + 9 * chi * chi / (n * n)))
-    return _floor_by_predicate(pred, est)
+    return (n - 6 * chi + math.isqrt(25 * n * n - 84 * n * chi + 36 * chi * chi)) // (2 * n)
 
 
 def bound_order(delta: int, chi: int, n: int) -> int:
@@ -302,39 +263,6 @@ def bound_genus(delta: int, h: int | None = None, k: int | None = None) -> int:
     if not terms:
         raise ValueError("at least one genus must be supplied")
     return min(terms)
-
-
-@dataclass(frozen=True)
-class ClauseBound:
-    name: str
-    additive_term: int
-    applicable: bool
-    threshold: str
-
-
-def bound_genus_order(delta: int, n: int, h: int, k: int) -> list[ClauseBound]:
-    """Six order-threshold clauses with logarithmic genus terms.
-
-    Each threshold ``n >= h^p/q`` is compared exactly in integers, as
-    ``n^q >= h^p``; both genera must be at least 1 for the clauses to make
-    sense.
-    """
-    if n < 1 or h < 1 or k < 1:
-        raise ValueError("requires n >= 1, h >= 1, k >= 1")
-    lh = math.log(h)
-    lk = math.log(k)
-    clauses = [
-        ("h_log2", math.ceil(lh * lh) + 3, n >= h, "n >= h"),
-        ("h_log", math.ceil(lh) + 3, n**10 >= h**19, "n >= h^1.9"),
-        ("h_const", 4, n**2 >= h**5, "n >= h^2.5"),
-        ("k_log2", math.ceil(lk * lk) + 2, 6 * n >= k, "n >= k/6"),
-        ("k_log", math.ceil(lk) + 3, n**5 >= k**8, "n >= k^1.6"),
-        ("k_const", 3, n >= k * k, "n >= k^2"),
-    ]
-    return [
-        ClauseBound(name=name, additive_term=delta + term, applicable=ok, threshold=thr)
-        for name, term, ok, thr in clauses
-    ]
 
 
 def order_lower_bound(chi: int) -> float:

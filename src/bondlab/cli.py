@@ -1,7 +1,8 @@
 """Command-line front end: every capability, scriptable and reproducible.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 budget
-exhaustion in strict mode.  Errors go to stderr prefixed ``bondlab: error:``.
+Exit codes: 0 success, 1 verification failure or error, 2 usage error,
+3 budget exhaustion: in strict mode, or when ``bounds --graph6`` cannot
+certify chi.  Errors go to stderr prefixed ``bondlab: error:``.
 """
 
 from __future__ import annotations
@@ -32,6 +33,13 @@ from .graphs import (
     parse_graph6,
 )
 from .harness import CHECKS, emit_comparison_table, emit_report, graph_params, verify_corpus
+
+
+_BONDAGE_CAP_HELP = (
+    "largest witness size the bondage search tries (default: max degree + min "
+    "degree - 1, a proven upper bound); a b above it is reported as exceeding "
+    "the cap, with no value"
+)
 
 
 def _epilog(title: str, rows: Sequence[bnd.Bound]) -> str:
@@ -86,8 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invariants", help="gamma, bondage, proxy, girth, degrees")
     p.add_argument("graph", nargs="?", default="-", help="graph6 string or - for stdin")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--bondage-cap", type=int, default=None,
-                   help="search edge subsets only up to this size")
+    p.add_argument("--bondage-cap", type=int, default=None, help=_BONDAGE_CAP_HELP)
 
     p = sub.add_parser("chi", help="maximum Euler characteristic search")
     p.add_argument("graph", nargs="?", default="-", help="graph6 string or - for stdin")
@@ -131,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json", "text"), default="text")
     p.add_argument("--threads", type=int, default=_default_threads(),
                    help="parallel verification workers (BONDLAB_THREADS)")
-    p.add_argument("--bondage-cap", type=int, default=None)
+    p.add_argument("--bondage-cap", type=int, default=None, help=_BONDAGE_CAP_HELP)
     add_budget_flags(p)
 
     p = sub.add_parser("enumerate", help="connected graphs up to isomorphism, n <= 6")
@@ -365,7 +372,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BudgetExceededError as exc:
         _error(str(exc))
         return 3
-    except (GraphFormatError, ValueError) as exc:
+    except (GraphFormatError, ValueError, OverflowError) as exc:
         _error(str(exc))
         return 1
     except BrokenPipeError:

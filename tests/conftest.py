@@ -3,8 +3,9 @@
 The oracles here deliberately take different routes from the library code:
 domination by raw subset enumeration, bondage by re-solving domination on
 every edge subset, girth via per-edge shortest paths, isomorphism by
-permutation search, graph6 via networkx.  Agreement between two independent
-implementations is the point.
+permutation search, graph6 via networkx, radical floors by a scan of their
+defining predicate.  Agreement between two independent implementations is
+the point.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ from __future__ import annotations
 import math
 import random
 from itertools import combinations, permutations
-from typing import Iterator
+from typing import Callable, Iterator
 
+from bondlab.bounds import _require_chi_nonpositive
 from bondlab.domination import domination_number
 from bondlab.embedding import _VECTOR_BLOCK, RotationSystem
 from bondlab.graphs import Graph
@@ -283,3 +285,79 @@ def reference_cover_bound(reaches: list[int]) -> int:
         if left <= 0:
             return k
     raise AssertionError("every mask holds an edge")
+
+
+# Radical floors by an integer scan of their defining predicate, seeded by a
+# float estimate that never decides the result.  The library computes each
+# as one isqrt expression instead.
+
+
+def reference_floor_by_predicate(pred: Callable[[int], bool], estimate: int) -> int:
+    """Largest nonnegative integer satisfying a monotone predicate.
+
+    ``pred`` must be true on 0..floor and false beyond; ``estimate`` only
+    seeds the scan and never affects the result.
+    """
+    z = max(0, estimate)
+    while z > 0 and not pred(z):
+        z -= 1
+    while pred(z + 1):
+        z += 1
+    return z
+
+
+def reference_ceil_sqrt_minus_half(v: int) -> int:
+    """Smallest integer q with q >= sqrt(v) - 1/2, i.e. (2q+1)^2 >= 4v."""
+    q = max(0, math.isqrt(v) - 1)
+    while (2 * q + 1) ** 2 < 4 * v:
+        q += 1
+    return q
+
+
+def reference_bound_girth(delta: int, chi: int, g: int) -> int:
+    """delta + floor(s) with s = (2 + sqrt(g^2 - g*(g-2)*chi)) / (g - 2)."""
+    _require_chi_nonpositive(chi)
+    if not isinstance(g, int) or g < 3:
+        raise ValueError(f"girth must be a finite integer >= 3, got {g}")
+    rad = g * g - g * (g - 2) * chi
+
+    def pred(z: int) -> bool:
+        w = (g - 2) * z - 2
+        return w <= 0 or w * w <= rad
+
+    est = int((2 + math.sqrt(rad)) / (g - 2))
+    return delta + reference_floor_by_predicate(pred, est)
+
+
+def reference_bound_girth_baseline(delta: int, chi: int, g: int) -> int:
+    """delta + floor((sqrt(8g(2-g)chi + (3g-2)^2) - (g-6)) / (2(g-2)))."""
+    _require_chi_nonpositive(chi)
+    if not isinstance(g, int) or g < 3:
+        raise ValueError(f"girth must be a finite integer >= 3, got {g}")
+    rad = 8 * g * (2 - g) * chi + (3 * g - 2) ** 2
+
+    def pred(z: int) -> bool:
+        w = 2 * (g - 2) * z + (g - 6)
+        return w <= 0 or w * w <= rad
+
+    est = int((math.sqrt(rad) - (g - 6)) / (2 * (g - 2)))
+    return delta + reference_floor_by_predicate(pred, est)
+
+
+def reference_order_term(chi: int, n: int) -> int:
+    """floor(c) for c = 1/2 - 3*chi/n + sqrt(25/4 - 21*chi/n + 9*chi^2/n^2).
+
+    The comparison is done with cleared denominators: z <= c iff
+    w = 2*n*z - n + 6*chi is nonpositive or w^2 <= 25n^2 - 84n*chi + 36chi^2.
+    """
+    _require_chi_nonpositive(chi)
+    if n < 1:
+        raise ValueError(f"order must be positive, got {n}")
+    rad = 25 * n * n - 84 * n * chi + 36 * chi * chi
+
+    def pred(z: int) -> bool:
+        w = 2 * n * z - n + 6 * chi
+        return w <= 0 or w * w <= rad
+
+    est = int(0.5 - 3 * chi / n + math.sqrt(25 / 4 - 21 * chi / n + 9 * chi * chi / (n * n)))
+    return reference_floor_by_predicate(pred, est)

@@ -2,8 +2,17 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bondlab import bounds as bnd
+
+from conftest import (
+    reference_bound_girth,
+    reference_bound_girth_baseline,
+    reference_ceil_sqrt_minus_half,
+    reference_order_term,
+)
 
 # The 22 cubic-term pairs for chi = 0, -1, ..., -21 (baseline, improved).
 TERM_PAIRS = [
@@ -159,23 +168,6 @@ class TestClosedFormBounds:
         assert bnd.bound_genus(4, k=1) == 6
         assert bnd.bound_genus(0, h=2, k=3) == 4
 
-    def test_genus_order_clauses(self):
-        clauses = {c.name: c for c in bnd.bound_genus_order(0, 100, 4, 9)}
-        assert clauses["h_const"].applicable and clauses["h_const"].additive_term == 4
-        assert clauses["k_const"].applicable and clauses["k_const"].additive_term == 3
-        small = {c.name: c for c in bnd.bound_genus_order(0, 2, 3, 1)}
-        assert not small["h_log2"].applicable  # n < h
-
-    def test_genus_order_thresholds_exact_at_equality(self):
-        # n = k^1.6 exactly with k = 6^5, n = 6^8.
-        clauses = {c.name: c for c in bnd.bound_genus_order(0, 6**8, 1, 6**5)}
-        assert clauses["k_log"].applicable
-        # n = h^2.5 exactly with h = 1553^2, n = 1553^5.
-        clauses = {c.name: c for c in bnd.bound_genus_order(0, 1553**5, 1553**2, 1)}
-        assert clauses["h_const"].applicable
-        below = {c.name: c for c in bnd.bound_genus_order(0, 1553**5 - 1, 1553**2, 1)}
-        assert not below["h_const"].applicable
-
     def test_lower_bounds(self):
         assert bnd.order_lower_bound(2) == 2
         assert bnd.order_lower_bound(-1) == 4
@@ -183,6 +175,66 @@ class TestClosedFormBounds:
         assert bnd.size_lower_bound(2) == 1
         assert bnd.size_lower_bound(-1) == 6
         assert bnd.size_lower_bound(0) == pytest.approx(2.5 + math.sqrt(17) / 2)
+
+
+class TestIsqrtForms:
+    """Each radical floor as one isqrt expression, against the scan oracles."""
+
+    CHIS = range(-3000, 1)
+    GIRTHS = [*range(3, 41), 64, 101, 1000]
+    ORDERS = [*range(1, 61), 97, 500, 4000, 10**6]
+
+    def test_girth_terms_match_scan(self):
+        for chi in self.CHIS:
+            for g in self.GIRTHS:
+                assert bnd.bound_girth(0, chi, g) == reference_bound_girth(0, chi, g), (chi, g)
+                assert bnd.bound_girth_baseline(0, chi, g) == reference_bound_girth_baseline(
+                    0, chi, g
+                ), (chi, g)
+
+    def test_order_term_matches_scan(self):
+        for chi in self.CHIS:
+            for n in self.ORDERS:
+                assert bnd.order_term(chi, n) == reference_order_term(chi, n), (chi, n)
+
+    def test_sqrt_baseline_matches_scan(self):
+        for chi in self.CHIS:
+            expected = reference_ceil_sqrt_minus_half(12 - 6 * chi)
+            assert bnd.bound_sqrt_baseline(0, chi) == expected, chi
+
+    @given(
+        chi=st.integers(-(10**6), 0),
+        g=st.integers(3, 10**4),
+        n=st.integers(1, 10**6),
+        delta=st.integers(0, 100),
+    )
+    def test_forms_match_scan_on_random_parameters(self, chi, g, n, delta):
+        assert bnd.bound_girth(delta, chi, g) == reference_bound_girth(delta, chi, g)
+        assert bnd.bound_girth_baseline(delta, chi, g) == reference_bound_girth_baseline(
+            delta, chi, g
+        )
+        assert bnd.order_term(chi, n) == reference_order_term(chi, n)
+        assert bnd.bound_sqrt_baseline(delta, chi) == delta + reference_ceil_sqrt_minus_half(
+            12 - 6 * chi
+        )
+
+    @staticmethod
+    def _is_floor(z, w_of, rad):
+        """z satisfies w <= 0 or w^2 <= rad, and z + 1 does not."""
+        w, w_next = w_of(z), w_of(z + 1)
+        return (w <= 0 or w * w <= rad) and not (w_next <= 0 or w_next * w_next <= rad)
+
+    def test_huge_inputs_stay_exact(self):
+        # The radicands are far beyond the float range; no float is involved.
+        assert bnd.bound_girth(3, -1, 10**200) == 4
+        chi, n = -(10**400), 5
+        rad = 25 * n * n - 84 * n * chi + 36 * chi * chi
+        z = bnd.order_term(chi, n)
+        assert self._is_floor(z, lambda q: 2 * n * q - n + 6 * chi, rad)
+        chi, g = -(10**350), 7
+        rad = 8 * g * (2 - g) * chi + (3 * g - 2) ** 2
+        z = bnd.bound_girth_baseline(0, chi, g)
+        assert self._is_floor(z, lambda q: 2 * (g - 2) * q + (g - 6), rad)
 
 
 class TestRegistry:

@@ -108,6 +108,20 @@ class TestBounds:
         assert code == 2
         assert "delta" in err
 
+    def test_uncertified_chi_exit_three(self, capsys):
+        code, out, err = run(capsys, "bounds", "--graph6", "E~~w", "--budget", "1000")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("bondlab: error:") and "certify" in err
+
+    def test_float_overflow_is_an_error_not_a_traceback(self, capsys):
+        # The girth bound is exact at any size; its float detail overflows.
+        code, out, err = run(capsys, "bounds", "--delta", "3", "--chi", "-1",
+                             "--girth", str(10**200))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("bondlab: error:")
+
 
 class TestVerify:
     def test_family_file(self, capsys, tmp_path):
@@ -223,6 +237,14 @@ class TestHelpAndEnvironment:
         epilog = out[out.index("and their formulas"):].splitlines()[1:]
         named = [line.split()[0] for line in epilog if line.startswith("  ")]
         assert named == expected[command]
+
+    @pytest.mark.parametrize("command", ["invariants", "verify"])
+    def test_bondage_cap_help_describes_the_witness_search(self, capsys, command):
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert "largest witness size the bondage search tries" in out
+        assert "reported as exceeding the cap" in out
 
     def test_threads_default_from_environment(self, monkeypatch):
         monkeypatch.setenv("BONDLAB_THREADS", "3")
