@@ -1,7 +1,7 @@
 """Exact evaluation of bondage upper-bound formulas, and the bound registry.
 
 Every integer term here is computed with exact arithmetic: cubic-root floors
-by an integer scan, and each radical floor floor((c + sqrt(r)) / a), for
+by integer bisection, and each radical floor floor((c + sqrt(r)) / a), for
 integers a > 0 and r >= 0, as the single expression (c + isqrt(r)) // a.
 That identity holds because for an integer q, a*q - c <= sqrt(r) exactly
 when a*q - c <= isqrt(r).  Rational thresholds are compared with cleared
@@ -94,7 +94,7 @@ class CubicSpec:
     the root product is -c > 0, so either exactly one real root is positive
     (two negative), or the only real root is positive (complex pair has
     positive norm).  Either way the cubic is negative on [0, root) and
-    positive beyond, which is what the integer floor scan relies on.
+    positive beyond, which is what the integer floor search relies on.
     """
 
     a: int
@@ -125,11 +125,22 @@ def baseline_bound_cubic(chi: int) -> CubicSpec:
 
 
 def floor_largest_root(cubic: CubicSpec) -> int:
-    """Floor of the unique nonnegative real root, by exact integer scan."""
-    z = 0
-    while cubic(z + 1) <= 0:
-        z += 1
-    return z
+    """Floor of the unique nonnegative real root, by exact integer bisection.
+
+    The cubic is negative at 0, so doubling ``hi`` until the cubic turns
+    positive brackets the root with ``cubic(lo) <= 0 < cubic(hi)``, and
+    halving keeps that bracket until ``hi = lo + 1``.
+    """
+    lo, hi = 0, 1
+    while cubic(hi) <= 0:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if cubic(mid) <= 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def largest_root_bisect(cubic: CubicSpec, tol: float = 1e-12) -> float:

@@ -47,7 +47,13 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 100_000_000
-_VECTOR_THRESHOLD = 3_000_000  # scheme-states below this stay in pure Python
+# Sides with at most this many scheme-states (total * states) stay in pure
+# Python, where numpy's set-up per window costs more than it saves.  Timed
+# per side on the corpus6 and sparse-random benchmark inputs, pure Python
+# wins most sides below 5e3 and numpy most above; in benchmark runs 3e3
+# beat both 1e3 and 1e4 on sparse-random wall time and tied on corpus6.
+# The choice changes speed only: both sweeps give equal results.
+_VECTOR_THRESHOLD = 3_000
 _VECTOR_BLOCK = 4096
 
 
@@ -332,27 +338,6 @@ class ChiSearchResult:
     nonorientable: SideResult | None
 
 
-class _Budget:
-    __slots__ = ("remaining", "strict")
-
-    def __init__(self, limit: int, strict: bool):
-        self.remaining = limit
-        self.strict = strict
-
-    def charge(self, amount: int) -> bool:
-        """Consume ``amount`` steps if they fit in what remains.
-
-        A charge that does not fit is refused whole, so the budget is a hard
-        cap; refusal returns False, or raises in strict mode.
-        """
-        if amount > self.remaining:
-            if self.strict:
-                raise BudgetExceededError("face-tracing budget exhausted in strict mode")
-            return False
-        self.remaining -= amount
-        return True
-
-
 # -- exact reductions preserving chi ----------------------------------------
 
 
@@ -553,13 +538,12 @@ def _face_length_upper_bound(core: Graph) -> int:
 
 
 def _sweep_scalar(space: _SchemeSpace, target: int,
-                  budget: _Budget) -> tuple[int, int | None, int]:
-    """Enumerate every scheme in order; returns (best, best_index, reached).
+                  limit: int) -> tuple[int, int | None, int]:
+    """Trace schemes ``0..limit-1`` in order; returns (best, best_index, reached).
 
-    ``reached`` is how far the sweep got before the budget ran out (==
-    ``space.total`` when complete).  ``best_index`` is the first scheme that
-    attains ``best`` (None if none was traced); the sweep stops early once
-    ``target`` is hit.
+    ``reached`` is the number of schemes traced: ``limit``, or fewer once
+    ``target`` is hit.  ``best_index`` is the first scheme that attains
+    ``best`` (None if none was traced).
     """
     g = space.g
     nd = 2 * g.m
@@ -571,9 +555,7 @@ def _sweep_scalar(space: _SchemeSpace, target: int,
     stamp_unsigned = [-1] * nd
     stamp_signed = [-1] * (2 * nd)
     digits = None
-    for index in range(space.total):
-        if not budget.charge(space.states):
-            return best, best_index, index
+    for index in range(limit):
         new_digits, sign_mask = space.decode(index)
         for v in range(g.n):
             if digits is not None and new_digits[v] == digits[v]:
@@ -623,7 +605,7 @@ def _sweep_scalar(space: _SchemeSpace, target: int,
             best_index = index
             if best >= target:
                 return best, best_index, index + 1
-    return best, best_index, space.total
+    return best, best_index, limit
 
 
 # -- vectorised sweep --------------------------------------------------------
@@ -793,51 +775,25 @@ def _contracted_tracer(space: _SchemeSpace):
 
 
 def _sweep_vector(space: _SchemeSpace, target: int,
-                  budget: _Budget) -> tuple[int, int | None, int]:
+                  limit: int) -> tuple[int, int | None, int]:
     """Same contract as the scalar sweep, trading memory for numpy batches.
 
     Schemes are traced a window at a time by :func:`_contracted_tracer`:
     once per distinct (other rotations, sign mask) pair away from the
     fastest-changing vertex ``L``, then per scheme only through the states
-    entering ``L``.  Budget charges stay per block of ``_VECTOR_BLOCK``
-    schemes.  A
-    window starts at one block and doubles up to the tracer's cap, and it
-    covers only whole blocks the remaining budget pays for.
+    entering ``L``.  A window starts at ``_VECTOR_BLOCK`` schemes, doubles
+    up to the tracer's cap, and never reaches past ``limit``.
     """
     import numpy as np
 
-    n_states = space.states
     best = -(10**9)
     best_index = None
     window_chi, max_span = _contracted_tracer(space)
-
-    def blocks_from(index, remaining):
-        """End of the next block from ``index`` and the budget left after it."""
-        block = max(1, min(_VECTOR_BLOCK, space.total - index, remaining // n_states))
-        return index + block, remaining - block * n_states
-
     span = _VECTOR_BLOCK
-    win_lo = win_hi = 0
-    chi_win = None
     index = 0
-    while index < space.total:
-        # The last block shrinks to what the budget still covers, so the
-        # sweep reaches the same scheme as the scalar one when it runs out.
-        end, _ = blocks_from(index, budget.remaining)
-        if not budget.charge((end - index) * n_states):
-            return best, best_index, index
-        if end > win_hi:
-            hi, remaining = end, budget.remaining
-            while hi < space.total and hi - index < span:
-                nxt_hi, nxt_remaining = blocks_from(hi, remaining)
-                if nxt_remaining < 0:
-                    break
-                hi, remaining = nxt_hi, nxt_remaining
-            win_lo, win_hi = index, hi
-            chi_win = window_chi(win_lo, win_hi)
-            span = min(2 * span, max_span)
-        chi = chi_win[index - win_lo:end - win_lo]
-
+    while index < limit:
+        end = min(limit, index + span)
+        chi = window_chi(index, end)
         pos = 0
         while True:
             better = np.flatnonzero(chi[pos:] > best)
@@ -850,20 +806,29 @@ def _sweep_vector(space: _SchemeSpace, target: int,
                 return best, best_index, index + pos + 1
             pos += 1
         index = end
-    return best, best_index, space.total
+        span = min(2 * span, max_span)
+    return best, best_index, limit
 
 
-def _search_side(core: Graph, signed: bool, cap: int, early_exit: bool, budget: _Budget,
-                 lift: Callable[[RotationSystem], RotationSystem]) -> SideResult:
+def _search_side(core: Graph, signed: bool, cap: int, early_exit: bool, left: int,
+                 strict: bool, lift: Callable[[RotationSystem], RotationSystem]) -> SideResult:
     """Sweep one orientability class of ``core``, whose chi is at most ``cap``.
 
+    The sweep traces the schemes that ``left`` budget steps pay for in
+    full, at ``space.states`` steps each, so the side costs
+    ``searched * space.states`` steps.  Strict mode raises when the budget
+    stops the sweep short of both the end of the space and the target.
     Both sweeps enumerate the identical flat order and report the first
     scheme attaining the best value, so the result does not depend on which
     one runs: pure Python wins on small spaces, numpy on large ones.
     """
     space = _SchemeSpace(core, signed)
+    target = cap if early_exit else 10**9
+    limit = max(0, min(space.total, left // space.states))
     sweep = _sweep_vector if space.total * space.states > _VECTOR_THRESHOLD else _sweep_scalar
-    best, index, reached = sweep(space, cap if early_exit else 10**9, budget)
+    best, index, reached = sweep(space, target, limit)
+    if strict and reached < space.total and best < target:
+        raise BudgetExceededError("face-tracing budget exhausted in strict mode")
     found = index is not None
     exhaustive = reached == space.total
     return SideResult(
@@ -892,18 +857,20 @@ def max_euler_characteristic(
     sweep.  ``early_exit=False`` forces full enumeration of the quotient so
     the ``exhaustive`` flag can be earned, not just ``certified``.
 
-    Budget is counted in face-tracing steps (states traced) and is a hard
-    cap: a scheme, or numpy block of schemes, is traced only if its steps
-    fit in what remains, so ``steps_used <= budget`` always.  In strict mode
-    running out raises :class:`BudgetExceededError`; otherwise partial
-    results are returned with flags cleared.
+    Budget is counted in face-tracing steps and is a hard cap: each scheme
+    costs its count of states, ``2m`` orientable and ``4m`` signed on a core
+    of ``m`` edges, and a side traces only the schemes that what remains
+    pays for in full.  So ``steps_used`` is ``2m`` times the orientable
+    side's ``searched`` plus ``4m`` times the signed side's, at most
+    ``budget``, whichever sweep runs.  In strict mode running out raises
+    :class:`BudgetExceededError`; otherwise partial results are returned
+    with flags cleared.
     """
     if g.n < 1:
         raise ValueError("empty graph")
     if not g.is_connected():
         raise ValueError("chi search is defined for connected graphs; split components first")
 
-    bud = _Budget(budget, strict)
     core, core_labels, ops = _core(g)
 
     def lift(core_rs: RotationSystem) -> RotationSystem:
@@ -933,7 +900,8 @@ def max_euler_characteristic(
     cap_or = chi_cap if chi_cap % 2 == 0 else chi_cap - 1
     cap_nonor = min(1, chi_cap)
 
-    or_side = _search_side(core, False, cap_or, early_exit, bud, lift)
+    or_side = _search_side(core, False, cap_or, early_exit, budget, strict, lift)
+    steps = 2 * core.m * or_side.searched
     nonor_side: SideResult | None = None
     if not orientable_only:
         if or_side.certified and or_side.chi == 2:
@@ -945,7 +913,9 @@ def max_euler_characteristic(
             # The core has a cycle (it is not a tree, which returned above,
             # and both reductions keep the cycle rank), so some edge sign is
             # free and the signed space is not empty.
-            nonor_side = _search_side(core, True, cap_nonor, early_exit, bud, lift)
+            nonor_side = _search_side(core, True, cap_nonor, early_exit, budget - steps,
+                                      strict, lift)
+            steps += 4 * core.m * nonor_side.searched
 
     # Combine.  The non-orientable side never exceeds 1, so a certified
     # planar outcome settles the overall maximum by itself.
@@ -970,7 +940,7 @@ def max_euler_characteristic(
         witness=overall_witness,
         exhaustive=overall_exhaustive,
         certified=overall_certified,
-        steps_used=budget - bud.remaining,
+        steps_used=steps,
         budget=budget,
         orientable=or_side,
         nonorientable=nonor_side,

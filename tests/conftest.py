@@ -3,9 +3,9 @@
 The oracles here deliberately take different routes from the library code:
 domination by raw subset enumeration, bondage by re-solving domination on
 every edge subset, girth via per-edge shortest paths, isomorphism by
-permutation search, graph6 via networkx, radical floors by a scan of their
-defining predicate.  Agreement between two independent implementations is
-the point.
+permutation search, graph6 via networkx, cubic and radical floors by a scan
+of their defining predicate.  Agreement between two independent
+implementations is the point.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Callable, Iterator
 
 from bondlab.bounds import _require_chi_nonpositive
 from bondlab.domination import domination_number
-from bondlab.embedding import _VECTOR_BLOCK, RotationSystem
+from bondlab.embedding import _VECTOR_BLOCK, BudgetExceededError, RotationSystem
 from bondlab.graphs import Graph
 
 
@@ -160,6 +160,36 @@ def are_isomorphic(a: Graph, b: Graph) -> bool:
     return False
 
 
+class _Budget:
+    __slots__ = ("remaining", "strict")
+
+    def __init__(self, limit: int, strict: bool):
+        self.remaining = limit
+        self.strict = strict
+
+    def charge(self, amount: int) -> bool:
+        """Consume ``amount`` steps if they fit in what remains.
+
+        A charge that does not fit is refused whole, so the budget is a hard
+        cap; refusal returns False, or raises in strict mode.
+        """
+        if amount > self.remaining:
+            if self.strict:
+                raise BudgetExceededError("face-tracing budget exhausted in strict mode")
+            return False
+        self.remaining -= amount
+        return True
+
+
+def reference_sweep(space, target: int, limit: int) -> tuple[int, int | None, int]:
+    """:func:`reference_sweep_vector` over schemes ``0..limit-1``.
+
+    A budget of exactly ``limit`` schemes' states makes its last block
+    shrink to end at ``limit``, and the next charge is refused there.
+    """
+    return reference_sweep_vector(space, target, _Budget(limit * space.states, strict=False))
+
+
 def reference_sweep_vector(space, target: int, budget) -> tuple[int, int | None, int]:
     """The numpy sweep as it traced every scheme in full, block by block.
 
@@ -285,6 +315,14 @@ def reference_cover_bound(reaches: list[int]) -> int:
         if left <= 0:
             return k
     raise AssertionError("every mask holds an edge")
+
+
+def reference_floor_largest_root(cubic) -> int:
+    """Floor of the unique nonnegative real root, by exact integer scan."""
+    z = 0
+    while cubic(z + 1) <= 0:
+        z += 1
+    return z
 
 
 # Radical floors by an integer scan of their defining predicate, seeded by a

@@ -11,6 +11,7 @@ from conftest import (
     reference_bound_girth,
     reference_bound_girth_baseline,
     reference_ceil_sqrt_minus_half,
+    reference_floor_largest_root,
     reference_order_term,
 )
 
@@ -48,6 +49,20 @@ class TestCubicTerms:
                 assert bnd.floor_largest_root(cubic) == math.floor(
                     bnd.largest_root_bisect(cubic)
                 ), (chi, make.__name__)
+
+    def test_bisection_floor_matches_the_scan(self):
+        for chi in range(-5000, 1):
+            for make in (bnd.improved_bound_cubic, bnd.baseline_bound_cubic):
+                cubic = make(chi)
+                assert bnd.floor_largest_root(cubic) == reference_floor_largest_root(cubic), (
+                    chi, make.__name__)
+
+    @pytest.mark.parametrize("chi", [-10**30, -10**200])
+    def test_floor_brackets_the_root_far_beyond_the_scan(self, chi):
+        for make in (bnd.improved_bound_cubic, bnd.baseline_bound_cubic):
+            cubic = make(chi)
+            z = bnd.floor_largest_root(cubic)
+            assert cubic(z) <= 0 < cubic(z + 1)
 
     def test_closed_form_agrees_with_bisection(self):
         for chi in range(-200, 1):

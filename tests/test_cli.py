@@ -74,6 +74,12 @@ class TestChi:
         assert code == 3
         assert "budget" in err
 
+    def test_negative_budget_uses_no_steps(self, capsys):
+        code, out, _ = run(capsys, "chi", "E~~w", "--budget=-5", "--format", "json")
+        data = json.loads(out)
+        assert code == 0
+        assert data["steps_used"] == 0 and data["chi"] is None
+
     def test_orientable_only(self, capsys):
         g6 = emit_graph6(make_family("kn", 5))
         code, out, _ = run(capsys, "chi", g6, "--orientable-only", "--format", "json")

@@ -17,7 +17,7 @@ from bondlab.embedding import (
 )
 from bondlab.graphs import Graph, enumerate_connected_graphs, make_family, parse_graph6
 
-from conftest import random_connected_graph, random_rotation_system, reference_sweep_vector
+from conftest import random_connected_graph, random_rotation_system, reference_sweep
 
 
 def all_rotation_systems(g: Graph):
@@ -260,22 +260,6 @@ class TestMaxChi:
             assert result.orientable.chi == best_or, g.edges()
             assert result.chi == best_any, g.edges()
 
-    def test_scalar_and_vector_paths_agree(self):
-        from bondlab import embedding
-
-        g = make_family("kmn", 3, 3)
-        result_scalar = max_euler_characteristic(g, early_exit=False)
-        original = embedding._VECTOR_THRESHOLD
-        embedding._VECTOR_THRESHOLD = 0  # force the numpy path
-        try:
-            result_vector = max_euler_characteristic(g, early_exit=False)
-        finally:
-            embedding._VECTOR_THRESHOLD = original
-        assert result_scalar.chi == result_vector.chi
-        assert result_scalar.witness == result_vector.witness
-        assert result_scalar.orientable.chi == result_vector.orientable.chi
-        assert result_scalar.nonorientable.chi == result_vector.nonorientable.chi
-
     def test_budget_strict_raises(self):
         g = make_family("kmn", 3, 3)
         with pytest.raises(BudgetExceededError):
@@ -307,16 +291,55 @@ class TestMaxChi:
         assert used and not result.exhaustive
         assert result.steps_used <= budget
 
-    def test_paths_stop_at_the_same_scheme(self, monkeypatch):
-        # The numpy sweep's last block shrinks to what the budget covers.
-        from bondlab import embedding
+    def test_paths_stop_at_the_same_scheme(self, corpus6, monkeypatch):
+        # Both sweeps trace exactly the schemes the budget pays for, so the
+        # kernel choice cannot change any field of the result.
+        def search_all(threshold):
+            monkeypatch.setattr(embedding, "_VECTOR_THRESHOLD", threshold)
+            return [
+                max_euler_characteristic(g, budget=budget, early_exit=early_exit)
+                for g in corpus6
+                for budget in (10**4, 10**5)
+                for early_exit in (True, False)
+            ]
 
+        assert search_all(0) == search_all(10**18)
         g = make_family("kmn", 3, 3)
-        scalar = max_euler_characteristic(g, budget=1000, early_exit=False)
+        result = max_euler_characteristic(g, budget=1000, early_exit=False)
+        assert 1000 - 4 * g.m < result.steps_used <= 1000
+
+    @given(
+        st.one_of(
+            # Nonplanar graphs, so that the signed side is searched too.
+            st.sampled_from([make_family("kn", 5), make_family("kmn", 3, 3),
+                             make_family("petersen"), parse_graph6("D~{"), parse_graph6("Evz_")]),
+            st.builds(random_connected_graph, st.randoms(use_true_random=False),
+                      st.integers(min_value=2, max_value=7), st.just(0.5)),
+        ),
+        st.integers(min_value=-100, max_value=2 * 10**5),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_steps_used_counts_states_of_searched_schemes(self, g, budget, early_exit):
+        result = max_euler_characteristic(g, budget=budget, early_exit=early_exit)
+        m = embedding._core(g)[0].m
+        signed = result.nonorientable.searched if result.nonorientable else 0
+        assert result.steps_used == 2 * m * result.orientable.searched + 4 * m * signed
+        assert result.steps_used <= max(0, budget)
+        # A side the budget stopped could not pay for one more scheme.
+        if not result.orientable.certified:
+            assert budget - 2 * m * result.orientable.searched < 2 * m
+        if result.nonorientable is not None and not result.nonorientable.certified:
+            assert budget - result.steps_used < 4 * m
+
+    def test_strict_on_the_numpy_path(self, monkeypatch):
         monkeypatch.setattr(embedding, "_VECTOR_THRESHOLD", 0)
-        vector = max_euler_characteristic(g, budget=1000, early_exit=False)
-        assert scalar == vector
-        assert 1000 - 4 * g.m < scalar.steps_used <= 1000
+        with pytest.raises(BudgetExceededError):
+            max_euler_characteristic(make_family("kn", 6), budget=10**5, strict=True,
+                                     early_exit=False)
+        for g in (make_family("kn", 5), make_family("petersen")):
+            result = max_euler_characteristic(g, strict=True)
+            assert result.chi == 1 and result.certified
 
     def test_rejects_disconnected(self):
         with pytest.raises(ValueError):
@@ -345,13 +368,10 @@ def corpus6():
 
 
 def _sweep_both(core, signed, target, budget):
-    """(best, best_index, reached) and the budget left, from each numpy kernel."""
-    outcomes = []
-    for kernel in (embedding._sweep_vector, reference_sweep_vector):
-        left = embedding._Budget(budget, strict=False)
-        outcomes.append((kernel(embedding._SchemeSpace(core, signed), target, left),
-                         left.remaining))
-    return outcomes
+    """(best, best_index, reached) from each numpy kernel, on what ``budget`` pays for."""
+    space = embedding._SchemeSpace(core, signed)
+    limit = min(space.total, budget // space.states)
+    return [kernel(space, target, limit) for kernel in (embedding._sweep_vector, reference_sweep)]
 
 
 def _assert_sweeps_agree(g, budget, early_exit_off=True):
@@ -424,7 +444,7 @@ class TestContractedSweep:
         rng = random.Random(2024)
         graphs = [_relabelled(g, rng) for g in corpus6]
         new = [max_euler_characteristic(g, budget=3 * 10**5) for g in graphs]
-        monkeypatch.setattr(embedding, "_sweep_vector", reference_sweep_vector)
+        monkeypatch.setattr(embedding, "_sweep_vector", reference_sweep)
         old = [max_euler_characteristic(g, budget=3 * 10**5) for g in graphs]
         assert new == old
 
@@ -442,5 +462,5 @@ class TestContractedSweep:
                 tracemalloc.stop()
 
         new = peak()
-        monkeypatch.setattr(embedding, "_sweep_vector", reference_sweep_vector)
+        monkeypatch.setattr(embedding, "_sweep_vector", reference_sweep)
         assert new <= peak()
