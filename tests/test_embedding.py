@@ -260,6 +260,17 @@ class TestMaxChi:
             assert result.orientable.chi == best_or, g.edges()
             assert result.chi == best_any, g.edges()
 
+    def test_scalar_and_vector_paths_agree(self, monkeypatch):
+        g = make_family("kmn", 3, 3)
+        result_scalar = max_euler_characteristic(g, early_exit=False)
+        monkeypatch.setattr(embedding, "_VECTOR_THRESHOLD", 0)  # force the numpy path
+        result_vector = max_euler_characteristic(g, early_exit=False)
+        assert result_scalar.chi == result_vector.chi
+        assert result_scalar.witness == result_vector.witness
+        assert result_scalar.orientable.chi == result_vector.orientable.chi
+        assert result_scalar.nonorientable.chi == result_vector.nonorientable.chi
+        assert result_scalar == result_vector
+
     def test_budget_strict_raises(self):
         g = make_family("kmn", 3, 3)
         with pytest.raises(BudgetExceededError):
