@@ -19,6 +19,8 @@ from .bondage import bondage_number, compute_b_prime
 from .embedding import (
     DEFAULT_BUDGET,
     BudgetExceededError,
+    ChiSearchResult,
+    SideResult,
     max_euler_characteristic,
 )
 from .graphs import (
@@ -161,7 +163,8 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
     path = argv[at + 1]
     rest = argv[:at] + argv[at + 2:]
     try:
-        text = open(path, "r", encoding="utf-8").read()
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         parser.error(f"cannot read config: {exc}")
     extra: list[str] = []
@@ -218,6 +221,13 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
     return 0
 
 
+def _verdict(search: ChiSearchResult | SideResult | None) -> dict | None:
+    """What ``chi`` reports of a whole search or of one of its sides."""
+    if search is None:
+        return None
+    return {"chi": search.chi, "certified": search.certified, "exhaustive": search.exhaustive}
+
+
 def _cmd_chi(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph)
     result = max_euler_characteristic(
@@ -229,22 +239,10 @@ def _cmd_chi(args: argparse.Namespace) -> int:
     )
     data = {
         "graph6": emit_graph6(g),
-        "chi": result.chi,
-        "certified": result.certified,
-        "exhaustive": result.exhaustive,
+        **_verdict(result),
         "steps_used": result.steps_used,
-        "orientable": {
-            "chi": result.orientable.chi,
-            "certified": result.orientable.certified,
-            "exhaustive": result.orientable.exhaustive,
-        },
-        "nonorientable": None
-        if result.nonorientable is None
-        else {
-            "chi": result.nonorientable.chi,
-            "certified": result.nonorientable.certified,
-            "exhaustive": result.nonorientable.exhaustive,
-        },
+        "orientable": _verdict(result.orientable),
+        "nonorientable": _verdict(result.nonorientable),
     }
     if args.witness:
         data["witness"] = None if result.witness is None else result.witness.to_json_dict()

@@ -14,7 +14,8 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from . import bounds as bnd
@@ -41,25 +42,32 @@ CHECKS = tuple(row for row in bnd.REGISTRY if row.checked)
 CHECK_NAMES = tuple(row.name for row in CHECKS)
 
 
+# The two dataclasses below describe the report: each field, in order, is a
+# JSON key and a schema property, and each scalar record field a CSV column.
+# Field metadata says what the type does not.
+_REQUIRED = {"required": True}  # the schema requires the key
+
+
 @dataclass(frozen=True)
 class TheoremCheck:
     """One inequality: ``satisfied`` is None exactly when skipped."""
 
-    name: str
-    hypothesis_met: bool
+    name: str = field(metadata={**_REQUIRED, "enum": list(CHECK_NAMES)})
+    hypothesis_met: bool = field(metadata=_REQUIRED)
     bound_value: int | None
-    satisfied: bool | None
+    satisfied: bool | None = field(metadata=_REQUIRED)
     slack: int | None
 
 
 @dataclass(frozen=True)
 class VerificationRecord:
-    graph6: str
+    graph6: str = field(metadata=_REQUIRED)
     n: int = 0
     m: int = 0
     delta: int = 0
     min_degree: int = 0
-    girth: int | None = None  # None encodes an acyclic graph
+    # None encodes an acyclic graph, written "inf" in the CSV.
+    girth: int | None = field(default=None, metadata={"csv_none": "inf"})
     gamma: int | None = None
     b: int | None = None
     b_prime: int | None = None
@@ -73,8 +81,8 @@ class VerificationRecord:
     # is not implied by the size bound, and paths P_4 and P_7 already exceed
     # it, so this is reported as a flag rather than a theorem failure.
     b_exceeds_bprime: bool | None = None
-    checks: tuple[TheoremCheck, ...] = ()
     error: str | None = None
+    checks: tuple[TheoremCheck, ...] = field(default=(), metadata={"items": TheoremCheck})
 
     def check(self, name: str) -> TheoremCheck:
         for c in self.checks:
@@ -225,11 +233,63 @@ def verify_corpus(
 # Report emission
 # ---------------------------------------------------------------------------
 
+# Report keys that differ from the field name.
+_RENAMED = {"b_prime": "bprime"}
+# The first CSV columns; the other record fields follow in record order.
+_CSV_LEAD = ("graph6", "n", "m", "delta", "gamma", "b", "bprime", "chi")
+# The JSON type of each field annotation; any other annotation is a KeyError.
+_JSON_TYPES = {
+    "str": "string",
+    "str | None": ["string", "null"],
+    "int": "integer",
+    "int | None": ["integer", "null"],
+    "bool": "boolean",
+    "bool | None": ["boolean", "null"],
+    "tuple[TheoremCheck, ...]": "array",
+}
+
+
+def _key(f) -> str:
+    return _RENAMED.get(f.name, f.name)
+
+
+def _object_schema(cls) -> dict:
+    """The JSON schema of a report object: one property per field of ``cls``."""
+    properties = {}
+    for f in fields(cls):
+        prop = properties[_key(f)] = {"type": _JSON_TYPES[f.type]}
+        if "enum" in f.metadata:
+            prop["enum"] = f.metadata["enum"]
+        if "items" in f.metadata:
+            prop["items"] = _object_schema(f.metadata["items"])
+    return {
+        "type": "object",
+        "required": [_key(f) for f in fields(cls) if f.metadata.get("required")],
+        "properties": properties,
+    }
+
+
+# Per class: the report keys, a getter of all field values in that order,
+# and the keys whose values are tuples of nested report objects.
+_JSON_FIELDS = {
+    cls: (
+        [_key(f) for f in fields(cls)],
+        attrgetter(*(f.name for f in fields(cls))),
+        [_key(f) for f in fields(cls) if "items" in f.metadata],
+    )
+    for cls in (TheoremCheck, VerificationRecord)
+}
+# The scalar record fields in CSV column order (sorted is stable), a getter
+# of their values and the cell written for each one's None.
+_CSV_FIELDS = sorted(
+    (f for f in fields(VerificationRecord) if "items" not in f.metadata),
+    key=lambda f: _CSV_LEAD.index(_key(f)) if _key(f) in _CSV_LEAD else len(_CSV_LEAD),
+)
+_CSV_VALUES = attrgetter(*(f.name for f in _CSV_FIELDS))
+_CSV_NONE = [f.metadata.get("csv_none") for f in _CSV_FIELDS]
+
 CSV_COLUMNS = (
-    ["graph6", "n", "m", "delta", "gamma", "b", "bprime", "chi"]
-    + ["min_degree", "girth", "chi_certified", "chi_exhaustive",
-       "chi_orientable", "chi_nonorientable", "connected",
-       "b_exceeds_bprime", "error"]
+    [_key(f) for f in _CSV_FIELDS]
     + [f"{name}_bound" for name in CHECK_NAMES]
     + [f"{name}_ok" for name in CHECK_NAMES]
 )
@@ -238,46 +298,7 @@ REPORT_JSON_SCHEMA = {
     "type": "object",
     "required": ["records", "summary"],
     "properties": {
-        "records": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["graph6"],
-                "properties": {
-                    "graph6": {"type": "string"},
-                    "n": {"type": "integer"},
-                    "m": {"type": "integer"},
-                    "delta": {"type": "integer"},
-                    "min_degree": {"type": "integer"},
-                    "girth": {"type": ["integer", "null"]},
-                    "gamma": {"type": ["integer", "null"]},
-                    "b": {"type": ["integer", "null"]},
-                    "bprime": {"type": ["integer", "null"]},
-                    "chi": {"type": ["integer", "null"]},
-                    "chi_certified": {"type": "boolean"},
-                    "chi_exhaustive": {"type": "boolean"},
-                    "chi_orientable": {"type": ["integer", "null"]},
-                    "chi_nonorientable": {"type": ["integer", "null"]},
-                    "connected": {"type": "boolean"},
-                    "b_exceeds_bprime": {"type": ["boolean", "null"]},
-                    "error": {"type": ["string", "null"]},
-                    "checks": {
-                        "type": "array",
-                        "items": {
-                            "type": "object",
-                            "required": ["name", "hypothesis_met", "satisfied"],
-                            "properties": {
-                                "name": {"type": "string", "enum": list(CHECK_NAMES)},
-                                "hypothesis_met": {"type": "boolean"},
-                                "bound_value": {"type": ["integer", "null"]},
-                                "satisfied": {"type": ["boolean", "null"]},
-                                "slack": {"type": ["integer", "null"]},
-                            },
-                        },
-                    },
-                },
-            },
-        },
+        "records": {"type": "array", "items": _object_schema(VerificationRecord)},
         "summary": {
             "type": "object",
             "required": ["graphs", "malformed", "failures", "per_check"],
@@ -286,42 +307,20 @@ REPORT_JSON_SCHEMA = {
                 "malformed": {"type": "integer"},
                 "failures": {"type": "integer"},
                 "per_check": {"type": "object"},
+                "bprime_counterexamples": {"type": "array", "items": {"type": "string"}},
             },
         },
     },
 }
 
 
-def _record_dict(rec: VerificationRecord) -> dict:
-    return {
-        "graph6": rec.graph6,
-        "n": rec.n,
-        "m": rec.m,
-        "delta": rec.delta,
-        "min_degree": rec.min_degree,
-        "girth": rec.girth,
-        "gamma": rec.gamma,
-        "b": rec.b,
-        "bprime": rec.b_prime,
-        "chi": rec.chi,
-        "chi_certified": rec.chi_certified,
-        "chi_exhaustive": rec.chi_exhaustive,
-        "chi_orientable": rec.chi_orientable,
-        "chi_nonorientable": rec.chi_nonorientable,
-        "connected": rec.connected,
-        "b_exceeds_bprime": rec.b_exceeds_bprime,
-        "error": rec.error,
-        "checks": [
-            {
-                "name": c.name,
-                "hypothesis_met": c.hypothesis_met,
-                "bound_value": c.bound_value,
-                "satisfied": c.satisfied,
-                "slack": c.slack,
-            }
-            for c in rec.checks
-        ],
-    }
+def _json_dict(obj) -> dict:
+    """A record or check under its report keys, nested checks as dicts."""
+    keys, values, nested = _JSON_FIELDS[type(obj)]
+    out = dict(zip(keys, values(obj)))
+    for key in nested:
+        out[key] = [_json_dict(x) for x in out[key]]
+    return out
 
 
 def emit_report(
@@ -343,21 +342,13 @@ def emit_report(
                 return check.bound_value if kind == "bound" else ("ok" if check.satisfied else "FAIL")
 
             writer.writerow(
-                [
-                    rec.graph6, rec.n, rec.m, rec.delta, rec.gamma, rec.b,
-                    rec.b_prime, rec.chi,
-                    rec.min_degree,
-                    "inf" if rec.girth is None else rec.girth,
-                    rec.chi_certified, rec.chi_exhaustive,
-                    rec.chi_orientable, rec.chi_nonorientable,
-                    rec.connected, rec.b_exceeds_bprime, rec.error or "",
-                ]
+                [none if v is None else v for v, none in zip(_CSV_VALUES(rec), _CSV_NONE)]
                 + [cell(by_name.get(name), "bound") for name in CHECK_NAMES]
                 + [cell(by_name.get(name), "ok") for name in CHECK_NAMES]
             )
         return buf.getvalue()
     if fmt == "json":
-        payload: dict = {"records": [_record_dict(r) for r in records]}
+        payload: dict = {"records": [_json_dict(r) for r in records]}
         if summary is None:
             summary = _summarize(records)
         payload["summary"] = {

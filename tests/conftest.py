@@ -21,6 +21,14 @@ from bondlab.embedding import _VECTOR_BLOCK, BudgetExceededError, RotationSystem
 from bondlab.graphs import Graph
 
 
+def pytest_configure(config):
+    # A file left open fails its test: the unclosed-file ResourceWarning is
+    # raised in a finalizer, which pytest reports as an unraisable exception.
+    # Set here rather than in pyproject.toml so that it covers only tests/.
+    config.addinivalue_line("filterwarnings", "error::ResourceWarning")
+    config.addinivalue_line("filterwarnings", "error::pytest.PytestUnraisableExceptionWarning")
+
+
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
     edges = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p]
     return Graph.from_edges(n, edges)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -9,6 +10,7 @@ from bondlab import bondage, harness
 from bondlab import bounds as bnd
 from bondlab.graphs import Graph, make_family, emit_graph6
 from bondlab.harness import (
+    CHECK_NAMES,
     CSV_COLUMNS,
     REPORT_JSON_SCHEMA,
     emit_comparison_table,
@@ -154,6 +156,19 @@ class TestForcedChi:
         assert emit_report(records, "csv") == golden
         assert "FAIL" in golden
 
+    @pytest.mark.parametrize("fmt, golden", [("json", "verify_forced_chi.json"),
+                                             ("text", "verify_forced_chi.txt")])
+    def test_matches_golden_json_and_text(self, monkeypatch, fmt, golden):
+        # Written by the verifier that listed every report key by hand.
+        records = []
+        for chi in (0, -1, -3, -6):
+            monkeypatch.setattr(
+                harness, "max_euler_characteristic",
+                lambda g, budget, strict, chi=chi: _certified_search(chi),
+            )
+            records += [verify_graph(make_family(*f)) for f in self.FAMILIES]
+        assert emit_report(records, fmt) == (DATA / golden).read_text()
+
     def test_cubic_bound_evaluated_once_per_record(self, monkeypatch):
         # cubic and cubic_bprime share one value.
         calls = []
@@ -243,6 +258,35 @@ class TestEmitReport:
         jsonschema.validate(payload, REPORT_JSON_SCHEMA)
         assert payload["summary"]["graphs"] == summary.graphs
         assert [r["graph6"] for r in payload["records"]] == [r.graph6 for r in records]
+
+    def test_json_keys_are_the_schema_properties(self, sample):
+        records, summary = sample
+        payload = json.loads(emit_report(records, "json", summary))
+        schema = REPORT_JSON_SCHEMA["properties"]
+        record_schema = schema["records"]["items"]
+        check_schema = record_schema["properties"]["checks"]["items"]
+        assert list(payload["summary"]) == list(schema["summary"]["properties"])
+        checks = [c for r in payload["records"] for c in r["checks"]]
+        assert checks and any(r["error"] for r in payload["records"])
+        for record in payload["records"]:
+            assert list(record) == list(record_schema["properties"])
+        for check in checks:
+            assert list(check) == list(check_schema["properties"])
+
+    def test_csv_header_is_the_record_keys_in_csv_order(self, sample):
+        records, summary = sample
+        keys = json.loads(emit_report(records, "json", summary))["records"][0]
+        lead = ["graph6", "n", "m", "delta", "gamma", "b", "bprime", "chi"]
+        rest = [key for key in keys if key not in lead and key != "checks"]
+        assert CSV_COLUMNS[:len(CSV_COLUMNS) - 2 * len(CHECK_NAMES)] == lead + rest
+
+    def test_unknown_field_annotation_rejected(self):
+        @dataclass
+        class Scored:
+            score: "float"  # the report dataclasses postpone annotations to strings
+
+        with pytest.raises(KeyError, match="float"):
+            harness._object_schema(Scored)
 
     def test_json_key_order_stable(self, sample):
         records, summary = sample
