@@ -525,5 +525,8 @@ def build_bound_report(
         entries.append(BoundEntry(row.name, value - delta, value, True, row.formula))
         if row.detail is not None:
             key, evaluate = row.detail
-            details[key] = evaluate(p)
+            try:
+                details[key] = evaluate(p)
+            except OverflowError:
+                pass  # a float cross-check only: the exact bound stands without it
     return BoundReport(delta=delta, chi=chi, entries=tuple(entries), details=details)

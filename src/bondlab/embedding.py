@@ -21,12 +21,21 @@ choice.  The sweep traces everything away from ``L`` once per distinct
 absorbing, and then each scheme only over the at most ``2 deg(L)`` states
 entering ``L``: their first-return map, ``L``'s rotation followed by the
 traced jump to the next entry, has one cycle per face through ``L``.
+
+The flat order finds good signed schemes late, so past its first block the
+signed sweep races a seeded local search (:class:`_LocalSearch`) in
+doubling rounds of equal step shares.  A local-search scheme only raises
+the side's best value, after ``trace_faces`` re-traces it; it certifies the
+side when it attains the face-length cap, and ``exhaustive`` still means
+the sweep alone covered the whole quotient.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 from typing import Callable
 
@@ -336,6 +345,9 @@ class ChiSearchResult:
     budget: int
     orientable: SideResult
     nonorientable: SideResult | None
+    # Some side ended because the budget could not pay for one more scheme,
+    # short of both its target (the cap, under early exit) and its space.
+    budget_stopped: bool = False
 
 
 # -- exact reductions preserving chi ----------------------------------------
@@ -496,6 +508,35 @@ class _SchemeSpace:
         self.total = self.n_rot * self.sign_count
         self.states = 4 * core.m if signed else 2 * core.m
 
+    @cached_property
+    def successor_tables(self):
+        """Per-vertex numpy tables: ``(in_cols, fwd_tables, bwd_tables)``.
+
+        ``in_cols[v]`` lists the darts entering ``v`` (by sorted tail); row
+        ``c`` of ``fwd_tables[v]`` and ``bwd_tables[v]`` gives, for each of
+        those darts, the dart leaving ``v`` after it in candidate rotation
+        ``c`` and before it.
+        """
+        import numpy as np
+
+        in_cols = []
+        fwd_tables = []
+        bwd_tables = []
+        for v in range(self.g.n):
+            cols = [self.dart_of[(x, v)] for x in sorted(self.g.neighbors(v))]
+            in_cols.append(np.array(cols, dtype=np.intp))
+            fw = np.zeros((self.rot_counts[v], len(cols)), dtype=np.int16)
+            bw = np.zeros_like(fw)
+            for ci, rot in enumerate(self.candidates[v]):
+                k = len(rot)
+                for i, x in enumerate(rot):
+                    slot = cols.index(self.dart_of[(x, v)])
+                    fw[ci, slot] = self.dart_of[(v, rot[(i + 1) % k])]
+                    bw[ci, slot] = self.dart_of[(v, rot[(i - 1) % k])]
+            fwd_tables.append(fw)
+            bwd_tables.append(bw)
+        return in_cols, fwd_tables, bwd_tables
+
     def decode(self, index: int) -> tuple[tuple[int, ...], int]:
         """Flat index -> (per-vertex candidate indices, sign mask)."""
         if self.signed:
@@ -537,11 +578,11 @@ def _face_length_upper_bound(core: Graph) -> int:
 # -- scalar sweep ------------------------------------------------------------
 
 
-def _sweep_scalar(space: _SchemeSpace, target: int,
+def _sweep_scalar(space: _SchemeSpace, target: int, start: int,
                   limit: int) -> tuple[int, int | None, int]:
-    """Trace schemes ``0..limit-1`` in order; returns (best, best_index, reached).
+    """Trace schemes ``start..limit-1`` in order; returns (best, best_index, reached).
 
-    ``reached`` is the number of schemes traced: ``limit``, or fewer once
+    ``reached`` is one past the last scheme traced: ``limit``, or less once
     ``target`` is hit.  ``best_index`` is the first scheme that attains
     ``best`` (None if none was traced).
     """
@@ -555,7 +596,7 @@ def _sweep_scalar(space: _SchemeSpace, target: int,
     stamp_unsigned = [-1] * nd
     stamp_signed = [-1] * (2 * nd)
     digits = None
-    for index in range(limit):
+    for index in range(start, limit):
         new_digits, sign_mask = space.decode(index)
         for v in range(g.n):
             if digits is not None and new_digits[v] == digits[v]:
@@ -611,6 +652,20 @@ def _sweep_scalar(space: _SchemeSpace, target: int,
 # -- vectorised sweep --------------------------------------------------------
 
 
+def _signed_next(fwd, bwd, neg):
+    """Signed next-state table from per-dart successors and signs (0 or 1).
+
+    State ``2d + s`` is dart ``d`` walked in direction ``s``; crossing a
+    negative dart flips the direction, and direction 1 leaves by ``bwd``.
+    """
+    import numpy as np
+
+    nxt = np.empty((len(fwd), 2 * fwd.shape[1]), dtype=np.int16)
+    nxt[:, 0::2] = 2 * np.where(neg == 0, fwd, bwd) + neg  # states (d, 0)
+    nxt[:, 1::2] = 2 * np.where(neg == 1, fwd, bwd) + (1 - neg)  # states (d, 1)
+    return nxt
+
+
 def _contracted_tracer(space: _SchemeSpace):
     """Tracing by contraction: ``(window_chi, max_span)`` for ``space``.
 
@@ -638,24 +693,7 @@ def _contracted_tracer(space: _SchemeSpace):
     signed = space.signed
     signs = space.sign_count
 
-    # Per-vertex tables: rows are candidate rotations, columns the incoming
-    # darts at the vertex (fixed order), entries the successor dart ids.
-    in_cols = []
-    fwd_tables = []
-    bwd_tables = []
-    for v in range(g.n):
-        cols = [space.dart_of[(x, v)] for x in sorted(g.neighbors(v))]
-        in_cols.append(np.array(cols, dtype=np.intp))
-        fw = np.zeros((space.rot_counts[v], len(cols)), dtype=np.int16)
-        bw = np.zeros_like(fw)
-        for ci, rot in enumerate(space.candidates[v]):
-            k = len(rot)
-            for i, x in enumerate(rot):
-                slot = cols.index(space.dart_of[(x, v)])
-                fw[ci, slot] = space.dart_of[(v, rot[(i + 1) % k])]
-                bw[ci, slot] = space.dart_of[(v, rot[(i - 1) % k])]
-        fwd_tables.append(fw)
-        bwd_tables.append(bw)
+    in_cols, fwd_tables, bwd_tables = space.successor_tables
 
     free_bits = np.zeros(nd, dtype=np.int64)
     free_mask_cols = np.zeros(nd, dtype=bool)
@@ -707,9 +745,7 @@ def _contracted_tracer(space: _SchemeSpace):
             sign_mask = keys % signs + 1
             neg = ((sign_mask[:, None] >> free_bits[None, :]) & 1).astype(np.int16)
             neg &= free_mask_cols[None, :]
-            nxt = np.empty((count, n_states), dtype=np.int16)
-            nxt[:, 0::2] = 2 * np.where(neg == 0, fwd, bwd) + neg  # states (d, 0)
-            nxt[:, 1::2] = 2 * np.where(neg == 1, fwd, bwd) + (1 - neg)  # states (d, 1)
+            nxt = _signed_next(fwd, bwd, neg)
         rows = np.arange(0, count * n_states, n_states, dtype=np.intp)[:, None]
         reach = (nxt + rows).ravel()
         entering = (enter + rows).ravel()
@@ -774,7 +810,7 @@ def _contracted_tracer(space: _SchemeSpace):
     return window_chi, max_span
 
 
-def _sweep_vector(space: _SchemeSpace, target: int,
+def _sweep_vector(space: _SchemeSpace, target: int, start: int,
                   limit: int) -> tuple[int, int | None, int]:
     """Same contract as the scalar sweep, trading memory for numpy batches.
 
@@ -790,7 +826,7 @@ def _sweep_vector(space: _SchemeSpace, target: int,
     best_index = None
     window_chi, max_span = _contracted_tracer(space)
     span = _VECTOR_BLOCK
-    index = 0
+    index = start
     while index < limit:
         end = min(limit, index + span)
         chi = window_chi(index, end)
@@ -810,34 +846,295 @@ def _sweep_vector(space: _SchemeSpace, target: int,
     return best, best_index, limit
 
 
-def _search_side(core: Graph, signed: bool, cap: int, early_exit: bool, left: int,
-                 strict: bool, lift: Callable[[RotationSystem], RotationSystem]) -> SideResult:
-    """Sweep one orientability class of ``core``, whose chi is at most ``cap``.
+# -- local search on the signed side -----------------------------------------
 
-    The sweep traces the schemes that ``left`` budget steps pay for in
-    full, at ``space.states`` steps each, so the side costs
-    ``searched * space.states`` steps.  Strict mode raises when the budget
-    stops the sweep short of both the end of the space and the target.
-    Both sweeps enumerate the identical flat order and report the first
-    scheme attaining the best value, so the result does not depend on which
-    one runs: pure Python wins on small spaces, numpy on large ones.
+# Population size, and how many steps a member may take without a new best
+# score before it restarts from a random scheme.  Measured on the seven
+# costliest corpus6 graphs and K4,4, 12 relabellings each at 1.5e7 steps:
+# with 16 members every run reached the cap, K6 within 2.4M steps (median
+# 0.94M); 8 members needed up to 7.5M on K6 and 32 up to 4.2M.  Patience
+# 20 to 100 changed little.
+_SEARCH_MEMBERS = 16
+_SEARCH_PATIENCE = 50
+# A move tries at most this many other rotations at its vertex, a random
+# sample beyond it (a vertex of degree 7 has 720), so that one step traces
+# about one sweep block of schemes.  Below degree 7 every rotation is tried.
+_SEARCH_ROTATIONS = 240
+
+
+class _LocalSearch:
+    """Deterministic local search over the signed schemes of ``space``.
+
+    A member is a scheme: one candidate rotation row per vertex and a sign
+    on every edge (tree edges too, so that each flip is a local move).  One
+    member starts from ``seed_rows`` (the orientable witness) with one
+    non-tree edge negative; the others, and every restart, are random
+    schemes from an RNG seeded by the core's edge list.  Each step gives
+    every member a vertex ``v`` drawn from the RNG and a batch of moves:
+    every other candidate rotation at ``v`` (up to ``_SEARCH_ROTATIONS``),
+    and flipping each edge at ``v``.  The batches of one step are traced
+    together by one min-label doubling over ``space.successor_tables``, and
+    each member takes its best move, even a worse one.  Moves rank by chi,
+    then by the sum of squared orbit lengths, which favours uneven faces: a
+    long face is what a later move can split.  Balanced sign patterns give
+    orientable embeddings and rank last.  A member that goes
+    ``_SEARCH_PATIENCE`` steps without a new best restarts.  Every traced
+    scheme counts as one toward ``run``'s allowance, which the caller
+    charges ``space.states`` steps each.
+    """
+
+    def __init__(self, space: _SchemeSpace, seed_rows: tuple[int, ...] | None):
+        import numpy as np
+
+        g = space.g
+        self.space = space
+        # A str seed goes through SHA-512, so runs agree whatever PYTHONHASHSEED.
+        self.rng = random.Random(f"{g.n}:{space.edges}")
+        self.incident = [[i for i, e in enumerate(space.edges) if v in e] for v in range(g.n)]
+        # Fundamental cycles over GF(2): column j holds the edges of the cycle
+        # that non-tree edge j closes.  A sign pattern is balanced (the
+        # embedding orientable) iff every cycle has an even count of
+        # negative edges.
+        free = set(space.free_edges)
+        path = {0: np.zeros(g.m, dtype=np.int64)}
+        stack = [0]
+        while stack:
+            u = stack.pop()
+            for i in self.incident[u]:
+                w = sum(space.edges[i]) - u
+                if i not in free and w not in path:
+                    path[w] = path[u].copy()
+                    path[w][i] ^= 1
+                    stack.append(w)
+        self.cycles = np.zeros((g.m, len(space.free_edges)), dtype=np.int64)
+        for j, i in enumerate(space.free_edges):
+            a, b = space.edges[i]
+            self.cycles[:, j] = path[a] ^ path[b]
+            self.cycles[i, j] = 1
+        self.trace = self._tracer()
+
+        members = _SEARCH_MEMBERS
+        self.rows = np.zeros((members, g.n), dtype=np.intp)
+        self.neg = np.zeros((members, g.m), dtype=bool)
+        for i in range(members):
+            self._restart(i)
+        if seed_rows is not None:
+            self.rows[0] = seed_rows
+            self.neg[0] = False
+            self.neg[0, space.free_edges[0]] = True
+        self.fresh = np.ones(members, dtype=bool)  # current scheme not traced yet
+        self.top = np.zeros(members, dtype=np.int64)  # best score since restart
+        self.stale = np.zeros(members, dtype=np.int64)
+        self.best_chi = -(10**9)
+        self.best = None  # (rows, neg) of the first scheme attaining best_chi
+
+    def _restart(self, i: int) -> None:
+        self.rows[i] = [self.rng.randrange(c) for c in self.space.rot_counts]
+        bits = self.rng.getrandbits(self.space.g.m)
+        self.neg[i] = [bits >> e & 1 for e in range(self.space.g.m)]
+
+    def _tracer(self):
+        """``trace(rows, neg)``: per scheme chi, orbit spread, and balance."""
+        import numpy as np
+
+        space = self.space
+        g = space.g
+        nd = 2 * g.m
+        n_states = space.states
+        in_cols, fwd_tables, bwd_tables = space.successor_tables
+        # The tables flattened into one, so that one gather reads every
+        # dart's successor: the dart entering ``v`` at slot ``j`` under row
+        # ``r`` sits at ``base[v] + r * deg(v) + j``.
+        head = np.zeros(nd, dtype=np.intp)
+        offset = np.zeros(nd, dtype=np.intp)
+        width = np.zeros(nd, dtype=np.intp)
+        base = 0
+        for v in range(g.n):
+            head[in_cols[v]] = v
+            offset[in_cols[v]] = base + np.arange(len(in_cols[v]))
+            width[in_cols[v]] = len(in_cols[v])
+            base += fwd_tables[v].size
+        flat_fwd = np.concatenate([t.ravel() for t in fwd_tables])
+        flat_bwd = np.concatenate([t.ravel() for t in bwd_tables])
+        labels = np.arange(n_states, dtype=np.int16)
+        darts = (labels >> 1).astype(np.intp)
+        mirror_base = 2 * (darts ^ 1) + (1 ^ (labels & 1))
+        doubling = max(1, math.ceil(math.log2(n_states)))
+
+        def trace(rows, neg_edges):
+            count = len(rows)
+            at = rows[:, head] * width + offset
+            fwd = flat_fwd.take(at)
+            bwd = flat_bwd.take(at)
+            neg = np.repeat(neg_edges, 2, axis=1).astype(np.int16)  # darts 2e, 2e + 1
+            offsets = np.arange(0, count * n_states, n_states, dtype=np.intp)[:, None]
+            reach = (_signed_next(fwd, bwd, neg) + offsets).ravel()
+            lbl = np.tile(labels, count)
+            for _ in range(doubling):
+                np.minimum(lbl, lbl.take(reach), out=lbl)
+                reach = reach.take(reach)
+            lbl = lbl.reshape(count, n_states)
+            roots = lbl == labels
+            roots &= lbl.take((mirror_base ^ neg[:, darts]) + offsets) >= labels
+            sizes = np.bincount((lbl + offsets).ravel(), minlength=count * n_states)
+            spread = (sizes.reshape(count, n_states) ** 2).sum(axis=1)
+            balanced = ~((neg_edges.astype(np.int64) @ self.cycles) & 1).any(axis=1)
+            return g.n - g.m + roots.sum(axis=1), spread, balanced
+
+        return trace
+
+    def run(self, target: int, allowance: int) -> int:
+        """Take steps until a scheme reaches ``target`` or ``allowance`` schemes
+        are traced; returns how many were traced."""
+        import numpy as np
+
+        rng = self.rng
+        n = self.space.g.n
+        scale = self.space.states ** 2 + 1  # above any orbit spread
+        used = 0
+        while used < allowance and self.best_chi < target:
+            # Each move sets rotation ``row`` (-1: none) at ``vertex`` and
+            # flips ``edge`` (-1: none); a fresh member's one move does neither.
+            vertex, row, edge, sizes = [], [], [], []
+            for i in range(len(self.rows)):
+                if self.fresh[i]:
+                    vertex.append(0)
+                    row.append(-1)
+                    edge.append(-1)
+                    sizes.append(1)
+                    continue
+                v = rng.randrange(n)
+                current = int(self.rows[i, v])
+                count = self.space.rot_counts[v]
+                if count - 1 > _SEARCH_ROTATIONS:
+                    others = rng.sample(range(count - 1), _SEARCH_ROTATIONS)
+                    others = [c + (c >= current) for c in others]
+                else:
+                    others = [*range(current), *range(current + 1, count)]
+                flips = self.incident[v]
+                vertex += [v] * (len(others) + len(flips))
+                row += others + [-1] * len(flips)
+                edge += [-1] * len(others) + flips
+                sizes.append(len(others) + len(flips))
+            take = min(allowance - used, len(vertex))
+            vertex, row, edge = (np.array(x[:take], dtype=np.intp) for x in (vertex, row, edge))
+            owner = np.repeat(np.arange(len(sizes)), sizes)[:take]
+            rows = self.rows[owner]
+            neg = self.neg[owner]
+            turned = np.flatnonzero(row >= 0)
+            rows[turned, vertex[turned]] = row[turned]
+            flipped = np.flatnonzero(edge >= 0)
+            neg[flipped, edge[flipped]] ^= True
+            chi, spread, balanced = self.trace(rows, neg)
+            used += take
+            score = np.where(balanced, -(1 << 62), chi * scale + spread)
+            signed_chi = np.where(balanced, -(10**9), chi)
+            k = int(signed_chi.argmax())
+            if signed_chi[k] > self.best_chi:
+                self.best_chi = int(signed_chi[k])
+                self.best = (rows[k].copy(), neg[k].copy())
+            bounds = np.minimum(np.cumsum([0, *sizes]), take)
+            for i in range(len(sizes)):
+                lo, hi = bounds[i], bounds[i + 1]
+                if lo == hi:
+                    continue
+                top = score[lo:hi].max()
+                ties = np.flatnonzero(score[lo:hi] == top)
+                pick = lo + ties[rng.randrange(len(ties))]
+                self.rows[i] = rows[pick]
+                self.neg[i] = neg[pick]
+                if self.fresh[i] or top > self.top[i]:
+                    self.fresh[i] = False
+                    self.top[i] = top
+                    self.stale[i] = 0
+                else:
+                    self.stale[i] += 1
+                    if self.stale[i] > _SEARCH_PATIENCE:
+                        self._restart(i)
+                        self.fresh[i] = True
+        return used
+
+    def witness(self) -> RotationSystem:
+        """The first scheme that attained ``best_chi``, re-traced by ``trace_faces``."""
+        rows, neg = self.best
+        space = self.space
+        rs = RotationSystem(
+            rotations=tuple(space.candidates[v][rows[v]] for v in range(space.g.n)),
+            negative_edges=frozenset(space.edges[i] for i in range(space.g.m) if neg[i]),
+        )
+        summary = trace_faces(space.g, rs)
+        if summary.chi != self.best_chi or summary.orientable:
+            raise AssertionError("local search scheme does not re-trace to its value")
+        return rs
+
+
+def _search_side(core: Graph, signed: bool, cap: int, early_exit: bool, left: int,
+                 strict: bool, lift: Callable[[RotationSystem], RotationSystem],
+                 seed_rows: tuple[int, ...] | None = None,
+                 ) -> tuple[SideResult, tuple[int, ...] | None]:
+    """Search one orientability class of ``core``, whose chi is at most ``cap``.
+
+    Returns the side and the candidate rows of its witness when the sweep
+    found it.  Every scheme traced costs ``space.states`` steps, and the
+    side traces only what ``left`` pays for in full, so it costs
+    ``searched * space.states`` steps.  The sweep enumerates the flat
+    order; both kernels trace the identical schemes and report the first
+    one attaining the best value, so the result does not depend on which
+    runs: pure Python wins on small spaces, numpy on large ones.
+
+    Under early exit the signed side races the sweep against
+    :class:`_LocalSearch`, seeded by ``seed_rows`` (the orientable
+    witness), once the first ``_VECTOR_BLOCK`` schemes neither reach the
+    cap nor end the space: a local-search round as long as the sweep's
+    last window, then a sweep window twice as long that resumes where the
+    last stopped, and so on, until one reaches the cap, the sweep ends the
+    space, or the budget cannot pay for one more scheme.  ``searched``
+    counts the schemes of both, and ``exhaustive`` the sweep's alone.
+    Strict mode raises when the budget stops the side short of both the
+    end of the space and the target.
     """
     space = _SchemeSpace(core, signed)
     target = cap if early_exit else 10**9
-    limit = max(0, min(space.total, left // space.states))
+    afford = max(0, left // space.states)
+    limit = min(space.total, afford)
     sweep = _sweep_vector if space.total * space.states > _VECTOR_THRESHOLD else _sweep_scalar
-    best, index, reached = sweep(space, target, limit)
+    racing = signed and early_exit
+    best, index, reached = sweep(space, target, 0, min(limit, _VECTOR_BLOCK) if racing else limit)
+    searched = reached
+    search = None
+    if racing and best < target and reached < limit:
+        search = _LocalSearch(space, seed_rows)
+        window = reached
+        while best < target and reached < space.total and searched < afford:
+            searched += search.run(target, min(window, afford - searched))
+            if search.best_chi > best:
+                best, index = search.best_chi, None
+            if best >= target or searched == afford:
+                break
+            window *= 2
+            end = min(space.total, reached + min(window, afford - searched))
+            chi, at, stop = sweep(space, target, reached, end)
+            searched += stop - reached
+            reached = stop
+            if chi > best:
+                best, index = chi, at
     if strict and reached < space.total and best < target:
         raise BudgetExceededError("face-tracing budget exhausted in strict mode")
-    found = index is not None
+    rows = witness = None
+    if index is not None:
+        rows, witness = space.decode(index)[0], space.scheme(index)
+    elif search is not None:  # the local search holds the best scheme
+        witness = search.witness()
+    found = witness is not None
     exhaustive = reached == space.total
-    return SideResult(
+    side = SideResult(
         chi=best if found else None,
-        witness=lift(space.scheme(index)) if found else None,
+        witness=lift(witness) if found else None,
         exhaustive=exhaustive,
         certified=found and (exhaustive or best >= cap),
-        searched=reached,
+        searched=searched,
     )
+    return side, rows
 
 
 def max_euler_characteristic(
@@ -851,18 +1148,23 @@ def max_euler_characteristic(
 
     Searches rotation schemes of the reduced core (pendants stripped,
     suppressible degree-2 vertices contracted; both moves preserve chi).
-    Each orientability class is swept once by :func:`_search_side`: the
+    Each orientability class is searched once by :func:`_search_side`: the
     orientable class first, then signed schemes for the non-orientable
     class; a planar outcome settles the non-orientable value at 1 without a
-    sweep.  ``early_exit=False`` forces full enumeration of the quotient so
-    the ``exhaustive`` flag can be earned, not just ``certified``.
+    search.  Under early exit the signed sweep races a local search seeded
+    by the orientable witness, and a local-search witness that attains the
+    face-length cap certifies the side.  ``early_exit=False`` runs the
+    sweeps alone over the full quotient so the ``exhaustive`` flag can be
+    earned, not just ``certified``.
 
     Budget is counted in face-tracing steps and is a hard cap: each scheme
-    costs its count of states, ``2m`` orientable and ``4m`` signed on a core
-    of ``m`` edges, and a side traces only the schemes that what remains
-    pays for in full.  So ``steps_used`` is ``2m`` times the orientable
-    side's ``searched`` plus ``4m`` times the signed side's, at most
-    ``budget``, whichever sweep runs.  In strict mode running out raises
+    traced, by a sweep or by the local search, costs its count of states,
+    ``2m`` orientable and ``4m`` signed on a core of ``m`` edges, and a side
+    traces only the schemes that what remains pays for in full.  So
+    ``steps_used`` is ``2m`` times the orientable side's ``searched`` plus
+    ``4m`` times the signed side's, at most ``budget``, whichever sweep
+    runs.  ``budget_stopped`` says some side ran out short of its target
+    and its space.  In strict mode running out raises
     :class:`BudgetExceededError`; otherwise partial results are returned
     with flags cleared.
     """
@@ -900,7 +1202,8 @@ def max_euler_characteristic(
     cap_or = chi_cap if chi_cap % 2 == 0 else chi_cap - 1
     cap_nonor = min(1, chi_cap)
 
-    or_side = _search_side(core, False, cap_or, early_exit, budget, strict, lift)
+    or_side, or_rows = _search_side(core, False, cap_or, early_exit, budget, strict, lift)
+    sides_searched = [or_side]
     steps = 2 * core.m * or_side.searched
     nonor_side: SideResult | None = None
     if not orientable_only:
@@ -913,8 +1216,9 @@ def max_euler_characteristic(
             # The core has a cycle (it is not a tree, which returned above,
             # and both reductions keep the cycle rank), so some edge sign is
             # free and the signed space is not empty.
-            nonor_side = _search_side(core, True, cap_nonor, early_exit, budget - steps,
-                                      strict, lift)
+            nonor_side, _ = _search_side(core, True, cap_nonor, early_exit, budget - steps,
+                                         strict, lift, or_rows)
+            sides_searched.append(nonor_side)
             steps += 4 * core.m * nonor_side.searched
 
     # Combine.  The non-orientable side never exceeds 1, so a certified
@@ -944,4 +1248,8 @@ def max_euler_characteristic(
         budget=budget,
         orientable=or_side,
         nonorientable=nonor_side,
+        # A side stops short of its target only when the budget runs out.
+        budget_stopped=any(
+            not s.exhaustive and not (early_exit and s.certified) for s in sides_searched
+        ),
     )

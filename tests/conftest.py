@@ -189,20 +189,23 @@ class _Budget:
         return True
 
 
-def reference_sweep(space, target: int, limit: int) -> tuple[int, int | None, int]:
-    """:func:`reference_sweep_vector` over schemes ``0..limit-1``.
+def reference_sweep(space, target: int, start: int, limit: int) -> tuple[int, int | None, int]:
+    """:func:`reference_sweep_vector` over schemes ``start..limit-1``.
 
-    A budget of exactly ``limit`` schemes' states makes its last block
-    shrink to end at ``limit``, and the next charge is refused there.
+    A budget of exactly ``limit - start`` schemes' states makes its last
+    block shrink to end at ``limit``, and the next charge is refused there.
     """
-    return reference_sweep_vector(space, target, _Budget(limit * space.states, strict=False))
+    budget = _Budget((limit - start) * space.states, strict=False)
+    return reference_sweep_vector(space, target, budget, start)
 
 
-def reference_sweep_vector(space, target: int, budget) -> tuple[int, int | None, int]:
+def reference_sweep_vector(space, target: int, budget,
+                           start: int = 0) -> tuple[int, int | None, int]:
     """The numpy sweep as it traced every scheme in full, block by block.
 
-    Kept verbatim apart from its name: each block builds the whole
-    next-state table per scheme and min-label doubles over all its states.
+    Kept verbatim apart from its name and the ``start`` index it resumes
+    at: each block builds the whole next-state table per scheme and
+    min-label doubles over all its states.
     """
     import numpy as np
 
@@ -241,7 +244,7 @@ def reference_sweep_vector(space, target: int, budget) -> tuple[int, int | None,
     doubling = max(1, math.ceil(math.log2(n_states)))
     arange_states = np.arange(n_states, dtype=np.int16)
 
-    index = 0
+    index = start
     while index < space.total:
         # The last block shrinks to what the budget still covers, so the
         # sweep reaches the same scheme as the scalar one when it runs out.

@@ -120,13 +120,19 @@ class TestBounds:
         assert out == ""
         assert err.startswith("bondlab: error:") and "certify" in err
 
-    def test_float_overflow_is_an_error_not_a_traceback(self, capsys):
-        # The girth bound is exact at any size; its float detail overflows.
+    def test_float_overflow_drops_only_the_detail(self, capsys):
+        # The girth bound is exact at any size; only its float detail overflows.
         code, out, err = run(capsys, "bounds", "--delta", "3", "--chi", "-1",
                              "--girth", str(10**200))
-        assert code == 1
-        assert out == ""
-        assert err.startswith("bondlab: error:")
+        assert code == 0 and err == ""
+        girth = next(line for line in out.splitlines() if line.startswith("girth "))
+        assert girth.split()[1:3] == ["bound=4", "term=1"]
+        assert "girth_root" not in out and "detail cubic_root" in out
+        code, out, _ = run(capsys, "bounds", "--delta", "3", "--chi", "-1",
+                           "--girth", str(10**200), "--format", "json")
+        payload = json.loads(out)
+        assert code == 0 and "girth_root" not in payload["details"]
+        assert {e["name"]: e["bound"] for e in payload["entries"]}["girth"] == 4
 
 
 class TestVerify:

@@ -382,7 +382,8 @@ def _sweep_both(core, signed, target, budget):
     """(best, best_index, reached) from each numpy kernel, on what ``budget`` pays for."""
     space = embedding._SchemeSpace(core, signed)
     limit = min(space.total, budget // space.states)
-    return [kernel(space, target, limit) for kernel in (embedding._sweep_vector, reference_sweep)]
+    kernels = (embedding._sweep_vector, reference_sweep)
+    return [kernel(space, target, 0, limit) for kernel in kernels]
 
 
 def _assert_sweeps_agree(g, budget, early_exit_off=True):
@@ -451,6 +452,24 @@ class TestContractedSweep:
         expected = [trace_faces(core, space.scheme(i)).chi for i in range(lo, lo + 300)]
         assert window_chi(lo, lo + 300).tolist() == expected
 
+    @given(st.integers(min_value=4, max_value=7), st.booleans(), st.randoms(use_true_random=False))
+    @settings(max_examples=30, deadline=None)
+    def test_kernels_agree_from_a_start_index(self, n, signed, rng):
+        # The race resumes the sweep mid-space, so a window that starts late
+        # must give every kernel the same first best scheme and stopping point.
+        core = embedding._core(random_connected_graph(rng, n, extra=0.5))[0]
+        if core.m == 0:
+            return
+        space = embedding._SchemeSpace(core, signed)
+        start = rng.randrange(space.total)
+        limit = min(space.total, start + rng.randint(1, 3 * embedding._VECTOR_BLOCK))
+        cap = embedding._face_length_upper_bound(core)
+        for target in (cap, 10**9):
+            results = {kernel(space, target, start, limit)
+                       for kernel in (embedding._sweep_scalar, embedding._sweep_vector,
+                                      reference_sweep)}
+            assert len(results) == 1, (core.edges(), signed, start, limit, results)
+
     def test_max_euler_characteristic_on_corpus6(self, corpus6, monkeypatch):
         rng = random.Random(2024)
         graphs = [_relabelled(g, rng) for g in corpus6]
@@ -475,3 +494,133 @@ class TestContractedSweep:
         new = peak()
         monkeypatch.setattr(embedding, "_sweep_vector", reference_sweep)
         assert new <= peak()
+
+
+# ---------------------------------------------------------------------------
+# The signed sweep raced against the local search
+# ---------------------------------------------------------------------------
+
+
+class _NoLocalSearch:
+    """Stands in for ``_LocalSearch``: traces nothing, finds nothing."""
+
+    best = None
+    best_chi = -(10**9)
+
+    def __init__(self, space, seed_rows):
+        pass
+
+    def run(self, target, allowance):
+        return 0
+
+
+def _stress_graphs():
+    k333 = Graph.from_edges(9, [(u, v) for u in range(9) for v in range(u + 1, 9)
+                                if u // 3 != v // 3])
+    return [make_family("kmn", 5, 5), make_family("qd", 4), k333]
+
+
+def _sparse_graph(rng, n, cycles):
+    """A random spanning tree plus ``cycles`` further edges."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < n - 1 + cycles:
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    return Graph.from_edges(n, sorted(edges))
+
+
+def _assert_witnesses_retrace(g, result):
+    sides = [result, result.orientable]
+    if result.nonorientable is not None:
+        sides.append(result.nonorientable)
+    for side in sides:
+        if side.witness is not None:
+            traced = trace_faces(g, side.witness)
+            assert traced.chi == side.chi, (g.edges(), side)
+    if result.orientable.witness is not None:
+        assert trace_faces(g, result.orientable.witness).orientable
+    nonor = result.nonorientable
+    if nonor is not None and nonor.witness is not None:
+        assert not trace_faces(g, nonor.witness).orientable
+
+
+class TestLocalSearchRace:
+    def test_corpus6_certifies_at_the_benchmark_budget(self, corpus6):
+        for g in corpus6:
+            result = max_euler_characteristic(g, budget=3 * 10**7)
+            assert result.certified, g.edges()
+            assert result.orientable.certified and result.nonorientable.certified
+            assert not result.budget_stopped
+            _assert_witnesses_retrace(g, result)
+
+    @given(st.integers(min_value=2, max_value=8), st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_certified_witnesses_retrace(self, n, rng):
+        g = random_connected_graph(rng, n, extra=0.5)
+        _assert_witnesses_retrace(g, max_euler_characteristic(g, budget=10**6))
+
+    def test_agrees_with_the_sweep_alone_where_it_certifies(self, corpus6, monkeypatch):
+        rng = random.Random(7)
+        graphs = corpus6 + [_relabelled(g, rng) for g in corpus6[-40:]]
+        graphs += [make_family("kmn", 4, 4), make_family("petersen")]
+        raced = [max_euler_characteristic(g, budget=3 * 10**6) for g in graphs]
+        monkeypatch.setattr(embedding, "_LocalSearch", _NoLocalSearch)
+        alone = [max_euler_characteristic(g, budget=3 * 10**6) for g in graphs]
+        for g, new, old in zip(graphs, raced, alone):
+            assert new.steps_used <= 3 * 10**6
+            pairs = [(new, old), (new.orientable, old.orientable),
+                     (new.nonorientable, old.nonorientable)]
+            for a, b in pairs:
+                if b is not None and b.certified:
+                    assert (a.chi, a.certified) == (b.chi, b.certified), g.edges()
+
+    def test_results_do_not_depend_on_the_hash_seed(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        script = (
+            "from bondlab.embedding import max_euler_characteristic as f\n"
+            "from bondlab.graphs import parse_graph6, make_family\n"
+            "for g in (parse_graph6('E~~w'), parse_graph6('E~~o'), make_family('kmn', 4, 4)):\n"
+            "    print(f(g, budget=3 * 10**7))\n"
+        )
+        src = str(Path(embedding.__file__).resolve().parents[1])
+        outputs = []
+        for seed in ("0", "4242"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            done = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                  capture_output=True, text=True)
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1] and outputs[0].count("certified=True") >= 3
+
+    def test_never_runs_on_the_stress_graphs_or_sparse_graphs(self, monkeypatch):
+        def refuse(space, seed_rows):
+            raise AssertionError("local search started")
+
+        monkeypatch.setattr(embedding, "_LocalSearch", refuse)
+        for g in _stress_graphs():
+            max_euler_characteristic(g, budget=10**6)
+        rng = random.Random(11)
+        for _ in range(200):
+            g = _sparse_graph(rng, rng.randint(8, 14), rng.randint(2, 5))
+            max_euler_characteristic(g)
+
+    def test_k44_signed_side_reaches_its_cap(self):
+        result = max_euler_characteristic(make_family("kmn", 4, 4))
+        assert result.nonorientable.chi == 0 and result.nonorientable.certified
+        assert result.steps_used < 10**7
+        _assert_witnesses_retrace(make_family("kmn", 4, 4), result)
+
+    def test_budget_stopped(self):
+        assert max_euler_characteristic(make_family("kn", 6), budget=10**5).budget_stopped
+        assert not max_euler_characteristic(make_family("kn", 5)).budget_stopped
+        # Exhausting the space is not a stop, with or without early exit.
+        assert not max_euler_characteristic(make_family("cn", 5), early_exit=False).budget_stopped
+        assert max_euler_characteristic(make_family("kmn", 3, 3), budget=50,
+                                        early_exit=False).budget_stopped
+        # Without early exit a side that attains its cap sweeps on, so the
+        # budget stops K5's certified signed side short of its space.
+        k5 = max_euler_characteristic(make_family("kn", 5), budget=10**6, early_exit=False)
+        assert k5.nonorientable.certified and k5.budget_stopped

@@ -72,14 +72,14 @@ class TestVerifyGraph:
     def test_k6_uses_certified_orientable_genus(self):
         rec = verify_graph(make_family("kn", 6))
         genus = rec.check("genus")
-        assert rec.chi_orientable == 0
+        assert rec.chi_orientable == 0 and rec.chi_nonorientable == 1
         assert genus.hypothesis_met and genus.satisfied
-        # Orientable genus 1 gives delta + h + 2 = 5 + 1 + 2.
-        assert genus.bound_value == 8 and rec.b == 3
-        # Overall chi stays uncertified within the default budget, so the
-        # chi-dependent bounds are skipped, never guessed.
-        if not rec.chi_certified:
-            assert rec.check("cubic").satisfied is None
+        # Orientable genus 1 gives delta + h + 2 = 5 + 1 + 2; non-orientable
+        # genus 1 gives delta + k + 1 = 5 + 1 + 1, the smaller.
+        assert genus.bound_value == 7 and rec.b == 3
+        # chi = 1 is certified, and the chi <= 0 bounds are skipped.
+        assert rec.chi_certified and rec.chi == 1
+        assert rec.check("cubic").satisfied is None
 
     def test_tree_gets_acyclic_rule(self):
         rec = verify_graph(make_family("pn", 6))
