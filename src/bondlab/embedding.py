@@ -12,11 +12,18 @@ vertex stabiliser provably acts fully symmetrically on the pivot's
 neighbourhood).  Two exactness certificates are tracked: ``exhaustive``
 means the full quotient was enumerated, and ``certified`` additionally
 covers early exits that reach a proven upper bound on the characteristic
-(combinatorial face-length counting), which is just as exact.
+(combinatorial face-length counting, or the planarity test below), which
+is just as exact.
 
-Large spaces are swept with numpy in the same flat order, where the sign
-mask changes fastest and then the rotation at the last vertex ``L`` with a
-choice.  The sweep traces everything away from ``L`` once per distinct
+Under early exit, a core whose face-length cap allows the sphere is first
+tested for planarity (:mod:`.planarity`).  A planar core is certified at
+chi 2 by the test's rotation system, once a count of its faces confirms
+it, with nothing swept; a nonplanar one has orientable chi at most 0, so
+its orientable sweep stops at the first genus-1 scheme.
+
+The sweep runs in numpy in the flat order, where the sign mask changes
+fastest and then the rotation at the last vertex ``L`` with a choice.  It
+traces everything away from ``L`` once per distinct
 (other rotations, sign mask) pair, with the states entering ``L`` made
 absorbing, and then each scheme only over the at most ``2 deg(L)`` states
 entering ``L``: their first-return map, ``L``'s rotation followed by the
@@ -40,6 +47,7 @@ from itertools import permutations
 from typing import Callable
 
 from .graphs import Graph, girth
+from .planarity import planar_rotations
 
 __all__ = [
     "RotationSystem",
@@ -56,13 +64,6 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 100_000_000
-# Sides with at most this many scheme-states (total * states) stay in pure
-# Python, where numpy's set-up per window costs more than it saves.  Timed
-# per side on the corpus6 and sparse-random benchmark inputs, pure Python
-# wins most sides below 5e3 and numpy most above; in benchmark runs 3e3
-# beat both 1e3 and 1e4 on sparse-random wall time and tied on corpus6.
-# The choice changes speed only: both sweeps give equal results.
-_VECTOR_THRESHOLD = 3_000
 _VECTOR_BLOCK = 4096
 
 
@@ -325,7 +326,8 @@ class SideResult:
     ``chi`` is the best value found (None if nothing was traced);
     ``exhaustive`` means the full quotiented space was enumerated;
     ``certified`` means the value is provably the maximum (exhaustive, a
-    proven combinatorial upper bound was attained, or a planarity identity).
+    proven combinatorial upper bound was attained, the planarity test, or
+    the planar identity on the non-orientable side).
     """
 
     chi: int | None
@@ -575,78 +577,23 @@ def _face_length_upper_bound(core: Graph) -> int:
     return min(2, core.n - core.m + (2 * core.m) // min_face)
 
 
-# -- scalar sweep ------------------------------------------------------------
+def _orientable_face_count(rotations: tuple[tuple[int, ...], ...]) -> int:
+    """Orbits of the dart map ``(u, v) -> (v, w)``, ``w`` following ``u`` at ``v``.
 
-
-def _sweep_scalar(space: _SchemeSpace, target: int, start: int,
-                  limit: int) -> tuple[int, int | None, int]:
-    """Trace schemes ``start..limit-1`` in order; returns (best, best_index, reached).
-
-    ``reached`` is one past the last scheme traced: ``limit``, or less once
-    ``target`` is hit.  ``best_index`` is the first scheme that attains
-    ``best`` (None if none was traced).
+    These are the faces of the orientable embedding ``rotations`` gives,
+    counted without tracing its walks.
     """
-    g = space.g
-    nd = 2 * g.m
-    best = -(10**9)
-    best_index = None
-    fwd = [0] * nd
-    bwd = [0] * nd
-    neg = [0] * nd
-    stamp_unsigned = [-1] * nd
-    stamp_signed = [-1] * (2 * nd)
-    digits = None
-    for index in range(start, limit):
-        new_digits, sign_mask = space.decode(index)
-        for v in range(g.n):
-            if digits is not None and new_digits[v] == digits[v]:
-                continue
-            rot = space.candidates[v][new_digits[v]]
-            k = len(rot)
-            for i, x in enumerate(rot):
-                d_in = space.dart_of[(x, v)]
-                fwd[d_in] = space.dart_of[(v, rot[(i + 1) % k])]
-                bwd[d_in] = space.dart_of[(v, rot[(i - 1) % k])]
-        digits = new_digits
-
-        if not space.signed:
-            faces = 0
-            for d0 in range(nd):
-                if stamp_unsigned[d0] == index:
-                    continue
-                faces += 1
-                d = d0
-                while stamp_unsigned[d] != index:
-                    stamp_unsigned[d] = index
-                    d = fwd[d]
-        else:
-            for b, e in enumerate(space.free_edges):
-                bit = sign_mask >> b & 1
-                neg[2 * e] = neg[2 * e + 1] = bit
-            faces = 0
-            for s0 in range(2 * nd):
-                if stamp_signed[s0] == index:
-                    continue
-                faces += 1
-                s = s0
-                orbit = []
-                while stamp_signed[s] != index:
-                    stamp_signed[s] = index
-                    orbit.append(s)
-                    d, sb = s >> 1, s & 1
-                    s2 = sb ^ neg[d]
-                    out = bwd[d] if s2 else fwd[d]
-                    s = (out << 1) | s2
-                for s in orbit:
-                    d, sb = s >> 1, s & 1
-                    stamp_signed[((d ^ 1) << 1) | (1 ^ sb ^ neg[d])] = index
-        chi = g.n - g.m + faces
-        if chi > best:
-            best = chi
-            best_index = index
-            if best >= target:
-                return best, best_index, index + 1
-    return best, best_index, limit
+    after = {}
+    for v, rot in enumerate(rotations):
+        for i, u in enumerate(rot):
+            after[u, v] = rot[(i + 1) % len(rot)]
+    faces = 0
+    while after:
+        dart = next(iter(after))
+        faces += 1
+        while dart in after:
+            dart = (dart[1], after.pop(dart))
+    return faces
 
 
 # -- vectorised sweep --------------------------------------------------------
@@ -812,9 +759,11 @@ def _contracted_tracer(space: _SchemeSpace):
 
 def _sweep_vector(space: _SchemeSpace, target: int, start: int,
                   limit: int) -> tuple[int, int | None, int]:
-    """Same contract as the scalar sweep, trading memory for numpy batches.
+    """Trace schemes ``start..limit-1`` in order; returns (best, best_index, reached).
 
-    Schemes are traced a window at a time by :func:`_contracted_tracer`:
+    ``reached`` is one past the last scheme traced: ``limit``, or less once
+    ``target`` is hit.  ``best_index`` is the first scheme that attains
+    ``best`` (None if none was traced).  Schemes are traced a window at a time by :func:`_contracted_tracer`:
     once per distinct (other rotations, sign mask) pair away from the
     fastest-changing vertex ``L``, then per scheme only through the states
     entering ``L``.  A window starts at ``_VECTOR_BLOCK`` schemes, doubles
@@ -1077,10 +1026,9 @@ def _search_side(core: Graph, signed: bool, cap: int, early_exit: bool, left: in
     Returns the side and the candidate rows of its witness when the sweep
     found it.  Every scheme traced costs ``space.states`` steps, and the
     side traces only what ``left`` pays for in full, so it costs
-    ``searched * space.states`` steps.  The sweep enumerates the flat
-    order; both kernels trace the identical schemes and report the first
-    one attaining the best value, so the result does not depend on which
-    runs: pure Python wins on small spaces, numpy on large ones.
+    ``searched * space.states`` steps.  The sweep (:func:`_sweep_vector`)
+    enumerates the flat order and reports the first scheme attaining the
+    best value.
 
     Under early exit the signed side races the sweep against
     :class:`_LocalSearch`, seeded by ``seed_rows`` (the orientable
@@ -1097,9 +1045,9 @@ def _search_side(core: Graph, signed: bool, cap: int, early_exit: bool, left: in
     target = cap if early_exit else 10**9
     afford = max(0, left // space.states)
     limit = min(space.total, afford)
-    sweep = _sweep_vector if space.total * space.states > _VECTOR_THRESHOLD else _sweep_scalar
     racing = signed and early_exit
-    best, index, reached = sweep(space, target, 0, min(limit, _VECTOR_BLOCK) if racing else limit)
+    first = min(limit, _VECTOR_BLOCK) if racing else limit
+    best, index, reached = _sweep_vector(space, target, 0, first)
     searched = reached
     search = None
     if racing and best < target and reached < limit:
@@ -1113,7 +1061,7 @@ def _search_side(core: Graph, signed: bool, cap: int, early_exit: bool, left: in
                 break
             window *= 2
             end = min(space.total, reached + min(window, afford - searched))
-            chi, at, stop = sweep(space, target, reached, end)
+            chi, at, stop = _sweep_vector(space, target, reached, end)
             searched += stop - reached
             reached = stop
             if chi > best:
@@ -1151,9 +1099,16 @@ def max_euler_characteristic(
     Each orientability class is searched once by :func:`_search_side`: the
     orientable class first, then signed schemes for the non-orientable
     class; a planar outcome settles the non-orientable value at 1 without a
-    search.  Under early exit the signed sweep races a local search seeded
-    by the orientable witness, and a local-search witness that attains the
-    face-length cap certifies the side.  ``early_exit=False`` runs the
+    search.
+
+    Under early exit, when the face-length cap allows chi 2, the core is
+    first tested for planarity.  A planar core's orientable side is
+    certified at 2 with the test's rotation system as its witness, after
+    its faces are counted again independently; it has ``searched = 0`` and
+    ``exhaustive`` False.  A nonplanar core's orientable cap drops to 0.
+    The signed sweep races a local search seeded by the orientable witness,
+    and a local-search witness that attains the face-length cap certifies
+    the side.  ``early_exit=False`` skips the planarity test and runs the
     sweeps alone over the full quotient so the ``exhaustive`` flag can be
     earned, not just ``certified``.
 
@@ -1162,9 +1117,9 @@ def max_euler_characteristic(
     ``2m`` orientable and ``4m`` signed on a core of ``m`` edges, and a side
     traces only the schemes that what remains pays for in full.  So
     ``steps_used`` is ``2m`` times the orientable side's ``searched`` plus
-    ``4m`` times the signed side's, at most ``budget``, whichever sweep
-    runs.  ``budget_stopped`` says some side ran out short of its target
-    and its space.  In strict mode running out raises
+    ``4m`` times the signed side's, at most ``budget``; the planarity test
+    is not charged.  ``budget_stopped`` says some side ran out short of its
+    target and its space.  In strict mode running out raises
     :class:`BudgetExceededError`; otherwise partial results are returned
     with flags cleared.
     """
@@ -1202,7 +1157,20 @@ def max_euler_characteristic(
     cap_or = chi_cap if chi_cap % 2 == 0 else chi_cap - 1
     cap_nonor = min(1, chi_cap)
 
-    or_side, or_rows = _search_side(core, False, cap_or, early_exit, budget, strict, lift)
+    or_side = None
+    if early_exit and cap_or == 2:
+        rotations = planar_rotations(core)
+        if rotations is None:
+            cap_or = 0  # a nonplanar graph has orientable genus at least 1
+        else:
+            plane = RotationSystem(rotations)
+            plane.validate(core)
+            if core.n - core.m + _orientable_face_count(rotations) != 2:
+                raise AssertionError("planar rotation system does not re-trace to chi 2")
+            or_side = SideResult(chi=2, witness=lift(plane), exhaustive=False, certified=True)
+            or_rows = None
+    if or_side is None:
+        or_side, or_rows = _search_side(core, False, cap_or, early_exit, budget, strict, lift)
     sides_searched = [or_side]
     steps = 2 * core.m * or_side.searched
     nonor_side: SideResult | None = None

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Sequence
 
 from . import bounds as bnd
@@ -269,13 +269,12 @@ def _object_schema(cls) -> dict:
     }
 
 
-# Per class: the report keys, a getter of all field values in that order,
-# and the keys whose values are tuples of nested report objects.
+# Per class: the report keys, JSON-encoded and followed by their separator,
+# and a getter of all field values in that order.
 _JSON_FIELDS = {
     cls: (
-        [_key(f) for f in fields(cls)],
+        [encode_basestring_ascii(_key(f)) + ": " for f in fields(cls)],
         attrgetter(*(f.name for f in fields(cls))),
-        [_key(f) for f in fields(cls) if "items" in f.metadata],
     )
     for cls in (TheoremCheck, VerificationRecord)
 }
@@ -314,13 +313,40 @@ REPORT_JSON_SCHEMA = {
 }
 
 
-def _json_dict(obj) -> dict:
-    """A record or check under its report keys, nested checks as dicts."""
-    keys, values, nested = _JSON_FIELDS[type(obj)]
-    out = dict(zip(keys, values(obj)))
-    for key in nested:
-        out[key] = [_json_dict(x) for x in out[key]]
-    return out
+# The JSON text of each scalar, as ``json.dumps`` writes it.
+_JSON_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _json_text(value, pad: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` lays it out at indent ``pad``.
+
+    Records and checks are written as objects under their report keys;
+    dicts, lists and tuples as objects and arrays.
+    """
+    kind = type(value)
+    if kind in _JSON_SCALARS:
+        return _JSON_SCALARS[kind](value)
+    inner = pad + "  "
+    if kind in _JSON_FIELDS:
+        keys, values = _JSON_FIELDS[kind]
+        items = [k + _json_text(v, inner) for k, v in zip(keys, values(value))]
+        opening, closing = "{", "}"
+    elif kind is dict:
+        items = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in value.items()]
+        opening, closing = "{", "}"
+    elif kind in (list, tuple):
+        items = [_json_text(v, inner) for v in value]
+        opening, closing = "[", "]"
+    else:
+        raise TypeError(f"a report holds no {kind.__name__} values")
+    if not items:
+        return opening + closing
+    return f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{closing}"
 
 
 def emit_report(
@@ -348,17 +374,19 @@ def emit_report(
             )
         return buf.getvalue()
     if fmt == "json":
-        payload: dict = {"records": [_json_dict(r) for r in records]}
         if summary is None:
             summary = _summarize(records)
-        payload["summary"] = {
-            "graphs": summary.graphs,
-            "malformed": summary.malformed,
-            "failures": summary.failures,
-            "per_check": summary.per_check,
-            "bprime_counterexamples": list(summary.bprime_counterexamples),
+        payload = {
+            "records": records,
+            "summary": {
+                "graphs": summary.graphs,
+                "malformed": summary.malformed,
+                "failures": summary.failures,
+                "per_check": summary.per_check,
+                "bprime_counterexamples": summary.bprime_counterexamples,
+            },
         }
-        return json.dumps(payload, indent=2) + "\n"
+        return _json_text(payload, "") + "\n"
     if fmt == "text":
         lines = []
         header = (

@@ -3,8 +3,9 @@
 The oracles here deliberately take different routes from the library code:
 domination by raw subset enumeration, bondage by re-solving domination on
 every edge subset, girth via per-edge shortest paths, isomorphism by
-permutation search, graph6 via networkx, cubic and radical floors by a scan
-of their defining predicate.  Agreement between two independent
+permutation search, graph6 and planarity via networkx, chi sweeps that trace
+every scheme in full, cubic and radical floors by a scan of their defining
+predicate.  Agreement between two independent
 implementations is the point.
 """
 
@@ -189,6 +190,79 @@ class _Budget:
         return True
 
 
+def reference_sweep_scalar(space, target: int, start: int,
+                           limit: int) -> tuple[int, int | None, int]:
+    """The pure-Python sweep: each scheme ``start..limit-1`` traced in full.
+
+    Same contract as ``embedding._sweep_vector``: returns (best, best_index,
+    reached), where ``reached`` is one past the last scheme traced
+    (``limit``, or less once ``target`` is hit) and ``best_index`` is the
+    first scheme attaining ``best``.  Only the rotations that change between
+    consecutive schemes are rewritten; faces are counted by stamping orbits.
+    """
+    g = space.g
+    nd = 2 * g.m
+    best = -(10**9)
+    best_index = None
+    fwd = [0] * nd
+    bwd = [0] * nd
+    neg = [0] * nd
+    stamp_unsigned = [-1] * nd
+    stamp_signed = [-1] * (2 * nd)
+    digits = None
+    for index in range(start, limit):
+        new_digits, sign_mask = space.decode(index)
+        for v in range(g.n):
+            if digits is not None and new_digits[v] == digits[v]:
+                continue
+            rot = space.candidates[v][new_digits[v]]
+            k = len(rot)
+            for i, x in enumerate(rot):
+                d_in = space.dart_of[(x, v)]
+                fwd[d_in] = space.dart_of[(v, rot[(i + 1) % k])]
+                bwd[d_in] = space.dart_of[(v, rot[(i - 1) % k])]
+        digits = new_digits
+
+        if not space.signed:
+            faces = 0
+            for d0 in range(nd):
+                if stamp_unsigned[d0] == index:
+                    continue
+                faces += 1
+                d = d0
+                while stamp_unsigned[d] != index:
+                    stamp_unsigned[d] = index
+                    d = fwd[d]
+        else:
+            for b, e in enumerate(space.free_edges):
+                bit = sign_mask >> b & 1
+                neg[2 * e] = neg[2 * e + 1] = bit
+            faces = 0
+            for s0 in range(2 * nd):
+                if stamp_signed[s0] == index:
+                    continue
+                faces += 1
+                s = s0
+                orbit = []
+                while stamp_signed[s] != index:
+                    stamp_signed[s] = index
+                    orbit.append(s)
+                    d, sb = s >> 1, s & 1
+                    s2 = sb ^ neg[d]
+                    out = bwd[d] if s2 else fwd[d]
+                    s = (out << 1) | s2
+                for s in orbit:
+                    d, sb = s >> 1, s & 1
+                    stamp_signed[((d ^ 1) << 1) | (1 ^ sb ^ neg[d])] = index
+        chi = g.n - g.m + faces
+        if chi > best:
+            best = chi
+            best_index = index
+            if best >= target:
+                return best, best_index, index + 1
+    return best, best_index, limit
+
+
 def reference_sweep(space, target: int, start: int, limit: int) -> tuple[int, int | None, int]:
     """:func:`reference_sweep_vector` over schemes ``start..limit-1``.
 
@@ -310,6 +384,16 @@ def reference_sweep_vector(space, target: int, budget,
             pos += 1
         index += block
     return best, best_index, space.total
+
+
+def reference_is_planar(g: Graph) -> bool:
+    """Planarity by networkx's left-right test."""
+    import networkx as nx
+
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return nx.check_planarity(h)[0]
 
 
 def reference_cover_bound(reaches: list[int]) -> int:

@@ -17,7 +17,13 @@ from bondlab.embedding import (
 )
 from bondlab.graphs import Graph, enumerate_connected_graphs, make_family, parse_graph6
 
-from conftest import random_connected_graph, random_rotation_system, reference_sweep
+from conftest import (
+    random_connected_graph,
+    random_rotation_system,
+    reference_is_planar,
+    reference_sweep,
+    reference_sweep_scalar,
+)
 
 
 def all_rotation_systems(g: Graph):
@@ -262,9 +268,9 @@ class TestMaxChi:
 
     def test_scalar_and_vector_paths_agree(self, monkeypatch):
         g = make_family("kmn", 3, 3)
-        result_scalar = max_euler_characteristic(g, early_exit=False)
-        monkeypatch.setattr(embedding, "_VECTOR_THRESHOLD", 0)  # force the numpy path
         result_vector = max_euler_characteristic(g, early_exit=False)
+        monkeypatch.setattr(embedding, "_sweep_vector", reference_sweep_scalar)
+        result_scalar = max_euler_characteristic(g, early_exit=False)
         assert result_scalar.chi == result_vector.chi
         assert result_scalar.witness == result_vector.witness
         assert result_scalar.orientable.chi == result_vector.orientable.chi
@@ -288,25 +294,24 @@ class TestMaxChi:
         (("kmn", 3, 3), 50, "_sweep_scalar"),
     ])
     def test_budget_is_a_hard_cap(self, monkeypatch, family, budget, path):
-        from bondlab import embedding
-
+        # "_sweep_scalar" runs the pure-Python oracle in the numpy sweep's place.
         used = []
-        original = getattr(embedding, path)
+        original = reference_sweep_scalar if path == "_sweep_scalar" else embedding._sweep_vector
 
         def counted(*args):
             used.append(path)
             return original(*args)
 
-        monkeypatch.setattr(embedding, path, counted)
+        monkeypatch.setattr(embedding, "_sweep_vector", counted)
         result = max_euler_characteristic(make_family(*family), budget=budget, early_exit=False)
         assert used and not result.exhaustive
         assert result.steps_used <= budget
 
     def test_paths_stop_at_the_same_scheme(self, corpus6, monkeypatch):
-        # Both sweeps trace exactly the schemes the budget pays for, so the
-        # kernel choice cannot change any field of the result.
-        def search_all(threshold):
-            monkeypatch.setattr(embedding, "_VECTOR_THRESHOLD", threshold)
+        # The numpy sweep and the pure-Python oracle trace exactly the
+        # schemes the budget pays for, so swapping them changes no field of
+        # the result.
+        def search_all():
             return [
                 max_euler_characteristic(g, budget=budget, early_exit=early_exit)
                 for g in corpus6
@@ -314,7 +319,9 @@ class TestMaxChi:
                 for early_exit in (True, False)
             ]
 
-        assert search_all(0) == search_all(10**18)
+        vector = search_all()
+        monkeypatch.setattr(embedding, "_sweep_vector", reference_sweep_scalar)
+        assert search_all() == vector
         g = make_family("kmn", 3, 3)
         result = max_euler_characteristic(g, budget=1000, early_exit=False)
         assert 1000 - 4 * g.m < result.steps_used <= 1000
@@ -343,8 +350,7 @@ class TestMaxChi:
         if result.nonorientable is not None and not result.nonorientable.certified:
             assert budget - result.steps_used < 4 * m
 
-    def test_strict_on_the_numpy_path(self, monkeypatch):
-        monkeypatch.setattr(embedding, "_VECTOR_THRESHOLD", 0)
+    def test_strict_on_the_numpy_path(self):
         with pytest.raises(BudgetExceededError):
             max_euler_characteristic(make_family("kn", 6), budget=10**5, strict=True,
                                      early_exit=False)
@@ -466,7 +472,7 @@ class TestContractedSweep:
         cap = embedding._face_length_upper_bound(core)
         for target in (cap, 10**9):
             results = {kernel(space, target, start, limit)
-                       for kernel in (embedding._sweep_scalar, embedding._sweep_vector,
+                       for kernel in (reference_sweep_scalar, embedding._sweep_vector,
                                       reference_sweep)}
             assert len(results) == 1, (core.edges(), signed, start, limit, results)
 

@@ -1,23 +1,28 @@
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from types import SimpleNamespace
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bondlab import bondage, harness
 from bondlab import bounds as bnd
-from bondlab.graphs import Graph, make_family, emit_graph6
+from bondlab.graphs import Graph, emit_graph6, enumerate_connected_graphs, make_family
 from bondlab.harness import (
     CHECK_NAMES,
     CSV_COLUMNS,
     REPORT_JSON_SCHEMA,
+    VerificationRecord,
     emit_comparison_table,
     emit_report,
     verify_corpus,
     verify_graph,
 )
+
+from conftest import random_connected_graph
 
 DATA = Path(__file__).parent / "data"
 
@@ -287,6 +292,48 @@ class TestEmitReport:
 
         with pytest.raises(KeyError, match="float"):
             harness._object_schema(Scored)
+
+    @staticmethod
+    def _dumps(records, summary):
+        """The report as ``json.dumps`` writes a payload built by ``asdict``."""
+        def report_dict(rec):
+            out = {("bprime" if k == "b_prime" else k): v for k, v in asdict(rec).items()}
+            out["checks"] = [asdict(c) for c in rec.checks]
+            return out
+
+        payload = {
+            "records": [report_dict(r) for r in records],
+            "summary": {
+                "graphs": summary.graphs,
+                "malformed": summary.malformed,
+                "failures": summary.failures,
+                "per_check": summary.per_check,
+                "bprime_counterexamples": list(summary.bprime_counterexamples),
+            },
+        }
+        return json.dumps(payload, indent=2) + "\n"
+
+    def _assert_json_as_dumps(self, records):
+        summary = harness._summarize(records)
+        assert emit_report(records, "json", summary) == self._dumps(records, summary)
+        assert emit_report(records, "json") == self._dumps(records, summary)
+
+    def test_json_as_dumps_on_corpus6(self):
+        lines = [emit_graph6(g) for g in enumerate_connected_graphs(6) if g.m > 0]
+        self._assert_json_as_dumps(verify_corpus(lines)[0])
+
+    def test_json_as_dumps_on_empty_and_malformed_records(self, sample):
+        self._assert_json_as_dumps([])
+        malformed, _ = verify_corpus(['a"b\\c', "\\\\", "\u00e9x"])
+        quoted = [VerificationRecord(graph6='D\\"{', error='malformed graph6: "\\" \u00e9 \t'),
+                  VerificationRecord(graph6="", error="")]
+        self._assert_json_as_dumps(malformed + quoted + sample[0])
+
+    @given(st.integers(min_value=2, max_value=7), st.randoms(use_true_random=False))
+    @settings(max_examples=25, deadline=None)
+    def test_json_as_dumps_on_random_graphs(self, n, rng):
+        g = random_connected_graph(rng, n, extra=rng.random())
+        self._assert_json_as_dumps([verify_graph(g, budget=10**5)])
 
     def test_json_key_order_stable(self, sample):
         records, summary = sample
