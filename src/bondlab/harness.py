@@ -14,8 +14,8 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field, fields, replace
-from operator import attrgetter
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from . import bounds as bnd
@@ -377,7 +377,7 @@ def emit_report(
         if summary is None:
             summary = _summarize(records)
         payload = {
-            "records": records,
+            "records": list(records),
             "summary": {
                 "graphs": summary.graphs,
                 "malformed": summary.malformed,

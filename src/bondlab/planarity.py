@@ -10,7 +10,10 @@ with its edges to ``H``; a face is *admissible* for a fragment when it holds
 every vertex the fragment attaches at.  Each round routes a path of the
 fragment with the fewest admissible faces through one of them, splitting
 that face in two.  A fragment with no admissible face proves the block
-nonplanar; a block whose fragments all get placed is planar.
+nonplanar; a block whose fragments all get placed is planar.  (A fragment
+with one admissible face has to go there; when every fragment has two or
+more, the theorem of Demoucron et al. is that any choice still extends to
+a plane embedding of a planar block.)
 
 Faces are kept as cyclic vertex lists that together walk every dart of the
 block once, so ``rot_next[v][u] = w`` for each consecutive ``u, v, w`` on a
@@ -138,18 +141,18 @@ def _embed_block(block: list[tuple[int, int]]) -> list[list[int]] | None:
     used = set(zip(cycle, closed)) | set(zip(closed, cycle))  # placed edges, both ways
 
     while len(used) < 2 * len(block):
-        best = best_faces = None
-        for fragment in _fragments(adj, placed, used):
-            fits = [i for i, f in enumerate(face_sets) if fragment[0] <= f]
+        best = None
+        for attach, component in _fragments(adj, placed, used):
+            fits = [i for i, f in enumerate(face_sets) if attach <= f]
             if not fits:
                 return None
-            if best is None or len(fits) < len(best_faces):
-                best, best_faces = fragment, fits
+            if best is None or len(fits) < len(best[2]):
+                best = attach, component, fits
                 if len(fits) == 1:
                     break
-        attach, component = best
+        attach, component, fits = best
         path = _path_through(adj, component, attach) if component else list(attach)
-        i = best_faces[0]
+        i = fits[0]
         face = faces[i]
         start, end = face.index(path[0]), face.index(path[-1])
         if start <= end:

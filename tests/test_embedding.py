@@ -20,7 +20,6 @@ from bondlab.graphs import Graph, enumerate_connected_graphs, make_family, parse
 from conftest import (
     random_connected_graph,
     random_rotation_system,
-    reference_is_planar,
     reference_sweep,
     reference_sweep_scalar,
 )
