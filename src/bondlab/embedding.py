@@ -29,20 +29,17 @@ absorbing, and then each scheme only over the at most ``2 deg(L)`` states
 entering ``L``: their first-return map, ``L``'s rotation followed by the
 traced jump to the next entry, has one cycle per face through ``L``.
 
-The flat order finds good signed schemes late, so past its first block the
-signed sweep races a seeded local search (:class:`_LocalSearch`) in
-doubling rounds of equal step shares.  A local-search scheme only raises
-the side's best value, after ``trace_faces`` re-traces it; it certifies the
-side when it attains the face-length cap, and ``exhaustive`` still means
-the sweep alone covered the whole quotient.
+The flat order finds good signed schemes late, so under early exit the
+signed sweep only probes its first block.  Past it, a face-building
+branch-and-bound (:func:`_signed_branch_and_bound`) decides "some signed
+scheme has chi >= t" for t from the cap down; the first t that holds is
+certified, as every larger t was refuted in full.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import permutations
 from typing import Callable
 
@@ -326,8 +323,10 @@ class SideResult:
     ``chi`` is the best value found (None if nothing was traced);
     ``exhaustive`` means the full quotiented space was enumerated;
     ``certified`` means the value is provably the maximum (exhaustive, a
-    proven combinatorial upper bound was attained, the planarity test, or
-    the planar identity on the non-orientable side).
+    proven combinatorial upper bound was attained, the planarity test, the
+    branch-and-bound's refutation of every larger value, or the planar
+    identity on the non-orientable side).  ``searched`` counts the schemes
+    the sweep traced and ``nodes`` the states the branch-and-bound placed.
     """
 
     chi: int | None
@@ -335,6 +334,7 @@ class SideResult:
     exhaustive: bool
     certified: bool
     searched: int = 0
+    nodes: int = 0
 
 
 @dataclass(frozen=True)
@@ -510,7 +510,6 @@ class _SchemeSpace:
         self.total = self.n_rot * self.sign_count
         self.states = 4 * core.m if signed else 2 * core.m
 
-    @cached_property
     def successor_tables(self):
         """Per-vertex numpy tables: ``(in_cols, fwd_tables, bwd_tables)``.
 
@@ -599,20 +598,6 @@ def _orientable_face_count(rotations: tuple[tuple[int, ...], ...]) -> int:
 # -- vectorised sweep --------------------------------------------------------
 
 
-def _signed_next(fwd, bwd, neg):
-    """Signed next-state table from per-dart successors and signs (0 or 1).
-
-    State ``2d + s`` is dart ``d`` walked in direction ``s``; crossing a
-    negative dart flips the direction, and direction 1 leaves by ``bwd``.
-    """
-    import numpy as np
-
-    nxt = np.empty((len(fwd), 2 * fwd.shape[1]), dtype=np.int16)
-    nxt[:, 0::2] = 2 * np.where(neg == 0, fwd, bwd) + neg  # states (d, 0)
-    nxt[:, 1::2] = 2 * np.where(neg == 1, fwd, bwd) + (1 - neg)  # states (d, 1)
-    return nxt
-
-
 def _contracted_tracer(space: _SchemeSpace):
     """Tracing by contraction: ``(window_chi, max_span)`` for ``space``.
 
@@ -640,7 +625,7 @@ def _contracted_tracer(space: _SchemeSpace):
     signed = space.signed
     signs = space.sign_count
 
-    in_cols, fwd_tables, bwd_tables = space.successor_tables
+    in_cols, fwd_tables, bwd_tables = space.successor_tables()
 
     free_bits = np.zeros(nd, dtype=np.int64)
     free_mask_cols = np.zeros(nd, dtype=bool)
@@ -692,7 +677,10 @@ def _contracted_tracer(space: _SchemeSpace):
             sign_mask = keys % signs + 1
             neg = ((sign_mask[:, None] >> free_bits[None, :]) & 1).astype(np.int16)
             neg &= free_mask_cols[None, :]
-            nxt = _signed_next(fwd, bwd, neg)
+            # State (d, s) leaves by bwd in direction 1; a negative dart flips s.
+            nxt = np.empty((count, 2 * nd), dtype=np.int16)
+            nxt[:, 0::2] = 2 * np.where(neg == 0, fwd, bwd) + neg
+            nxt[:, 1::2] = 2 * np.where(neg == 1, fwd, bwd) + (1 - neg)
         rows = np.arange(0, count * n_states, n_states, dtype=np.intp)[:, None]
         reach = (nxt + rows).ravel()
         entering = (enter + rows).ravel()
@@ -757,17 +745,18 @@ def _contracted_tracer(space: _SchemeSpace):
     return window_chi, max_span
 
 
-def _sweep_vector(space: _SchemeSpace, target: int, start: int,
+def _sweep_vector(space: _SchemeSpace, target: int,
                   limit: int) -> tuple[int, int | None, int]:
-    """Trace schemes ``start..limit-1`` in order; returns (best, best_index, reached).
+    """Trace schemes ``0..limit-1`` in order; returns (best, best_index, reached).
 
     ``reached`` is one past the last scheme traced: ``limit``, or less once
     ``target`` is hit.  ``best_index`` is the first scheme that attains
-    ``best`` (None if none was traced).  Schemes are traced a window at a time by :func:`_contracted_tracer`:
-    once per distinct (other rotations, sign mask) pair away from the
-    fastest-changing vertex ``L``, then per scheme only through the states
-    entering ``L``.  A window starts at ``_VECTOR_BLOCK`` schemes, doubles
-    up to the tracer's cap, and never reaches past ``limit``.
+    ``best`` (None if none was traced).  Schemes are traced a window at a
+    time by :func:`_contracted_tracer`: once per distinct (other rotations,
+    sign mask) pair away from the fastest-changing vertex ``L``, then per
+    scheme only through the states entering ``L``.  A window starts at
+    ``_VECTOR_BLOCK`` schemes, doubles up to the tracer's cap, and never
+    reaches past ``limit``.
     """
     import numpy as np
 
@@ -775,7 +764,7 @@ def _sweep_vector(space: _SchemeSpace, target: int, start: int,
     best_index = None
     window_chi, max_span = _contracted_tracer(space)
     span = _VECTOR_BLOCK
-    index = start
+    index = 0
     while index < limit:
         end = min(limit, index + span)
         chi = window_chi(index, end)
@@ -795,294 +784,202 @@ def _sweep_vector(space: _SchemeSpace, target: int, start: int,
     return best, best_index, limit
 
 
-# -- local search on the signed side -----------------------------------------
-
-# Population size, and how many steps a member may take without a new best
-# score before it restarts from a random scheme.  Measured on the seven
-# costliest corpus6 graphs and K4,4, 12 relabellings each at 1.5e7 steps:
-# with 16 members every run reached the cap, K6 within 2.4M steps (median
-# 0.94M); 8 members needed up to 7.5M on K6 and 32 up to 4.2M.  Patience
-# 20 to 100 changed little.
-_SEARCH_MEMBERS = 16
-_SEARCH_PATIENCE = 50
-# A move tries at most this many other rotations at its vertex, a random
-# sample beyond it (a vertex of degree 7 has 720), so that one step traces
-# about one sweep block of schemes.  Below degree 7 every rotation is tried.
-_SEARCH_ROTATIONS = 240
+# -- branch-and-bound on the signed side ------------------------------------
 
 
-class _LocalSearch:
-    """Deterministic local search over the signed schemes of ``space``.
+def _signed_branch_and_bound(core: Graph, t: int,
+                             allowance: int) -> tuple[RotationSystem | None, int, bool]:
+    """Decide whether some non-orientable signed scheme of ``core`` has chi >= t.
 
-    A member is a scheme: one candidate rotation row per vertex and a sign
-    on every edge (tree edges too, so that each flip is a local move).  One
-    member starts from ``seed_rows`` (the orientable witness) with one
-    non-tree edge negative; the others, and every restart, are random
-    schemes from an RNG seeded by the core's edge list.  Each step gives
-    every member a vertex ``v`` drawn from the RNG and a batch of moves:
-    every other candidate rotation at ``v`` (up to ``_SEARCH_ROTATIONS``),
-    and flipping each edge at ``v``.  The batches of one step are traced
-    together by one min-label doubling over ``space.successor_tables``, and
-    each member takes its best move, even a worse one.  Moves rank by chi,
-    then by the sum of squared orbit lengths, which favours uneven faces: a
-    long face is what a later move can split.  Balanced sign patterns give
-    orientable embeddings and rank last.  A member that goes
-    ``_SEARCH_PATIENCE`` steps without a new best restarts.  Every traced
-    scheme counts as one toward ``run``'s allowance, which the caller
-    charges ``space.states`` steps each.
+    Returns ``(witness, nodes, decided)``.  Faces are built one state at a
+    time, extending the open face or starting one at the smallest unused
+    state; each state placed is a node, and the search stops undecided
+    rather than place more than ``allowance``.  Rotations are partial
+    ``succ``/``pred`` maps on the darts leaving a vertex that stay injective
+    and close no cycle shorter than its degree.  Spanning-tree edges stay +1
+    (switching at vertices makes that no loss); any other sign is chosen,
+    +1 first, when the walk first crosses its edge.  A closing face marks
+    its mirror orbit used.  At minimum degree 2 no orbit is its own mirror,
+    so a face takes at least ``2 girth`` states, counting the mirror of each
+    state placed: a branch is cut when its closed faces, the open one, and
+    one face per ``2 girth`` free states fall short of ``t - n + m``.
+    Vertices are numbered by descending degree, so the first faces go round
+    the busiest ones.  Choices sit on an explicit stack, so depth costs no
+    recursion.  A complete scheme counts if some edge is -1, which makes it
+    non-orientable, and only after :func:`trace_faces` re-traces it.
     """
+    order = sorted(range(core.n), key=lambda v: -core.degree(v))
+    rank = {v: i for i, v in enumerate(order)}
+    edges, _, tail, head = _dart_tables(
+        Graph.from_edges(core.n, [(rank[u], rank[v]) for u, v in core.edges()]))
+    m = len(edges)
+    need = t - core.n + m
+    span = 2 * int(girth(core))
+    outs: list[list[int]] = [[] for _ in order]
+    for d, u in enumerate(tail):
+        outs[u].append(d)
+    sign = [-1] * m  # -1 undecided, 0 for +1, 1 for -1
+    seen = {0}
+    for u in (queue := [0]):
+        for d in outs[u]:
+            if head[d] not in seen:
+                seen.add(head[d])
+                queue.append(head[d])
+                sign[d >> 1] = 0
 
-    def __init__(self, space: _SchemeSpace, seed_rows: tuple[int, ...] | None):
-        import numpy as np
+    # The darts leaving a vertex, linked into chains by its partial rotation;
+    # ``far`` maps each end of a chain to the other end.
+    succ, pred, far = [-1] * (2 * m), [-1] * (2 * m), list(range(2 * m))
+    links = [0] * core.n
 
-        g = space.g
-        self.space = space
-        # A str seed goes through SHA-512, so runs agree whatever PYTHONHASHSEED.
-        self.rng = random.Random(f"{g.n}:{space.edges}")
-        self.incident = [[i for i, e in enumerate(space.edges) if v in e] for v in range(g.n)]
-        # Fundamental cycles over GF(2): column j holds the edges of the cycle
-        # that non-tree edge j closes.  A sign pattern is balanced (the
-        # embedding orientable) iff every cycle has an even count of
-        # negative edges.
-        free = set(space.free_edges)
-        path = {0: np.zeros(g.m, dtype=np.int64)}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for i in self.incident[u]:
-                w = sum(space.edges[i]) - u
-                if i not in free and w not in path:
-                    path[w] = path[u].copy()
-                    path[w][i] ^= 1
-                    stack.append(w)
-        self.cycles = np.zeros((g.m, len(space.free_edges)), dtype=np.int64)
-        for j, i in enumerate(space.free_edges):
-            a, b = space.edges[i]
-            self.cycles[:, j] = path[a] ^ path[b]
-            self.cycles[i, j] = 1
-        self.trace = self._tracer()
-
-        members = _SEARCH_MEMBERS
-        self.rows = np.zeros((members, g.n), dtype=np.intp)
-        self.neg = np.zeros((members, g.m), dtype=bool)
-        for i in range(members):
-            self._restart(i)
-        if seed_rows is not None:
-            self.rows[0] = seed_rows
-            self.neg[0] = False
-            self.neg[0, space.free_edges[0]] = True
-        self.fresh = np.ones(members, dtype=bool)  # current scheme not traced yet
-        self.top = np.zeros(members, dtype=np.int64)  # best score since restart
-        self.stale = np.zeros(members, dtype=np.int64)
-        self.best_chi = -(10**9)
-        self.best = None  # (rows, neg) of the first scheme attaining best_chi
-
-    def _restart(self, i: int) -> None:
-        self.rows[i] = [self.rng.randrange(c) for c in self.space.rot_counts]
-        bits = self.rng.getrandbits(self.space.g.m)
-        self.neg[i] = [bits >> e & 1 for e in range(self.space.g.m)]
-
-    def _tracer(self):
-        """``trace(rows, neg)``: per scheme chi, orbit spread, and balance."""
-        import numpy as np
-
-        space = self.space
-        g = space.g
-        nd = 2 * g.m
-        n_states = space.states
-        in_cols, fwd_tables, bwd_tables = space.successor_tables
-        # The tables flattened into one, so that one gather reads every
-        # dart's successor: the dart entering ``v`` at slot ``j`` under row
-        # ``r`` sits at ``base[v] + r * deg(v) + j``.
-        head = np.zeros(nd, dtype=np.intp)
-        offset = np.zeros(nd, dtype=np.intp)
-        width = np.zeros(nd, dtype=np.intp)
-        base = 0
-        for v in range(g.n):
-            head[in_cols[v]] = v
-            offset[in_cols[v]] = base + np.arange(len(in_cols[v]))
-            width[in_cols[v]] = len(in_cols[v])
-            base += fwd_tables[v].size
-        flat_fwd = np.concatenate([t.ravel() for t in fwd_tables])
-        flat_bwd = np.concatenate([t.ravel() for t in bwd_tables])
-        labels = np.arange(n_states, dtype=np.int16)
-        darts = (labels >> 1).astype(np.intp)
-        mirror_base = 2 * (darts ^ 1) + (1 ^ (labels & 1))
-        doubling = max(1, math.ceil(math.log2(n_states)))
-
-        def trace(rows, neg_edges):
-            count = len(rows)
-            at = rows[:, head] * width + offset
-            fwd = flat_fwd.take(at)
-            bwd = flat_bwd.take(at)
-            neg = np.repeat(neg_edges, 2, axis=1).astype(np.int16)  # darts 2e, 2e + 1
-            offsets = np.arange(0, count * n_states, n_states, dtype=np.intp)[:, None]
-            reach = (_signed_next(fwd, bwd, neg) + offsets).ravel()
-            lbl = np.tile(labels, count)
-            for _ in range(doubling):
-                np.minimum(lbl, lbl.take(reach), out=lbl)
-                reach = reach.take(reach)
-            lbl = lbl.reshape(count, n_states)
-            roots = lbl == labels
-            roots &= lbl.take((mirror_base ^ neg[:, darts]) + offsets) >= labels
-            sizes = np.bincount((lbl + offsets).ravel(), minlength=count * n_states)
-            spread = (sizes.reshape(count, n_states) ** 2).sum(axis=1)
-            balanced = ~((neg_edges.astype(np.int64) @ self.cycles) & 1).any(axis=1)
-            return g.n - g.m + roots.sum(axis=1), spread, balanced
-
-        return trace
-
-    def run(self, target: int, allowance: int) -> int:
-        """Take steps until a scheme reaches ``target`` or ``allowance`` schemes
-        are traced; returns how many were traced."""
-        import numpy as np
-
-        rng = self.rng
-        n = self.space.g.n
-        scale = self.space.states ** 2 + 1  # above any orbit spread
-        used = 0
-        while used < allowance and self.best_chi < target:
-            # Each move sets rotation ``row`` (-1: none) at ``vertex`` and
-            # flips ``edge`` (-1: none); a fresh member's one move does neither.
-            vertex, row, edge, sizes = [], [], [], []
-            for i in range(len(self.rows)):
-                if self.fresh[i]:
-                    vertex.append(0)
-                    row.append(-1)
-                    edge.append(-1)
-                    sizes.append(1)
-                    continue
-                v = rng.randrange(n)
-                current = int(self.rows[i, v])
-                count = self.space.rot_counts[v]
-                if count - 1 > _SEARCH_ROTATIONS:
-                    others = rng.sample(range(count - 1), _SEARCH_ROTATIONS)
-                    others = [c + (c >= current) for c in others]
-                else:
-                    others = [*range(current), *range(current + 1, count)]
-                flips = self.incident[v]
-                vertex += [v] * (len(others) + len(flips))
-                row += others + [-1] * len(flips)
-                edge += [-1] * len(others) + flips
-                sizes.append(len(others) + len(flips))
-            take = min(allowance - used, len(vertex))
-            vertex, row, edge = (np.array(x[:take], dtype=np.intp) for x in (vertex, row, edge))
-            owner = np.repeat(np.arange(len(sizes)), sizes)[:take]
-            rows = self.rows[owner]
-            neg = self.neg[owner]
-            turned = np.flatnonzero(row >= 0)
-            rows[turned, vertex[turned]] = row[turned]
-            flipped = np.flatnonzero(edge >= 0)
-            neg[flipped, edge[flipped]] ^= True
-            chi, spread, balanced = self.trace(rows, neg)
-            used += take
-            score = np.where(balanced, -(1 << 62), chi * scale + spread)
-            signed_chi = np.where(balanced, -(10**9), chi)
-            k = int(signed_chi.argmax())
-            if signed_chi[k] > self.best_chi:
-                self.best_chi = int(signed_chi[k])
-                self.best = (rows[k].copy(), neg[k].copy())
-            bounds = np.minimum(np.cumsum([0, *sizes]), take)
-            for i in range(len(sizes)):
-                lo, hi = bounds[i], bounds[i + 1]
-                if lo == hi:
-                    continue
-                top = score[lo:hi].max()
-                ties = np.flatnonzero(score[lo:hi] == top)
-                pick = lo + ties[rng.randrange(len(ties))]
-                self.rows[i] = rows[pick]
-                self.neg[i] = neg[pick]
-                if self.fresh[i] or top > self.top[i]:
-                    self.fresh[i] = False
-                    self.top[i] = top
-                    self.stale[i] = 0
-                else:
-                    self.stale[i] += 1
-                    if self.stale[i] > _SEARCH_PATIENCE:
-                        self._restart(i)
-                        self.fresh[i] = True
-        return used
-
-    def witness(self) -> RotationSystem:
-        """The first scheme that attained ``best_chi``, re-traced by ``trace_faces``."""
-        rows, neg = self.best
-        space = self.space
-        rs = RotationSystem(
-            rotations=tuple(space.candidates[v][rows[v]] for v in range(space.g.n)),
-            negative_edges=frozenset(space.edges[i] for i in range(space.g.m) if neg[i]),
-        )
-        summary = trace_faces(space.g, rs)
-        if summary.chi != self.best_chi or summary.orientable:
-            raise AssertionError("local search scheme does not re-trace to its value")
+    def witness() -> RotationSystem:
+        rotations = [()] * core.n
+        for v, darts in enumerate(outs):
+            a, rot = darts[0], []
+            for _ in darts:
+                rot.append(order[head[a]])
+                a = succ[a]
+            rotations[order[v]] = tuple(rot)
+        negative = {tuple(sorted((order[u], order[v]))) for (u, v), s in zip(edges, sign) if s}
+        rs = RotationSystem(tuple(rotations), frozenset(negative))
+        traced = trace_faces(core, rs)
+        if traced.chi < t or traced.orientable:
+            raise AssertionError("branch-and-bound scheme does not re-trace to its value")
         return rs
+
+    used = [False] * (4 * m)
+    trail: list = []  # undo records: a state marked used, ~edge for a sign, a link
+    choices: list[list] = []  # trail length, registers, subject, alternatives, next
+    closed, unused, cur, start, scan, nodes = 0, 4 * m, -1, -1, 0, 0
+    while True:
+        subject = None
+        while closed + 1 + unused // span >= need:
+            if cur < 0:
+                if unused == 0:
+                    if closed >= need and 1 in sign:
+                        return witness(), nodes, True
+                    break
+                while used[scan]:
+                    scan += 1
+                cur = start = scan
+            else:
+                d = cur >> 1
+                if sign[d >> 1] < 0:
+                    subject, alternatives = ~(d >> 1), (0, 1)
+                    break
+                a, s2 = d ^ 1, (cur & 1) ^ sign[d >> 1]
+                b = pred[a] if s2 else succ[a]
+                if b < 0:
+                    v = head[d]
+                    closing = links[v] == len(outs[v]) - 1
+                    ends = succ if s2 else pred
+                    subject = (a, s2)
+                    alternatives = [c for c in outs[v]
+                                    if c != a and ends[c] < 0 and (closing or far[a] != c)]
+                    break
+                cur = 2 * b + s2
+                if cur == start:
+                    closed += 1
+                    cur = -1
+                    x = start
+                    while True:  # mark the mirror orbit used
+                        d, s2 = x >> 1, (x & 1) ^ sign[x >> 2]
+                        used[mirror := 2 * (d ^ 1) + (1 ^ s2)] = True
+                        trail.append(mirror)
+                        x = 2 * (pred[d ^ 1] if s2 else succ[d ^ 1]) + s2
+                        if x == start:
+                            break
+                    continue
+            if nodes == allowance:
+                return None, nodes, False
+            nodes += 1
+            used[cur] = True
+            trail.append(cur)
+            unused -= 2  # the state and its mirror
+        if subject is not None:
+            choices.append([len(trail), (closed, unused, cur, start, scan),
+                            subject, alternatives, 0])
+        while choices and choices[-1][4] == len(choices[-1][3]):
+            choices.pop()
+        if not choices:
+            return None, nodes, True
+        top = choices[-1]
+        mark, (closed, unused, cur, start, scan), subject, alternatives, k = top
+        top[4] = k + 1
+        while len(trail) > mark:
+            rec = trail.pop()
+            if type(rec) is tuple:
+                x, y, sx, ey = rec
+                succ[x] = pred[y] = -1
+                links[tail[x]] -= 1
+                if sx != y:
+                    far[sx], far[ey] = x, y
+            elif rec < 0:
+                sign[~rec] = -1
+            else:
+                used[rec] = False
+        if type(subject) is int:
+            sign[~subject] = alternatives[k]
+            trail.append(subject)
+        else:
+            a, s2 = subject
+            x, y = (alternatives[k], a) if s2 else (a, alternatives[k])
+            sx, ey = far[x], far[y]
+            succ[x], pred[y] = y, x
+            links[tail[x]] += 1
+            if sx != y:
+                far[sx], far[ey] = ey, sx
+            trail.append((x, y, sx, ey))
 
 
 def _search_side(core: Graph, signed: bool, cap: int, early_exit: bool, left: int,
-                 strict: bool, lift: Callable[[RotationSystem], RotationSystem],
-                 seed_rows: tuple[int, ...] | None = None,
-                 ) -> tuple[SideResult, tuple[int, ...] | None]:
+                 strict: bool, lift: Callable[[RotationSystem], RotationSystem]) -> SideResult:
     """Search one orientability class of ``core``, whose chi is at most ``cap``.
 
-    Returns the side and the candidate rows of its witness when the sweep
-    found it.  Every scheme traced costs ``space.states`` steps, and the
-    side traces only what ``left`` pays for in full, so it costs
-    ``searched * space.states`` steps.  The sweep (:func:`_sweep_vector`)
-    enumerates the flat order and reports the first scheme attaining the
-    best value.
-
-    Under early exit the signed side races the sweep against
-    :class:`_LocalSearch`, seeded by ``seed_rows`` (the orientable
-    witness), once the first ``_VECTOR_BLOCK`` schemes neither reach the
-    cap nor end the space: a local-search round as long as the sweep's
-    last window, then a sweep window twice as long that resumes where the
-    last stopped, and so on, until one reaches the cap, the sweep ends the
-    space, or the budget cannot pay for one more scheme.  ``searched``
-    counts the schemes of both, and ``exhaustive`` the sweep's alone.
-    Strict mode raises when the budget stops the side short of both the
-    end of the space and the target.
+    The sweep (:func:`_sweep_vector`) enumerates the flat order and reports
+    the first scheme attaining the best value.  Every scheme traced costs
+    ``space.states`` steps, and the sweep traces only what ``left`` pays
+    for in full.  Under early exit the signed sweep is a probe of the first
+    ``_VECTOR_BLOCK`` schemes; if it neither reaches the cap nor ends the
+    space, :func:`_signed_branch_and_bound` decides chi >= t for t from the
+    cap down to the probe's best + 1, each node one step of what the probe
+    left.  The first t that holds is the side's chi, and if none does the
+    probe's best is; either way every larger t was refuted in full, so the
+    side is certified.  ``searched`` counts the sweep's schemes and
+    ``nodes`` the search's; ``exhaustive`` means the sweep alone covered
+    the whole quotient.  Strict mode raises when the budget stops the side
+    before it is decided.
     """
     space = _SchemeSpace(core, signed)
     target = cap if early_exit else 10**9
-    afford = max(0, left // space.states)
-    limit = min(space.total, afford)
-    racing = signed and early_exit
-    first = min(limit, _VECTOR_BLOCK) if racing else limit
-    best, index, reached = _sweep_vector(space, target, 0, first)
-    searched = reached
-    search = None
-    if racing and best < target and reached < limit:
-        search = _LocalSearch(space, seed_rows)
-        window = reached
-        while best < target and reached < space.total and searched < afford:
-            searched += search.run(target, min(window, afford - searched))
-            if search.best_chi > best:
-                best, index = search.best_chi, None
-            if best >= target or searched == afford:
+    limit = min(space.total, max(0, left // space.states))
+    probe = signed and early_exit
+    best, index, searched = _sweep_vector(space, target,
+                                          min(limit, _VECTOR_BLOCK) if probe else limit)
+    witness = None if index is None else space.scheme(index)
+    exhaustive = searched == space.total
+    decided = exhaustive or best >= target
+    nodes = 0
+    if probe and witness is not None and not decided:
+        allowance = left - searched * space.states
+        for t in range(cap, best, -1):
+            found, spent, decided = _signed_branch_and_bound(core, t, allowance - nodes)
+            nodes += spent
+            if found is not None:
+                best, witness = t, found
+            if found is not None or not decided:
                 break
-            window *= 2
-            end = min(space.total, reached + min(window, afford - searched))
-            chi, at, stop = _sweep_vector(space, target, reached, end)
-            searched += stop - reached
-            reached = stop
-            if chi > best:
-                best, index = chi, at
-    if strict and reached < space.total and best < target:
+    if strict and not decided:
         raise BudgetExceededError("face-tracing budget exhausted in strict mode")
-    rows = witness = None
-    if index is not None:
-        rows, witness = space.decode(index)[0], space.scheme(index)
-    elif search is not None:  # the local search holds the best scheme
-        witness = search.witness()
     found = witness is not None
-    exhaustive = reached == space.total
-    side = SideResult(
+    return SideResult(
         chi=best if found else None,
         witness=lift(witness) if found else None,
         exhaustive=exhaustive,
-        certified=found and (exhaustive or best >= cap),
+        certified=found and (decided or best >= cap),
         searched=searched,
+        nodes=nodes,
     )
-    return side, rows
 
 
 def max_euler_characteristic(
@@ -1106,20 +1003,23 @@ def max_euler_characteristic(
     certified at 2 with the test's rotation system as its witness, after
     its faces are counted again independently; it has ``searched = 0`` and
     ``exhaustive`` False.  A nonplanar core's orientable cap drops to 0.
-    The signed sweep races a local search seeded by the orientable witness,
-    and a local-search witness that attains the face-length cap certifies
-    the side.  ``early_exit=False`` skips the planarity test and runs the
-    sweeps alone over the full quotient so the ``exhaustive`` flag can be
-    earned, not just ``certified``.
+    The signed sweep probes one block and, if that neither reaches the cap
+    nor ends the space, the branch-and-bound decides the side exactly, so a
+    certified signed value below the cap was reached by refuting every
+    larger one in full.  ``early_exit=False`` skips the planarity test and
+    runs the sweeps alone over the full quotient so the ``exhaustive`` flag
+    can be earned, not just ``certified``.
 
     Budget is counted in face-tracing steps and is a hard cap: each scheme
-    traced, by a sweep or by the local search, costs its count of states,
-    ``2m`` orientable and ``4m`` signed on a core of ``m`` edges, and a side
-    traces only the schemes that what remains pays for in full.  So
-    ``steps_used`` is ``2m`` times the orientable side's ``searched`` plus
-    ``4m`` times the signed side's, at most ``budget``; the planarity test
-    is not charged.  ``budget_stopped`` says some side ran out short of its
-    target and its space.  In strict mode running out raises
+    a sweep traces costs its count of states, ``2m`` orientable and ``4m``
+    signed on a core of ``m`` edges, and a side traces only the schemes
+    that what remains pays for in full; each state the branch-and-bound
+    places costs one step, and it stops before placing one the budget does
+    not cover.  So ``steps_used`` is ``2m`` times the orientable side's
+    ``searched``, plus ``4m`` times the signed side's, plus its ``nodes``,
+    at most ``budget``; the planarity test is not charged.  A node takes far
+    more wall time than a sweep step.  ``budget_stopped`` says some side ran
+    out before it was decided.  In strict mode running out raises
     :class:`BudgetExceededError`; otherwise partial results are returned
     with flags cleared.
     """
@@ -1168,9 +1068,8 @@ def max_euler_characteristic(
             if core.n - core.m + _orientable_face_count(rotations) != 2:
                 raise AssertionError("planar rotation system does not re-trace to chi 2")
             or_side = SideResult(chi=2, witness=lift(plane), exhaustive=False, certified=True)
-            or_rows = None
     if or_side is None:
-        or_side, or_rows = _search_side(core, False, cap_or, early_exit, budget, strict, lift)
+        or_side = _search_side(core, False, cap_or, early_exit, budget, strict, lift)
     sides_searched = [or_side]
     steps = 2 * core.m * or_side.searched
     nonor_side: SideResult | None = None
@@ -1184,10 +1083,10 @@ def max_euler_characteristic(
             # The core has a cycle (it is not a tree, which returned above,
             # and both reductions keep the cycle rank), so some edge sign is
             # free and the signed space is not empty.
-            nonor_side, _ = _search_side(core, True, cap_nonor, early_exit, budget - steps,
-                                         strict, lift, or_rows)
+            nonor_side = _search_side(core, True, cap_nonor, early_exit, budget - steps,
+                                      strict, lift)
             sides_searched.append(nonor_side)
-            steps += 4 * core.m * nonor_side.searched
+            steps += 4 * core.m * nonor_side.searched + nonor_side.nodes
 
     # Combine.  The non-orientable side never exceeds 1, so a certified
     # planar outcome settles the overall maximum by itself.

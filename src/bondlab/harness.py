@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 
 from . import bounds as bnd
 from .bondage import bondage_number, compute_b_prime, hartnell_rall_bound
+from .domination import DEFAULT_VERTEX_LIMIT
 from .domination import domination_number  # noqa: F401 (perfbench/run.py:install_tracer wraps it)
 from .embedding import DEFAULT_BUDGET, ChiSearchResult, max_euler_characteristic
 from .graphs import Graph, GraphFormatError, degree_stats, emit_graph6, girth, parse_graph6
@@ -196,6 +197,11 @@ def _verify_line(args: tuple[str, int, bool, int | None]) -> VerificationRecord:
         g = parse_graph6(line)
         if g.m < 1:
             return VerificationRecord(graph6=line, error="graph has no edges")
+        if g.n > DEFAULT_VERTEX_LIMIT:
+            return VerificationRecord(
+                graph6=line,
+                error=f"instance-size guard: n={g.n} exceeds limit {DEFAULT_VERTEX_LIMIT}",
+            )
         return verify_graph(g, budget=budget, strict=strict, bondage_cap=cap)
     except GraphFormatError as exc:
         return VerificationRecord(graph6=line, error=f"malformed graph6: {exc}")
@@ -208,7 +214,8 @@ def verify_corpus(
     bondage_cap: int | None = None,
     jobs: int = 1,
 ) -> tuple[list[VerificationRecord], CorpusSummary]:
-    """Verify every graph6 line; malformed lines are recorded, not fatal.
+    """Verify every graph6 line; malformed lines, and graphs above the
+    domination search's vertex limit, are recorded, not fatal.
 
     Records come back in input order regardless of ``jobs``, so output is
     byte-identical for any parallelism degree.

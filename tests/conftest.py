@@ -190,9 +190,8 @@ class _Budget:
         return True
 
 
-def reference_sweep_scalar(space, target: int, start: int,
-                           limit: int) -> tuple[int, int | None, int]:
-    """The pure-Python sweep: each scheme ``start..limit-1`` traced in full.
+def reference_sweep_scalar(space, target: int, limit: int) -> tuple[int, int | None, int]:
+    """The pure-Python sweep: each scheme ``0..limit-1`` traced in full.
 
     Same contract as ``embedding._sweep_vector``: returns (best, best_index,
     reached), where ``reached`` is one past the last scheme traced
@@ -210,7 +209,7 @@ def reference_sweep_scalar(space, target: int, start: int,
     stamp_unsigned = [-1] * nd
     stamp_signed = [-1] * (2 * nd)
     digits = None
-    for index in range(start, limit):
+    for index in range(limit):
         new_digits, sign_mask = space.decode(index)
         for v in range(g.n):
             if digits is not None and new_digits[v] == digits[v]:
@@ -263,23 +262,21 @@ def reference_sweep_scalar(space, target: int, start: int,
     return best, best_index, limit
 
 
-def reference_sweep(space, target: int, start: int, limit: int) -> tuple[int, int | None, int]:
-    """:func:`reference_sweep_vector` over schemes ``start..limit-1``.
+def reference_sweep(space, target: int, limit: int) -> tuple[int, int | None, int]:
+    """:func:`reference_sweep_vector` over schemes ``0..limit-1``.
 
-    A budget of exactly ``limit - start`` schemes' states makes its last
-    block shrink to end at ``limit``, and the next charge is refused there.
+    A budget of exactly ``limit`` schemes' states makes its last block
+    shrink to end at ``limit``, and the next charge is refused there.
     """
-    budget = _Budget((limit - start) * space.states, strict=False)
-    return reference_sweep_vector(space, target, budget, start)
+    budget = _Budget(limit * space.states, strict=False)
+    return reference_sweep_vector(space, target, budget)
 
 
-def reference_sweep_vector(space, target: int, budget,
-                           start: int = 0) -> tuple[int, int | None, int]:
+def reference_sweep_vector(space, target: int, budget) -> tuple[int, int | None, int]:
     """The numpy sweep as it traced every scheme in full, block by block.
 
-    Kept verbatim apart from its name and the ``start`` index it resumes
-    at: each block builds the whole next-state table per scheme and
-    min-label doubles over all its states.
+    Kept verbatim apart from its name: each block builds the whole
+    next-state table per scheme and min-label doubles over all its states.
     """
     import numpy as np
 
@@ -318,7 +315,7 @@ def reference_sweep_vector(space, target: int, budget,
     doubling = max(1, math.ceil(math.log2(n_states)))
     arange_states = np.arange(n_states, dtype=np.int16)
 
-    index = start
+    index = 0
     while index < space.total:
         # The last block shrinks to what the budget still covers, so the
         # sweep reaches the same scheme as the scalar one when it runs out.

@@ -201,6 +201,14 @@ class TestVerifyCorpus:
         assert summary.failures == 0
         assert records[1].error is not None
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_graph_above_the_vertex_limit_does_not_abort(self, jobs):
+        lines = [emit_graph6(make_family("pn", 41)), emit_graph6(make_family("cn", 5))]
+        records, summary = verify_corpus(lines, jobs=jobs)
+        assert records[0].error == "instance-size guard: n=41 exceeds limit 40"
+        assert records[1].error is None and records[1].chi == 2
+        assert summary.graphs == 2 and summary.malformed == 1
+
     def test_empty_corpus(self):
         records, summary = verify_corpus([])
         assert records == [] and summary.graphs == 0 and summary.ok
