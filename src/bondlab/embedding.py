@@ -29,8 +29,7 @@ absorbing, and then each scheme only over the at most ``2 deg(L)`` states
 entering ``L``: their first-return map, ``L``'s rotation followed by the
 traced jump to the next entry, has one cycle per face through ``L``.
 
-The flat order finds good signed schemes late, so under early exit the
-signed sweep only probes its first block.  Past it, a face-building
+Under early exit the signed side is never swept: a face-building
 branch-and-bound (:func:`_signed_branch_and_bound`) decides "some signed
 scheme has chi >= t" for t from the cap down; the first t that holds is
 certified, as every larger t was refuted in full.
@@ -320,13 +319,14 @@ def ringel_chi(family: str, *params: int, side: str = "overall") -> int:
 class SideResult:
     """Outcome for one orientability class.
 
-    ``chi`` is the best value found (None if nothing was traced);
+    ``chi`` is the best value found (None if nothing was found);
     ``exhaustive`` means the full quotiented space was enumerated;
     ``certified`` means the value is provably the maximum (exhaustive, a
     proven combinatorial upper bound was attained, the planarity test, the
     branch-and-bound's refutation of every larger value, or the planar
     identity on the non-orientable side).  ``searched`` counts the schemes
-    the sweep traced and ``nodes`` the states the branch-and-bound placed.
+    the sweep traced, 0 on a signed side under early exit, which is never
+    swept, and ``nodes`` the states the branch-and-bound placed.
     """
 
     chi: int | None
@@ -613,9 +613,9 @@ def _contracted_tracer(space: _SchemeSpace):
     ``2 deg(L)`` states entering ``L``; its cycles are the faces through
     ``L``, counted by a second doubling.  On the signed side
     ``mirror(leave(e))`` lies on the mirror orbit of ``e``'s, which pairs
-    orbits into faces.  Past one block, a range is capped so that neither
-    stage's arrays hold more than a quarter of the cells of one block's
-    full next-state table.
+    orbits into faces.  A range is capped, the first one included, so that
+    neither stage's arrays hold more than a quarter of the cells of one
+    block's full next-state table.
     """
     import numpy as np
 
@@ -739,8 +739,14 @@ def _contracted_tracer(space: _SchemeSpace):
         return min(span, signs * (-(-span // per_prefix) + 1))
 
     cells = _VECTOR_BLOCK * n_states // 4
+
+    def fits(span):
+        return span * width <= cells and pairs_at_most(span) * n_states <= cells
+
     max_span = _VECTOR_BLOCK
-    while 2 * max_span * width <= cells and pairs_at_most(2 * max_span) * n_states <= cells:
+    while max_span > 1 and not fits(max_span):
+        max_span //= 2
+    while fits(2 * max_span):
         max_span *= 2
     return window_chi, max_span
 
@@ -755,15 +761,15 @@ def _sweep_vector(space: _SchemeSpace, target: int,
     time by :func:`_contracted_tracer`: once per distinct (other rotations,
     sign mask) pair away from the fastest-changing vertex ``L``, then per
     scheme only through the states entering ``L``.  A window starts at
-    ``_VECTOR_BLOCK`` schemes, doubles up to the tracer's cap, and never
-    reaches past ``limit``.
+    ``_VECTOR_BLOCK`` schemes, or the tracer's cap if that is smaller,
+    doubles up to the cap, and never reaches past ``limit``.
     """
     import numpy as np
 
     best = -(10**9)
     best_index = None
     window_chi, max_span = _contracted_tracer(space)
-    span = _VECTOR_BLOCK
+    span = min(_VECTOR_BLOCK, max_span)
     index = 0
     while index < limit:
         end = min(limit, index + span)
@@ -890,7 +896,7 @@ def _signed_branch_and_bound(core: Graph, t: int,
                         if x == start:
                             break
                     continue
-            if nodes == allowance:
+            if nodes >= allowance:
                 return None, nodes, False
             nodes += 1
             used[cur] = True
@@ -936,39 +942,38 @@ def _search_side(core: Graph, signed: bool, cap: int, early_exit: bool, left: in
                  strict: bool, lift: Callable[[RotationSystem], RotationSystem]) -> SideResult:
     """Search one orientability class of ``core``, whose chi is at most ``cap``.
 
-    The sweep (:func:`_sweep_vector`) enumerates the flat order and reports
-    the first scheme attaining the best value.  Every scheme traced costs
-    ``space.states`` steps, and the sweep traces only what ``left`` pays
-    for in full.  Under early exit the signed sweep is a probe of the first
-    ``_VECTOR_BLOCK`` schemes; if it neither reaches the cap nor ends the
-    space, :func:`_signed_branch_and_bound` decides chi >= t for t from the
-    cap down to the probe's best + 1, each node one step of what the probe
-    left.  The first t that holds is the side's chi, and if none does the
-    probe's best is; either way every larger t was refuted in full, so the
-    side is certified.  ``searched`` counts the sweep's schemes and
-    ``nodes`` the search's; ``exhaustive`` means the sweep alone covered
-    the whole quotient.  Strict mode raises when the budget stops the side
+    Under early exit the signed side is decided by
+    :func:`_signed_branch_and_bound` alone: it decides chi >= t for t from
+    the cap down, each node one step of ``left``.  The first t that holds is
+    the side's chi, certified because every larger t was refuted in full.
+    A core with a cycle has a one-face non-orientable scheme, so some t down
+    to ``n - m + 1`` holds unless the budget stops the search first.  Every
+    other side is swept (:func:`_sweep_vector`) in the flat order, which
+    reports the first scheme attaining the best value; each scheme traced
+    costs ``space.states`` steps, and the sweep traces only what ``left``
+    pays for in full.  ``searched`` counts the sweep's schemes and
+    ``nodes`` the search's; ``exhaustive`` means the sweep covered the
+    whole quotient.  Strict mode raises when the budget stops the side
     before it is decided.
     """
-    space = _SchemeSpace(core, signed)
-    target = cap if early_exit else 10**9
-    limit = min(space.total, max(0, left // space.states))
-    probe = signed and early_exit
-    best, index, searched = _sweep_vector(space, target,
-                                          min(limit, _VECTOR_BLOCK) if probe else limit)
-    witness = None if index is None else space.scheme(index)
-    exhaustive = searched == space.total
-    decided = exhaustive or best >= target
-    nodes = 0
-    if probe and witness is not None and not decided:
-        allowance = left - searched * space.states
-        for t in range(cap, best, -1):
-            found, spent, decided = _signed_branch_and_bound(core, t, allowance - nodes)
+    if signed and early_exit:
+        searched, exhaustive, nodes = 0, False, 0
+        for best in range(cap, core.n - core.m, -1):
+            witness, spent, decided = _signed_branch_and_bound(core, best, max(0, left - nodes))
             nodes += spent
-            if found is not None:
-                best, witness = t, found
-            if found is not None or not decided:
+            if witness is not None or not decided:
                 break
+        else:
+            raise AssertionError("no one-face non-orientable scheme on a core with a cycle")
+    else:
+        space = _SchemeSpace(core, signed)
+        target = cap if early_exit else 10**9
+        limit = min(space.total, max(0, left // space.states))
+        best, index, searched = _sweep_vector(space, target, limit)
+        witness = None if index is None else space.scheme(index)
+        exhaustive = searched == space.total
+        decided = exhaustive or best >= target
+        nodes = 0
     if strict and not decided:
         raise BudgetExceededError("face-tracing budget exhausted in strict mode")
     found = witness is not None
@@ -1003,12 +1008,12 @@ def max_euler_characteristic(
     certified at 2 with the test's rotation system as its witness, after
     its faces are counted again independently; it has ``searched = 0`` and
     ``exhaustive`` False.  A nonplanar core's orientable cap drops to 0.
-    The signed sweep probes one block and, if that neither reaches the cap
-    nor ends the space, the branch-and-bound decides the side exactly, so a
-    certified signed value below the cap was reached by refuting every
-    larger one in full.  ``early_exit=False`` skips the planarity test and
-    runs the sweeps alone over the full quotient so the ``exhaustive`` flag
-    can be earned, not just ``certified``.
+    The signed side is decided by the branch-and-bound alone, with no
+    sweep, so a certified signed value below the cap was reached by
+    refuting every larger one in full.  ``early_exit=False`` skips the
+    planarity test and the branch-and-bound and runs the sweeps alone over
+    the full quotient so the ``exhaustive`` flag can be earned, not just
+    ``certified``.
 
     Budget is counted in face-tracing steps and is a hard cap: each scheme
     a sweep traces costs its count of states, ``2m`` orientable and ``4m``
@@ -1016,12 +1021,13 @@ def max_euler_characteristic(
     that what remains pays for in full; each state the branch-and-bound
     places costs one step, and it stops before placing one the budget does
     not cover.  So ``steps_used`` is ``2m`` times the orientable side's
-    ``searched``, plus ``4m`` times the signed side's, plus its ``nodes``,
-    at most ``budget``; the planarity test is not charged.  A node takes far
-    more wall time than a sweep step.  ``budget_stopped`` says some side ran
-    out before it was decided.  In strict mode running out raises
-    :class:`BudgetExceededError`; otherwise partial results are returned
-    with flags cleared.
+    ``searched``, plus the signed side's ``nodes`` under early exit or
+    ``4m`` times its ``searched`` without, at most ``budget`` (no steps at
+    all when ``budget`` is negative); the planarity test is not charged.
+    A node takes far more wall time than a sweep step.  ``budget_stopped``
+    says some side ran out before it was decided.  In strict mode running
+    out raises :class:`BudgetExceededError`; otherwise partial results are
+    returned with flags cleared.
     """
     if g.n < 1:
         raise ValueError("empty graph")

@@ -1,6 +1,8 @@
+import json
 import random
 import tracemalloc
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,8 @@ from conftest import (
     reference_sweep,
     reference_sweep_scalar,
 )
+
+PERFBENCH_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data"
 
 
 def all_rotation_systems(g: Graph):
@@ -485,7 +489,7 @@ class TestContractedSweep:
 
 
 # ---------------------------------------------------------------------------
-# The signed side: a probe sweep, then the branch-and-bound
+# The signed side: the branch-and-bound alone under early exit
 # ---------------------------------------------------------------------------
 
 
@@ -537,8 +541,8 @@ class TestLocalSearchRace:
         _assert_witnesses_retrace(g, max_euler_characteristic(g, budget=10**6))
 
     def test_agrees_with_the_sweep_alone_where_it_certifies(self, corpus6):
-        # Without early exit there is no planarity step, probe or
-        # branch-and-bound: a side is certified by sweeping its whole space.
+        # Without early exit there is no planarity step or branch-and-bound:
+        # a side is certified by sweeping its whole space.
         rng = random.Random(7)
         graphs = corpus6 + [_relabelled(g, rng) for g in corpus6[-40:]]
         graphs += [make_family("kmn", 4, 4), make_family("petersen")]
@@ -573,17 +577,46 @@ class TestLocalSearchRace:
             outputs.append(done.stdout)
         assert outputs[0] == outputs[1] and outputs[0].count("certified=True") >= 3
 
-    def test_never_runs_on_the_stress_graphs_or_sparse_graphs(self, monkeypatch):
-        def refuse(core, t, allowance):
-            raise AssertionError("branch-and-bound started")
+    def test_no_signed_sweep_under_early_exit(self, corpus6, monkeypatch):
+        init = embedding._SchemeSpace.__init__
 
-        monkeypatch.setattr(embedding, "_signed_branch_and_bound", refuse)
+        def orientable_only(space, core, signed):
+            assert not signed, "signed scheme space built"
+            init(space, core, signed)
+
+        monkeypatch.setattr(embedding._SchemeSpace, "__init__", orientable_only)
         for g in _stress_graphs():
             max_euler_characteristic(g, budget=10**6)
         rng = random.Random(11)
         for _ in range(200):
-            g = _sparse_graph(rng, rng.randint(8, 14), rng.randint(2, 5))
-            max_euler_characteristic(g)
+            max_euler_characteristic(_sparse_graph(rng, rng.randint(8, 14), rng.randint(2, 5)))
+        for g in corpus6:
+            max_euler_characteristic(g, budget=3 * 10**7)
+
+    def test_stress_graphs_spend_their_leftover_steps_as_nodes(self):
+        # The orientable sweep stops each of them short of the budget by less
+        # than one scheme; the signed search spends the rest (28 steps on
+        # K3,3,3) and stays undecided.
+        for g in _stress_graphs():
+            result = max_euler_characteristic(g, budget=10**6)
+            m = embedding._core(g)[0].m
+            orientable = 2 * m * result.orientable.searched
+            nonor = result.nonorientable
+            assert nonor.searched == 0 and not nonor.certified and result.budget_stopped
+            assert result.steps_used == orientable + nonor.nodes <= 10**6
+            assert nonor.nodes == 10**6 - orientable
+        assert nonor.nodes == 28
+
+    def test_node_counts_on_the_sparse_pool(self):
+        # The benchmark's stored pool: 16 nonplanar signed sides, the worst
+        # at 302 nodes.
+        pool = json.loads((PERFBENCH_DATA / "sparse_pool.json").read_text())["rows"]
+        searched = 0
+        for row in pool:
+            side = max_euler_characteristic(parse_graph6(row[1])).nonorientable
+            assert side is not None and side.certified and side.nodes <= 700, (row[1], side)
+            searched += side.nodes > 0
+        assert searched == 16
 
     def test_node_counts_on_relabelled_corpus6(self, corpus6):
         # With vertices numbered by descending degree the worst signed side
@@ -675,20 +708,22 @@ class TestSignedBranchAndBound:
         _assert_witnesses_retrace(g, result)
 
     def test_budget_is_a_hard_cap(self):
-        # K5: 1,060 orientable steps, a probe of 163,840 that misses the
-        # signed cap, then a few dozen nodes that reach it.
+        # K5: 1,060 orientable steps, then a few dozen nodes that reach the
+        # signed cap.
         g = make_family("kn", 5)
         full = max_euler_characteristic(g)
         side = full.nonorientable
         m = embedding._core(g)[0].m
-        probed = 2 * m * full.orientable.searched + 4 * m * side.searched
-        assert side.nodes > 0 and side.certified and not full.budget_stopped
-        assert full.steps_used == probed + side.nodes
+        orientable = 2 * m * full.orientable.searched
+        assert side.nodes > 0 and side.searched == 0
+        assert side.certified and not full.budget_stopped
+        assert full.steps_used == orientable + side.nodes
         exact = max_euler_characteristic(g, budget=full.steps_used, strict=True)
         assert exact.certified and exact.steps_used == full.steps_used
-        for budget in (probed, probed + side.nodes // 2, full.steps_used - 1):
+        for budget in (orientable, orientable + side.nodes // 2, full.steps_used - 1):
             result = max_euler_characteristic(g, budget=budget)
-            assert result.steps_used == budget and result.nonorientable.nodes == budget - probed
+            assert result.steps_used == budget
+            assert result.nonorientable.nodes == budget - orientable
             assert not result.nonorientable.certified and not result.certified
             assert result.budget_stopped
             with pytest.raises(BudgetExceededError):
@@ -696,3 +731,8 @@ class TestSignedBranchAndBound:
         core = embedding._core(g)[0]
         assert embedding._signed_branch_and_bound(core, 1, side.nodes - 1) == (
             None, side.nodes - 1, False)
+
+    def test_no_node_at_an_allowance_of_zero_or_below(self):
+        core = embedding._core(make_family("kn", 5))[0]
+        for allowance in (-1, 0):
+            assert embedding._signed_branch_and_bound(core, 1, allowance) == (None, 0, False)
