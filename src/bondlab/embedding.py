@@ -6,33 +6,33 @@ encodes non-orientable embeddings.  Faces are traced as orbits of the
 next-dart map on (dart, direction) states; each face corresponds to a
 mirror-image pair of orbits, so the face count is the number of orbit pairs.
 
-The maximum-Euler-characteristic search enumerates a quotient of the scheme
-space (reflection symmetry always, plus a fixed pivot rotation where a
-vertex stabiliser provably acts fully symmetrically on the pivot's
-neighbourhood).  Two exactness certificates are tracked: ``exhaustive``
-means the full quotient was enumerated, and ``certified`` additionally
-covers early exits that reach a proven upper bound on the characteristic
-(combinatorial face-length counting, or the planarity test below), which
-is just as exact.
+Under early exit (the default) each orientability class is decided by a
+face-building branch-and-bound (:func:`_branch_and_bound`) that both finds
+and refutes: it decides "some scheme on this side has chi >= t" for t from
+the side's cap down, and the first t that holds is certified, as every
+larger t was refuted in full.  Caps come from combinatorial face-length
+counting.  A core whose cap allows the sphere is first tested for
+planarity (:mod:`.planarity`): a planar core is certified at chi 2 by the
+test's rotation system, once a count of its faces confirms it, with
+nothing searched; a nonplanar one has orientable chi at most 0.  Once the
+orientable side reaches the signed side's cap, the signed side cannot
+raise chi and is not searched.
 
-Under early exit, a core whose face-length cap allows the sphere is first
-tested for planarity (:mod:`.planarity`).  A planar core is certified at
-chi 2 by the test's rotation system, once a count of its faces confirms
-it, with nothing swept; a nonplanar one has orientable chi at most 0, so
-its orientable sweep stops at the first genus-1 scheme.
+Without early exit (``chi --exhaustive``) each side is swept over a
+quotient of its scheme space (reflection symmetry always, plus a fixed
+pivot rotation where a vertex stabiliser provably acts fully symmetrically
+on the pivot's neighbourhood).  The sweep runs in numpy in the flat order,
+where the sign mask changes fastest and then the rotation at the last
+vertex ``L`` with a choice.  It traces everything away from ``L`` once per
+distinct (other rotations, sign mask) pair, with the states entering ``L``
+made absorbing, and then each scheme only over the at most ``2 deg(L)``
+states entering ``L``: their first-return map, ``L``'s rotation followed by
+the traced jump to the next entry, has one cycle per face through ``L``.
 
-The sweep runs in numpy in the flat order, where the sign mask changes
-fastest and then the rotation at the last vertex ``L`` with a choice.  It
-traces everything away from ``L`` once per distinct
-(other rotations, sign mask) pair, with the states entering ``L`` made
-absorbing, and then each scheme only over the at most ``2 deg(L)`` states
-entering ``L``: their first-return map, ``L``'s rotation followed by the
-traced jump to the next entry, has one cycle per face through ``L``.
-
-Under early exit the signed side is never swept: a face-building
-branch-and-bound (:func:`_signed_branch_and_bound`) decides "some signed
-scheme has chi >= t" for t from the cap down; the first t that holds is
-certified, as every larger t was refuted in full.
+Two exactness certificates are tracked: ``exhaustive`` means the full
+quotient was swept, and ``certified`` covers every route to a proven
+maximum (an exhaustive sweep, an attained cap, the planarity test, or the
+branch-and-bound's refutations), which is just as exact.
 """
 
 from __future__ import annotations
@@ -325,8 +325,8 @@ class SideResult:
     proven combinatorial upper bound was attained, the planarity test, the
     branch-and-bound's refutation of every larger value, or the planar
     identity on the non-orientable side).  ``searched`` counts the schemes
-    the sweep traced, 0 on a signed side under early exit, which is never
-    swept, and ``nodes`` the states the branch-and-bound placed.
+    the sweep traced, 0 under early exit, where no side is swept, and
+    ``nodes`` the states the branch-and-bound placed, 0 without early exit.
     """
 
     chi: int | None
@@ -339,6 +339,15 @@ class SideResult:
 
 @dataclass(frozen=True)
 class ChiSearchResult:
+    """The overall maximum and each side's outcome.
+
+    ``nonorientable`` is None under ``orientable_only``, and under early
+    exit when the orientable side was certified at or above the signed
+    side's cap, so that the signed side could not raise chi.  ``steps_used``
+    is each side's ``nodes`` plus its ``searched`` times its count of states
+    (``2m`` orientable, ``4m`` signed, on a core of ``m`` edges).
+    """
+
     chi: int | None
     witness: RotationSystem | None
     exhaustive: bool
@@ -353,41 +362,6 @@ class ChiSearchResult:
 
 
 # -- exact reductions preserving chi ----------------------------------------
-
-
-def _reduce_graph(g: Graph) -> tuple[dict[int, set[int]], list[tuple]]:
-    """Strip pendant vertices and suppress suppressible degree-2 vertices.
-
-    Both moves preserve the set of surfaces the graph embeds in, hence chi
-    on both orientability classes.  Returns the core adjacency (original
-    labels) and the reduction ops, in order.
-    """
-    adj = {v: set(g.neighbors(v)) for v in range(g.n)}
-    ops: list[tuple] = []
-    changed = True
-    while changed and len(adj) > 1:
-        changed = False
-        for v in sorted(adj):
-            if len(adj) == 1:
-                break
-            deg = len(adj[v])
-            if deg == 1:
-                (x,) = adj[v]
-                adj[x].discard(v)
-                del adj[v]
-                ops.append(("pendant", v, x))
-                changed = True
-            elif deg == 2:
-                x, y = sorted(adj[v])
-                if x not in adj[y]:
-                    adj[x].discard(v)
-                    adj[y].discard(v)
-                    adj[x].add(y)
-                    adj[y].add(x)
-                    del adj[v]
-                    ops.append(("suppress", v, x, y))
-                    changed = True
-    return adj, ops
 
 
 def _lift_witness(core_rs: dict[int, list[int]], neg: set[tuple[int, int]],
@@ -416,20 +390,51 @@ def _lift_witness(core_rs: dict[int, list[int]], neg: set[tuple[int, int]],
 
 
 def _core(g: Graph) -> tuple[Graph, list[int], list[tuple]]:
-    """The reduced core relabelled 0..k-1, its original labels, and the ops."""
-    core_adj, ops = _reduce_graph(g)
-    core_labels = sorted(core_adj)
-    relabel = {v: i for i, v in enumerate(core_labels)}
-    core = Graph.from_edges(
-        len(core_labels),
-        [
-            (relabel[u], relabel[v])
-            for u in core_labels
-            for v in core_adj[u]
-            if u < v
-        ],
-    )
-    return core, core_labels, ops
+    """Strip pendant vertices and suppress suppressible degree-2 vertices.
+
+    Both moves preserve the set of surfaces the graph embeds in, hence chi
+    on both orientability classes.  One worklist holds the vertices of
+    degree at most 2, in label order first; a neighbour a move leaves at
+    degree at most 2 joins it again.  Returns the core relabelled 0..k-1
+    (``g`` itself when nothing reduces), its original labels, and the
+    reduction ops, in order.
+    """
+    adj = list(g.adjacency)
+    alive = (1 << g.n) - 1
+    ops: list[tuple] = []
+    work = [v for v in range(g.n) if adj[v].bit_count() <= 2]
+    for v in work:
+        if not alive & (alive - 1):
+            break  # one vertex left
+        if not alive >> v & 1:
+            continue
+        x, y = (adj[v] & -adj[v]).bit_length() - 1, adj[v].bit_length() - 1
+        if x == y:
+            ops.append(("pendant", v, x))
+        elif adj[x] >> y & 1:
+            continue  # suppressing v would double the edge x-y
+        else:
+            adj[x] |= 1 << y
+            adj[y] |= 1 << x
+            ops.append(("suppress", v, x, y))
+        alive ^= 1 << v
+        for u in {x, y}:
+            adj[u] ^= 1 << v
+            if adj[u].bit_count() <= 2:
+                work.append(u)
+    if not ops:
+        return g, list(range(g.n)), ops
+    labels = [v for v in range(g.n) if alive >> v & 1]
+    index = {v: i for i, v in enumerate(labels)}
+    masks = []
+    for v in labels:
+        rest, mask = adj[v], 0
+        while rest:
+            low = rest & -rest
+            mask |= 1 << index[low.bit_length() - 1]
+            rest ^= low
+        masks.append(mask)
+    return Graph(len(labels), masks), labels, ops
 
 
 # -- scheme space ------------------------------------------------------------
@@ -751,21 +756,17 @@ def _contracted_tracer(space: _SchemeSpace):
     return window_chi, max_span
 
 
-def _sweep_vector(space: _SchemeSpace, target: int,
-                  limit: int) -> tuple[int, int | None, int]:
-    """Trace schemes ``0..limit-1`` in order; returns (best, best_index, reached).
+def _sweep_vector(space: _SchemeSpace, limit: int) -> tuple[int, int | None]:
+    """Trace schemes ``0..limit-1`` in order; returns (best, best_index).
 
-    ``reached`` is one past the last scheme traced: ``limit``, or less once
-    ``target`` is hit.  ``best_index`` is the first scheme that attains
-    ``best`` (None if none was traced).  Schemes are traced a window at a
-    time by :func:`_contracted_tracer`: once per distinct (other rotations,
-    sign mask) pair away from the fastest-changing vertex ``L``, then per
-    scheme only through the states entering ``L``.  A window starts at
+    ``best_index`` is the first scheme that attains ``best`` (None if none
+    was traced).  Schemes are traced a window at a time by
+    :func:`_contracted_tracer`: once per distinct (other rotations, sign
+    mask) pair away from the fastest-changing vertex ``L``, then per scheme
+    only through the states entering ``L``.  A window starts at
     ``_VECTOR_BLOCK`` schemes, or the tracer's cap if that is smaller,
     doubles up to the cap, and never reaches past ``limit``.
     """
-    import numpy as np
-
     best = -(10**9)
     best_index = None
     window_chi, max_span = _contracted_tracer(space)
@@ -774,45 +775,40 @@ def _sweep_vector(space: _SchemeSpace, target: int,
     while index < limit:
         end = min(limit, index + span)
         chi = window_chi(index, end)
-        pos = 0
-        while True:
-            better = np.flatnonzero(chi[pos:] > best)
-            if better.size == 0:
-                break
-            pos += int(better[0])
-            best = int(chi[pos])
-            best_index = index + pos
-            if best >= target:
-                return best, best_index, index + pos + 1
-            pos += 1
+        pos = int(chi.argmax())  # the first of the window's best
+        if chi[pos] > best:
+            best, best_index = int(chi[pos]), index + pos
         index = end
         span = min(2 * span, max_span)
-    return best, best_index, limit
+    return best, best_index
 
 
-# -- branch-and-bound on the signed side ------------------------------------
+# -- face-building branch-and-bound -----------------------------------------
 
 
-def _signed_branch_and_bound(core: Graph, t: int,
-                             allowance: int) -> tuple[RotationSystem | None, int, bool]:
-    """Decide whether some non-orientable signed scheme of ``core`` has chi >= t.
+def _branch_and_bound(core: Graph, t: int, allowance: int,
+                      signed: bool) -> tuple[RotationSystem | None, int, bool]:
+    """Decide whether some scheme of ``core`` on the given side has chi >= t.
 
+    The side is non-orientable when ``signed``, orientable otherwise.
     Returns ``(witness, nodes, decided)``.  Faces are built one state at a
     time, extending the open face or starting one at the smallest unused
     state; each state placed is a node, and the search stops undecided
     rather than place more than ``allowance``.  Rotations are partial
     ``succ``/``pred`` maps on the darts leaving a vertex that stay injective
-    and close no cycle shorter than its degree.  Spanning-tree edges stay +1
-    (switching at vertices makes that no loss); any other sign is chosen,
-    +1 first, when the walk first crosses its edge.  A closing face marks
-    its mirror orbit used.  At minimum degree 2 no orbit is its own mirror,
-    so a face takes at least ``2 girth`` states, counting the mirror of each
-    state placed: a branch is cut when its closed faces, the open one, and
-    one face per ``2 girth`` free states fall short of ``t - n + m``.
-    Vertices are numbered by descending degree, so the first faces go round
-    the busiest ones.  Choices sit on an explicit stack, so depth costs no
-    recursion.  A complete scheme counts if some edge is -1, which makes it
-    non-orientable, and only after :func:`trace_faces` re-traces it.
+    and close no cycle shorter than its degree.  On the orientable side
+    every sign is +1 from the start.  On the signed side spanning-tree edges
+    stay +1 (switching at vertices makes that no loss); any other sign is
+    chosen, +1 first, when the walk first crosses its edge.  A closing face
+    marks its mirror orbit used.  At minimum degree 2 no orbit is its own
+    mirror, so a face takes at least ``2 girth`` states, counting the
+    mirror of each state placed: a branch is cut when its closed faces, the
+    open one, and one face per ``2 girth`` free states fall short of
+    ``t - n + m``.  Vertices are numbered by descending degree, so the first
+    faces go round the busiest ones.  Choices sit on an explicit stack, so
+    depth costs no recursion.  A complete scheme counts on the signed side
+    only if some edge is -1, which makes it non-orientable, and on either
+    side only after :func:`trace_faces` re-traces it.
     """
     order = sorted(range(core.n), key=lambda v: -core.degree(v))
     rank = {v: i for i, v in enumerate(order)}
@@ -824,7 +820,7 @@ def _signed_branch_and_bound(core: Graph, t: int,
     outs: list[list[int]] = [[] for _ in order]
     for d, u in enumerate(tail):
         outs[u].append(d)
-    sign = [-1] * m  # -1 undecided, 0 for +1, 1 for -1
+    sign = [-1 if signed else 0] * m  # -1 undecided, 0 for +1, 1 for -1
     seen = {0}
     for u in (queue := [0]):
         for d in outs[u]:
@@ -849,7 +845,7 @@ def _signed_branch_and_bound(core: Graph, t: int,
         negative = {tuple(sorted((order[u], order[v]))) for (u, v), s in zip(edges, sign) if s}
         rs = RotationSystem(tuple(rotations), frozenset(negative))
         traced = trace_faces(core, rs)
-        if traced.chi < t or traced.orientable:
+        if traced.chi < t or traced.orientable == signed:
             raise AssertionError("branch-and-bound scheme does not re-trace to its value")
         return rs
 
@@ -862,7 +858,7 @@ def _signed_branch_and_bound(core: Graph, t: int,
         while closed + 1 + unused // span >= need:
             if cur < 0:
                 if unused == 0:
-                    if closed >= need and 1 in sign:
+                    if closed >= need and (1 in sign) == signed:
                         return witness(), nodes, True
                     break
                 while used[scan]:
@@ -942,37 +938,36 @@ def _search_side(core: Graph, signed: bool, cap: int, early_exit: bool, left: in
                  strict: bool, lift: Callable[[RotationSystem], RotationSystem]) -> SideResult:
     """Search one orientability class of ``core``, whose chi is at most ``cap``.
 
-    Under early exit the signed side is decided by
-    :func:`_signed_branch_and_bound` alone: it decides chi >= t for t from
-    the cap down, each node one step of ``left``.  The first t that holds is
-    the side's chi, certified because every larger t was refuted in full.
-    A core with a cycle has a one-face non-orientable scheme, so some t down
-    to ``n - m + 1`` holds unless the budget stops the search first.  Every
-    other side is swept (:func:`_sweep_vector`) in the flat order, which
-    reports the first scheme attaining the best value; each scheme traced
-    costs ``space.states`` steps, and the sweep traces only what ``left``
-    pays for in full.  ``searched`` counts the sweep's schemes and
-    ``nodes`` the search's; ``exhaustive`` means the sweep covered the
-    whole quotient.  Strict mode raises when the budget stops the side
-    before it is decided.
+    Under early exit either side is decided by :func:`_branch_and_bound`
+    alone: it decides chi >= t for t from the cap down, by 2 on the
+    orientable side, whose chi is even, and by 1 on the signed side; each
+    node is one step of ``left``.  The first t that holds is the side's
+    chi, certified because every larger t was refuted in full.  Every core
+    with a cycle has a one- or two-face orientable scheme and a one-face
+    non-orientable scheme, so some t above ``n - m`` holds unless the budget
+    stops the search first.  Without early exit the side is swept
+    (:func:`_sweep_vector`) in the flat order, which reports the first
+    scheme attaining the best value; each scheme traced costs
+    ``space.states`` steps, and the sweep traces only what ``left`` pays
+    for in full.  ``searched`` counts the sweep's schemes and ``nodes`` the
+    search's; ``exhaustive`` means the sweep covered the whole quotient.
+    Strict mode raises when the budget stops the side before it is decided.
     """
-    if signed and early_exit:
+    if early_exit:
         searched, exhaustive, nodes = 0, False, 0
-        for best in range(cap, core.n - core.m, -1):
-            witness, spent, decided = _signed_branch_and_bound(core, best, max(0, left - nodes))
+        for best in range(cap, core.n - core.m, -1 if signed else -2):
+            witness, spent, decided = _branch_and_bound(core, best, max(0, left - nodes), signed)
             nodes += spent
             if witness is not None or not decided:
                 break
         else:
-            raise AssertionError("no one-face non-orientable scheme on a core with a cycle")
+            raise AssertionError("no scheme with at most two faces on a core with a cycle")
     else:
         space = _SchemeSpace(core, signed)
-        target = cap if early_exit else 10**9
-        limit = min(space.total, max(0, left // space.states))
-        best, index, searched = _sweep_vector(space, target, limit)
+        searched = min(space.total, max(0, left // space.states))
+        best, index = _sweep_vector(space, searched)
         witness = None if index is None else space.scheme(index)
-        exhaustive = searched == space.total
-        decided = exhaustive or best >= target
+        exhaustive = decided = searched == space.total
         nodes = 0
     if strict and not decided:
         raise BudgetExceededError("face-tracing budget exhausted in strict mode")
@@ -1006,28 +1001,32 @@ def max_euler_characteristic(
     Under early exit, when the face-length cap allows chi 2, the core is
     first tested for planarity.  A planar core's orientable side is
     certified at 2 with the test's rotation system as its witness, after
-    its faces are counted again independently; it has ``searched = 0`` and
+    its faces are counted again independently; it has ``nodes = 0`` and
     ``exhaustive`` False.  A nonplanar core's orientable cap drops to 0.
-    The signed side is decided by the branch-and-bound alone, with no
-    sweep, so a certified signed value below the cap was reached by
-    refuting every larger one in full.  ``early_exit=False`` skips the
-    planarity test and the branch-and-bound and runs the sweeps alone over
-    the full quotient so the ``exhaustive`` flag can be earned, not just
+    Both sides are then decided by the branch-and-bound, with no sweep, so
+    a certified value below a side's cap was reached by refuting every
+    larger one in full.  When the orientable side is certified at or above
+    the signed side's cap, the signed side cannot raise chi, so it is not
+    searched and ``nonorientable`` is None; the overall value is certified
+    by the orientable side alone.  ``early_exit=False`` skips the planarity
+    test and the branch-and-bound and sweeps both sides over the full
+    quotient so the ``exhaustive`` flag can be earned, not just
     ``certified``.
 
-    Budget is counted in face-tracing steps and is a hard cap: each scheme
-    a sweep traces costs its count of states, ``2m`` orientable and ``4m``
-    signed on a core of ``m`` edges, and a side traces only the schemes
-    that what remains pays for in full; each state the branch-and-bound
-    places costs one step, and it stops before placing one the budget does
-    not cover.  So ``steps_used`` is ``2m`` times the orientable side's
-    ``searched``, plus the signed side's ``nodes`` under early exit or
-    ``4m`` times its ``searched`` without, at most ``budget`` (no steps at
-    all when ``budget`` is negative); the planarity test is not charged.
-    A node takes far more wall time than a sweep step.  ``budget_stopped``
-    says some side ran out before it was decided.  In strict mode running
-    out raises :class:`BudgetExceededError`; otherwise partial results are
-    returned with flags cleared.
+    Budget is counted in face-tracing steps and is a hard cap: each state
+    the branch-and-bound places costs one step, and it stops before placing
+    one the budget does not cover; each scheme a sweep traces costs its
+    count of states, ``2m`` orientable and ``4m`` signed on a core of ``m``
+    edges, and a side traces only the schemes that what remains pays for in
+    full.  So ``steps_used`` is the two sides' ``nodes`` under early exit,
+    or ``2m`` times the orientable side's ``searched`` plus ``4m`` times the
+    signed side's without, at most ``budget`` (no steps at all when
+    ``budget`` is negative); the planarity test is not charged.  A node
+    takes far more wall time than a sweep step.  ``budget_stopped`` says
+    some side ran out before it was decided; such a side has chi None under
+    early exit.  In strict mode running out raises
+    :class:`BudgetExceededError`; otherwise partial results are returned
+    with flags cleared.
     """
     if g.n < 1:
         raise ValueError("empty graph")
@@ -1077,7 +1076,7 @@ def max_euler_characteristic(
     if or_side is None:
         or_side = _search_side(core, False, cap_or, early_exit, budget, strict, lift)
     sides_searched = [or_side]
-    steps = 2 * core.m * or_side.searched
+    steps = 2 * core.m * or_side.searched + or_side.nodes
     nonor_side: SideResult | None = None
     if not orientable_only:
         if or_side.certified and or_side.chi == 2:
@@ -1085,6 +1084,8 @@ def max_euler_characteristic(
             # plane, so the non-orientable side is exactly 1 (no 2-cell
             # scheme realises it for trees and some planar cores).
             nonor_side = SideResult(chi=1, witness=None, exhaustive=False, certified=True)
+        elif early_exit and or_side.certified and or_side.chi >= cap_nonor:
+            pass  # the signed side cannot raise chi, so it is not searched
         else:
             # The core has a cycle (it is not a tree, which returned above,
             # and both reductions keep the cycle rank), so some edge sign is

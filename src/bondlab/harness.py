@@ -214,8 +214,10 @@ def verify_corpus(
     bondage_cap: int | None = None,
     jobs: int = 1,
 ) -> tuple[list[VerificationRecord], CorpusSummary]:
-    """Verify every graph6 line; malformed lines, and graphs above the
-    domination search's vertex limit, are recorded, not fatal.
+    """Verify every graph6 line; malformed lines, and graphs skipped for
+    having no edges or more vertices than the domination search's limit,
+    are recorded with an ``error``, not fatal.  Only the malformed lines
+    count in ``CorpusSummary.malformed``.
 
     Records come back in input order regardless of ``jobs``, so output is
     byte-identical for any parallelism degree.
@@ -404,7 +406,8 @@ def emit_report(
         lines.append("-" * len(header))
         for rec in records:
             if rec.error is not None:
-                lines.append(f"{rec.graph6:<12} malformed: {rec.error}")
+                kind = "malformed" if _is_malformed(rec) else "skipped"
+                lines.append(f"{rec.graph6:<12} {kind}: {rec.error}")
                 continue
             fails = rec.failures
             status = "ok" if not fails else "FAIL " + ",".join(c.name for c in fails)
@@ -420,6 +423,11 @@ def emit_report(
     raise ValueError(f"unknown format {fmt!r}; use csv, json, or text")
 
 
+def _is_malformed(rec: VerificationRecord) -> bool:
+    """Whether ``rec`` failed to parse, rather than being a graph turned away."""
+    return rec.error is not None and rec.error.startswith("malformed graph6:")
+
+
 def _summarize(records: Sequence[VerificationRecord]) -> CorpusSummary:
     per_check = {name: {"pass": 0, "fail": 0, "skip": 0} for name in CHECK_NAMES}
     malformed = 0
@@ -427,7 +435,7 @@ def _summarize(records: Sequence[VerificationRecord]) -> CorpusSummary:
     counterexamples = []
     for rec in records:
         if rec.error is not None:
-            malformed += 1
+            malformed += _is_malformed(rec)
             continue
         if rec.b_exceeds_bprime:
             counterexamples.append(rec.graph6)

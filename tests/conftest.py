@@ -190,14 +190,13 @@ class _Budget:
         return True
 
 
-def reference_sweep_scalar(space, target: int, limit: int) -> tuple[int, int | None, int]:
+def reference_sweep_scalar(space, limit: int) -> tuple[int, int | None]:
     """The pure-Python sweep: each scheme ``0..limit-1`` traced in full.
 
-    Same contract as ``embedding._sweep_vector``: returns (best, best_index,
-    reached), where ``reached`` is one past the last scheme traced
-    (``limit``, or less once ``target`` is hit) and ``best_index`` is the
-    first scheme attaining ``best``.  Only the rotations that change between
-    consecutive schemes are rewritten; faces are counted by stamping orbits.
+    Same contract as ``embedding._sweep_vector``: returns (best, best_index),
+    where ``best_index`` is the first scheme attaining ``best``.  Only the
+    rotations that change between consecutive schemes are rewritten; faces
+    are counted by stamping orbits.
     """
     g = space.g
     nd = 2 * g.m
@@ -257,26 +256,25 @@ def reference_sweep_scalar(space, target: int, limit: int) -> tuple[int, int | N
         if chi > best:
             best = chi
             best_index = index
-            if best >= target:
-                return best, best_index, index + 1
-    return best, best_index, limit
+    return best, best_index
 
 
-def reference_sweep(space, target: int, limit: int) -> tuple[int, int | None, int]:
+def reference_sweep(space, limit: int) -> tuple[int, int | None]:
     """:func:`reference_sweep_vector` over schemes ``0..limit-1``.
 
     A budget of exactly ``limit`` schemes' states makes its last block
     shrink to end at ``limit``, and the next charge is refused there.
     """
     budget = _Budget(limit * space.states, strict=False)
-    return reference_sweep_vector(space, target, budget)
+    return reference_sweep_vector(space, budget)
 
 
-def reference_sweep_vector(space, target: int, budget) -> tuple[int, int | None, int]:
+def reference_sweep_vector(space, budget) -> tuple[int, int | None]:
     """The numpy sweep as it traced every scheme in full, block by block.
 
-    Kept verbatim apart from its name: each block builds the whole
-    next-state table per scheme and min-label doubles over all its states.
+    Kept verbatim apart from its name and the early-exit target it no
+    longer takes: each block builds the whole next-state table per scheme
+    and min-label doubles over all its states.
     """
     import numpy as np
 
@@ -321,7 +319,7 @@ def reference_sweep_vector(space, target: int, budget) -> tuple[int, int | None,
         # sweep reaches the same scheme as the scalar one when it runs out.
         block = max(1, min(_VECTOR_BLOCK, space.total - index, budget.remaining // n_states))
         if not budget.charge(block * n_states):
-            return best, best_index, index
+            return best, best_index
         flat = np.arange(index, index + block, dtype=np.int64)
         rem = flat.copy()
         if space.signed:
@@ -376,11 +374,36 @@ def reference_sweep_vector(space, target: int, budget) -> tuple[int, int | None,
             pos += int(better[0])
             best = int(chi[pos])
             best_index = index + pos
-            if best >= target:
-                return best, best_index, index + pos + 1
             pos += 1
         index += block
-    return best, best_index, space.total
+    return best, best_index
+
+
+def reference_core(g: Graph) -> Graph:
+    """The reduced core by whole passes: strip pendants and suppress
+    degree-2 vertices whose neighbours are not adjacent, rescanning every
+    vertex in label order until a pass changes nothing."""
+    adj = {v: set(g.neighbors(v)) for v in range(g.n)}
+    changed = True
+    while changed and len(adj) > 1:
+        changed = False
+        for v in sorted(adj):
+            if len(adj) == 1:
+                break
+            if len(adj[v]) == 1:
+                (x,) = adj.pop(v)
+                adj[x].discard(v)
+                changed = True
+            elif len(adj[v]) == 2:
+                x, y = sorted(adj[v])
+                if x not in adj[y]:
+                    del adj[v]
+                    adj[x] ^= {v, y}
+                    adj[y] ^= {v, x}
+                    changed = True
+    labels = sorted(adj)
+    return Graph.from_edges(len(labels), [(labels.index(u), labels.index(v))
+                                          for u in labels for v in adj[u] if u < v])
 
 
 def reference_is_planar(g: Graph) -> bool:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from pathlib import Path
 
@@ -115,7 +117,8 @@ class TestBounds:
         assert "delta" in err
 
     def test_uncertified_chi_exit_three(self, capsys):
-        code, out, err = run(capsys, "bounds", "--graph6", "E~~w", "--budget", "1000")
+        # K6 needs 462 search nodes to certify its chi.
+        code, out, err = run(capsys, "bounds", "--graph6", "E~~w", "--budget", "400")
         assert code == 3
         assert out == ""
         assert err.startswith("bondlab: error:") and "certify" in err
@@ -171,6 +174,32 @@ class TestVerify:
         corpus.write_text("A_\n")
         code, _, _ = run(capsys, "verify", str(corpus), "--format", "csv")
         assert code == 1
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_skipped_graphs_are_not_malformed(self, capsys, tmp_path, fmt):
+        # P41 is above the instance-size guard and "B?" has no edges; both
+        # parse, so only the unparseable line counts as malformed.
+        p41 = emit_graph6(make_family("pn", 41))
+        corpus = tmp_path / "mixed.g6"
+        corpus.write_text("\n".join([p41, emit_graph6(make_family("cn", 5)), "B?", "B~~"]) + "\n")
+        code, out, _ = run(capsys, "verify", str(corpus), "--format", fmt)
+        assert code == 0
+        guard = "instance-size guard: n=41 exceeds limit 40"
+        if fmt == "text":
+            lines = out.splitlines()
+            assert f"{p41:<12} skipped: {guard}" in lines
+            assert f"{'B?':<12} skipped: graph has no edges" in lines
+            assert any(line.startswith(f"{'B~~':<12} malformed: malformed graph6:")
+                       for line in lines)
+            assert "graphs=4 malformed=1 failures=0" in lines
+        elif fmt == "csv":
+            rows = list(csv.DictReader(io.StringIO(out)))
+            assert [r["error"] for r in rows[:3]] == [guard, "", "graph has no edges"]
+            assert rows[3]["error"].startswith("malformed graph6:")
+        else:
+            data = json.loads(out)
+            assert [r["error"] for r in data["records"][:3]] == [guard, None, "graph has no edges"]
+            assert data["summary"]["graphs"] == 4 and data["summary"]["malformed"] == 1
 
     def test_empty_corpus_exits_zero(self, capsys, tmp_path):
         corpus = tmp_path / "empty.g6"

@@ -22,6 +22,8 @@ from bondlab.graphs import Graph, enumerate_connected_graphs, make_family, parse
 from conftest import (
     random_connected_graph,
     random_rotation_system,
+    reference_core,
+    reference_is_planar,
     reference_sweep,
     reference_sweep_scalar,
 )
@@ -154,6 +156,39 @@ class TestCurvature:
             rs = random_rotation_system(rng, g, signed=rng.random() < 0.5)
             summary = trace_faces(g, rs)
             assert abs(curvature(g, summary).total) < 1e-12
+
+
+class TestCore:
+    @staticmethod
+    def _nx(g):
+        import networkx as nx
+
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges())
+        return h
+
+    def _assert_core(self, g):
+        import networkx as nx
+
+        core, labels, ops = embedding._core(g)
+        assert nx.is_isomorphic(self._nx(core), self._nx(reference_core(g))), g.edges()
+        assert len(labels) == core.n == g.n - len(ops)
+        for v in range(core.n):
+            nbrs = list(core.neighbors(v))
+            assert core.n == 1 or len(nbrs) >= 2
+            assert len(nbrs) != 2 or core.has_edge(*nbrs), (g.edges(), v)
+
+    def test_isomorphic_to_the_pass_by_pass_reduction(self, corpus6):
+        for g in corpus6:
+            self._assert_core(g)
+
+    @given(st.integers(min_value=1, max_value=16), st.integers(min_value=0, max_value=6),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_sparse_graphs(self, n, cycles, rng):
+        cycles = min(cycles, n * (n - 1) // 2 - (n - 1))
+        self._assert_core(_sparse_graph(rng, n, cycles))
 
 
 class TestRingelOracle:
@@ -344,15 +379,20 @@ class TestMaxChi:
     def test_steps_used_counts_states_of_searched_schemes(self, g, budget, early_exit):
         result = max_euler_characteristic(g, budget=budget, early_exit=early_exit)
         m = embedding._core(g)[0].m
-        nonor = result.nonorientable
+        orientable, nonor = result.orientable, result.nonorientable
         signed = 4 * m * nonor.searched + nonor.nodes if nonor else 0
-        assert result.steps_used == 2 * m * result.orientable.searched + signed
+        assert result.steps_used == 2 * m * orientable.searched + orientable.nodes + signed
         assert result.steps_used <= max(0, budget)
-        # A side the budget stopped could not pay for one more scheme.
-        if not result.orientable.certified:
-            assert budget - 2 * m * result.orientable.searched < 2 * m
-        if result.nonorientable is not None and not result.nonorientable.certified:
-            assert budget - result.steps_used < 4 * m
+        if early_exit:
+            assert orientable.searched == 0 and (nonor is None or nonor.searched == 0)
+        else:
+            assert orientable.nodes == 0 and (nonor is None or nonor.nodes == 0)
+        # A side the budget stopped could not pay for one more scheme, or
+        # under early exit for one more node.
+        if not orientable.certified:
+            assert budget - result.steps_used < (1 if early_exit else 2 * m)
+        if nonor is not None and not nonor.certified:
+            assert budget - result.steps_used < (1 if early_exit else 4 * m)
 
     def test_strict_on_the_numpy_path(self):
         with pytest.raises(BudgetExceededError):
@@ -388,23 +428,16 @@ def corpus6():
     return [g for g in enumerate_connected_graphs(6) if g.m > 0]
 
 
-def _sweep_both(core, signed, target, budget):
-    """(best, best_index, reached) from each numpy kernel, on what ``budget`` pays for."""
-    space = embedding._SchemeSpace(core, signed)
-    limit = min(space.total, budget // space.states)
-    kernels = (embedding._sweep_vector, reference_sweep)
-    return [kernel(space, target, limit) for kernel in kernels]
-
-
-def _assert_sweeps_agree(g, budget, early_exit_off=True):
+def _assert_sweeps_agree(g, budget):
+    """Each side's numpy sweep and full tracing agree on what ``budget`` pays for."""
     core = embedding._core(g)[0]
     if core.m == 0:
         return
-    cap = embedding._face_length_upper_bound(core)
-    for signed, side_cap in ((False, cap - cap % 2), (True, min(1, cap))):
-        for target in (side_cap, 10**9) if early_exit_off else (side_cap,):
-            new, old = _sweep_both(core, signed, target, budget)
-            assert new == old, (g.edges(), signed, budget, target)
+    for signed in (False, True):
+        space = embedding._SchemeSpace(core, signed)
+        limit = min(space.total, budget // space.states)
+        new = embedding._sweep_vector(space, limit)
+        assert new == reference_sweep(space, limit), (g.edges(), signed, budget)
 
 
 def _relabelled(g, rng):
@@ -420,7 +453,7 @@ class TestContractedSweep:
         # Budgets that cut the sweep inside a block, early and late.
         for g in corpus6:
             _assert_sweeps_agree(g, 10**5)
-            _assert_sweeps_agree(g, 10**6, early_exit_off=False)
+            _assert_sweeps_agree(g, 10**6)
 
     @pytest.mark.parametrize("g", [
         make_family("kmn", 5, 5),
@@ -465,20 +498,21 @@ class TestContractedSweep:
     def test_max_euler_characteristic_on_corpus6(self, corpus6, monkeypatch):
         rng = random.Random(2024)
         graphs = [_relabelled(g, rng) for g in corpus6]
-        new = [max_euler_characteristic(g, budget=3 * 10**5) for g in graphs]
+        # Without early exit, the only path that sweeps.
+        new = [max_euler_characteristic(g, budget=3 * 10**5, early_exit=False) for g in graphs]
         monkeypatch.setattr(embedding, "_sweep_vector", reference_sweep)
-        old = [max_euler_characteristic(g, budget=3 * 10**5) for g in graphs]
+        old = [max_euler_characteristic(g, budget=3 * 10**5, early_exit=False) for g in graphs]
         assert new == old
 
     @pytest.mark.parametrize("graph6", ["E~~w", "E~~o", "E}~o", "E~~_"])
     def test_peak_memory_no_higher_than_full_tracing(self, graph6, monkeypatch):
         g = parse_graph6(graph6)
-        max_euler_characteristic(g, budget=10**5)  # numpy imported and warm
+        max_euler_characteristic(g, budget=10**5, early_exit=False)  # numpy imported and warm
 
         def peak():
             tracemalloc.start()
             try:
-                max_euler_characteristic(g, budget=3_000_000)
+                max_euler_characteristic(g, budget=3_000_000, early_exit=False)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -524,7 +558,7 @@ def _assert_witnesses_retrace(g, result):
 
 
 class TestLocalSearchRace:
-    """Guards on the signed side as a whole: where its search runs and what it costs."""
+    """Guards on the early-exit search as a whole: where it runs and what it costs."""
 
     def test_corpus6_certifies_at_the_benchmark_budget(self, corpus6):
         for g in corpus6:
@@ -578,13 +612,11 @@ class TestLocalSearchRace:
         assert outputs[0] == outputs[1] and outputs[0].count("certified=True") >= 3
 
     def test_no_signed_sweep_under_early_exit(self, corpus6, monkeypatch):
-        init = embedding._SchemeSpace.__init__
+        # Neither side is swept under early exit, so no scheme space is built.
+        def refuse(space, core, signed):
+            raise AssertionError(f"scheme space built (signed={signed})")
 
-        def orientable_only(space, core, signed):
-            assert not signed, "signed scheme space built"
-            init(space, core, signed)
-
-        monkeypatch.setattr(embedding._SchemeSpace, "__init__", orientable_only)
+        monkeypatch.setattr(embedding._SchemeSpace, "__init__", refuse)
         for g in _stress_graphs():
             max_euler_characteristic(g, budget=10**6)
         rng = random.Random(11)
@@ -594,18 +626,23 @@ class TestLocalSearchRace:
             max_euler_characteristic(g, budget=3 * 10**7)
 
     def test_stress_graphs_spend_their_leftover_steps_as_nodes(self):
-        # The orientable sweep stops each of them short of the budget by less
-        # than one scheme; the signed search spends the rest (28 steps on
-        # K3,3,3) and stays undecided.
-        for g in _stress_graphs():
+        # Both sides are searched node by node, and every stress graph is
+        # certified well inside the benchmark's budget.  Q4 and K3,3,3 reach
+        # their cap 0 orientably, so their signed side, which could not raise
+        # chi, is skipped; K5,5 is -4 orientably and -3 signed.
+        for g, chi in zip(_stress_graphs(), (-3, 0, 0)):
             result = max_euler_characteristic(g, budget=10**6)
-            m = embedding._core(g)[0].m
-            orientable = 2 * m * result.orientable.searched
-            nonor = result.nonorientable
-            assert nonor.searched == 0 and not nonor.certified and result.budget_stopped
-            assert result.steps_used == orientable + nonor.nodes <= 10**6
-            assert nonor.nodes == 10**6 - orientable
-        assert nonor.nodes == 28
+            orientable, nonor = result.orientable, result.nonorientable
+            assert (result.chi, result.certified, result.budget_stopped) == (chi, True, False)
+            assert orientable.certified and orientable.searched == 0 and orientable.nodes > 0
+            signed = 0 if nonor is None else nonor.nodes
+            assert result.steps_used == orientable.nodes + signed < 10**5
+            if chi == 0:
+                assert orientable.chi == 0 and nonor is None
+            else:
+                assert (orientable.chi, nonor.chi, nonor.certified) == (-4, -3, True)
+                assert nonor.searched == 0 and nonor.nodes > 0
+            _assert_witnesses_retrace(g, result)
 
     def test_node_counts_on_the_sparse_pool(self):
         # The benchmark's stored pool: 16 nonplanar signed sides, the worst
@@ -629,13 +666,22 @@ class TestLocalSearchRace:
                 assert side.nodes <= 1400, (seed, g.edges(), side.nodes)
 
     def test_k44_signed_side_reaches_its_cap(self):
-        result = max_euler_characteristic(make_family("kmn", 4, 4))
-        assert result.nonorientable.chi == 0 and result.nonorientable.certified
-        assert result.steps_used < 10**7
-        _assert_witnesses_retrace(make_family("kmn", 4, 4), result)
+        # Inside max_euler_characteristic the orientable side reaches the
+        # cap 0, so the signed side is skipped; called directly it reaches 0.
+        g = make_family("kmn", 4, 4)
+        result = max_euler_characteristic(g)
+        assert (result.chi, result.certified, result.nonorientable) == (0, True, None)
+        core = embedding._core(g)[0]
+        witness, nodes, decided = embedding._branch_and_bound(core, 0, 10**7, True)
+        assert decided and witness is not None and nodes < 10**7
+        traced = trace_faces(core, witness)
+        assert traced.chi == 0 and not traced.orientable
 
     def test_budget_stopped(self):
-        assert max_euler_characteristic(make_family("kn", 6), budget=10**5).budget_stopped
+        # K6 is decided in 220 orientable and 242 signed nodes.
+        assert not max_euler_characteristic(make_family("kn", 6), budget=462).budget_stopped
+        for budget in (100, 400):
+            assert max_euler_characteristic(make_family("kn", 6), budget=budget).budget_stopped
         assert not max_euler_characteristic(make_family("kn", 5)).budget_stopped
         # Exhausting the space is not a stop, with or without early exit.
         assert not max_euler_characteristic(make_family("cn", 5), early_exit=False).budget_stopped
@@ -656,7 +702,7 @@ def _k1222():
 class TestSignedBranchAndBound:
     def _decide(self, core, t, allowance=10**6):
         """The search's verdict on chi >= t, with its witness checked by re-tracing."""
-        witness, nodes, decided = embedding._signed_branch_and_bound(core, t, allowance)
+        witness, nodes, decided = embedding._branch_and_bound(core, t, allowance, True)
         assert decided and nodes <= allowance
         if witness is not None:
             traced = trace_faces(core, witness)
@@ -674,7 +720,7 @@ class TestSignedBranchAndBound:
             space = embedding._SchemeSpace(core, True)
             if space.total * space.states > 3 * 10**6:
                 continue
-            best = reference_sweep(space, 10**9, space.total)[0]
+            best = reference_sweep(space, space.total)[0]
             cap = min(1, embedding._face_length_upper_bound(core))
             for t in range(cap, best - 1, -1):
                 assert self._decide(core, t) == (t <= best), (core.edges(), t, best)
@@ -708,31 +754,160 @@ class TestSignedBranchAndBound:
         _assert_witnesses_retrace(g, result)
 
     def test_budget_is_a_hard_cap(self):
-        # K5: 1,060 orientable steps, then a few dozen nodes that reach the
-        # signed cap.
+        # K5: 20 orientable nodes reach its orientable cap 0, then 78 signed
+        # nodes reach the signed cap 1.
         g = make_family("kn", 5)
         full = max_euler_characteristic(g)
-        side = full.nonorientable
-        m = embedding._core(g)[0].m
-        orientable = 2 * m * full.orientable.searched
-        assert side.nodes > 0 and side.searched == 0
+        orientable, side = full.orientable.nodes, full.nonorientable
+        assert orientable > 0 and side.nodes > 0
+        assert full.orientable.searched == side.searched == 0
         assert side.certified and not full.budget_stopped
         assert full.steps_used == orientable + side.nodes
         exact = max_euler_characteristic(g, budget=full.steps_used, strict=True)
         assert exact.certified and exact.steps_used == full.steps_used
-        for budget in (orientable, orientable + side.nodes // 2, full.steps_used - 1):
+        for budget in (0, orientable // 2, orientable, orientable + side.nodes // 2,
+                       full.steps_used - 1):
             result = max_euler_characteristic(g, budget=budget)
             assert result.steps_used == budget
-            assert result.nonorientable.nodes == budget - orientable
+            assert result.orientable.nodes == min(budget, orientable)
+            assert result.orientable.certified == (budget >= orientable)
+            assert result.nonorientable.nodes == max(0, budget - orientable)
             assert not result.nonorientable.certified and not result.certified
             assert result.budget_stopped
             with pytest.raises(BudgetExceededError):
                 max_euler_characteristic(g, budget=budget, strict=True)
         core = embedding._core(g)[0]
-        assert embedding._signed_branch_and_bound(core, 1, side.nodes - 1) == (
+        assert embedding._branch_and_bound(core, 1, side.nodes - 1, True) == (
             None, side.nodes - 1, False)
+        assert embedding._branch_and_bound(core, 0, orientable - 1, False) == (
+            None, orientable - 1, False)
 
     def test_no_node_at_an_allowance_of_zero_or_below(self):
         core = embedding._core(make_family("kn", 5))[0]
         for allowance in (-1, 0):
-            assert embedding._signed_branch_and_bound(core, 1, allowance) == (None, 0, False)
+            assert embedding._branch_and_bound(core, 1, allowance, True) == (None, 0, False)
+
+
+def _torus_grid(a, b):
+    """C_a x C_b: the a x b grid with wrap-around, a quadrangulation of the torus."""
+    edges = set()
+    for i in range(a):
+        for j in range(b):
+            v = i * b + j
+            for w in (((i + 1) % a) * b + j, i * b + (j + 1) % b):
+                edges.add((min(v, w), max(v, w)))
+    return Graph.from_edges(a * b, sorted(edges))
+
+
+class TestOrientableBranchAndBound:
+    def _decide(self, core, t, allowance=10**6):
+        """The search's verdict on orientable chi >= t, its witness re-traced."""
+        witness, nodes, decided = embedding._branch_and_bound(core, t, allowance, False)
+        assert decided and nodes <= allowance
+        if witness is not None:
+            assert not witness.negative_edges
+            traced = trace_faces(core, witness)
+            assert traced.chi >= t and traced.orientable
+        return witness is not None
+
+    def _assert_matches(self, core, best):
+        cap = embedding._face_length_upper_bound(core)
+        for t in range(cap - cap % 2, core.n - core.m, -2):
+            assert self._decide(core, t) == (t <= best), (core.edges(), t, best)
+
+    def test_matches_the_exhaustive_orientable_sweep_on_corpus6(self, corpus6):
+        cores = {}
+        for g in corpus6:
+            core = embedding._core(g)[0]
+            if core.m:
+                cores.setdefault((core.n, tuple(core.edges())), core)
+        checked = 0
+        for core in cores.values():
+            space = embedding._SchemeSpace(core, False)
+            if space.total * space.states > 3 * 10**6:
+                continue
+            self._assert_matches(core, reference_sweep(space, space.total)[0])
+            checked += 1
+        assert checked == 59  # of 63; the other four have 13-15 edges, K6 among them
+
+    @pytest.mark.parametrize("family", [("kn", 5), ("kmn", 3, 3), ("kmn", 4, 4),
+                                        ("petersen",), ("qd", 3)])
+    def test_matches_the_exhaustive_orientable_sweep_on_named_graphs(self, family):
+        g = make_family(*family)
+        swept = max_euler_characteristic(g, budget=10**9, orientable_only=True,
+                                         early_exit=False).orientable
+        assert swept.exhaustive
+        self._assert_matches(embedding._core(g)[0], swept.chi)
+
+    def test_sphere_agrees_with_networkx_on_the_atlas(self):
+        import networkx as nx
+
+        count = 0
+        for h in nx.graph_atlas_g():
+            if h.number_of_nodes() == 0 or not nx.is_connected(h):
+                continue
+            g = Graph.from_edges(h.number_of_nodes(), [tuple(sorted(e)) for e in h.edges()])
+            core = embedding._core(g)[0]
+            if core.m:
+                assert self._decide(core, 2) == reference_is_planar(g), g.edges()
+                count += 1
+        assert count == 996 - 25  # less the trees on 1..7 vertices (OEIS A000055)
+
+    @pytest.mark.parametrize("g, chi, orientable, ringel", [
+        (make_family("kmn", 4, 4), 0, 0, ("kmn", 4, 4)),
+        (make_family("kmn", 3, 5), 0, 0, ("kmn", 3, 5)),
+        (make_family("kn", 7), 0, 0, ("kn", 7)),
+        (_k1222(), 0, 0, None),
+        (_stress_graphs()[2], 0, 0, None),
+        (make_family("qd", 4), 0, 0, None),
+        (_torus_grid(4, 4), 0, 0, None),
+        (_torus_grid(4, 5), 0, 0, None),
+        (make_family("kmn", 5, 5), -3, -4, ("kmn", 5, 5)),
+    ], ids=["K4,4", "K3,5", "K7", "K1,2,2,2", "K3,3,3", "Q4", "C4xC4", "C4xC5", "K5,5"])
+    def test_graphs_the_theorem_is_about_are_certified(self, g, chi, orientable, ringel):
+        result = max_euler_characteristic(g)
+        assert (result.chi, result.certified, result.budget_stopped) == (chi, True, False)
+        assert (result.orientable.chi, result.orientable.certified) == (orientable, True)
+        assert result.steps_used < 10**5
+        if ringel is not None:
+            assert chi == ringel_chi(*ringel)
+            assert orientable == ringel_chi(*ringel, side="orientable")
+        nonor = result.nonorientable
+        if orientable >= min(1, embedding._face_length_upper_bound(embedding._core(g)[0])):
+            assert nonor is None  # the signed side could not raise chi
+        else:
+            assert nonor.certified and nonor.chi == chi
+        _assert_witnesses_retrace(g, result)
+
+    def test_orientable_side_steps_by_two(self, monkeypatch):
+        # Two K3,3 joined by an edge: orientable genus 2, so orientable chi
+        # -2 below the planarity step's cap 0, and signed chi 0 below 1.
+        k33 = [(u, v) for u in range(3) for v in range(3, 6)]
+        g = Graph.from_edges(12, k33 + [(u + 6, v + 6) for u, v in k33] + [(0, 6)])
+        calls = []
+        search = embedding._branch_and_bound
+
+        def recorded(core, t, allowance, signed):
+            calls.append((signed, t))
+            return search(core, t, allowance, signed)
+
+        monkeypatch.setattr(embedding, "_branch_and_bound", recorded)
+        result = max_euler_characteristic(g)
+        assert (result.orientable.chi, result.nonorientable.chi, result.certified) == (-2, 0, True)
+        assert calls == [(False, 0), (False, -2), (True, 1), (True, 0)]
+
+    def test_budget_is_a_hard_cap(self):
+        # K6's orientable side is decided in 220 nodes; every budget short
+        # of that stops it, uncertified, having spent exactly the budget.
+        g = make_family("kn", 6)
+        full = max_euler_characteristic(g, orientable_only=True)
+        nodes = full.orientable.nodes
+        assert full.certified and full.steps_used == nodes and 0 < nodes < 1000
+        exact = max_euler_characteristic(g, budget=nodes, orientable_only=True, strict=True)
+        assert exact.certified and not exact.budget_stopped
+        for budget in range(-1, nodes):
+            result = max_euler_characteristic(g, budget=budget, orientable_only=True)
+            assert result.steps_used == result.orientable.nodes == max(0, budget)
+            assert not result.certified and result.chi is None and result.budget_stopped
+            with pytest.raises(BudgetExceededError):
+                max_euler_characteristic(g, budget=budget, orientable_only=True, strict=True)

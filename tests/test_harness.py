@@ -207,7 +207,8 @@ class TestVerifyCorpus:
         records, summary = verify_corpus(lines, jobs=jobs)
         assert records[0].error == "instance-size guard: n=41 exceeds limit 40"
         assert records[1].error is None and records[1].chi == 2
-        assert summary.graphs == 2 and summary.malformed == 1
+        # Its graph6 line is valid, so it is skipped, not malformed.
+        assert summary.graphs == 2 and summary.malformed == 0
 
     def test_empty_corpus(self):
         records, summary = verify_corpus([])
