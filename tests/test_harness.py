@@ -1,3 +1,4 @@
+import io
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bondlab import bondage, harness
+from bondlab import bondage, cli, harness
 from bondlab import bounds as bnd
 from bondlab.graphs import Graph, emit_graph6, enumerate_connected_graphs, make_family
 from bondlab.harness import (
@@ -194,6 +195,14 @@ class TestForcedChi:
 
 
 class TestVerifyCorpus:
+    def test_cli_csv_on_corpus6_matches_golden(self, capsys, monkeypatch):
+        # The real chi search, end to end: stdout of
+        # `bondlab enumerate --max-n 6 | bondlab verify --format csv`.
+        assert cli.main(["enumerate", "--max-n", "6"]) == 0
+        monkeypatch.setattr("sys.stdin", io.StringIO(capsys.readouterr().out))
+        assert cli.main(["verify", "--format", "csv"]) == 0
+        assert capsys.readouterr().out == (DATA / "verify_corpus6.csv").read_text()
+
     def test_malformed_lines_do_not_abort(self):
         records, summary = verify_corpus(["A_", "not-a-graph\x01", "", "Bw"])
         assert summary.graphs == 3  # blank line dropped
