@@ -102,8 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph", nargs="?", default="-", help="graph6 string or - for stdin")
     p.add_argument("--witness", action="store_true", help="print a witness rotation system")
     p.add_argument("--orientable-only", action="store_true")
-    p.add_argument("--exhaustive", action="store_true",
-                   help="sweep the full quotient space, no early exit")
     p.add_argument("--format", choices=("text", "json"), default="text")
     add_budget_flags(p)
 
@@ -235,7 +233,6 @@ def _cmd_chi(args: argparse.Namespace) -> int:
         budget=args.budget,
         strict=args.strict,
         orientable_only=args.orientable_only,
-        early_exit=not args.exhaustive,
     )
     data = {
         "graph6": emit_graph6(g),

@@ -6,40 +6,27 @@ encodes non-orientable embeddings.  Faces are traced as orbits of the
 next-dart map on (dart, direction) states; each face corresponds to a
 mirror-image pair of orbits, so the face count is the number of orbit pairs.
 
-Under early exit (the default) each orientability class is decided by a
-face-building branch-and-bound (:func:`_branch_and_bound`) that both finds
-and refutes: it decides "some scheme on this side has chi >= t" for t from
-the side's cap down, and the first t that holds is certified, as every
-larger t was refuted in full.  Caps come from combinatorial face-length
-counting.  A core whose cap allows the sphere is first tested for
-planarity (:mod:`.planarity`): a planar core is certified at chi 2 by the
-test's rotation system, once a count of its faces confirms it, with
-nothing searched; a nonplanar one has orientable chi at most 0.  Once the
-orientable side reaches the signed side's cap, the signed side cannot
-raise chi and is not searched.
+Each orientability class is decided by a face-building branch-and-bound
+(:func:`_branch_and_bound`) that both finds and refutes: it decides "some
+scheme on this side has chi >= t" for t from the side's cap down, and the
+first t that holds is certified, as every larger t was refuted in full.
+Caps come from combinatorial face-length counting.  A core whose cap allows
+the sphere is first tested for planarity (:mod:`.planarity`): a planar core
+is certified at chi 2 by the test's rotation system, once a count of its
+faces confirms it, with nothing searched; a nonplanar one has orientable
+chi at most 0.  Once the orientable side reaches the signed side's cap, the
+signed side cannot raise chi and is not searched.
 
-Without early exit (``chi --exhaustive``) each side is swept over a
-quotient of its scheme space (reflection symmetry always, plus a fixed
-pivot rotation where a vertex stabiliser provably acts fully symmetrically
-on the pivot's neighbourhood).  The sweep runs in numpy in the flat order,
-where the sign mask changes fastest and then the rotation at the last
-vertex ``L`` with a choice.  It traces everything away from ``L`` once per
-distinct (other rotations, sign mask) pair, with the states entering ``L``
-made absorbing, and then each scheme only over the at most ``2 deg(L)``
-states entering ``L``: their first-return map, ``L``'s rotation followed by
-the traced jump to the next entry, has one cycle per face through ``L``.
-
-Two exactness certificates are tracked: ``exhaustive`` means the full
-quotient was swept, and ``certified`` covers every route to a proven
-maximum (an exhaustive sweep, an attained cap, the planarity test, or the
-branch-and-bound's refutations), which is just as exact.
+``certified`` marks a proven maximum: an attained cap, the planarity test,
+or the branch-and-bound's refutation of every larger value.  ``exhaustive``
+is set only for trees, whose core collapses to a point, leaving a single
+scheme.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Callable
 
 from .graphs import Graph, girth
@@ -60,7 +47,6 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 100_000_000
-_VECTOR_BLOCK = 4096
 
 
 class BudgetExceededError(RuntimeError):
@@ -320,13 +306,13 @@ class SideResult:
     """Outcome for one orientability class.
 
     ``chi`` is the best value found (None if nothing was found);
-    ``exhaustive`` means the full quotiented space was enumerated;
-    ``certified`` means the value is provably the maximum (exhaustive, a
-    proven combinatorial upper bound was attained, the planarity test, the
-    branch-and-bound's refutation of every larger value, or the planar
-    identity on the non-orientable side).  ``searched`` counts the schemes
-    the sweep traced, 0 under early exit, where no side is swept, and
-    ``nodes`` the states the branch-and-bound placed, 0 without early exit.
+    ``exhaustive`` means the side's single scheme was traced, which happens
+    only for trees; ``certified`` means the value is provably the maximum
+    (a proven combinatorial upper bound was attained, the planarity test,
+    the branch-and-bound's refutation of every larger value, or the planar
+    identity on the non-orientable side).  ``nodes`` counts the states the
+    branch-and-bound placed.  ``searched`` is always 0; it is kept only
+    because ``perfbench/run.py`` reads it.
     """
 
     chi: int | None
@@ -341,11 +327,10 @@ class SideResult:
 class ChiSearchResult:
     """The overall maximum and each side's outcome.
 
-    ``nonorientable`` is None under ``orientable_only``, and under early
-    exit when the orientable side was certified at or above the signed
-    side's cap, so that the signed side could not raise chi.  ``steps_used``
-    is each side's ``nodes`` plus its ``searched`` times its count of states
-    (``2m`` orientable, ``4m`` signed, on a core of ``m`` edges).
+    ``nonorientable`` is None under ``orientable_only``, and when the
+    orientable side was certified at or above the signed side's cap, so that
+    the signed side could not raise chi.  ``steps_used`` is the sum of the
+    sides' ``nodes``.
     """
 
     chi: int | None
@@ -356,8 +341,7 @@ class ChiSearchResult:
     budget: int
     orientable: SideResult
     nonorientable: SideResult | None
-    # Some side ended because the budget could not pay for one more scheme,
-    # short of both its target (the cap, under early exit) and its space.
+    # Some searched side ran out of budget before it was decided.
     budget_stopped: bool = False
 
 
@@ -437,134 +421,7 @@ def _core(g: Graph) -> tuple[Graph, list[int], list[tuple]]:
     return Graph(len(labels), masks), labels, ops
 
 
-# -- scheme space ------------------------------------------------------------
-
-
-def _is_complete(g: Graph) -> bool:
-    return g.m == g.n * (g.n - 1) // 2
-
-
-def _is_complete_bipartite(g: Graph) -> bool:
-    color = [-1] * g.n
-    color[0] = 0
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in g.neighbors(u):
-            if color[v] == -1:
-                color[v] = color[u] ^ 1
-                stack.append(v)
-            elif color[v] == color[u]:
-                return False
-    a = color.count(0)
-    return g.m == a * (g.n - a)
-
-
-class _SchemeSpace:
-    """Quotiented enumeration space of rotation schemes for a core graph.
-
-    Vertex rotations are anchored at the smallest neighbour, listed in
-    ``itertools.permutations`` order of the rest.  At the pivot (smallest
-    max-degree vertex) the candidate list is either a single fixed rotation
-    (complete or complete bipartite cores, where the vertex stabiliser
-    realises every cyclic order) or one representative per reversal pair
-    (reflection of the whole scheme preserves chi).
-    """
-
-    def __init__(self, core: Graph, signed: bool):
-        self.g = core
-        self.signed = signed
-        self.edges, self.dart_of, self.tail, self.head = _dart_tables(core)
-        degrees = [core.degree(v) for v in range(core.n)]
-        self.pivot = max(range(core.n), key=lambda v: (degrees[v], -v))
-        full_fix = _is_complete(core) or _is_complete_bipartite(core)
-        self.candidates: list[list[tuple[int, ...]]] = []
-        for v in range(core.n):
-            nbrs = sorted(core.neighbors(v))
-            if len(nbrs) <= 2:
-                cands = [tuple(nbrs)]
-            else:
-                anchor, rest = nbrs[0], nbrs[1:]
-                cands = [(anchor, *p) for p in permutations(rest)]
-                if v == self.pivot:
-                    if full_fix:
-                        cands = cands[:1]
-                    else:
-                        cands = [c for c in cands if c[1:] <= tuple(reversed(c[1:]))]
-            self.candidates.append(cands)
-        self.rot_counts = [len(c) for c in self.candidates]
-
-        # Non-tree edges carry the free signs; spanning-tree edges stay +1.
-        tree: set[int] = set()
-        seen = {0}
-        frontier = [0]
-        edge_index = {e: i for i, e in enumerate(self.edges)}
-        while frontier:
-            u = frontier.pop()
-            for v in core.neighbors(u):
-                if v not in seen:
-                    seen.add(v)
-                    tree.add(edge_index[(min(u, v), max(u, v))])
-                    frontier.append(v)
-        self.free_edges = [i for i in range(core.m) if i not in tree]
-        self.sign_count = (1 << len(self.free_edges)) - 1 if signed else 1
-
-        self.n_rot = 1
-        for c in self.rot_counts:
-            self.n_rot *= c
-        self.total = self.n_rot * self.sign_count
-        self.states = 4 * core.m if signed else 2 * core.m
-
-    def successor_tables(self):
-        """Per-vertex numpy tables: ``(in_cols, fwd_tables, bwd_tables)``.
-
-        ``in_cols[v]`` lists the darts entering ``v`` (by sorted tail); row
-        ``c`` of ``fwd_tables[v]`` and ``bwd_tables[v]`` gives, for each of
-        those darts, the dart leaving ``v`` after it in candidate rotation
-        ``c`` and before it.
-        """
-        import numpy as np
-
-        in_cols = []
-        fwd_tables = []
-        bwd_tables = []
-        for v in range(self.g.n):
-            cols = [self.dart_of[(x, v)] for x in sorted(self.g.neighbors(v))]
-            in_cols.append(np.array(cols, dtype=np.intp))
-            fw = np.zeros((self.rot_counts[v], len(cols)), dtype=np.int16)
-            bw = np.zeros_like(fw)
-            for ci, rot in enumerate(self.candidates[v]):
-                k = len(rot)
-                for i, x in enumerate(rot):
-                    slot = cols.index(self.dart_of[(x, v)])
-                    fw[ci, slot] = self.dart_of[(v, rot[(i + 1) % k])]
-                    bw[ci, slot] = self.dart_of[(v, rot[(i - 1) % k])]
-            fwd_tables.append(fw)
-            bwd_tables.append(bw)
-        return in_cols, fwd_tables, bwd_tables
-
-    def decode(self, index: int) -> tuple[tuple[int, ...], int]:
-        """Flat index -> (per-vertex candidate indices, sign mask)."""
-        if self.signed:
-            sign_mask = index % self.sign_count + 1
-            index //= self.sign_count
-        else:
-            sign_mask = 0
-        digits = [0] * self.g.n
-        for v in range(self.g.n - 1, -1, -1):
-            digits[v] = index % self.rot_counts[v]
-            index //= self.rot_counts[v]
-        return tuple(digits), sign_mask
-
-    def scheme(self, index: int) -> RotationSystem:
-        digits, sign_mask = self.decode(index)
-        rotations = tuple(self.candidates[v][digits[v]] for v in range(self.g.n))
-        neg = frozenset(
-            self.edges[self.free_edges[b]]
-            for b in range(len(self.free_edges))
-            if sign_mask >> b & 1
-        )
-        return RotationSystem(rotations=rotations, negative_edges=neg)
+# -- caps and face counts ---------------------------------------------------
 
 
 def _face_length_upper_bound(core: Graph) -> int:
@@ -600,189 +457,6 @@ def _orientable_face_count(rotations: tuple[tuple[int, ...], ...]) -> int:
     return faces
 
 
-# -- vectorised sweep --------------------------------------------------------
-
-
-def _contracted_tracer(space: _SchemeSpace):
-    """Tracing by contraction: ``(window_chi, max_span)`` for ``space``.
-
-    ``window_chi(lo, hi)`` is the array of chi over the flat schemes
-    ``lo..hi-1``, and ``max_span`` the most schemes one call should take.
-    In the flat order the sign mask changes fastest, then the rotation at
-    ``L``, the last vertex with more than one candidate.  So a range of
-    schemes is traced once per distinct (other rotations, sign mask) pair,
-    with every state entering ``L`` made absorbing: one min-label doubling
-    gives the faces that avoid ``L`` and, for each state leaving ``L``, the
-    state at which its walk next enters ``L``.  For each scheme, ``L``'s
-    rotation followed by that jump is the first-return map on the at most
-    ``2 deg(L)`` states entering ``L``; its cycles are the faces through
-    ``L``, counted by a second doubling.  On the signed side
-    ``mirror(leave(e))`` lies on the mirror orbit of ``e``'s, which pairs
-    orbits into faces.  A range is capped, the first one included, so that
-    neither stage's arrays hold more than a quarter of the cells of one
-    block's full next-state table.
-    """
-    import numpy as np
-
-    g = space.g
-    nd = 2 * g.m
-    n_states = space.states
-    signed = space.signed
-    signs = space.sign_count
-
-    in_cols, fwd_tables, bwd_tables = space.successor_tables()
-
-    free_bits = np.zeros(nd, dtype=np.int64)
-    free_mask_cols = np.zeros(nd, dtype=bool)
-    for b, e in enumerate(space.free_edges):
-        for d in (2 * e, 2 * e + 1):
-            free_bits[d] = b
-            free_mask_cols[d] = True
-
-    last = max((v for v in range(g.n) if space.rot_counts[v] > 1), default=g.n - 1)
-    rot_last = space.rot_counts[last]
-    # States entering ``last``, numbered by slot: dart column j, and on the
-    # signed side direction s at slot 2j + s.
-    if signed:
-        enter = np.stack([2 * in_cols[last], 2 * in_cols[last] + 1], axis=1).ravel()
-    else:
-        enter = in_cols[last]
-    width = len(enter)
-    slot_of = np.full(n_states, -1, dtype=np.intp)
-    slot_of[enter] = np.arange(width)
-    labels = np.arange(n_states, dtype=np.int16)
-    labels_absorbing = labels.copy()
-    labels_absorbing[enter] = -1  # below every label, so walks into ``last`` are no face
-    slots = np.arange(width, dtype=np.int16)
-    doubling = max(1, math.ceil(math.log2(n_states)))
-    doubling_last = math.ceil(math.log2(width))
-    if signed:
-        darts = (labels >> 1).astype(np.intp)
-        mirror_base = 2 * (darts ^ 1) + (1 ^ (labels & 1))
-
-    def trace_prefixes(keys):
-        """Faces avoiding ``last`` and the jump table, per (rotations, signs) key."""
-        count = len(keys)
-        rest = keys // signs if signed else keys.copy()
-        fwd = np.zeros((count, nd), dtype=np.int16)
-        bwd = np.zeros((count, nd), dtype=np.int16) if signed else None
-        for v in range(last - 1, -1, -1):
-            rows = rest % space.rot_counts[v]
-            rest //= space.rot_counts[v]
-            fwd[:, in_cols[v]] = fwd_tables[v][rows]
-            if signed:
-                bwd[:, in_cols[v]] = bwd_tables[v][rows]
-        for v in range(last + 1, g.n):
-            fwd[:, in_cols[v]] = fwd_tables[v][0]
-            if signed:
-                bwd[:, in_cols[v]] = bwd_tables[v][0]
-        if not signed:
-            nxt = fwd
-        else:
-            sign_mask = keys % signs + 1
-            neg = ((sign_mask[:, None] >> free_bits[None, :]) & 1).astype(np.int16)
-            neg &= free_mask_cols[None, :]
-            # State (d, s) leaves by bwd in direction 1; a negative dart flips s.
-            nxt = np.empty((count, 2 * nd), dtype=np.int16)
-            nxt[:, 0::2] = 2 * np.where(neg == 0, fwd, bwd) + neg
-            nxt[:, 1::2] = 2 * np.where(neg == 1, fwd, bwd) + (1 - neg)
-        rows = np.arange(0, count * n_states, n_states, dtype=np.intp)[:, None]
-        reach = (nxt + rows).ravel()
-        entering = (enter + rows).ravel()
-        reach[entering] = entering
-        lbl = np.tile(labels_absorbing, count)
-        for _ in range(doubling):
-            np.minimum(lbl, lbl.take(reach), out=lbl)
-            reach = reach.take(reach)
-        lbl = lbl.reshape(count, n_states)
-        roots = lbl == labels
-        if signed:
-            mirror = mirror_base ^ neg[:, darts]
-            roots &= lbl.take(mirror + rows) >= labels
-        return roots.sum(axis=1), slot_of.take(reach % n_states)
-
-    def window_chi(lo, hi):
-        flat = np.arange(lo, hi, dtype=np.int64)
-        if signed:
-            sign_mask = flat % signs + 1
-            flat //= signs
-        rows_last = flat % rot_last
-        keys = flat // rot_last
-        if signed:
-            keys = keys * signs + (sign_mask - 1)
-        keys, which = np.unique(keys, return_inverse=True)
-        avoiding, jump = trace_prefixes(keys)
-
-        fw = fwd_tables[last][rows_last].astype(np.intp)
-        if not signed:
-            leave = fw
-        else:
-            bw = bwd_tables[last][rows_last].astype(np.intp)
-            cols = in_cols[last]
-            neg_in = (sign_mask[:, None] >> free_bits[cols]) & 1 & free_mask_cols[cols]
-            s2 = np.stack([neg_in, 1 ^ neg_in], axis=2).reshape(len(flat), width)
-            out = np.where(s2 == 1, np.repeat(bw, 2, axis=1), np.repeat(fw, 2, axis=1))
-            leave = 2 * out + s2
-            neg_out = (sign_mask[:, None] >> free_bits[out]) & 1 & free_mask_cols[out]
-            mirror = slot_of.take(2 * (out ^ 1) + (1 ^ s2 ^ neg_out))
-        first_return = jump.take(which[:, None] * n_states + leave)
-        rows = np.arange(0, len(flat) * width, width, dtype=np.intp)[:, None]
-        reach = (first_return + rows).ravel()
-        lbl = np.tile(slots, len(flat))
-        for step in range(doubling_last):
-            np.minimum(lbl, lbl.take(reach), out=lbl)
-            if step + 1 < doubling_last:
-                reach = reach.take(reach)
-        lbl = lbl.reshape(len(flat), width)
-        roots = lbl == slots
-        if signed:
-            roots &= lbl.take(mirror + rows) >= slots
-        return g.n - g.m + avoiding[which] + roots.sum(axis=1)
-
-    def pairs_at_most(span):
-        per_prefix = rot_last * signs
-        return min(span, signs * (-(-span // per_prefix) + 1))
-
-    cells = _VECTOR_BLOCK * n_states // 4
-
-    def fits(span):
-        return span * width <= cells and pairs_at_most(span) * n_states <= cells
-
-    max_span = _VECTOR_BLOCK
-    while max_span > 1 and not fits(max_span):
-        max_span //= 2
-    while fits(2 * max_span):
-        max_span *= 2
-    return window_chi, max_span
-
-
-def _sweep_vector(space: _SchemeSpace, limit: int) -> tuple[int, int | None]:
-    """Trace schemes ``0..limit-1`` in order; returns (best, best_index).
-
-    ``best_index`` is the first scheme that attains ``best`` (None if none
-    was traced).  Schemes are traced a window at a time by
-    :func:`_contracted_tracer`: once per distinct (other rotations, sign
-    mask) pair away from the fastest-changing vertex ``L``, then per scheme
-    only through the states entering ``L``.  A window starts at
-    ``_VECTOR_BLOCK`` schemes, or the tracer's cap if that is smaller,
-    doubles up to the cap, and never reaches past ``limit``.
-    """
-    best = -(10**9)
-    best_index = None
-    window_chi, max_span = _contracted_tracer(space)
-    span = min(_VECTOR_BLOCK, max_span)
-    index = 0
-    while index < limit:
-        end = min(limit, index + span)
-        chi = window_chi(index, end)
-        pos = int(chi.argmax())  # the first of the window's best
-        if chi[pos] > best:
-            best, best_index = int(chi[pos]), index + pos
-        index = end
-        span = min(2 * span, max_span)
-    return best, best_index
-
-
 # -- face-building branch-and-bound -----------------------------------------
 
 
@@ -808,8 +482,12 @@ def _branch_and_bound(core: Graph, t: int, allowance: int,
     faces go round the busiest ones.  Choices sit on an explicit stack, so
     depth costs no recursion.  A complete scheme counts on the signed side
     only if some edge is -1, which makes it non-orientable, and on either
-    side only after :func:`trace_faces` re-traces it.
+    side only after :func:`trace_faces` re-traces it.  Orientable chi is
+    even, so on that side an odd ``t`` is first raised to the even value
+    above it, the same question, on which the cut is sharper.
     """
+    if not signed:
+        t += t % 2
     order = sorted(range(core.n), key=lambda v: -core.degree(v))
     rank = {v: i for i, v in enumerate(order)}
     edges, _, tail, head = _dart_tables(
@@ -934,50 +612,35 @@ def _branch_and_bound(core: Graph, t: int, allowance: int,
             trail.append((x, y, sx, ey))
 
 
-def _search_side(core: Graph, signed: bool, cap: int, early_exit: bool, left: int,
+def _search_side(core: Graph, signed: bool, cap: int, left: int,
                  strict: bool, lift: Callable[[RotationSystem], RotationSystem]) -> SideResult:
     """Search one orientability class of ``core``, whose chi is at most ``cap``.
 
-    Under early exit either side is decided by :func:`_branch_and_bound`
-    alone: it decides chi >= t for t from the cap down, by 2 on the
-    orientable side, whose chi is even, and by 1 on the signed side; each
-    node is one step of ``left``.  The first t that holds is the side's
+    :func:`_branch_and_bound` decides chi >= t for t from the cap down, by 2
+    on the orientable side, whose chi is even, and by 1 on the signed side;
+    each node is one step of ``left``.  The first t that holds is the side's
     chi, certified because every larger t was refuted in full.  Every core
     with a cycle has a one- or two-face orientable scheme and a one-face
     non-orientable scheme, so some t above ``n - m`` holds unless the budget
-    stops the search first.  Without early exit the side is swept
-    (:func:`_sweep_vector`) in the flat order, which reports the first
-    scheme attaining the best value; each scheme traced costs
-    ``space.states`` steps, and the sweep traces only what ``left`` pays
-    for in full.  ``searched`` counts the sweep's schemes and ``nodes`` the
-    search's; ``exhaustive`` means the sweep covered the whole quotient.
-    Strict mode raises when the budget stops the side before it is decided.
+    stops the search first.  Strict mode raises when the budget stops the
+    side before it is decided.
     """
-    if early_exit:
-        searched, exhaustive, nodes = 0, False, 0
-        for best in range(cap, core.n - core.m, -1 if signed else -2):
-            witness, spent, decided = _branch_and_bound(core, best, max(0, left - nodes), signed)
-            nodes += spent
-            if witness is not None or not decided:
-                break
-        else:
-            raise AssertionError("no scheme with at most two faces on a core with a cycle")
+    nodes = 0
+    for best in range(cap, core.n - core.m, -1 if signed else -2):
+        witness, spent, decided = _branch_and_bound(core, best, max(0, left - nodes), signed)
+        nodes += spent
+        if witness is not None or not decided:
+            break
     else:
-        space = _SchemeSpace(core, signed)
-        searched = min(space.total, max(0, left // space.states))
-        best, index = _sweep_vector(space, searched)
-        witness = None if index is None else space.scheme(index)
-        exhaustive = decided = searched == space.total
-        nodes = 0
+        raise AssertionError("no scheme with at most two faces on a core with a cycle")
     if strict and not decided:
         raise BudgetExceededError("face-tracing budget exhausted in strict mode")
     found = witness is not None
     return SideResult(
         chi=best if found else None,
         witness=lift(witness) if found else None,
-        exhaustive=exhaustive,
-        certified=found and (decided or best >= cap),
-        searched=searched,
+        exhaustive=False,
+        certified=found,
         nodes=nodes,
     )
 
@@ -987,7 +650,6 @@ def max_euler_characteristic(
     budget: int = DEFAULT_BUDGET,
     strict: bool = False,
     orientable_only: bool = False,
-    early_exit: bool = True,
 ) -> ChiSearchResult:
     """Largest Euler characteristic over all 2-cell embeddings.
 
@@ -998,35 +660,25 @@ def max_euler_characteristic(
     class; a planar outcome settles the non-orientable value at 1 without a
     search.
 
-    Under early exit, when the face-length cap allows chi 2, the core is
-    first tested for planarity.  A planar core's orientable side is
-    certified at 2 with the test's rotation system as its witness, after
-    its faces are counted again independently; it has ``nodes = 0`` and
-    ``exhaustive`` False.  A nonplanar core's orientable cap drops to 0.
-    Both sides are then decided by the branch-and-bound, with no sweep, so
-    a certified value below a side's cap was reached by refuting every
-    larger one in full.  When the orientable side is certified at or above
-    the signed side's cap, the signed side cannot raise chi, so it is not
-    searched and ``nonorientable`` is None; the overall value is certified
-    by the orientable side alone.  ``early_exit=False`` skips the planarity
-    test and the branch-and-bound and sweeps both sides over the full
-    quotient so the ``exhaustive`` flag can be earned, not just
-    ``certified``.
+    When the face-length cap allows chi 2, the core is first tested for
+    planarity.  A planar core's orientable side is certified at 2 with the
+    test's rotation system as its witness, after its faces are counted
+    again independently; it has ``nodes = 0``.  A nonplanar core's
+    orientable cap drops to 0.  Both sides are then decided by the
+    branch-and-bound, so a certified value below a side's cap was reached
+    by refuting every larger one in full.  When the orientable side is
+    certified at or above the signed side's cap, the signed side cannot
+    raise chi, so it is not searched and ``nonorientable`` is None; the
+    overall value is certified by the orientable side alone.
 
     Budget is counted in face-tracing steps and is a hard cap: each state
     the branch-and-bound places costs one step, and it stops before placing
-    one the budget does not cover; each scheme a sweep traces costs its
-    count of states, ``2m`` orientable and ``4m`` signed on a core of ``m``
-    edges, and a side traces only the schemes that what remains pays for in
-    full.  So ``steps_used`` is the two sides' ``nodes`` under early exit,
-    or ``2m`` times the orientable side's ``searched`` plus ``4m`` times the
-    signed side's without, at most ``budget`` (no steps at all when
-    ``budget`` is negative); the planarity test is not charged.  A node
-    takes far more wall time than a sweep step.  ``budget_stopped`` says
-    some side ran out before it was decided; such a side has chi None under
-    early exit.  In strict mode running out raises
-    :class:`BudgetExceededError`; otherwise partial results are returned
-    with flags cleared.
+    one the budget does not cover.  So ``steps_used`` is the two sides'
+    ``nodes``, at most ``budget`` (no steps at all when ``budget`` is
+    negative); the planarity test is not charged.  ``budget_stopped`` says
+    some side ran out before it was decided; such a side has chi None.  In
+    strict mode running out raises :class:`BudgetExceededError`; otherwise
+    partial results are returned with flags cleared.
     """
     if g.n < 1:
         raise ValueError("empty graph")
@@ -1063,7 +715,7 @@ def max_euler_characteristic(
     cap_nonor = min(1, chi_cap)
 
     or_side = None
-    if early_exit and cap_or == 2:
+    if cap_or == 2:
         rotations = planar_rotations(core)
         if rotations is None:
             cap_or = 0  # a nonplanar graph has orientable genus at least 1
@@ -1074,9 +726,8 @@ def max_euler_characteristic(
                 raise AssertionError("planar rotation system does not re-trace to chi 2")
             or_side = SideResult(chi=2, witness=lift(plane), exhaustive=False, certified=True)
     if or_side is None:
-        or_side = _search_side(core, False, cap_or, early_exit, budget, strict, lift)
-    sides_searched = [or_side]
-    steps = 2 * core.m * or_side.searched + or_side.nodes
+        or_side = _search_side(core, False, cap_or, budget, strict, lift)
+    steps = or_side.nodes
     nonor_side: SideResult | None = None
     if not orientable_only:
         if or_side.certified and or_side.chi == 2:
@@ -1084,46 +735,35 @@ def max_euler_characteristic(
             # plane, so the non-orientable side is exactly 1 (no 2-cell
             # scheme realises it for trees and some planar cores).
             nonor_side = SideResult(chi=1, witness=None, exhaustive=False, certified=True)
-        elif early_exit and or_side.certified and or_side.chi >= cap_nonor:
+        elif or_side.certified and or_side.chi >= cap_nonor:
             pass  # the signed side cannot raise chi, so it is not searched
         else:
             # The core has a cycle (it is not a tree, which returned above,
             # and both reductions keep the cycle rank), so some edge sign is
             # free and the signed space is not empty.
-            nonor_side = _search_side(core, True, cap_nonor, early_exit, budget - steps,
-                                      strict, lift)
-            sides_searched.append(nonor_side)
-            steps += 4 * core.m * nonor_side.searched + nonor_side.nodes
+            nonor_side = _search_side(core, True, cap_nonor, budget - steps, strict, lift)
+            steps += nonor_side.nodes
 
-    # Combine.  The non-orientable side never exceeds 1, so a certified
-    # planar outcome settles the overall maximum by itself.
-    sides = [s for s in (or_side, nonor_side) if s is not None and s.chi is not None]
+    # Combine.  A skipped signed side could not raise chi, so the overall
+    # value is certified when every side present is.
+    present = [s for s in (or_side, nonor_side) if s is not None]
+    sides = [s for s in present if s.chi is not None]
     overall_chi = max(s.chi for s in sides) if sides else None
     overall_witness = None
     for s in sides:
         if s.chi == overall_chi and s.witness is not None:
             overall_witness = s.witness
             break
-    if nonor_side is None:
-        overall_exhaustive = or_side.exhaustive
-        overall_certified = or_side.certified
-    else:
-        or_settles = or_side.certified and or_side.chi == 2
-        overall_exhaustive = or_side.exhaustive and (or_settles or nonor_side.exhaustive)
-        overall_certified = or_side.certified and (
-            nonor_side.certified or or_side.chi >= cap_nonor
-        )
+    certified = all(s.certified for s in present)
     return ChiSearchResult(
         chi=overall_chi,
         witness=overall_witness,
-        exhaustive=overall_exhaustive,
-        certified=overall_certified,
+        exhaustive=False,
+        certified=certified,
         steps_used=steps,
         budget=budget,
         orientable=or_side,
         nonorientable=nonor_side,
-        # A side stops short of its target only when the budget runs out.
-        budget_stopped=any(
-            not s.exhaustive and not (early_exit and s.certified) for s in sides_searched
-        ),
+        # Only the budget leaves a side undecided.
+        budget_stopped=not certified,
     )

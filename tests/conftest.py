@@ -4,8 +4,8 @@ The oracles here deliberately take different routes from the library code:
 domination by raw subset enumeration, bondage by re-solving domination on
 every edge subset, girth via per-edge shortest paths, isomorphism by
 permutation search, graph6 and planarity via networkx, chi sweeps that trace
-every scheme in full, cubic and radical floors by a scan of their defining
-predicate.  Agreement between two independent
+every scheme of a quotiented scheme space in full, cubic and radical floors
+by a scan of their defining predicate.  Agreement between two independent
 implementations is the point.
 """
 
@@ -18,7 +18,7 @@ from typing import Callable, Iterator
 
 from bondlab.bounds import _require_chi_nonpositive
 from bondlab.domination import domination_number
-from bondlab.embedding import _VECTOR_BLOCK, BudgetExceededError, RotationSystem
+from bondlab.embedding import BudgetExceededError, RotationSystem
 from bondlab.graphs import Graph
 
 
@@ -169,6 +169,102 @@ def are_isomorphic(a: Graph, b: Graph) -> bool:
     return False
 
 
+_VECTOR_BLOCK = 4096  # schemes per block of reference_sweep_vector
+
+
+def _is_complete(g: Graph) -> bool:
+    return g.m == g.n * (g.n - 1) // 2
+
+
+def _is_complete_bipartite(g: Graph) -> bool:
+    color = [-1] * g.n
+    color[0] = 0
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for v in g.neighbors(u):
+            if color[v] == -1:
+                color[v] = color[u] ^ 1
+                stack.append(v)
+            elif color[v] == color[u]:
+                return False
+    a = color.count(0)
+    return g.m == a * (g.n - a)
+
+
+class SchemeSpace:
+    """Quotiented enumeration space of rotation schemes, for the sweeps below.
+
+    Vertex rotations are anchored at the smallest neighbour, listed in
+    ``itertools.permutations`` order of the rest.  At the pivot (smallest
+    max-degree vertex) the candidate list is either a single fixed rotation
+    (complete or complete bipartite graphs, where the vertex stabiliser
+    realises every cyclic order) or one representative per reversal pair
+    (reflection of the whole scheme preserves chi).  On the signed side the
+    spanning-tree edges stay +1 and every nonzero mask of the others is a
+    scheme, so every signed scheme is non-orientable.  Schemes are numbered
+    in the flat order: the sign mask changes fastest, then the rotation at
+    the last vertex.
+    """
+
+    def __init__(self, g: Graph, signed: bool):
+        self.g = g
+        self.signed = signed
+        self.edges = g.edges()
+        self.dart_of = {}
+        for e, (u, v) in enumerate(self.edges):
+            self.dart_of[(u, v)] = 2 * e
+            self.dart_of[(v, u)] = 2 * e + 1
+        degrees = [g.degree(v) for v in range(g.n)]
+        self.pivot = max(range(g.n), key=lambda v: (degrees[v], -v))
+        full_fix = _is_complete(g) or _is_complete_bipartite(g)
+        self.candidates: list[list[tuple[int, ...]]] = []
+        for v in range(g.n):
+            nbrs = sorted(g.neighbors(v))
+            if len(nbrs) <= 2:
+                cands = [tuple(nbrs)]
+            else:
+                anchor, rest = nbrs[0], nbrs[1:]
+                cands = [(anchor, *p) for p in permutations(rest)]
+                if v == self.pivot:
+                    if full_fix:
+                        cands = cands[:1]
+                    else:
+                        cands = [c for c in cands if c[1:] <= tuple(reversed(c[1:]))]
+            self.candidates.append(cands)
+        self.rot_counts = [len(c) for c in self.candidates]
+
+        tree: set[int] = set()
+        seen = {0}
+        frontier = [0]
+        edge_index = {e: i for i, e in enumerate(self.edges)}
+        while frontier:
+            u = frontier.pop()
+            for v in g.neighbors(u):
+                if v not in seen:
+                    seen.add(v)
+                    tree.add(edge_index[(min(u, v), max(u, v))])
+                    frontier.append(v)
+        self.free_edges = [i for i in range(g.m) if i not in tree]
+        self.sign_count = (1 << len(self.free_edges)) - 1 if signed else 1
+
+        self.total = math.prod(self.rot_counts) * self.sign_count
+        self.states = 4 * g.m if signed else 2 * g.m
+
+    def decode(self, index: int) -> tuple[tuple[int, ...], int]:
+        """Flat index -> (per-vertex candidate indices, sign mask)."""
+        if self.signed:
+            sign_mask = index % self.sign_count + 1
+            index //= self.sign_count
+        else:
+            sign_mask = 0
+        digits = [0] * self.g.n
+        for v in range(self.g.n - 1, -1, -1):
+            digits[v] = index % self.rot_counts[v]
+            index //= self.rot_counts[v]
+        return tuple(digits), sign_mask
+
+
 class _Budget:
     __slots__ = ("remaining", "strict")
 
@@ -193,7 +289,7 @@ class _Budget:
 def reference_sweep_scalar(space, limit: int) -> tuple[int, int | None]:
     """The pure-Python sweep: each scheme ``0..limit-1`` traced in full.
 
-    Same contract as ``embedding._sweep_vector``: returns (best, best_index),
+    Same contract as :func:`reference_sweep`: returns (best, best_index),
     where ``best_index`` is the first scheme attaining ``best``.  Only the
     rotations that change between consecutive schemes are rewritten; faces
     are counted by stamping orbits.

@@ -28,7 +28,7 @@ from bondlab.graphs import (
 )
 from bondlab.harness import verify_graph
 
-from conftest import random_connected_graph, random_rotation_system
+from conftest import SchemeSpace, random_connected_graph, random_rotation_system, reference_sweep
 
 DATA = Path(__file__).parent / "data"
 
@@ -104,11 +104,13 @@ def test_criterion_3_balanced_bipartite_suite():
     bondage_ok = all(results[n]["b"] == n for n in (3, 4)) and results[2]["b"] == 3
 
     g44 = make_family("kmn", 4, 4)
-    search = max_euler_characteristic(g44, orientable_only=True, early_exit=False)
+    search = max_euler_characteristic(g44, orientable_only=True)
+    space = SchemeSpace(g44, False)  # K4,4 is its own core
     chi_ok = (
-        search.orientable.exhaustive
+        search.orientable.certified
         and search.orientable.chi == 0
         and search.orientable.chi == (4 * 4 - 4 * 4) // 2
+        and reference_sweep(space, space.total)[0] == 0
     )
     sharp_ok = results[4]["bprime"] == 4 + 1 + math.isqrt(4 - 2 * 0) == 7
     elapsed = time.perf_counter() - start

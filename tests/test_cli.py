@@ -72,9 +72,20 @@ class TestChi:
 
     def test_strict_budget_exit_three(self, capsys):
         g6 = emit_graph6(make_family("kmn", 3, 3))
-        code, _, err = run(capsys, "chi", g6, "--budget", "10", "--strict", "--exhaustive")
+        code, _, err = run(capsys, "chi", g6, "--budget", "10", "--strict")
         assert code == 3
         assert "budget" in err
+
+    def test_no_exhaustive_flag(self, capsys, tmp_path):
+        # chi has no --exhaustive option, on the command line or in a config file.
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "chi", "E~~w", "--exhaustive")
+        assert exc.value.code == 2
+        conf = tmp_path / "bondlab.conf"
+        conf.write_text("exhaustive = true\n")
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "--config", str(conf), "chi", "E~~w")
+        assert exc.value.code == 2
 
     def test_negative_budget_uses_no_steps(self, capsys):
         code, out, _ = run(capsys, "chi", "E~~w", "--budget=-5", "--format", "json")

@@ -1,6 +1,5 @@
 import json
 import random
-import tracemalloc
 from itertools import permutations, product
 from pathlib import Path
 
@@ -20,6 +19,7 @@ from bondlab.embedding import (
 from bondlab.graphs import Graph, enumerate_connected_graphs, make_family, parse_graph6
 
 from conftest import (
+    SchemeSpace,
     random_connected_graph,
     random_rotation_system,
     reference_core,
@@ -280,8 +280,9 @@ class TestMaxChi:
             assert after.chi <= before.chi
 
     def test_quotient_matches_unquotiented_brute_force(self):
-        # Independent oracle: no reflection quotient, no pivot fixing, no
-        # reductions; every rotation system and every sign subset is traced.
+        # Every rotation system and every sign subset is traced, with no
+        # reflection quotient, no pivot fixing and no reductions.  The
+        # quotiented oracle sweeps agree with it, and with the search.
         from itertools import combinations
 
         cases = [
@@ -300,69 +301,27 @@ class TestMaxChi:
                         signed = RotationSystem(rs.rotations, frozenset(neg))
                         best_any = max(best_any, trace_faces(g, signed).chi)
             best_any = max(best_any, best_or)
-            result = max_euler_characteristic(g, early_exit=False)
+            swept = []
+            for signed in (False, True):
+                space = SchemeSpace(g, signed)
+                vector = reference_sweep(space, space.total)
+                assert vector == reference_sweep_scalar(space, space.total), (g.edges(), signed)
+                swept.append(vector[0])
+            assert swept[0] == best_or and max(swept) == best_any, g.edges()
+            result = max_euler_characteristic(g)
             assert result.orientable.chi == best_or, g.edges()
-            assert result.chi == best_any, g.edges()
-
-    def test_scalar_and_vector_paths_agree(self, monkeypatch):
-        g = make_family("kmn", 3, 3)
-        result_vector = max_euler_characteristic(g, early_exit=False)
-        monkeypatch.setattr(embedding, "_sweep_vector", reference_sweep_scalar)
-        result_scalar = max_euler_characteristic(g, early_exit=False)
-        assert result_scalar.chi == result_vector.chi
-        assert result_scalar.witness == result_vector.witness
-        assert result_scalar.orientable.chi == result_vector.orientable.chi
-        assert result_scalar.nonorientable.chi == result_vector.nonorientable.chi
-        assert result_scalar == result_vector
+            assert result.chi == best_any and result.certified, g.edges()
 
     def test_budget_strict_raises(self):
         g = make_family("kmn", 3, 3)
         with pytest.raises(BudgetExceededError):
-            max_euler_characteristic(g, budget=10, strict=True, early_exit=False)
+            max_euler_characteristic(g, budget=10, strict=True)
 
     def test_budget_permissive_flags_incomplete(self):
         g = make_family("kmn", 3, 3)
-        result = max_euler_characteristic(g, budget=50, early_exit=False)
-        assert not result.exhaustive
-        assert result.steps_used <= 50
-
-    @pytest.mark.parametrize("family, budget, path", [
-        (("kn", 6), 10**6, "_sweep_vector"),
-        (("kmn", 5, 5), 10**6, "_sweep_vector"),
-        (("kmn", 3, 3), 50, "_sweep_scalar"),
-    ])
-    def test_budget_is_a_hard_cap(self, monkeypatch, family, budget, path):
-        # "_sweep_scalar" runs the pure-Python oracle in the numpy sweep's place.
-        used = []
-        original = reference_sweep_scalar if path == "_sweep_scalar" else embedding._sweep_vector
-
-        def counted(*args):
-            used.append(path)
-            return original(*args)
-
-        monkeypatch.setattr(embedding, "_sweep_vector", counted)
-        result = max_euler_characteristic(make_family(*family), budget=budget, early_exit=False)
-        assert used and not result.exhaustive
-        assert result.steps_used <= budget
-
-    def test_paths_stop_at_the_same_scheme(self, corpus6, monkeypatch):
-        # The numpy sweep and the pure-Python oracle trace exactly the
-        # schemes the budget pays for, so swapping them changes no field of
-        # the result.
-        def search_all():
-            return [
-                max_euler_characteristic(g, budget=budget, early_exit=early_exit)
-                for g in corpus6
-                for budget in (10**4, 10**5)
-                for early_exit in (True, False)
-            ]
-
-        vector = search_all()
-        monkeypatch.setattr(embedding, "_sweep_vector", reference_sweep_scalar)
-        assert search_all() == vector
-        g = make_family("kmn", 3, 3)
-        result = max_euler_characteristic(g, budget=1000, early_exit=False)
-        assert 1000 - 4 * g.m < result.steps_used <= 1000
+        result = max_euler_characteristic(g, budget=50)
+        assert not result.certified and result.budget_stopped
+        assert result.steps_used == 50
 
     @given(
         st.one_of(
@@ -373,34 +332,17 @@ class TestMaxChi:
                       st.integers(min_value=2, max_value=7), st.just(0.5)),
         ),
         st.integers(min_value=-100, max_value=2 * 10**5),
-        st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_steps_used_counts_states_of_searched_schemes(self, g, budget, early_exit):
-        result = max_euler_characteristic(g, budget=budget, early_exit=early_exit)
-        m = embedding._core(g)[0].m
+    def test_steps_used_counts_states_of_searched_schemes(self, g, budget):
+        result = max_euler_characteristic(g, budget=budget)
         orientable, nonor = result.orientable, result.nonorientable
-        signed = 4 * m * nonor.searched + nonor.nodes if nonor else 0
-        assert result.steps_used == 2 * m * orientable.searched + orientable.nodes + signed
-        assert result.steps_used <= max(0, budget)
-        if early_exit:
-            assert orientable.searched == 0 and (nonor is None or nonor.searched == 0)
-        else:
-            assert orientable.nodes == 0 and (nonor is None or nonor.nodes == 0)
-        # A side the budget stopped could not pay for one more scheme, or
-        # under early exit for one more node.
-        if not orientable.certified:
-            assert budget - result.steps_used < (1 if early_exit else 2 * m)
-        if nonor is not None and not nonor.certified:
-            assert budget - result.steps_used < (1 if early_exit else 4 * m)
-
-    def test_strict_on_the_numpy_path(self):
-        with pytest.raises(BudgetExceededError):
-            max_euler_characteristic(make_family("kn", 6), budget=10**5, strict=True,
-                                     early_exit=False)
-        for g in (make_family("kn", 5), make_family("petersen")):
-            result = max_euler_characteristic(g, strict=True)
-            assert result.chi == 1 and result.certified
+        signed = nonor.nodes if nonor else 0
+        assert result.steps_used == orientable.nodes + signed <= max(0, budget)
+        assert orientable.searched == 0 and (nonor is None or nonor.searched == 0)
+        # A side the budget stopped could not pay for one more node.
+        if not orientable.certified or (nonor is not None and not nonor.certified):
+            assert budget - result.steps_used < 1
 
     def test_rejects_disconnected(self):
         with pytest.raises(ValueError):
@@ -412,32 +354,37 @@ class TestMaxChi:
         b = max_euler_characteristic(g)
         assert a.chi == b.chi and a.witness == b.witness
 
-    def test_exhaustive_flag_earned_without_early_exit(self):
-        g = make_family("cn", 5)
-        result = max_euler_characteristic(g, early_exit=False)
-        assert result.exhaustive and result.certified
-
-
-# ---------------------------------------------------------------------------
-# The contracted numpy sweep against the full-tracing one
-# ---------------------------------------------------------------------------
-
 
 @pytest.fixture(scope="module")
 def corpus6():
     return [g for g in enumerate_connected_graphs(6) if g.m > 0]
 
 
-def _assert_sweeps_agree(g, budget):
-    """Each side's numpy sweep and full tracing agree on what ``budget`` pays for."""
-    core = embedding._core(g)[0]
-    if core.m == 0:
-        return
-    for signed in (False, True):
-        space = embedding._SchemeSpace(core, signed)
-        limit = min(space.total, budget // space.states)
-        new = embedding._sweep_vector(space, limit)
-        assert new == reference_sweep(space, limit), (g.edges(), signed, budget)
+def _distinct_cores(graphs):
+    cores = {}
+    for g in graphs:
+        core = embedding._core(g)[0]
+        if core.m:
+            cores.setdefault((core.n, tuple(core.edges())), core)
+    return list(cores.values())
+
+
+_SWEPT: dict = {}
+
+
+def _swept_chi(core, signed):
+    """The oracle's best chi over the whole quotient of one side of ``core``.
+
+    None when the quotient holds more than 3e6 states' worth of schemes: a
+    full sweep of corpus6's largest cores takes tens of seconds.  Values
+    are cached by labelled core, so tests on the same cores sweep once.
+    """
+    key = (core.n, tuple(core.edges()), signed)
+    if key not in _SWEPT:
+        space = SchemeSpace(core, signed)
+        fits = space.total * space.states <= 3 * 10**6
+        _SWEPT[key] = reference_sweep(space, space.total)[0] if fits else None
+    return _SWEPT[key]
 
 
 def _relabelled(g, rng):
@@ -446,84 +393,8 @@ def _relabelled(g, rng):
     return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
-class TestContractedSweep:
-    """``_sweep_vector`` must reproduce the full trace of every scheme exactly."""
-
-    def test_corpus6_cores(self, corpus6):
-        # Budgets that cut the sweep inside a block, early and late.
-        for g in corpus6:
-            _assert_sweeps_agree(g, 10**5)
-            _assert_sweeps_agree(g, 10**6)
-
-    @pytest.mark.parametrize("g", [
-        make_family("kmn", 5, 5),
-        make_family("qd", 4),
-        Graph.from_edges(9, [(u, v) for u in range(9) for v in range(u + 1, 9) if u // 3 != v // 3]),
-    ], ids=["K5,5", "Q4", "K3,3,3"])
-    def test_stress_graphs(self, g):
-        _assert_sweeps_agree(g, 10**6)
-
-    @given(st.integers(min_value=3, max_value=8), st.randoms(use_true_random=False))
-    @settings(max_examples=25, deadline=None)
-    def test_random_connected_graphs(self, n, rng):
-        _assert_sweeps_agree(random_connected_graph(rng, n, extra=0.5), 2 * 10**5)
-
-    @given(st.integers(min_value=3, max_value=7), st.booleans(), st.randoms(use_true_random=False))
-    @settings(max_examples=40, deadline=None)
-    def test_each_scheme_matches_trace_faces(self, n, signed, rng):
-        core = embedding._core(random_connected_graph(rng, n, extra=0.5))[0]
-        if core.m == 0:
-            return
-        space = embedding._SchemeSpace(core, signed)
-        window_chi, _ = embedding._contracted_tracer(space)
-        lo = rng.randrange(space.total)
-        hi = min(space.total, lo + rng.randint(1, 200))
-        expected = [trace_faces(core, space.scheme(i)).chi for i in range(lo, hi)]
-        assert window_chi(lo, hi).tolist() == expected
-
-    @pytest.mark.parametrize("g", [
-        make_family("kmn", 5, 5),
-        make_family("qd", 4),
-        make_family("kn", 6),
-    ], ids=["K5,5", "Q4", "K6"])
-    @pytest.mark.parametrize("signed", [False, True])
-    def test_each_scheme_matches_trace_faces_deep_in_the_space(self, g, signed):
-        core = embedding._core(g)[0]
-        space = embedding._SchemeSpace(core, signed)
-        window_chi, _ = embedding._contracted_tracer(space)
-        lo = min(space.total, 1 << 62) * 3 // 7
-        expected = [trace_faces(core, space.scheme(i)).chi for i in range(lo, lo + 300)]
-        assert window_chi(lo, lo + 300).tolist() == expected
-
-    def test_max_euler_characteristic_on_corpus6(self, corpus6, monkeypatch):
-        rng = random.Random(2024)
-        graphs = [_relabelled(g, rng) for g in corpus6]
-        # Without early exit, the only path that sweeps.
-        new = [max_euler_characteristic(g, budget=3 * 10**5, early_exit=False) for g in graphs]
-        monkeypatch.setattr(embedding, "_sweep_vector", reference_sweep)
-        old = [max_euler_characteristic(g, budget=3 * 10**5, early_exit=False) for g in graphs]
-        assert new == old
-
-    @pytest.mark.parametrize("graph6", ["E~~w", "E~~o", "E}~o", "E~~_"])
-    def test_peak_memory_no_higher_than_full_tracing(self, graph6, monkeypatch):
-        g = parse_graph6(graph6)
-        max_euler_characteristic(g, budget=10**5, early_exit=False)  # numpy imported and warm
-
-        def peak():
-            tracemalloc.start()
-            try:
-                max_euler_characteristic(g, budget=3_000_000, early_exit=False)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        new = peak()
-        monkeypatch.setattr(embedding, "_sweep_vector", reference_sweep)
-        assert new <= peak()
-
-
 # ---------------------------------------------------------------------------
-# The signed side: the branch-and-bound alone under early exit
+# The branch-and-bound on either side, and the search as a whole
 # ---------------------------------------------------------------------------
 
 
@@ -558,7 +429,7 @@ def _assert_witnesses_retrace(g, result):
 
 
 class TestLocalSearchRace:
-    """Guards on the early-exit search as a whole: where it runs and what it costs."""
+    """Guards on the search as a whole: where it runs and what it costs."""
 
     def test_corpus6_certifies_at_the_benchmark_budget(self, corpus6):
         for g in corpus6:
@@ -575,20 +446,36 @@ class TestLocalSearchRace:
         _assert_witnesses_retrace(g, max_euler_characteristic(g, budget=10**6))
 
     def test_agrees_with_the_sweep_alone_where_it_certifies(self, corpus6):
-        # Without early exit there is no planarity step or branch-and-bound:
-        # a side is certified by sweeping its whole space.
+        # The oracle sweeps each side's whole quotient where it is small
+        # enough, with no planarity step or branch-and-bound.  A relabelled
+        # graph is held to the values of its original.
         rng = random.Random(7)
-        graphs = corpus6 + [_relabelled(g, rng) for g in corpus6[-40:]]
-        graphs += [make_family("kmn", 4, 4), make_family("petersen")]
-        for g in graphs:
-            new = max_euler_characteristic(g, budget=3 * 10**6)
-            old = max_euler_characteristic(g, budget=3 * 10**6, early_exit=False)
-            assert new.steps_used <= 3 * 10**6
-            pairs = [(new, old), (new.orientable, old.orientable),
-                     (new.nonorientable, old.nonorientable)]
-            for a, b in pairs:
-                if b is not None and b.certified:
-                    assert (a.chi, a.certified) == (b.chi, b.certified), g.edges()
+        named = [make_family("kmn", 4, 4), make_family("petersen")]
+        pairs = [(g, g) for g in corpus6 + named]
+        pairs += [(_relabelled(g, rng), g) for g in corpus6[-40:]]
+        compared = 0
+        for g, original in pairs:
+            result = max_euler_characteristic(g, budget=3 * 10**6)
+            assert result.certified and result.steps_used <= 3 * 10**6, g.edges()
+            core = embedding._core(original)[0]
+            if core.m == 0:
+                continue
+            orientable, signed = _swept_chi(core, False), _swept_chi(core, True)
+            if orientable is not None:
+                assert result.orientable.chi == orientable, g.edges()
+                compared += 1
+            if signed is None:
+                continue
+            nonor = result.nonorientable
+            if result.orientable.chi == 2 or nonor is None:
+                # Planar, or skipped as unable to raise chi.
+                assert signed <= result.chi, g.edges()
+            else:
+                assert nonor.chi == signed, g.edges()
+            if orientable is not None:
+                assert result.chi == max(orientable, signed), g.edges()
+            compared += 1
+        assert compared == 296  # sides, of 2 * 184 graphs
 
     def test_results_do_not_depend_on_the_hash_seed(self):
         import os
@@ -610,20 +497,6 @@ class TestLocalSearchRace:
                                   capture_output=True, text=True)
             outputs.append(done.stdout)
         assert outputs[0] == outputs[1] and outputs[0].count("certified=True") >= 3
-
-    def test_no_signed_sweep_under_early_exit(self, corpus6, monkeypatch):
-        # Neither side is swept under early exit, so no scheme space is built.
-        def refuse(space, core, signed):
-            raise AssertionError(f"scheme space built (signed={signed})")
-
-        monkeypatch.setattr(embedding._SchemeSpace, "__init__", refuse)
-        for g in _stress_graphs():
-            max_euler_characteristic(g, budget=10**6)
-        rng = random.Random(11)
-        for _ in range(200):
-            max_euler_characteristic(_sparse_graph(rng, rng.randint(8, 14), rng.randint(2, 5)))
-        for g in corpus6:
-            max_euler_characteristic(g, budget=3 * 10**7)
 
     def test_stress_graphs_spend_their_leftover_steps_as_nodes(self):
         # Both sides are searched node by node, and every stress graph is
@@ -683,14 +556,6 @@ class TestLocalSearchRace:
         for budget in (100, 400):
             assert max_euler_characteristic(make_family("kn", 6), budget=budget).budget_stopped
         assert not max_euler_characteristic(make_family("kn", 5)).budget_stopped
-        # Exhausting the space is not a stop, with or without early exit.
-        assert not max_euler_characteristic(make_family("cn", 5), early_exit=False).budget_stopped
-        assert max_euler_characteristic(make_family("kmn", 3, 3), budget=50,
-                                        early_exit=False).budget_stopped
-        # Without early exit a side that attains its cap sweeps on, so the
-        # budget stops K5's certified signed side short of its space.
-        k5 = max_euler_characteristic(make_family("kn", 5), budget=10**6, early_exit=False)
-        assert k5.nonorientable.certified and k5.budget_stopped
 
 
 def _k1222():
@@ -710,17 +575,11 @@ class TestSignedBranchAndBound:
         return witness is not None
 
     def test_matches_the_exhaustive_signed_sweep_on_corpus6(self, corpus6):
-        cores = {}
-        for g in corpus6:
-            core = embedding._core(g)[0]
-            if core.m:
-                cores.setdefault((core.n, tuple(core.edges())), core)
         checked = 0
-        for core in cores.values():
-            space = embedding._SchemeSpace(core, True)
-            if space.total * space.states > 3 * 10**6:
+        for core in _distinct_cores(corpus6):
+            best = _swept_chi(core, True)
+            if best is None:
                 continue
-            best = reference_sweep(space, space.total)[0]
             cap = min(1, embedding._face_length_upper_bound(core))
             for t in range(cap, best - 1, -1):
                 assert self._decide(core, t) == (t <= best), (core.edges(), t, best)
@@ -729,8 +588,7 @@ class TestSignedBranchAndBound:
 
     def test_refutes_the_projective_plane_for_k1222(self):
         # K1,2,2,2 is one of the projective plane's forbidden minors
-        # (Archdeacon 1981).  Called directly: in max_euler_characteristic
-        # its orientable sweep spends the whole default budget first.
+        # (Archdeacon 1981).  Called directly, one t at a time.
         core = embedding._core(_k1222())[0]
         assert embedding._face_length_upper_bound(core) == 1
         assert not self._decide(core, 1)
@@ -816,28 +674,28 @@ class TestOrientableBranchAndBound:
             assert self._decide(core, t) == (t <= best), (core.edges(), t, best)
 
     def test_matches_the_exhaustive_orientable_sweep_on_corpus6(self, corpus6):
-        cores = {}
-        for g in corpus6:
-            core = embedding._core(g)[0]
-            if core.m:
-                cores.setdefault((core.n, tuple(core.edges())), core)
         checked = 0
-        for core in cores.values():
-            space = embedding._SchemeSpace(core, False)
-            if space.total * space.states > 3 * 10**6:
-                continue
-            self._assert_matches(core, reference_sweep(space, space.total)[0])
-            checked += 1
+        for core in _distinct_cores(corpus6):
+            best = _swept_chi(core, False)
+            if best is not None:
+                self._assert_matches(core, best)
+                checked += 1
         assert checked == 59  # of 63; the other four have 13-15 edges, K6 among them
 
     @pytest.mark.parametrize("family", [("kn", 5), ("kmn", 3, 3), ("kmn", 4, 4),
                                         ("petersen",), ("qd", 3)])
     def test_matches_the_exhaustive_orientable_sweep_on_named_graphs(self, family):
-        g = make_family(*family)
-        swept = max_euler_characteristic(g, budget=10**9, orientable_only=True,
-                                         early_exit=False).orientable
-        assert swept.exhaustive
-        self._assert_matches(embedding._core(g)[0], swept.chi)
+        core = embedding._core(make_family(*family))[0]
+        space = SchemeSpace(core, False)
+        self._assert_matches(core, reference_sweep(space, space.total)[0])
+
+    def test_odd_t_is_decided_as_the_even_t_above_it(self):
+        # Orientable chi is even, so chi >= -3 and chi >= -2 are one question
+        # and so are -5 and -4.  K5,5's orientable chi is -4.
+        core = embedding._core(make_family("kmn", 5, 5))[0]
+        for t, holds in ((-2, False), (-3, False), (-4, True), (-5, True)):
+            witness, nodes, decided = embedding._branch_and_bound(core, t, 10**4, False)
+            assert decided and (witness is not None) == holds and nodes < 10**4, t
 
     def test_sphere_agrees_with_networkx_on_the_atlas(self):
         import networkx as nx

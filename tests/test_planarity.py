@@ -8,7 +8,7 @@ from bondlab.embedding import RotationSystem, max_euler_characteristic, trace_fa
 from bondlab.graphs import Graph, enumerate_connected_graphs, make_family, parse_graph6
 from bondlab.planarity import planar_rotations
 
-from conftest import random_connected_graph, reference_is_planar
+from conftest import SchemeSpace, random_connected_graph, reference_is_planar, reference_sweep
 
 
 @pytest.fixture(scope="module")
@@ -60,22 +60,25 @@ class TestPlanarRotations:
 
 class TestPlanarityStep:
     def test_agrees_with_the_exhaustive_orientable_sweep(self, corpus6):
-        # Without early exit the step never runs, so the sweep alone decides
-        # whether chi 2 is reached, over the whole quotient.
+        # The oracle sweep decides whether chi 2 is reached over the whole
+        # quotient, where that holds at most 3e6 states' worth of schemes.
+        # A full sweep of the four 13-15-edge cores above that takes tens of
+        # seconds each, so networkx decides those.
+        networkx_only = 0
         for g in corpus6:
-            side = max_euler_characteristic(g, budget=10**9, orientable_only=True,
-                                            early_exit=False).orientable
-            assert side.exhaustive
             core = embedding._core(g)[0]
-            assert (side.chi == 2) == (planar_rotations(core) is not None), g.edges()
-
-    def test_never_called_without_early_exit(self, corpus6, monkeypatch):
-        def refuse(g):
-            raise AssertionError("planarity step ran without early exit")
-
-        monkeypatch.setattr(embedding, "planar_rotations", refuse)
-        for g in corpus6[::7] + [make_family("qd", 3), make_family("kn", 5)]:
-            max_euler_characteristic(g, budget=10**5, early_exit=False)
+            if core.m == 0:
+                continue
+            space = SchemeSpace(core, False)
+            if space.total * space.states <= 3 * 10**6:
+                planar = reference_sweep(space, space.total)[0] == 2
+            else:
+                planar = reference_is_planar(core)
+                networkx_only += 1
+            assert (planar_rotations(core) is not None) == planar, g.edges()
+            side = max_euler_characteristic(g, orientable_only=True).orientable
+            assert side.certified and (side.chi == 2) == planar, g.edges()
+        assert networkx_only == 4
 
     @pytest.mark.parametrize("graph6", ["E~z_", "Ev~_", "E~~?"])
     def test_nonplanar_cores_stop_at_genus_one(self, graph6):
