@@ -264,6 +264,17 @@ class SchemeSpace:
             index //= self.rot_counts[v]
         return tuple(digits), sign_mask
 
+    def scheme(self, index: int) -> RotationSystem:
+        """The rotation system numbered ``index`` in the flat order."""
+        digits, sign_mask = self.decode(index)
+        rotations = tuple(self.candidates[v][digits[v]] for v in range(self.g.n))
+        neg = frozenset(
+            self.edges[self.free_edges[b]]
+            for b in range(len(self.free_edges))
+            if sign_mask >> b & 1
+        )
+        return RotationSystem(rotations=rotations, negative_edges=neg)
+
 
 class _Budget:
     __slots__ = ("remaining", "strict")
@@ -286,8 +297,8 @@ class _Budget:
         return True
 
 
-def reference_sweep_scalar(space, limit: int) -> tuple[int, int | None]:
-    """The pure-Python sweep: each scheme ``0..limit-1`` traced in full.
+def reference_sweep_scalar(space, limit: int, start: int = 0) -> tuple[int, int | None]:
+    """The pure-Python sweep: each scheme ``start..limit-1`` traced in full.
 
     Same contract as :func:`reference_sweep`: returns (best, best_index),
     where ``best_index`` is the first scheme attaining ``best``.  Only the
@@ -304,7 +315,7 @@ def reference_sweep_scalar(space, limit: int) -> tuple[int, int | None]:
     stamp_unsigned = [-1] * nd
     stamp_signed = [-1] * (2 * nd)
     digits = None
-    for index in range(limit):
+    for index in range(start, limit):
         new_digits, sign_mask = space.decode(index)
         for v in range(g.n):
             if digits is not None and new_digits[v] == digits[v]:
@@ -355,22 +366,22 @@ def reference_sweep_scalar(space, limit: int) -> tuple[int, int | None]:
     return best, best_index
 
 
-def reference_sweep(space, limit: int) -> tuple[int, int | None]:
-    """:func:`reference_sweep_vector` over schemes ``0..limit-1``.
+def reference_sweep(space, limit: int, start: int = 0) -> tuple[int, int | None]:
+    """:func:`reference_sweep_vector` over schemes ``start..limit-1``.
 
-    A budget of exactly ``limit`` schemes' states makes its last block
-    shrink to end at ``limit``, and the next charge is refused there.
+    A budget of exactly ``limit - start`` schemes' states makes its last
+    block shrink to end at ``limit``, and the next charge is refused there.
     """
-    budget = _Budget(limit * space.states, strict=False)
-    return reference_sweep_vector(space, budget)
+    budget = _Budget((limit - start) * space.states, strict=False)
+    return reference_sweep_vector(space, budget, start)
 
 
-def reference_sweep_vector(space, budget) -> tuple[int, int | None]:
+def reference_sweep_vector(space, budget, start: int = 0) -> tuple[int, int | None]:
     """The numpy sweep as it traced every scheme in full, block by block.
 
-    Kept verbatim apart from its name and the early-exit target it no
-    longer takes: each block builds the whole next-state table per scheme
-    and min-label doubles over all its states.
+    Kept verbatim apart from its name, the early-exit target it no longer
+    takes and the first scheme ``start``: each block builds the whole
+    next-state table per scheme and min-label doubles over all its states.
     """
     import numpy as np
 
@@ -409,7 +420,7 @@ def reference_sweep_vector(space, budget) -> tuple[int, int | None]:
     doubling = max(1, math.ceil(math.log2(n_states)))
     arange_states = np.arange(n_states, dtype=np.int16)
 
-    index = 0
+    index = start
     while index < space.total:
         # The last block shrinks to what the budget still covers, so the
         # sweep reaches the same scheme as the scalar one when it runs out.

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import random
+import tracemalloc
 from itertools import permutations, product
 from pathlib import Path
 
@@ -354,6 +356,53 @@ class TestMaxChi:
         b = max_euler_characteristic(g)
         assert a.chi == b.chi and a.witness == b.witness
 
+    @pytest.mark.parametrize("family, budget", [
+        (("kn", 6), 300),  # orientable side decided in 220 nodes, signed side stopped
+        (("kmn", 5, 5), 5000),  # orientable side stopped short of its 6,371 nodes
+        (("kmn", 3, 3), 30),  # 18 orientable nodes, then the signed side stopped
+    ])
+    def test_budget_is_a_hard_cap(self, family, budget):
+        g = make_family(*family)
+        full = max_euler_characteristic(g)
+        assert full.certified and full.steps_used > budget
+        result = max_euler_characteristic(g, budget=budget)
+        assert result.budget_stopped and not result.certified
+        assert result.steps_used == budget
+
+    def test_strict_on_either_side(self):
+        # K6 is decided in 220 orientable and 242 signed nodes, so a budget
+        # of 100 stops its orientable side and one of 300 its signed side.
+        for budget in (100, 300):
+            with pytest.raises(BudgetExceededError):
+                max_euler_characteristic(make_family("kn", 6), budget=budget, strict=True)
+        for g in (make_family("kn", 5), make_family("petersen")):
+            result = max_euler_characteristic(g, strict=True)
+            assert result.chi == 1 and result.certified
+
+    def test_exhaustive_flag_only_for_trees(self, corpus6):
+        # Only a tree's single scheme is traced as a whole; every other
+        # certificate comes from a cap, the planarity step or a refutation.
+        for g in corpus6 + [make_family("cn", 5)]:
+            result = max_euler_characteristic(g)
+            assert result.certified, g.edges()
+            assert result.exhaustive == result.orientable.exhaustive == (g.m == g.n - 1)
+
+    def test_a_larger_budget_changes_no_decided_side(self, corpus6):
+        # A side decided within a budget never sees what is left of it, so
+        # a larger budget repeats the side exactly, node count included.
+        stopped = 0
+        for g in corpus6 + [make_family("kn", 6), make_family("kmn", 5, 5)]:
+            for small, large in ((100, 1000), (1000, 10**5)):
+                a = max_euler_characteristic(g, budget=small)
+                b = max_euler_characteristic(g, budget=large)
+                stopped += a.budget_stopped
+                for x, y in ((a.orientable, b.orientable), (a.nonorientable, b.nonorientable)):
+                    if x is not None and x.certified:
+                        assert x == y, (g.edges(), small)
+                if a.certified:
+                    assert a == dataclasses.replace(b, budget=small), (g.edges(), small)
+        assert stopped == 12  # 11 searches at 100 steps, K5,5 at 1000
+
 
 @pytest.fixture(scope="module")
 def corpus6():
@@ -393,15 +442,132 @@ def _relabelled(g, rng):
     return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
-# ---------------------------------------------------------------------------
-# The branch-and-bound on either side, and the search as a whole
-# ---------------------------------------------------------------------------
-
-
 def _stress_graphs():
     k333 = Graph.from_edges(9, [(u, v) for u in range(9) for v in range(u + 1, 9)
                                 if u // 3 != v // 3])
     return [make_family("kmn", 5, 5), make_family("qd", 4), k333]
+
+
+def _assert_sweeps_agree(core, budget):
+    """Both oracle sweeps of each side of ``core`` agree on what ``budget`` pays for."""
+    for signed in (False, True):
+        space = SchemeSpace(core, signed)
+        limit = min(space.total, budget // space.states)
+        assert reference_sweep(space, limit) == reference_sweep_scalar(space, limit), (
+            core.edges(), signed, budget)
+
+
+def _assert_window_matches_trace_faces(core, signed, lo, hi):
+    """Both oracle sweeps of schemes ``lo..hi-1`` against :func:`trace_faces` on each."""
+    space = SchemeSpace(core, signed)
+    chis = [trace_faces(core, space.scheme(i)).chi for i in range(lo, hi)]
+    best = max(chis)
+    assert reference_sweep(space, hi, lo) == (best, lo + chis.index(best)), (core.edges(), lo)
+    assert reference_sweep_scalar(space, hi, lo) == (best, lo + chis.index(best))
+    return space, chis
+
+
+class TestReferenceSweeps:
+    """The oracle sweeps the branch-and-bound is held to.
+
+    The numpy sweep and the pure-Python one trace every scheme of a side's
+    quotient by different routes; they must agree with each other, and
+    scheme by scheme with :func:`trace_faces`.
+    """
+
+    def test_corpus6_cores(self, corpus6):
+        # Budgets that cut each sweep early and late.
+        for core in _distinct_cores(corpus6):
+            _assert_sweeps_agree(core, 10**4)
+            _assert_sweeps_agree(core, 10**5)
+
+    @pytest.mark.parametrize("g", _stress_graphs(), ids=["K5,5", "Q4", "K3,3,3"])
+    def test_stress_graphs(self, g):
+        _assert_sweeps_agree(embedding._core(g)[0], 10**6)
+
+    def test_scalar_and_vector_paths_agree(self):
+        # Whole quotients, both sides.
+        for g in (make_family("kmn", 3, 3), make_family("kn", 4), make_family("qd", 3)):
+            core = embedding._core(g)[0]
+            for signed in (False, True):
+                space = SchemeSpace(core, signed)
+                swept = reference_sweep(space, space.total)
+                assert swept == reference_sweep_scalar(space, space.total), (g.edges(), signed)
+
+    @given(st.integers(min_value=3, max_value=7), st.booleans(), st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_each_scheme_matches_trace_faces(self, n, signed, rng):
+        core = embedding._core(random_connected_graph(rng, n, extra=0.5))[0]
+        if core.m == 0:
+            return
+        total = SchemeSpace(core, signed).total
+        lo = rng.randrange(total)
+        hi = min(total, lo + rng.randint(1, 200))
+        space, chis = _assert_window_matches_trace_faces(core, signed, lo, hi)
+        for i in range(lo, min(hi, lo + 20)):
+            assert reference_sweep_scalar(space, i + 1, i)[0] == chis[i - lo]
+
+    @pytest.mark.parametrize("g", [
+        make_family("kmn", 5, 5),
+        make_family("qd", 4),
+        make_family("kn", 6),
+    ], ids=["K5,5", "Q4", "K6"])
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_each_scheme_matches_trace_faces_deep_in_the_space(self, g, signed):
+        core = embedding._core(g)[0]
+        lo = min(SchemeSpace(core, signed).total, 1 << 62) * 3 // 7
+        _assert_window_matches_trace_faces(core, signed, lo, lo + 300)
+
+    @given(st.integers(min_value=3, max_value=8), st.randoms(use_true_random=False))
+    @settings(max_examples=25, deadline=None)
+    def test_random_connected_graphs(self, n, rng):
+        # The search as a whole against a full sweep of each side, where
+        # the quotient holds at most 2e5 states' worth of schemes.  Such a
+        # side takes well under 100 nodes; a dense core on eight vertices
+        # can take more than 1e6, so the rest are not held to a value.
+        g = random_connected_graph(rng, n, extra=0.5)
+        result = max_euler_characteristic(g, budget=10**5)
+        core = embedding._core(g)[0]
+        if core.m == 0:
+            return
+        spaces = [SchemeSpace(core, signed) for signed in (False, True)]
+        orientable, signed = (reference_sweep(space, space.total)[0]
+                              if space.total * space.states <= 2 * 10**5 else None
+                              for space in spaces)
+        if orientable is not None:
+            assert result.orientable.chi == orientable, g.edges()
+        nonor = result.nonorientable
+        if signed is not None:
+            if result.orientable.chi == 2 or nonor is None:
+                # Planar, or skipped as unable to raise chi.
+                assert signed <= result.chi, g.edges()
+            else:
+                assert nonor.chi == signed, g.edges()
+
+    @pytest.mark.parametrize("graph6", ["E~~w", "E~~o", "E}~o", "E~~_"])
+    def test_peak_memory_no_higher_than_full_tracing(self, graph6):
+        # The search at a budget against the numpy sweep of the signed side
+        # over as many states.
+        g = parse_graph6(graph6)
+        space = SchemeSpace(embedding._core(g)[0], True)
+        budget = 3 * 10**5
+
+        def peak(run):
+            run()  # numpy imported and warm
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        search = peak(lambda: max_euler_characteristic(g, budget=budget))
+        assert search <= peak(lambda: reference_sweep(space, budget // space.states))
+
+
+# ---------------------------------------------------------------------------
+# The branch-and-bound on either side, and the search as a whole
+# ---------------------------------------------------------------------------
 
 
 def _sparse_graph(rng, n, cycles):
@@ -497,6 +663,46 @@ class TestLocalSearchRace:
                                   capture_output=True, text=True)
             outputs.append(done.stdout)
         assert outputs[0] == outputs[1] and outputs[0].count("certified=True") >= 3
+
+    def test_relabelling_keeps_every_side_on_corpus6(self, corpus6):
+        # Chi is a graph invariant, so a relabelled graph is certified at
+        # the values of its original on each side, whatever the nodes spent.
+        rng = random.Random(2024)
+        for g in corpus6:
+            h = _relabelled(g, rng)
+            a, b = (max_euler_characteristic(x, budget=3 * 10**7) for x in (g, h))
+            assert a.certified and b.certified, g.edges()
+            assert (a.chi, a.orientable.chi) == (b.chi, b.orientable.chi), g.edges()
+            assert (a.nonorientable is None) == (b.nonorientable is None), g.edges()
+            if a.nonorientable is not None:
+                assert a.nonorientable.chi == b.nonorientable.chi, g.edges()
+            _assert_witnesses_retrace(h, b)
+
+    def test_traces_only_its_witnesses(self, corpus6, monkeypatch):
+        # No side is swept: trace_faces runs once for each side the
+        # branch-and-bound certifies, on the witness it found, and never
+        # for a side the budget stopped or the planarity step decided.
+        calls = []
+        trace = embedding.trace_faces
+
+        def counted(g, rs):
+            calls.append(rs)
+            return trace(g, rs)
+
+        monkeypatch.setattr(embedding, "trace_faces", counted)
+        rng = random.Random(11)
+        graphs = _stress_graphs() + corpus6
+        graphs += [_sparse_graph(rng, rng.randint(8, 14), rng.randint(2, 5)) for _ in range(100)]
+        searched = 0
+        for g in graphs:
+            for budget in (300, 10**6):
+                calls.clear()
+                result = max_euler_characteristic(g, budget=budget)
+                sides = [s for s in (result.orientable, result.nonorientable)
+                         if s is not None and s.nodes > 0 and s.certified]
+                assert len(calls) == len(sides), (g.edges(), budget)
+                searched += len(sides)
+        assert searched > 50
 
     def test_stress_graphs_spend_their_leftover_steps_as_nodes(self):
         # Both sides are searched node by node, and every stress graph is

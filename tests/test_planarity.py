@@ -80,6 +80,29 @@ class TestPlanarityStep:
             assert side.certified and (side.chi == 2) == planar, g.edges()
         assert networkx_only == 4
 
+    def test_runs_once_where_the_cap_allows_the_sphere(self, corpus6, monkeypatch):
+        # A core whose face-length cap is below 2 (K5, K6, Petersen) is not
+        # tested for planarity; a tree has no core to test.
+        calls = []
+        step = embedding.planar_rotations
+
+        def recorded(core):
+            calls.append(core)
+            return step(core)
+
+        monkeypatch.setattr(embedding, "planar_rotations", recorded)
+        skipped = 0
+        for g in corpus6[::7] + [make_family("qd", 3), make_family("kn", 5),
+                                 make_family("kn", 6), make_family("petersen"),
+                                 make_family("pn", 5)]:
+            calls.clear()
+            max_euler_characteristic(g, budget=10**5)
+            core = embedding._core(g)[0]
+            allows = core.m > 0 and embedding._face_length_upper_bound(core) == 2
+            assert calls == ([core] if allows else []), g.edges()
+            skipped += not allows
+        assert skipped >= 4
+
     @pytest.mark.parametrize("graph6", ["E~z_", "Ev~_", "E~~?"])
     def test_nonplanar_cores_stop_at_genus_one(self, graph6):
         result = max_euler_characteristic(parse_graph6(graph6))
