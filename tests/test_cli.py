@@ -225,6 +225,13 @@ class TestEnumerateAndFamilies:
         assert code == 0
         assert len(out.splitlines()) == 10
 
+    def test_enumerate_matches_golden_file(self, capsys):
+        # enumerate_6.g6 was written by the n!-permutation min-code
+        # enumerator; perfbench's corpus6 references are keyed by its lines.
+        code, out, _ = run(capsys, "enumerate", "--max-n", "6")
+        assert code == 0
+        assert out == (DATA / "enumerate_6.g6").read_text()
+
     def test_enumerate_budget_exit_one(self, capsys):
         code, _, err = run(capsys, "enumerate", "--max-n", "9")
         assert code == 1
