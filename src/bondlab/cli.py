@@ -141,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bondage-cap", type=int, default=None, help=_BONDAGE_CAP_HELP)
     add_budget_flags(p)
 
-    p = sub.add_parser("enumerate", help="connected graphs up to isomorphism, n <= 6")
+    p = sub.add_parser("enumerate", help="connected graphs up to isomorphism, n <= 7")
     p.add_argument("--max-n", type=int, required=True)
 
     p = sub.add_parser("families", help="emit a named family member as graph6")

@@ -2,11 +2,11 @@
 
 The oracles here deliberately take different routes from the library code:
 domination by raw subset enumeration, bondage by re-solving domination on
-every edge subset, girth via per-edge shortest paths, isomorphism by
-permutation search, graph6 and planarity via networkx, chi sweeps that trace
-every scheme of a quotiented scheme space in full, cubic and radical floors
-by a scan of their defining predicate.  Agreement between two independent
-implementations is the point.
+every edge subset, girth via per-edge shortest paths, isomorphism and the
+canonical code by permutation search, graph6 and planarity via networkx, chi
+sweeps that trace every scheme of a quotiented scheme space in full, cubic
+and radical floors by a scan of their defining predicate.  Agreement between
+two independent implementations is the point.
 """
 
 from __future__ import annotations
@@ -167,6 +167,25 @@ def are_isomorphic(a: Graph, b: Graph) -> bool:
         ):
             return True
     return False
+
+
+def reference_canonical_code(g: Graph) -> int:
+    """Least column-major edge code of ``g`` over all ``n!`` relabellings.
+
+    Bit ``j(j-1)/2 + i`` of a code is the pair ``(i, j)``, ``i < j``, as in
+    graph6.  This is the permutation min-code that the enumerator's
+    canonical form must equal.
+    """
+    edges = g.edges()
+    best = None
+    for perm in permutations(range(g.n)):
+        code = 0
+        for u, v in edges:
+            i, j = sorted((perm[u], perm[v]))
+            code |= 1 << (j * (j - 1) // 2 + i)
+        if best is None or code < best:
+            best = code
+    return best
 
 
 _VECTOR_BLOCK = 4096  # schemes per block of reference_sweep_vector

@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -231,6 +234,29 @@ class TestEnumerateAndFamilies:
         code, out, _ = run(capsys, "enumerate", "--max-n", "6")
         assert code == 0
         assert out == (DATA / "enumerate_6.g6").read_text()
+
+    def test_order_seven_extends_the_golden_file(self, capsys):
+        code, out, _ = run(capsys, "enumerate", "--max-n", "7")
+        lines = out.splitlines(keepends=True)
+        assert code == 0
+        assert len(lines) == 996 and sum(line.startswith("F") for line in lines) == 853
+        assert "".join(lines[:143]) == (DATA / "enumerate_6.g6").read_text()
+
+    def test_enumerate_and_verify_import_no_numpy(self, tmp_path):
+        corpus = tmp_path / "k33.g6"
+        corpus.write_text(emit_graph6(make_family("kmn", 3, 3)) + "\n")
+        script = (
+            "import sys\n"
+            "from bondlab import cli\n"
+            "assert cli.main(['enumerate', '--max-n', '6']) == 0\n"
+            f"assert cli.main(['verify', {str(corpus)!r}, '--threads', '1']) == 0\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
     def test_enumerate_budget_exit_one(self, capsys):
         code, _, err = run(capsys, "enumerate", "--max-n", "9")

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from bondlab.graphs import (
     Graph,
     GraphFormatError,
+    canonical_code,
     common_neighbors,
     components,
     components_with_vertices,
@@ -18,11 +19,22 @@ from bondlab.graphs import (
     emit_graph6,
     enumerate_connected_graphs,
     girth,
+    graph_from_code,
     make_family,
     parse_graph6,
 )
 
-from conftest import are_isomorphic, oracle_girth, random_graph
+from conftest import are_isomorphic, oracle_girth, random_graph, reference_canonical_code
+
+
+def _relabelled(g: Graph, perm: list[int]) -> Graph:
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _shuffled(rng: random.Random, n: int) -> list[int]:
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return perm
 
 
 class TestGraphBasics:
@@ -181,7 +193,31 @@ class TestEnumeration:
 
     def test_budget_guard(self):
         with pytest.raises(ValueError):
-            list(enumerate_connected_graphs(7))
+            list(enumerate_connected_graphs(8))
+
+    def test_order_seven_matches_the_networkx_atlas(self):
+        # One to one up to isomorphism, by networkx's own isomorphism test
+        # within buckets of graphs whose vertices have the same degrees and
+        # neighbour degrees.
+        def key(h):
+            return tuple(sorted(
+                (h.degree(v), tuple(sorted(h.degree(u) for u in h.neighbors(v))))
+                for v in h
+            ))
+
+        buckets = {}
+        for h in nx.graph_atlas_g():
+            if h.number_of_nodes() == 7 and nx.is_connected(h):
+                buckets.setdefault(key(h), []).append(h)
+        ours = [g for g in enumerate_connected_graphs(7) if g.n == 7]
+        assert len(ours) == sum(map(len, buckets.values())) == 853
+        matched = set()
+        for g in ours:
+            gx = nx.Graph(g.edges())
+            hits = [id(h) for h in buckets[key(gx)] if nx.is_isomorphic(gx, h)]
+            assert len(hits) == 1, emit_graph6(g)
+            matched.add(hits[0])
+        assert len(matched) == 853
 
     def test_matches_independent_dedup_at_small_n(self):
         # Independent oracle: enumerate labelled connected graphs and dedupe
@@ -217,6 +253,50 @@ class TestEnumeration:
         first = [emit_graph6(g) for g in enumerate_connected_graphs(4)]
         second = [emit_graph6(g) for g in enumerate_connected_graphs(4)]
         assert first == second
+
+
+class TestCanonicalCode:
+    def test_every_labelled_graph_up_to_five_vertices(self):
+        for n in range(1, 6):
+            pairs = [(i, j) for j in range(1, n) for i in range(j)]
+            for code in range(1 << len(pairs)):
+                g = Graph.from_edges(n, [p for k, p in enumerate(pairs) if code >> k & 1])
+                assert canonical_code(g) == reference_canonical_code(g), (n, code)
+
+    def test_corpus6_under_seeded_relabellings(self):
+        rng = random.Random(15)
+        for g in enumerate_connected_graphs(6):
+            want = reference_canonical_code(g)
+            for _ in range(4):
+                h = _relabelled(g, _shuffled(rng, g.n))
+                assert canonical_code(h) == want, emit_graph6(g)
+
+    @pytest.mark.parametrize("name, g", [
+        ("K6", make_family("kn", 6)),
+        ("K3,3", make_family("kmn", 3, 3)),
+        ("K2,2,2", Graph.from_edges(6, [(u, v) for u, v in combinations(range(6), 2)
+                                        if u // 2 != v // 2])),
+        ("C6", make_family("cn", 6)),
+    ])
+    def test_symmetric_graphs(self, name, g):
+        # Every vertex of K6, K3,3 and K2,2,2 has a twin in its cell, so one
+        # branch stands for many; C6 has no twins, and its 12 automorphisms
+        # leave ties that only the prefix cut resolves.
+        want = reference_canonical_code(g)
+        rng = random.Random(name)
+        for _ in range(6):
+            assert canonical_code(_relabelled(g, _shuffled(rng, g.n))) == want
+
+    @given(st.integers(min_value=1, max_value=8), st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_relabelling_invariance(self, n, rng):
+        g = random_graph(rng, n, rng.random())
+        code = canonical_code(g)
+        assert canonical_code(_relabelled(g, _shuffled(rng, n))) == code
+        own = sum(1 << (j * (j - 1) // 2 + i) for i, j in g.edges())
+        assert code <= own
+        rep = graph_from_code(n, code)
+        assert rep.m == g.m and canonical_code(rep) == code
 
 
 class TestInvariants:
