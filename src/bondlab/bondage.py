@@ -47,7 +47,6 @@ class BPrimeResult:
     edge_term: int
     edge_witness: tuple[int, int]
     ad_term: int
-    ad_term_relaxed: int
 
 
 @dataclass(frozen=True)
@@ -76,12 +75,11 @@ def hartnell_rall_bound(g: Graph) -> HartnellRallBound:
     )
 
 
-def compute_b_prime(g: Graph, relaxed_ad_term: bool = False) -> BPrimeResult:
+def compute_b_prime(g: Graph) -> BPrimeResult:
     """Edge/average-degree proxy for the bondage number of a connected graph.
 
     The average-degree term is ``2*floor(ad) - 1`` with ``ad = 2m/n`` taken
-    exactly; ``relaxed_ad_term`` substitutes ``floor(2*ad - 1)`` instead,
-    which is never smaller, for side-by-side comparison.
+    exactly.
     """
     if g.m == 0:
         raise ValueError("proxy needs at least one edge")
@@ -89,14 +87,11 @@ def compute_b_prime(g: Graph, relaxed_ad_term: bool = False) -> BPrimeResult:
         raise ValueError("proxy is defined for connected graphs; decompose first")
     hr = hartnell_rall_bound(g)
     ad_term = 2 * ((2 * g.m) // g.n) - 1
-    ad_term_relaxed = (4 * g.m - g.n) // g.n
-    chosen_ad = ad_term_relaxed if relaxed_ad_term else ad_term
     return BPrimeResult(
-        b_prime=min(hr.edge_bound, chosen_ad),
+        b_prime=min(hr.edge_bound, ad_term),
         edge_term=hr.edge_bound,
         edge_witness=hr.witness_edge,
         ad_term=ad_term,
-        ad_term_relaxed=ad_term_relaxed,
     )
 
 

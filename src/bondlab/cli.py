@@ -223,7 +223,7 @@ def _verdict(search: ChiSearchResult | SideResult | None) -> dict | None:
     """What ``chi`` reports of a whole search or of one of its sides."""
     if search is None:
         return None
-    return {"chi": search.chi, "certified": search.certified, "exhaustive": search.exhaustive}
+    return {"chi": search.chi, "certified": search.certified}
 
 
 def _cmd_chi(args: argparse.Namespace) -> int:
@@ -246,7 +246,7 @@ def _cmd_chi(args: argparse.Namespace) -> int:
     if args.format == "json":
         print(json.dumps(data, indent=2))
     else:
-        print(f"chi: {result.chi} (certified: {result.certified}, exhaustive: {result.exhaustive})")
+        print(f"chi: {result.chi} (certified: {result.certified})")
         print(f"orientable side: {data['orientable']}")
         print(f"nonorientable side: {data['nonorientable']}")
         if args.witness:

@@ -14,13 +14,13 @@ Caps come from combinatorial face-length counting.  A core whose cap allows
 the sphere is first tested for planarity (:mod:`.planarity`): a planar core
 is certified at chi 2 by the test's rotation system, once a count of its
 faces confirms it, with nothing searched; a nonplanar one has orientable
-chi at most 0.  Once the orientable side reaches the signed side's cap, the
-signed side cannot raise chi and is not searched.
+chi at most 0.  A tree's core collapses to a point, certified at chi 2 as
+it stands, which then goes the way of a planar core.  Once the orientable
+side reaches the signed side's cap, the signed side cannot raise chi and is
+not searched.
 
 ``certified`` marks a proven maximum: an attained cap, the planarity test,
-or the branch-and-bound's refutation of every larger value.  ``exhaustive``
-is set only for trees, whose core collapses to a point, leaving a single
-scheme.
+or the branch-and-bound's refutation of every larger value.
 """
 
 from __future__ import annotations
@@ -306,18 +306,16 @@ class SideResult:
     """Outcome for one orientability class.
 
     ``chi`` is the best value found (None if nothing was found);
-    ``exhaustive`` means the side's single scheme was traced, which happens
-    only for trees; ``certified`` means the value is provably the maximum
-    (a proven combinatorial upper bound was attained, the planarity test,
-    the branch-and-bound's refutation of every larger value, or the planar
-    identity on the non-orientable side).  ``nodes`` counts the states the
-    branch-and-bound placed.  ``searched`` is always 0; it is kept only
-    because ``perfbench/run.py`` reads it.
+    ``certified`` means the value is provably the maximum (a proven
+    combinatorial upper bound was attained, the planarity test or a tree's
+    point core, the branch-and-bound's refutation of every larger value, or
+    the planar identity on the non-orientable side).  ``nodes`` counts the
+    states the branch-and-bound placed.  ``searched`` is always 0; it is
+    kept only because ``perfbench/run.py`` reads it.
     """
 
     chi: int | None
     witness: RotationSystem | None
-    exhaustive: bool
     certified: bool
     searched: int = 0
     nodes: int = 0
@@ -335,7 +333,6 @@ class ChiSearchResult:
 
     chi: int | None
     witness: RotationSystem | None
-    exhaustive: bool
     certified: bool
     steps_used: int
     budget: int
@@ -427,11 +424,11 @@ def _core(g: Graph) -> tuple[Graph, list[int], list[tuple]]:
 def _face_length_upper_bound(core: Graph) -> int:
     """Proven cap on chi from face-length counting on the core.
 
-    Cores have min degree >= 2 (or a single edge), so face walks never
-    backtrack immediately and every face has length >= girth; with one edge
-    the unique face has length 2.
+    Cores have min degree >= 2 (or at most one edge), so face walks never
+    backtrack immediately and every face has length >= girth.  A core with
+    at most one edge is a tree, whose one face gives chi 2.
     """
-    if core.m == 1:
+    if core.m <= 1:
         return 2
     shortest = girth(core)
     min_face = 2 if shortest == math.inf else int(shortest)
@@ -639,7 +636,6 @@ def _search_side(core: Graph, signed: bool, cap: int, left: int,
     return SideResult(
         chi=best if found else None,
         witness=lift(witness) if found else None,
-        exhaustive=False,
         certified=found,
         nodes=nodes,
     )
@@ -663,8 +659,9 @@ def max_euler_characteristic(
     When the face-length cap allows chi 2, the core is first tested for
     planarity.  A planar core's orientable side is certified at 2 with the
     test's rotation system as its witness, after its faces are counted
-    again independently; it has ``nodes = 0``.  A nonplanar core's
-    orientable cap drops to 0.  Both sides are then decided by the
+    again independently; it has ``nodes = 0``.  A tree's core is a point,
+    certified at 2 as it stands, and goes on the same way.  A nonplanar
+    core's orientable cap drops to 0.  Both sides are then decided by the
     branch-and-bound, so a certified value below a side's cap was reached
     by refuting every larger one in full.  When the orientable side is
     certified at or above the signed side's cap, the signed side cannot
@@ -698,24 +695,16 @@ def max_euler_characteristic(
         }
         return _lift_witness(rot, neg, ops, g.n)
 
-    if core.m == 0:
-        # The core collapsed to a point: the graph is a tree (sphere).
-        witness = lift(RotationSystem(rotations=((),), negative_edges=frozenset()))
-        side = SideResult(chi=2, witness=witness, exhaustive=True, certified=True)
-        nonor = None if orientable_only else SideResult(
-            chi=1, witness=None, exhaustive=False, certified=True
-        )
-        return ChiSearchResult(
-            chi=2, witness=witness, exhaustive=True, certified=True,
-            steps_used=0, budget=budget, orientable=side, nonorientable=nonor,
-        )
-
     chi_cap = _face_length_upper_bound(core)
     cap_or = chi_cap if chi_cap % 2 == 0 else chi_cap - 1
     cap_nonor = min(1, chi_cap)
 
     or_side = None
-    if cap_or == 2:
+    if core.m == 0:
+        # The core collapsed to a point: the graph is a tree (sphere).
+        point = RotationSystem(rotations=((),), negative_edges=frozenset())
+        or_side = SideResult(chi=2, witness=lift(point), certified=True)
+    elif cap_or == 2:
         rotations = planar_rotations(core)
         if rotations is None:
             cap_or = 0  # a nonplanar graph has orientable genus at least 1
@@ -724,7 +713,7 @@ def max_euler_characteristic(
             plane.validate(core)
             if core.n - core.m + _orientable_face_count(rotations) != 2:
                 raise AssertionError("planar rotation system does not re-trace to chi 2")
-            or_side = SideResult(chi=2, witness=lift(plane), exhaustive=False, certified=True)
+            or_side = SideResult(chi=2, witness=lift(plane), certified=True)
     if or_side is None:
         or_side = _search_side(core, False, cap_or, budget, strict, lift)
     steps = or_side.nodes
@@ -734,13 +723,13 @@ def max_euler_characteristic(
             # Planar: the plane drawing sits inside a disc of the projective
             # plane, so the non-orientable side is exactly 1 (no 2-cell
             # scheme realises it for trees and some planar cores).
-            nonor_side = SideResult(chi=1, witness=None, exhaustive=False, certified=True)
+            nonor_side = SideResult(chi=1, witness=None, certified=True)
         elif or_side.certified and or_side.chi >= cap_nonor:
             pass  # the signed side cannot raise chi, so it is not searched
         else:
-            # The core has a cycle (it is not a tree, which returned above,
-            # and both reductions keep the cycle rank), so some edge sign is
-            # free and the signed space is not empty.
+            # The core has a cycle (a tree's point core is planar, and both
+            # reductions keep the cycle rank), so some edge sign is free and
+            # the signed space is not empty.
             nonor_side = _search_side(core, True, cap_nonor, budget - steps, strict, lift)
             steps += nonor_side.nodes
 
@@ -758,7 +747,6 @@ def max_euler_characteristic(
     return ChiSearchResult(
         chi=overall_chi,
         witness=overall_witness,
-        exhaustive=False,
         certified=certified,
         steps_used=steps,
         budget=budget,

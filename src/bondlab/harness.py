@@ -74,7 +74,6 @@ class VerificationRecord:
     b_prime: int | None = None
     chi: int | None = None
     chi_certified: bool = False
-    chi_exhaustive: bool = False
     chi_orientable: int | None = None
     chi_nonorientable: int | None = None
     connected: bool = False
@@ -180,7 +179,6 @@ def verify_graph(
         b_prime=b_prime,
         chi=p.chi,
         chi_certified=p.chi is not None,
-        chi_exhaustive=search is not None and search.exhaustive,
         chi_orientable=None if p.h is None else 2 - 2 * p.h,
         chi_nonorientable=None if p.k is None else 2 - p.k,
         connected=connected,

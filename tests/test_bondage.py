@@ -149,8 +149,8 @@ def test_bondage_below_relaxed_proxy_over_small_corpus():
     for g in enumerate_connected_graphs(6):
         if g.m == 0:
             continue
-        proxy = compute_b_prime(g, relaxed_ad_term=True)
-        assert bondage_number(g).b <= proxy.b_prime, g.edges()
+        relaxed = min(compute_b_prime(g).edge_term, (4 * g.m - g.n) // g.n)
+        assert bondage_number(g).b <= relaxed, g.edges()
 
 
 class TestBPrime:
@@ -173,10 +173,8 @@ class TestBPrime:
         rng = random.Random(3)
         for _ in range(50):
             g = random_connected_graph(rng, rng.randint(2, 8))
-            r = compute_b_prime(g)
-            assert r.ad_term_relaxed >= r.ad_term
-            relaxed = compute_b_prime(g, relaxed_ad_term=True)
-            assert relaxed.b_prime >= r.b_prime
+            # floor(4m/n) - 1 against the proxy's 2*floor(2m/n) - 1.
+            assert (4 * g.m - g.n) // g.n >= compute_b_prime(g).ad_term
 
     def test_requires_connected(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])

@@ -96,6 +96,14 @@ class TestChi:
         assert code == 0
         assert data["steps_used"] == 0 and data["chi"] is None
 
+    def test_json_keys(self, capsys):
+        code, out, _ = run(capsys, "chi", "E~~w", "--format", "json")
+        data = json.loads(out)
+        assert code == 0
+        assert list(data) == ["graph6", "chi", "certified", "steps_used",
+                              "orientable", "nonorientable"]
+        assert list(data["orientable"]) == list(data["nonorientable"]) == ["chi", "certified"]
+
     def test_orientable_only(self, capsys):
         g6 = emit_graph6(make_family("kn", 5))
         code, out, _ = run(capsys, "chi", g6, "--orientable-only", "--format", "json")

@@ -226,8 +226,32 @@ class TestMaxChi:
 
     def test_trees_are_spherical(self):
         result = max_euler_characteristic(make_family("pn", 6))
-        assert result.chi == 2 and result.certified and result.exhaustive
+        assert result.chi == 2 and result.certified
         assert trace_faces(make_family("pn", 6), result.witness).chi == 2
+
+    TREES = pytest.mark.parametrize(
+        "g", [make_family("kn", 2), make_family("kmn", 1, 5), make_family("pn", 6),
+              make_family("kn", 1)],
+        ids=["K2", "K1,5", "P6", "K1"])
+
+    @TREES
+    def test_tree_cores_are_certified_without_a_step(self, g):
+        # A tree's core is a point, certified at 2 as it stands; the planar
+        # identity then settles the non-orientable side at 1.
+        result = max_euler_characteristic(g, budget=0, strict=True)
+        assert result.chi == 2 and result.certified and result.steps_used == 0
+        assert result.orientable.chi == 2 and result.orientable.certified
+        assert result.nonorientable.chi == 1 and result.nonorientable.certified
+        assert not result.budget_stopped
+        if g.m > 0:
+            traced = trace_faces(g, result.witness)
+            assert traced.chi == 2 and traced.orientable
+
+    @TREES
+    def test_tree_cores_orientable_only(self, g):
+        result = max_euler_characteristic(g, budget=0, strict=True, orientable_only=True)
+        assert result.chi == 2 and result.certified and result.steps_used == 0
+        assert result.nonorientable is None
 
     def test_k5(self):
         result = max_euler_characteristic(make_family("kn", 5))
@@ -379,13 +403,10 @@ class TestMaxChi:
             result = max_euler_characteristic(g, strict=True)
             assert result.chi == 1 and result.certified
 
-    def test_exhaustive_flag_only_for_trees(self, corpus6):
-        # Only a tree's single scheme is traced as a whole; every other
-        # certificate comes from a cap, the planarity step or a refutation.
+    def test_corpus6_and_c5_are_certified(self, corpus6):
         for g in corpus6 + [make_family("cn", 5)]:
             result = max_euler_characteristic(g)
-            assert result.certified, g.edges()
-            assert result.exhaustive == result.orientable.exhaustive == (g.m == g.n - 1)
+            assert result.certified and not result.budget_stopped, g.edges()
 
     def test_a_larger_budget_changes_no_decided_side(self, corpus6):
         # A side decided within a budget never sees what is left of it, so
@@ -594,8 +615,8 @@ def _assert_witnesses_retrace(g, result):
         assert not trace_faces(g, nonor.witness).orientable
 
 
-class TestLocalSearchRace:
-    """Guards on the search as a whole: where it runs and what it costs."""
+class TestBranchAndBoundSearch:
+    """The branch-and-bound search as a whole: where it runs and what it costs."""
 
     def test_corpus6_certifies_at_the_benchmark_budget(self, corpus6):
         for g in corpus6:

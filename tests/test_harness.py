@@ -135,7 +135,7 @@ def _certified_search(chi):
     def side(value):
         return SimpleNamespace(chi=value, certified=True)
 
-    return SimpleNamespace(chi=chi, certified=True, exhaustive=True,
+    return SimpleNamespace(chi=chi, certified=True,
                            orientable=side(chi - chi % 2), nonorientable=side(chi))
 
 
