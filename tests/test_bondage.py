@@ -1,11 +1,14 @@
+import json
+from itertools import combinations
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from itertools import combinations
 
 from bondlab.bondage import _cover_bound, bondage_number, compute_b_prime, hartnell_rall_bound
 from bondlab.domination import domination_number, minimum_dominating_sets
-from bondlab.graphs import Graph, enumerate_connected_graphs, make_family
+from bondlab.graphs import Graph, enumerate_connected_graphs, make_family, parse_graph6
 
 from conftest import (
     brute_bondage_number,
@@ -15,6 +18,8 @@ from conftest import (
     random_graph,
     reference_cover_bound,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestBondageNumber:
@@ -124,6 +129,20 @@ class TestHittingSearch:
     def test_cover_bound_matches_on_few_edges(self, reaches):
         # Few edges met by many masks: counts run deep into the carry chain.
         assert _cover_bound(reaches) == reference_cover_bound(reaches)
+
+
+def test_corpus7_results_and_witnesses_match_golden():
+    # bondage_corpus7.json holds (gamma_before, b, witness_edges, gamma_after)
+    # for each graph of order 7, as the search returned them before it was
+    # rebuilt around one domination pass; witnesses must not move.
+    rows = json.loads((DATA / "bondage_corpus7.json").read_text())
+    assert len(rows) == 853
+    for row in rows:
+        r = bondage_number(parse_graph6(row["graph6"]))
+        got = (r.gamma_before, r.b, [list(e) for e in r.witness_edges], r.gamma_after)
+        want = (row["gamma_before"], row["b"], row["witness_edges"], row["gamma_after"])
+        assert got == want, row["graph6"]
+        assert not r.exceeded_cap
 
 
 @pytest.mark.xfail(

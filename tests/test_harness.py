@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 from dataclasses import asdict, dataclass
@@ -249,6 +250,42 @@ class TestVerifyCorpus:
             emit_graph6(make_family("pn", 4)),
             emit_graph6(make_family("pn", 7)),
         }
+
+
+class TestCorpus7Golden:
+    """``verify_corpus7.csv``: `verify --format csv` over the 853 graphs of order 7.
+
+    It was written by `bondlab enumerate --max-n 7 | grep '^F' | bondlab
+    verify --format csv`; CI compares the whole file through the console
+    script, and these tests read what it says about the paper's theorem.
+    """
+
+    @pytest.fixture(scope="class")
+    def lines(self):
+        return (DATA / "verify_corpus7.csv").read_text().splitlines(keepends=True)
+
+    @pytest.fixture(scope="class")
+    def rows(self, lines):
+        return list(csv.DictReader(lines))
+
+    def test_every_graph_is_certified(self, rows):
+        assert len(rows) == len({r["graph6"] for r in rows}) == 853
+        for r in rows:
+            assert (r["n"], r["connected"], r["chi_certified"], r["error"]) == ("7", "True", "True", ""), r
+
+    def test_seven_graphs_have_chi_zero_and_the_cubic_bound_holds_on_them(self, rows):
+        zero = [r for r in rows if r["chi"] == "0"]
+        assert len(zero) == 7
+        assert {r["chi"] for r in rows} == {"0", "1", "2"}
+        for r in zero:
+            # At chi = 0 the cubic bound is Delta + 3.
+            assert r["cubic_bound"] == str(int(r["delta"]) + 3), r["graph6"]
+            assert r["cubic_ok"] == "ok" and int(r["b"]) <= int(r["cubic_bound"]), r["graph6"]
+
+    def test_every_eighth_row_is_reproduced(self, lines):
+        picked = lines[1::8]
+        records, _ = verify_corpus([line.split(",", 1)[0] for line in picked])
+        assert emit_report(records, "csv") == lines[0] + "".join(picked)
 
 
 @pytest.fixture(scope="module")
