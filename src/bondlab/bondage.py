@@ -4,19 +4,26 @@ Removing edges never creates a dominating set, so ``gamma(G - S) >
 gamma(G)`` holds exactly when ``S`` breaks every minimum dominating set
 ``D`` of ``G``.  ``S`` breaks ``D`` when, for some vertex ``v`` outside
 ``D``, ``S`` contains every edge from ``v`` into ``D``; each such edge set
-``E(v, D)`` is a *breaker* of ``D``.  The search lists the minimum
-dominating sets once, then branches and bounds over breaker bitmasks for
-the smallest edge set that holds a breaker of every one of them.  One
-domination solve on ``G - S`` certifies the answer.  The default cap (max
-degree plus min degree minus one) is a proven upper bound, so the search
-always finds the exact value on nonempty graphs.
+``E(v, D)`` is a *breaker* of ``D``.  With edges as bits, ``E(v, D)`` is
+``inc[v] & reach(D)``: the edges at ``v`` that also meet ``D``.
+
+One deepening domination search gives ``gamma`` and lists every minimum
+dominating set.  An edge alone raises gamma exactly when it is a one-edge
+breaker of every set, so one sweep over the breakers decides ``b = 1``;
+otherwise a branch and bound over breaker bitmasks finds the smallest edge
+set that holds a breaker of every set.  One domination solve on ``G - S``
+certifies the answer.  It starts at ``gamma(G)``, since any dominating set
+of ``G - S`` dominates ``G``, and refutes that level in full.  The default
+cap (max degree plus min degree minus one) is a proven upper bound, so the
+search always finds the exact value on nonempty graphs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .domination import domination_number, minimum_dominating_sets
+from .domination import _deepen, minimum_dominating_sets
+from .domination import domination_number  # noqa: F401 (perfbench/run.py:install_tracer wraps it)
 from .graphs import Graph, common_neighbors, components_with_vertices, degree_stats
 
 __all__ = [
@@ -95,19 +102,43 @@ def compute_b_prime(g: Graph) -> BPrimeResult:
     )
 
 
-def _breaker_families(g: Graph, gamma: int) -> list[list[int]]:
+def _breaker_families(g: Graph, sets: list[tuple[int, ...]]) -> list[list[int]]:
     """For each minimum dominating set ``D``, its breakers ``E(v, D)``.
 
     A breaker is a bitmask over the indices of ``g.edges()``.  Breakers of
     one set are pairwise disjoint, since each holds only edges at its ``v``.
     """
-    bit = [[0] * g.n for _ in range(g.n)]
+    inc = [0] * g.n
     for i, (u, v) in enumerate(g.edges()):
-        bit[u][v] = bit[v][u] = 1 << i
-    return [
-        [sum(bit[v][u] for u in dom) for v in range(g.n) if v not in dom]
-        for dom in minimum_dominating_sets(g, gamma)
-    ]
+        inc[u] |= 1 << i
+        inc[v] |= 1 << i
+    families = []
+    for dom in sets:
+        reach = 0
+        for u in dom:
+            reach |= inc[u]
+        families.append([inc[v] & reach for v in range(g.n) if v not in dom])
+    return families
+
+
+def _one_edge_breaker(families: list[list[int]]) -> int:
+    """The first edge, in the first family's order, that breaks every set alone.
+
+    An edge alone raises gamma exactly when it is a one-edge breaker of
+    every minimum dominating set; the branch and bound would take the first
+    such breaker of the first family.  Returns its bit, or 0 if none exists.
+    """
+    common = -1
+    for breakers in families:
+        ones = 0
+        for b in breakers:
+            if not b & (b - 1):
+                ones |= b
+        common &= ones
+        if not common:
+            return 0
+    # Breakers of a set are disjoint, so only a one-edge breaker meets ``common``.
+    return next(b for b in families[0] if b & common)
 
 
 def _cover_bound(reaches: list[int]) -> int:
@@ -145,9 +176,18 @@ def _cover_bound(reaches: list[int]) -> int:
 
 
 def _bondage_connected(
-    g: Graph, gamma: int, cap: int
+    g: Graph, sets: list[tuple[int, ...]], cap: int
 ) -> tuple[int, tuple[tuple[int, int], ...]] | None:
-    """The fewest edges, at most ``cap``, that break every minimum dominating set."""
+    """The fewest edges, at most ``cap``, that break every set of ``sets``.
+
+    ``sets`` must be every minimum dominating set of ``g``.
+    """
+    edges = g.edges()
+    families = _breaker_families(g, sets)
+    if cap >= 1:
+        one = _one_edge_breaker(families)
+        if one:
+            return 1, (edges[one.bit_length() - 1],)
     best_size = cap + 1
     best = 0
 
@@ -194,18 +234,21 @@ def _bondage_connected(
             if b.bit_count() == 1:
                 forbidden |= b
 
-    search(0, 0, _breaker_families(g, gamma), 0)
+    search(0, 0, families, 0)
     if best_size > cap:
         return None
-    edges = g.edges()
     return best_size, tuple(e for i, e in enumerate(edges) if best >> i & 1)
 
 
 def _certified(
     g: Graph, b: int, witness: tuple[tuple[int, int], ...], gamma_before: int, cap: int
 ) -> BondageResult:
-    """The result for ``witness``, after checking that its removal raises gamma."""
-    gamma_after = domination_number(g.remove_edges(witness)).gamma
+    """The result for ``witness``, after checking that its removal raises gamma.
+
+    The solve on ``G - S`` starts at ``gamma_before``: any dominating set of
+    ``G - S`` dominates ``G``, so none is smaller.
+    """
+    gamma_after = _deepen(g.remove_edges(witness), gamma_before)[0]
     if gamma_after <= gamma_before:
         raise AssertionError(f"bondage witness {witness} leaves gamma at {gamma_after}")
     return BondageResult(b, witness, gamma_before, gamma_after, cap)
@@ -218,15 +261,17 @@ def bondage_number(g: Graph, cap: int | None = None) -> BondageResult:
     component domination numbers, and the bondage number of a disjoint
     union is the minimum over its components with at least one edge.  A
     result with ``exceeded_cap`` set (never with the default cap) means the
-    search proved ``b > cap`` without finding a witness.
+    search proved ``b > cap`` without finding a witness.  A connected graph
+    is searched as it stands.
     """
     if g.m == 0:
         raise ValueError("bondage number is undefined for empty graphs")
     gamma_before = 0
     best: tuple[int, tuple[tuple[int, int], ...]] | None = None
     caps = []
-    for sub, verts in components_with_vertices(g):
-        gamma = domination_number(sub).gamma
+    parts = [(g, range(g.n))] if g.is_connected() else components_with_vertices(g)
+    for sub, verts in parts:
+        gamma, sets = minimum_dominating_sets(sub)
         gamma_before += gamma
         if sub.m == 0:
             continue
@@ -234,7 +279,7 @@ def bondage_number(g: Graph, cap: int | None = None) -> BondageResult:
         sub_cap = cap if cap is not None else stats.max_degree + stats.min_degree - 1
         caps.append(sub_cap)
         limit = sub_cap if best is None else min(sub_cap, best[0] - 1)
-        found = _bondage_connected(sub, gamma, limit)
+        found = _bondage_connected(sub, sets, limit)
         if found is not None:
             # The limit makes every later find strictly smaller, and the
             # reindexing keeps label order, so lifted edges stay sorted.

@@ -44,6 +44,17 @@ _BONDAGE_CAP_HELP = (
 )
 
 
+def _bondage_cap(text: str) -> int:
+    """A ``--bondage-cap`` value: b >= 1 on any graph with an edge, so below 1 says nothing."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _epilog(title: str, rows: Sequence[bnd.Bound]) -> str:
     """Help text naming each registry row of a command with its formula."""
     lines = [f"{title} and their formulas (upper bounds on b unless stated):"]
@@ -96,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invariants", help="gamma, bondage, proxy, girth, degrees")
     p.add_argument("graph", nargs="?", default="-", help="graph6 string or - for stdin")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--bondage-cap", type=int, default=None, help=_BONDAGE_CAP_HELP)
+    p.add_argument("--bondage-cap", type=_bondage_cap, default=None, help=_BONDAGE_CAP_HELP)
 
     p = sub.add_parser("chi", help="maximum Euler characteristic search")
     p.add_argument("graph", nargs="?", default="-", help="graph6 string or - for stdin")
@@ -138,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json", "text"), default="text")
     p.add_argument("--threads", type=int, default=_default_threads(),
                    help="parallel verification workers (BONDLAB_THREADS)")
-    p.add_argument("--bondage-cap", type=int, default=None, help=_BONDAGE_CAP_HELP)
+    p.add_argument("--bondage-cap", type=_bondage_cap, default=None, help=_BONDAGE_CAP_HELP)
     add_budget_flags(p)
 
     p = sub.add_parser("enumerate", help="connected graphs up to isomorphism, n <= 7")

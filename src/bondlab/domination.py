@@ -1,14 +1,19 @@
 """Exact minimum dominating sets via iterative deepening over bitmask covers.
 
-The solver deepens on target set size, branching on the closed neighbourhood
-of a most-constrained uncovered vertex; a greedy cover primes the upper
-bound.  The same branching search, run to completion at the domination
-number, lists every minimum dominating set for the bondage search.
+One search deepens on target set size, branching on the closed
+neighbourhood of a most-constrained uncovered vertex; a greedy cover primes
+the upper bound.  The first level with a dominating set is the domination
+number.  The search stops at its first set for :func:`domination_number`,
+and runs that level to completion for :func:`minimum_dominating_sets`, so
+the bondage search gets ``gamma`` and every minimum dominating set in one
+pass.  Deepening may start at any known lower bound: the bondage
+certificate starts on ``G - S`` at ``gamma(G)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .graphs import Graph
@@ -107,29 +112,46 @@ def _closed_masks(g: Graph, vertex_limit: int) -> list[int]:
     return [g.closed_mask(v) for v in range(g.n)]
 
 
+def _deepen(
+    g: Graph, start: int = 0, vertex_limit: int = DEFAULT_VERTEX_LIMIT
+) -> tuple[int, Iterator[tuple[int, ...]]]:
+    """The domination number of ``g`` and its minimum dominating sets.
+
+    Deepening starts at ``start`` or at ``ceil(n / max closed neighbourhood)``,
+    whichever is larger, so ``start`` must not exceed the domination number.
+    Every level below the returned one is refuted in full.  The iterator
+    yields the sets of that level in search order, unsorted, none twice;
+    its first set is already found, and the rest are searched only when it
+    is read on.
+    """
+    closed = _closed_masks(g, vertex_limit)
+    full = (1 << g.n) - 1
+    greedy = _greedy_cover(closed, full)
+    max_cover = max(mask.bit_count() for mask in closed)
+    for k in range(max(start, -(-g.n // max_cover)), len(greedy) + 1):
+        sets = _dominating_sets(closed, full, k)
+        for first in sets:
+            return k, chain((first,), sets)
+    # The greedy cover always succeeds, so this is unreachable.
+    raise AssertionError("search failed to reach the greedy upper bound")
+
+
 def domination_number(g: Graph, vertex_limit: int = DEFAULT_VERTEX_LIMIT) -> DominationResult:
     """Exact domination number with a deterministic minimum witness.
 
     Raises ``ValueError`` above ``vertex_limit`` vertices; the search is
     exponential and the guard keeps accidental large inputs from hanging.
     """
-    closed = _closed_masks(g, vertex_limit)
-    full = (1 << g.n) - 1
-    greedy = _greedy_cover(closed, full)
-    max_cover = max(mask.bit_count() for mask in closed)
-    lower = -(-g.n // max_cover)
-    for k in range(lower, len(greedy) + 1):
-        for witness in _dominating_sets(closed, full, k):
-            return DominationResult(gamma=k, witness=witness)
-    # The greedy cover always succeeds, so this is unreachable.
-    raise AssertionError("search failed to reach the greedy upper bound")
+    gamma, sets = _deepen(g, vertex_limit=vertex_limit)
+    return DominationResult(gamma=gamma, witness=next(sets))
 
 
-def minimum_dominating_sets(g: Graph, gamma: int) -> list[tuple[int, ...]]:
-    """Every dominating set of ``g`` with ``gamma`` vertices, each sorted.
+def minimum_dominating_sets(g: Graph) -> tuple[int, list[tuple[int, ...]]]:
+    """The domination number of ``g`` and every minimum dominating set, each sorted.
 
-    ``gamma`` must be the domination number of ``g``: the sets come from the
-    same branching search as :func:`domination_number`, run to completion.
+    One deepening search finds the first level with a dominating set and
+    lists that whole level, in the search order :func:`domination_number`
+    takes its witness from.
     """
-    closed = _closed_masks(g, DEFAULT_VERTEX_LIMIT)
-    return [tuple(sorted(d)) for d in _dominating_sets(closed, (1 << g.n) - 1, gamma)]
+    gamma, sets = _deepen(g)
+    return gamma, [tuple(sorted(d)) for d in sets]

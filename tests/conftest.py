@@ -101,6 +101,12 @@ def brute_bondage_number(g: Graph) -> int:
     raise AssertionError("bondage is defined for nonempty graphs")
 
 
+def brute_one_edge_breakers(g: Graph) -> list[tuple[int, int]]:
+    """Every edge whose removal alone raises gamma, by raw enumeration."""
+    gamma0 = brute_domination_number(g)
+    return [e for e in g.edges() if brute_domination_number(g.remove_edges([e])) > gamma0]
+
+
 def colex_subsets(m: int, k: int) -> Iterator[tuple[int, ...]]:
     """k-subsets of range(m) in colexicographic order."""
     if k == 0:

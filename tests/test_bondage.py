@@ -6,12 +6,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bondlab.bondage import _cover_bound, bondage_number, compute_b_prime, hartnell_rall_bound
+from bondlab import bondage
+from bondlab.bondage import (
+    _bondage_connected,
+    _breaker_families,
+    _certified,
+    _cover_bound,
+    _one_edge_breaker,
+    bondage_number,
+    compute_b_prime,
+    hartnell_rall_bound,
+)
 from bondlab.domination import domination_number, minimum_dominating_sets
 from bondlab.graphs import Graph, enumerate_connected_graphs, make_family, parse_graph6
 
 from conftest import (
     brute_bondage_number,
+    brute_one_edge_breakers,
     colex_bondage_number,
     corona_path,
     random_connected_graph,
@@ -99,6 +110,75 @@ class TestBondageNumber:
                 assert domination_number(g.remove_edges(subset)).gamma == gamma0
 
 
+class TestCapAndCertificate:
+    def test_cap_zero_exceeds_even_where_b_is_one(self):
+        r = bondage_number(make_family("pn", 2), cap=0)
+        assert (r.b, r.witness_edges, r.gamma_after) == (None, None, None)
+        assert r.exceeded_cap and r.cap == 0 and r.gamma_before == 1
+
+    def test_later_component_with_limit_zero(self):
+        # K2 gives b = 1 first, so the search on C4 runs with limit 0; gamma
+        # still counts both components.
+        g = Graph.from_edges(6, [(0, 1), (2, 3), (3, 4), (4, 5), (2, 5)])
+        r = bondage_number(g)
+        assert (r.b, r.witness_edges, r.gamma_before, r.gamma_after) == (1, ((0, 1),), 3, 4)
+        assert not r.exceeded_cap and r.cap == 3
+        # With C4 first, K2 still wins under its limit min(1, 3 - 1).
+        g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5)])
+        r = bondage_number(g)
+        assert (r.b, r.witness_edges, r.gamma_before, r.gamma_after) == (1, ((4, 5),), 3, 4)
+
+    def test_certificate_rejects_a_witness_that_keeps_gamma(self):
+        # P6 = C6 - e still has a dominating pair, found at the warm start.
+        g = make_family("cn", 6)
+        with pytest.raises(AssertionError, match="leaves gamma at 2"):
+            _certified(g, 1, ((0, 1),), 2, 3)
+
+    @given(st.integers(min_value=2, max_value=8), st.randoms(use_true_random=False))
+    @settings(max_examples=80, deadline=None)
+    def test_warm_gamma_after_matches_a_cold_solve(self, n, rng):
+        g = random_graph(rng, n, p=rng.uniform(0.2, 0.8))
+        if g.m == 0:
+            return
+        r = bondage_number(g)
+        assert r.gamma_after == domination_number(g.remove_edges(r.witness_edges)).gamma
+        assert r.gamma_before == domination_number(g).gamma
+
+
+class TestOneEdgeSweep:
+    """The b = 1 sweep against raw enumeration and the branch and bound alone."""
+
+    @staticmethod
+    def check(g):
+        _, sets = minimum_dominating_sets(g)
+        one = _one_edge_breaker(_breaker_families(g, sets))
+        oracle = brute_one_edge_breakers(g)
+        assert bool(one) == bool(oracle)
+        if not one:
+            assert _bondage_connected(g, sets, 1) is None
+            return None
+        edge = g.edges()[one.bit_length() - 1]
+        assert edge in oracle
+        # The sweep picks the witness the branch and bound would, and honours
+        # the limit.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bondage, "_one_edge_breaker", lambda families: 0)
+            assert _bondage_connected(g, sets, 1) == (1, (edge,))
+        assert _bondage_connected(g, sets, 0) is None
+        return edge
+
+    def test_corpus6_against_colex(self):
+        for g in enumerate_connected_graphs(6):
+            if g.m:
+                assert (self.check(g) is not None) == (colex_bondage_number(g) == 1), g.edges()
+
+    @given(st.integers(min_value=2, max_value=8), st.randoms(use_true_random=False))
+    @settings(max_examples=80, deadline=None)
+    def test_random_graphs_against_colex(self, n, rng):
+        g = random_connected_graph(rng, n, extra=rng.uniform(0.0, 0.8))
+        assert (self.check(g) is not None) == (colex_bondage_number(g) == 1)
+
+
 class TestHittingSearch:
     """The search over minimum dominating sets against the colex oracle."""
 
@@ -110,7 +190,8 @@ class TestHittingSearch:
 
     def test_corona_with_many_minimum_dominating_sets(self):
         g = corona_path(10)
-        assert len(minimum_dominating_sets(g, domination_number(g).gamma)) == 1024
+        gamma, sets = minimum_dominating_sets(g)
+        assert (gamma, len(sets)) == (10, 1024)
         assert bondage_number(g).b == colex_bondage_number(g) == 2
 
     def test_stress_graphs(self):

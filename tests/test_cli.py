@@ -53,6 +53,29 @@ class TestInvariants:
         assert code == 0
         assert "b: 1" in out
 
+    @pytest.mark.parametrize("command, graph", [("invariants", "A_"), ("verify", "-")])
+    @pytest.mark.parametrize("cap", ["0", "-1", "x"])
+    def test_bondage_cap_below_one_is_a_usage_error(self, capsys, tmp_path, command, graph, cap):
+        # b >= 1 on any graph with an edge, so such a cap could only ever
+        # report that it was exceeded.
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, command, graph, f"--bondage-cap={cap}")
+        assert exc.value.code == 2
+        assert "--bondage-cap" in capsys.readouterr().err
+        conf = tmp_path / "bondlab.conf"
+        conf.write_text(f"bondage_cap = {cap}\n")
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "--config", str(conf), command, graph)
+        assert exc.value.code == 2
+
+    def test_bondage_cap_of_one(self, capsys):
+        code, out, _ = run(capsys, "invariants", "A_", "--bondage-cap", "1", "--format", "json")
+        data = json.loads(out)
+        assert code == 0 and data["b"] == 1 and not data["b_exceeded_cap"]
+        code, out, _ = run(capsys, "invariants", "Cl", "--bondage-cap", "1", "--format", "json")
+        data = json.loads(out)
+        assert code == 0 and data["b"] is None and data["b_exceeded_cap"]
+
     def test_malformed_graph_exits_one(self, capsys):
         code, _, err = run(capsys, "invariants", "!!!")
         assert code == 1

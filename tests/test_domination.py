@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bondlab.domination import domination_number, is_dominating, minimum_dominating_sets
+from bondlab.domination import _deepen, domination_number, is_dominating, minimum_dominating_sets
 from bondlab.graphs import Graph, components, make_family
 
 from conftest import brute_domination_number, brute_minimum_dominating_sets, random_graph
@@ -51,9 +51,25 @@ class TestDominationNumber:
     @given(st.integers(min_value=1, max_value=7), st.randoms(use_true_random=False))
     @settings(max_examples=100, deadline=None)
     def test_minimum_dominating_sets_match_subset_enumeration(self, n, rng):
-        g = random_graph(rng, n)
-        found = minimum_dominating_sets(g, domination_number(g).gamma)
+        # One pass gives gamma and the whole level; sparse draws are often
+        # disconnected.
+        g = random_graph(rng, n, p=rng.uniform(0.2, 0.7))
+        gamma, found = minimum_dominating_sets(g)
+        assert gamma == brute_domination_number(g)
+        assert len(set(found)) == len(found)
         assert sorted(found) == brute_minimum_dominating_sets(g)
+        # The listing starts with the witness domination_number stops at.
+        assert found[0] == tuple(sorted(domination_number(g).witness))
+
+    @given(st.integers(min_value=1, max_value=8), st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_deepening_from_any_lower_bound(self, n, rng):
+        g = random_graph(rng, n)
+        gamma = brute_domination_number(g)
+        start = rng.randint(0, gamma)
+        k, sets = _deepen(g, start)
+        assert k == gamma
+        assert sorted(tuple(sorted(d)) for d in sets) == brute_minimum_dominating_sets(g)
 
     def test_witness_deterministic(self):
         g = make_family("petersen")

@@ -627,8 +627,10 @@ class TestBranchAndBoundSearch:
             _assert_witnesses_retrace(g, result)
 
     @given(st.integers(min_value=2, max_value=8), st.randoms(use_true_random=False))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, derandomize=True)
     def test_certified_witnesses_retrace(self, n, rng):
+        # Derandomized: a fresh dense n = 8 draw can spend the whole budget
+        # and take seconds, so every run draws the same graphs.
         g = random_connected_graph(rng, n, extra=0.5)
         _assert_witnesses_retrace(g, max_euler_characteristic(g, budget=10**6))
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bondlab import bondage, cli, harness
+from bondlab import bondage, cli, domination, harness
 from bondlab import bounds as bnd
 from bondlab.graphs import Graph, emit_graph6, enumerate_connected_graphs, make_family
 from bondlab.harness import (
@@ -31,22 +31,23 @@ DATA = Path(__file__).parent / "data"
 
 class TestVerifyGraph:
     def test_two_domination_solves_per_connected_record(self, monkeypatch):
-        # One on G inside bondage_number, whose gamma the record reuses, and
-        # one on G - S to certify the witness.
-        graphs = []
-        for module in (harness, bondage):
-            original = module.domination_number
+        # One on G inside bondage_number, which lists every minimum
+        # dominating set and whose gamma the record reuses, and one on G - S
+        # to certify the witness, started at that gamma.
+        calls = []
+        for module in (domination, bondage):
+            original = module._deepen
 
-            def counted(g, original=original):
-                graphs.append(g)
-                return original(g)
+            def counted(g, start=0, original=original, **kwargs):
+                calls.append((g, start))
+                return original(g, start, **kwargs)
 
-            monkeypatch.setattr(module, "domination_number", counted)
+            monkeypatch.setattr(module, "_deepen", counted)
         g = make_family("kmn", 3, 3)
         rec = verify_graph(g)
-        assert graphs[0] == g and len(graphs) == 2
-        assert graphs[1].m == g.m - rec.b
-        assert rec.gamma == 2
+        assert len(calls) == 2
+        assert calls[0] == (g, 0)
+        assert calls[1][0].m == g.m - rec.b and calls[1][1] == rec.gamma == 2
 
     def test_hartnell_rall_bound_once_per_record(self, monkeypatch):
         # Connected records read the edge bound off the b' proxy.
