@@ -22,8 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .domination import _deepen, minimum_dominating_sets
-from .domination import domination_number  # noqa: F401 (perfbench/run.py:install_tracer wraps it)
+from .domination import domination_number, minimum_dominating_sets
 from .graphs import Graph, common_neighbors, components_with_vertices, degree_stats
 
 __all__ = [
@@ -248,7 +247,7 @@ def _certified(
     The solve on ``G - S`` starts at ``gamma_before``: any dominating set of
     ``G - S`` dominates ``G``, so none is smaller.
     """
-    gamma_after = _deepen(g.remove_edges(witness), gamma_before)[0]
+    gamma_after = domination_number(g.remove_edges(witness), start=gamma_before).gamma
     if gamma_after <= gamma_before:
         raise AssertionError(f"bondage witness {witness} leaves gamma at {gamma_after}")
     return BondageResult(b, witness, gamma_before, gamma_after, cap)
@@ -261,16 +260,14 @@ def bondage_number(g: Graph, cap: int | None = None) -> BondageResult:
     component domination numbers, and the bondage number of a disjoint
     union is the minimum over its components with at least one edge.  A
     result with ``exceeded_cap`` set (never with the default cap) means the
-    search proved ``b > cap`` without finding a witness.  A connected graph
-    is searched as it stands.
+    search proved ``b > cap`` without finding a witness.
     """
     if g.m == 0:
         raise ValueError("bondage number is undefined for empty graphs")
     gamma_before = 0
     best: tuple[int, tuple[tuple[int, int], ...]] | None = None
     caps = []
-    parts = [(g, range(g.n))] if g.is_connected() else components_with_vertices(g)
-    for sub, verts in parts:
+    for sub, verts in components_with_vertices(g):
         gamma, sets = minimum_dominating_sets(sub)
         gamma_before += gamma
         if sub.m == 0:

@@ -136,13 +136,17 @@ def _deepen(
     raise AssertionError("search failed to reach the greedy upper bound")
 
 
-def domination_number(g: Graph, vertex_limit: int = DEFAULT_VERTEX_LIMIT) -> DominationResult:
+def domination_number(
+    g: Graph, vertex_limit: int = DEFAULT_VERTEX_LIMIT, *, start: int = 0
+) -> DominationResult:
     """Exact domination number with a deterministic minimum witness.
 
+    Deepening starts at ``start``, which must be a lower bound on the
+    domination number; every level from there up is refuted in full.
     Raises ``ValueError`` above ``vertex_limit`` vertices; the search is
     exponential and the guard keeps accidental large inputs from hanging.
     """
-    gamma, sets = _deepen(g, vertex_limit=vertex_limit)
+    gamma, sets = _deepen(g, start, vertex_limit)
     return DominationResult(gamma=gamma, witness=next(sets))
 
 

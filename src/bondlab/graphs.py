@@ -233,7 +233,8 @@ def components_with_vertices(g: Graph) -> list[tuple[Graph, tuple[int, ...]]]:
     """Connected components with their original vertex labels.
 
     Components are ordered by smallest original vertex and each is reindexed
-    densely in the order of its original labels.
+    densely in the order of its original labels.  A connected graph is its
+    own single component, returned as it stands.
     """
     seen = 0
     out = []
@@ -241,6 +242,8 @@ def components_with_vertices(g: Graph) -> list[tuple[Graph, tuple[int, ...]]]:
         if seen & (1 << start):
             continue
         comp = _closure(g.adjacency, 1 << start)
+        if comp == (1 << g.n) - 1:
+            return [(g, tuple(range(g.n)))]
         seen |= comp
         verts = []
         rest = comp

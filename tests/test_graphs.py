@@ -361,6 +361,8 @@ class TestComponents:
     def test_connected_graph_is_single_component(self):
         g = make_family("petersen")
         assert components(g) == [g]
+        [(sub, verts)] = components_with_vertices(g)
+        assert sub is g and verts == tuple(range(10))
 
     def test_empty_graph_splits_into_singletons(self):
         g = Graph(3, [0, 0, 0])
