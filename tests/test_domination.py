@@ -68,7 +68,7 @@ class TestDominationNumber:
         gamma = brute_domination_number(g)
         start = rng.randint(0, gamma)
         k, sets = _deepen(g, start)
-        assert k == gamma
+        assert k == gamma == domination_number(g, start=start).gamma
         assert sorted(tuple(sorted(d)) for d in sets) == brute_minimum_dominating_sets(g)
 
     def test_witness_deterministic(self):
