@@ -163,14 +163,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Fold --config key=value pairs in as defaults; explicit flags win."""
-    if "--config" not in argv:
+    """Fold --config key=value pairs in as defaults; explicit flags win.
+
+    The file's flags go right after the subcommand, so any flag given on the
+    command line comes later and argparse keeps its value.  A boolean key
+    reads ``true``/``yes``/``on`` as the flag and ``false``/``no``/``off`` as
+    its absence.
+    """
+    for at, token in enumerate(argv):
+        if token == "--config":
+            if at + 1 >= len(argv):
+                parser.error("--config needs a path")
+            path, rest = argv[at + 1], argv[:at] + argv[at + 2:]
+            break
+        if token.startswith("--config="):
+            path, rest = token[len("--config="):], argv[:at] + argv[at + 1:]
+            break
+    else:
         return argv
-    at = argv.index("--config")
-    if at + 1 >= len(argv):
-        parser.error("--config needs a path")
-    path = argv[at + 1]
-    rest = argv[:at] + argv[at + 2:]
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -183,15 +193,14 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
             continue
         if "=" not in line:
             parser.error(f"config line {ln}: expected key=value")
-        key, value = line.split("=", 1)
-        flag = "--" + key.strip().replace("_", "-")
-        if flag in rest:
-            continue  # explicit flag wins
-        if value.strip().lower() in ("true", "yes", "on"):
+        key, value = (part.strip() for part in line.split("=", 1))
+        flag = "--" + key.replace("_", "-")
+        if value.lower() in ("true", "yes", "on"):
             extra.append(flag)
-        else:
-            extra.extend([flag, value.strip()])
-    return rest + extra
+        elif value.lower() not in ("false", "no", "off"):
+            extra.extend([flag, value])
+    at = next((i + 1 for i, token in enumerate(rest) if token in _COMMANDS), len(rest))
+    return rest[:at] + extra + rest[at:]
 
 
 def _cmd_invariants(args: argparse.Namespace) -> int:

@@ -1,13 +1,14 @@
 """Exact minimum dominating sets via iterative deepening over bitmask covers.
 
-One search deepens on target set size, branching on the closed
-neighbourhood of a most-constrained uncovered vertex; a greedy cover primes
-the upper bound.  The first level with a dominating set is the domination
-number.  The search stops at its first set for :func:`domination_number`,
-and runs that level to completion for :func:`minimum_dominating_sets`, so
-the bondage search gets ``gamma`` and every minimum dominating set in one
-pass.  Deepening may start at any known lower bound: the bondage
-certificate starts on ``G - S`` at ``gamma(G)``.
+One search deepens on target set size from a lower bound, branching on the
+closed neighbourhood of a most-constrained uncovered vertex.  The first
+level with a dominating set is the domination number; the whole vertex set
+dominates, so the deepening ends by level ``n``.  The search stops at its
+first set for :func:`domination_number`, and runs that level to completion
+for :func:`minimum_dominating_sets`, so the bondage search gets ``gamma``
+and every minimum dominating set in one pass.  Deepening may start at any
+known lower bound: the bondage certificate starts on ``G - S`` at
+``gamma(G)``.  Graphs above :data:`VERTEX_LIMIT` vertices are refused.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from .graphs import Graph
 
 __all__ = ["DominationResult", "domination_number", "is_dominating", "minimum_dominating_sets"]
 
-DEFAULT_VERTEX_LIMIT = 40
+# The search is exponential; the guard keeps accidental large inputs from hanging.
+VERTEX_LIMIT = 40
 
 
 @dataclass(frozen=True)
@@ -39,20 +41,11 @@ def is_dominating(g: Graph, vertices: Iterable[int]) -> bool:
     return covered == (1 << g.n) - 1
 
 
-def _greedy_cover(closed: Sequence[int], full: int) -> list[int]:
-    covered = 0
-    chosen = []
-    while covered != full:
-        best_v = -1
-        best_gain = 0
-        for v, mask in enumerate(closed):
-            gain = (mask & ~covered).bit_count()
-            if gain > best_gain:
-                best_gain = gain
-                best_v = v
-        chosen.append(best_v)
-        covered |= closed[best_v]
-    return chosen
+def instance_size_error(n: int) -> str | None:
+    """Why the size guard refuses an ``n``-vertex graph, or None if it does not."""
+    if n > VERTEX_LIMIT:
+        return f"instance-size guard: n={n} exceeds limit {VERTEX_LIMIT}"
+    return None
 
 
 def _dominating_sets(closed: Sequence[int], full: int, k: int) -> Iterator[tuple[int, ...]]:
@@ -104,17 +97,7 @@ def _dominating_sets(closed: Sequence[int], full: int, k: int) -> Iterator[tuple
     return dfs(0, k, 0)
 
 
-def _closed_masks(g: Graph, vertex_limit: int) -> list[int]:
-    if g.n < 1:
-        raise ValueError("domination needs at least one vertex")
-    if g.n > vertex_limit:
-        raise ValueError(f"instance-size guard: n={g.n} exceeds limit {vertex_limit}")
-    return [g.closed_mask(v) for v in range(g.n)]
-
-
-def _deepen(
-    g: Graph, start: int = 0, vertex_limit: int = DEFAULT_VERTEX_LIMIT
-) -> tuple[int, Iterator[tuple[int, ...]]]:
+def _deepen(g: Graph, start: int = 0) -> tuple[int, Iterator[tuple[int, ...]]]:
     """The domination number of ``g`` and its minimum dominating sets.
 
     Deepening starts at ``start`` or at ``ceil(n / max closed neighbourhood)``,
@@ -122,31 +105,33 @@ def _deepen(
     Every level below the returned one is refuted in full.  The iterator
     yields the sets of that level in search order, unsorted, none twice;
     its first set is already found, and the rest are searched only when it
-    is read on.
+    is read on.  Raises ``ValueError`` on an empty graph and above
+    :data:`VERTEX_LIMIT` vertices.
     """
-    closed = _closed_masks(g, vertex_limit)
+    if g.n < 1:
+        raise ValueError("domination needs at least one vertex")
+    error = instance_size_error(g.n)
+    if error is not None:
+        raise ValueError(error)
+    closed = [g.closed_mask(v) for v in range(g.n)]
     full = (1 << g.n) - 1
-    greedy = _greedy_cover(closed, full)
     max_cover = max(mask.bit_count() for mask in closed)
-    for k in range(max(start, -(-g.n // max_cover)), len(greedy) + 1):
+    for k in range(max(start, -(-g.n // max_cover)), g.n + 1):
         sets = _dominating_sets(closed, full, k)
         for first in sets:
             return k, chain((first,), sets)
-    # The greedy cover always succeeds, so this is unreachable.
-    raise AssertionError("search failed to reach the greedy upper bound")
+    # The whole vertex set dominates, so this is unreachable.
+    raise AssertionError("search found no dominating set of n vertices")
 
 
-def domination_number(
-    g: Graph, vertex_limit: int = DEFAULT_VERTEX_LIMIT, *, start: int = 0
-) -> DominationResult:
+def domination_number(g: Graph, *, start: int = 0) -> DominationResult:
     """Exact domination number with a deterministic minimum witness.
 
     Deepening starts at ``start``, which must be a lower bound on the
     domination number; every level from there up is refuted in full.
-    Raises ``ValueError`` above ``vertex_limit`` vertices; the search is
-    exponential and the guard keeps accidental large inputs from hanging.
+    Raises ``ValueError`` above :data:`VERTEX_LIMIT` vertices.
     """
-    gamma, sets = _deepen(g, start, vertex_limit)
+    gamma, sets = _deepen(g, start)
     return DominationResult(gamma=gamma, witness=next(sets))
 
 

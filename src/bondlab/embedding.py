@@ -338,8 +338,14 @@ class ChiSearchResult:
     budget: int
     orientable: SideResult
     nonorientable: SideResult | None
-    # Some searched side ran out of budget before it was decided.
-    budget_stopped: bool = False
+
+    @property
+    def budget_stopped(self) -> bool:
+        """Some searched side ran out of budget before it was decided.
+
+        Only the budget leaves a side undecided, so this is ``not certified``.
+        """
+        return not self.certified
 
 
 # -- exact reductions preserving chi ----------------------------------------
@@ -752,6 +758,4 @@ def max_euler_characteristic(
         budget=budget,
         orientable=or_side,
         nonorientable=nonor_side,
-        # Only the budget leaves a side undecided.
-        budget_stopped=not certified,
     )

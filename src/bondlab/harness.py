@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 from . import bounds as bnd
 from .bondage import bondage_number, compute_b_prime, hartnell_rall_bound
-from .domination import DEFAULT_VERTEX_LIMIT
+from .domination import instance_size_error
 from .domination import domination_number  # noqa: F401 (perfbench/run.py:install_tracer wraps it)
 from .embedding import DEFAULT_BUDGET, ChiSearchResult, max_euler_characteristic
 from .graphs import Graph, GraphFormatError, degree_stats, emit_graph6, girth, parse_graph6
@@ -125,17 +125,11 @@ def graph_params(g: Graph, search: ChiSearchResult | None) -> bnd.BoundParams:
     return bnd.BoundParams(degree_stats(g).max_degree, chi, girth(g), g.n, g.m, h, k)
 
 
-def _check(row: bnd.Bound, p: bnd.BoundParams, values: dict) -> TheoremCheck:
-    """Evaluate one registry row; ``satisfied`` is None when it is skipped.
-
-    ``values`` caches each value function's result on ``p``, so rows that
-    share one (``cubic`` and ``cubic_bprime``) evaluate it once.
-    """
+def _check(row: bnd.Bound, p: bnd.BoundParams) -> TheoremCheck:
+    """Evaluate one registry row; ``satisfied`` is None when it is skipped."""
     if not row.applicable(p):
         return TheoremCheck(row.name, False, None, None, None)
-    if row.value not in values:
-        values[row.value] = row.value(p)
-    value = values[row.value]
+    value = row.value(p)
     if row.target is None:
         return TheoremCheck(row.name, True, None, value, None)
     target = getattr(p, row.target)
@@ -166,7 +160,6 @@ def verify_graph(
         b=b,
         b_prime=b_prime,
     )
-    values: dict = {}
     return VerificationRecord(
         graph6=emit_graph6(g),
         n=g.n,
@@ -185,7 +178,7 @@ def verify_graph(
         b_exceeds_bprime=(
             None if b_prime is None or b is None else b > b_prime
         ),
-        checks=tuple(_check(row, p, values) for row in CHECKS),
+        checks=tuple(_check(row, p) for row in CHECKS),
     )
 
 
@@ -195,11 +188,9 @@ def _verify_line(args: tuple[str, int, bool, int | None]) -> VerificationRecord:
         g = parse_graph6(line)
         if g.m < 1:
             return VerificationRecord(graph6=line, error="graph has no edges")
-        if g.n > DEFAULT_VERTEX_LIMIT:
-            return VerificationRecord(
-                graph6=line,
-                error=f"instance-size guard: n={g.n} exceeds limit {DEFAULT_VERTEX_LIMIT}",
-            )
+        too_large = instance_size_error(g.n)
+        if too_large is not None:
+            return VerificationRecord(graph6=line, error=too_large)
         return verify_graph(g, budget=budget, strict=strict, bondage_cap=cap)
     except GraphFormatError as exc:
         return VerificationRecord(graph6=line, error=f"malformed graph6: {exc}")

@@ -323,6 +323,35 @@ class TestConfig:
         assert out.splitlines()[0].lstrip().startswith("chi")
         assert "," not in out.splitlines()[0]
 
+    def test_config_applies_under_the_equals_spelling(self, capsys, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("format = csv\n")
+        code, out, _ = run(capsys, f"--config={conf}", "table", "--chi-from", "-1", "--chi-to", "0")
+        assert code == 0
+        assert out.splitlines()[0] == "chi,baseline_term,improved_term"
+
+    def test_explicit_equals_flag_beats_the_config(self, capsys, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("format = csv\n")
+        code, out, _ = run(
+            capsys, "--config", str(conf), "table", "--chi-from", "-1", "--chi-to", "0",
+            "--format=text",
+        )
+        assert code == 0
+        assert "," not in out.splitlines()[0]
+
+    def test_false_boolean_leaves_the_flag_off(self, capsys, tmp_path):
+        g6 = emit_graph6(make_family("kmn", 3, 3))
+        conf = tmp_path / "run.conf"
+        conf.write_text("strict = false\n")
+        code, out, _ = run(capsys, "--config", str(conf), "chi", g6, "--budget", "10")
+        assert code == 0
+        assert out.startswith("chi: None (certified: False)")
+        conf.write_text("strict = true\n")
+        code, _, err = run(capsys, "--config", str(conf), "chi", g6, "--budget", "10")
+        assert code == 3
+        assert "budget" in err
+
     def test_config_rejects_bad_lines(self, capsys, tmp_path):
         conf = tmp_path / "bad.conf"
         conf.write_text("this is not a pair\n")

@@ -27,10 +27,11 @@ class TestDominationNumber:
         g = Graph(4, [0, 0, 0, 0])
         assert domination_number(g).gamma == 4
 
-    def test_size_guard(self):
-        g = Graph(5, [0] * 5)
-        with pytest.raises(ValueError):
-            domination_number(g, vertex_limit=4)
+    def test_size_guard_at_forty_vertices(self):
+        # The message is the one the CLI and the harness report for P41.
+        with pytest.raises(ValueError, match=r"^instance-size guard: n=41 exceeds limit 40$"):
+            domination_number(make_family("pn", 41))
+        assert domination_number(make_family("pn", 40)).gamma == 14
 
     @given(st.integers(min_value=1, max_value=8), st.randoms(use_true_random=False))
     @settings(max_examples=150, deadline=None)
