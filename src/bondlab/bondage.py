@@ -13,9 +13,10 @@ breaker of every set, so one sweep over the breakers decides ``b = 1``;
 otherwise a branch and bound over breaker bitmasks finds the smallest edge
 set that holds a breaker of every set.  One domination solve on ``G - S``
 certifies the answer.  It starts at ``gamma(G)``, since any dominating set
-of ``G - S`` dominates ``G``, and refutes that level in full.  The default
-cap (max degree plus min degree minus one) is a proven upper bound, so the
-search always finds the exact value on nonempty graphs.
+of ``G - S`` dominates ``G``, and refutes that level in full.  Each
+component's search is limited to max degree plus min degree minus one
+edges, a proven upper bound, so it always finds the exact value on
+nonempty graphs.
 """
 
 from __future__ import annotations
@@ -37,28 +38,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BondageResult:
-    b: int | None
-    witness_edges: tuple[tuple[int, int], ...] | None
+    b: int
+    witness_edges: tuple[tuple[int, int], ...]
     gamma_before: int
-    gamma_after: int | None
-    cap: int
-    exceeded_cap: bool = False
+    gamma_after: int
 
 
 @dataclass(frozen=True)
 class BPrimeResult:
-    """min(edge term, average-degree term); the edge witness attains the min."""
+    """min(edge term, average-degree term)."""
 
     b_prime: int
     edge_term: int
-    edge_witness: tuple[int, int]
     ad_term: int
 
 
 @dataclass(frozen=True)
 class HartnellRallBound:
     edge_bound: int
-    witness_edge: tuple[int, int]
     degree_bound: int
 
 
@@ -66,17 +63,12 @@ def hartnell_rall_bound(g: Graph) -> HartnellRallBound:
     """Minimum over edges of d(u)+d(v)-1-|N(u) and N(v)|, plus the degree form."""
     if g.m == 0:
         raise ValueError("bound needs at least one edge")
-    best = None
-    witness = None
-    for u, v in g.edges():
-        value = g.degree(u) + g.degree(v) - 1 - common_neighbors(g, u, v)
-        if best is None or value < best:
-            best = value
-            witness = (u, v)
+    best = min(
+        g.degree(u) + g.degree(v) - 1 - common_neighbors(g, u, v) for u, v in g.edges()
+    )
     stats = degree_stats(g)
     return HartnellRallBound(
         edge_bound=best,
-        witness_edge=witness,
         degree_bound=stats.max_degree + stats.min_degree - 1,
     )
 
@@ -96,7 +88,6 @@ def compute_b_prime(g: Graph) -> BPrimeResult:
     return BPrimeResult(
         b_prime=min(hr.edge_bound, ad_term),
         edge_term=hr.edge_bound,
-        edge_witness=hr.witness_edge,
         ad_term=ad_term,
     )
 
@@ -175,19 +166,19 @@ def _cover_bound(reaches: list[int]) -> int:
 
 
 def _bondage_connected(
-    g: Graph, sets: list[tuple[int, ...]], cap: int
+    g: Graph, sets: list[tuple[int, ...]], limit: int
 ) -> tuple[int, tuple[tuple[int, int], ...]] | None:
-    """The fewest edges, at most ``cap``, that break every set of ``sets``.
+    """The fewest edges, at most ``limit``, that break every set of ``sets``.
 
     ``sets`` must be every minimum dominating set of ``g``.
     """
     edges = g.edges()
     families = _breaker_families(g, sets)
-    if cap >= 1:
+    if limit >= 1:
         one = _one_edge_breaker(families)
         if one:
             return 1, (edges[one.bit_length() - 1],)
-    best_size = cap + 1
+    best_size = limit + 1
     best = 0
 
     def search(removed: int, size: int, families: list[list[int]], forbidden: int) -> None:
@@ -234,13 +225,13 @@ def _bondage_connected(
                 forbidden |= b
 
     search(0, 0, families, 0)
-    if best_size > cap:
+    if best_size > limit:
         return None
     return best_size, tuple(e for i, e in enumerate(edges) if best >> i & 1)
 
 
 def _certified(
-    g: Graph, b: int, witness: tuple[tuple[int, int], ...], gamma_before: int, cap: int
+    g: Graph, b: int, witness: tuple[tuple[int, int], ...], gamma_before: int
 ) -> BondageResult:
     """The result for ``witness``, after checking that its removal raises gamma.
 
@@ -250,32 +241,32 @@ def _certified(
     gamma_after = domination_number(g.remove_edges(witness), start=gamma_before).gamma
     if gamma_after <= gamma_before:
         raise AssertionError(f"bondage witness {witness} leaves gamma at {gamma_after}")
-    return BondageResult(b, witness, gamma_before, gamma_after, cap)
+    return BondageResult(b, witness, gamma_before, gamma_after)
 
 
-def bondage_number(g: Graph, cap: int | None = None) -> BondageResult:
+def bondage_number(g: Graph) -> BondageResult:
     """Exact bondage number, certified by one domination solve on ``G - S``.
 
     Graphs are handled componentwise: ``gamma_before`` is the sum of the
     component domination numbers, and the bondage number of a disjoint
-    union is the minimum over its components with at least one edge.  A
-    result with ``exceeded_cap`` set (never with the default cap) means the
-    search proved ``b > cap`` without finding a witness.
+    union is the minimum over its components with at least one edge.  Each
+    component's search stops at max degree plus min degree minus one edges,
+    a proven upper bound, and at one edge fewer than the best witness of an
+    earlier component.
     """
     if g.m == 0:
         raise ValueError("bondage number is undefined for empty graphs")
     gamma_before = 0
     best: tuple[int, tuple[tuple[int, int], ...]] | None = None
-    caps = []
     for sub, verts in components_with_vertices(g):
         gamma, sets = minimum_dominating_sets(sub)
         gamma_before += gamma
         if sub.m == 0:
             continue
         stats = degree_stats(sub)
-        sub_cap = cap if cap is not None else stats.max_degree + stats.min_degree - 1
-        caps.append(sub_cap)
-        limit = sub_cap if best is None else min(sub_cap, best[0] - 1)
+        limit = stats.max_degree + stats.min_degree - 1
+        if best is not None:
+            limit = min(limit, best[0] - 1)
         found = _bondage_connected(sub, sets, limit)
         if found is not None:
             # The limit makes every later find strictly smaller, and the
@@ -283,12 +274,5 @@ def bondage_number(g: Graph, cap: int | None = None) -> BondageResult:
             b, witness = found
             best = (b, tuple((verts[u], verts[v]) for u, v in witness))
     if best is None:
-        return BondageResult(
-            b=None,
-            witness_edges=None,
-            gamma_before=gamma_before,
-            gamma_after=None,
-            cap=max(caps),
-            exceeded_cap=True,
-        )
-    return _certified(g, *best, gamma_before, max(caps))
+        raise AssertionError("no component reached its proven bondage bound")
+    return _certified(g, *best, gamma_before)

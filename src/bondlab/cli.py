@@ -1,8 +1,10 @@
 """Command-line front end: every capability, scriptable and reproducible.
 
 Exit codes: 0 success, 1 verification failure or error, 2 usage error,
-3 budget exhaustion: in strict mode, or when ``bounds --graph6`` cannot
-certify chi.  Errors go to stderr prefixed ``bondlab: error:``.
+3 budget exhaustion: when ``chi --strict`` or ``verify --strict`` leaves chi
+uncertified, or when ``bounds --graph6`` cannot certify it.  The searches
+never raise on exhaustion; each command decides from ``certified``.  Errors
+go to stderr prefixed ``bondlab: error:``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from . import bounds as bnd
 from .bondage import bondage_number, compute_b_prime
 from .embedding import (
     DEFAULT_BUDGET,
-    BudgetExceededError,
     ChiSearchResult,
     SideResult,
     max_euler_characteristic,
@@ -37,22 +38,7 @@ from .graphs import (
 from .harness import CHECKS, emit_comparison_table, emit_report, graph_params, verify_corpus
 
 
-_BONDAGE_CAP_HELP = (
-    "largest witness size the bondage search tries (default: max degree + min "
-    "degree - 1, a proven upper bound); a b above it is reported as exceeding "
-    "the cap, with no value"
-)
-
-
-def _bondage_cap(text: str) -> int:
-    """A ``--bondage-cap`` value: b >= 1 on any graph with an edge, so below 1 says nothing."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+_STRICT_EXHAUSTED = "face-tracing budget exhausted in strict mode"
 
 
 def _epilog(title: str, rows: Sequence[bnd.Bound]) -> str:
@@ -90,6 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bondlab",
         description="Exact bondage-number laboratory: invariants, embeddings, bounds.",
+        allow_abbrev=False,
     )
     parser.add_argument(
         "--config",
@@ -98,23 +85,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_budget_flags(p: argparse.ArgumentParser) -> None:
+    def add_budget_flags(p: argparse.ArgumentParser, *, strict: bool) -> None:
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                        help="face-tracing step budget for the chi search (a hard cap)")
-        p.add_argument("--strict", action="store_true",
-                       help="treat budget exhaustion as an error (exit 3)")
+        if strict:
+            p.add_argument("--strict", action="store_true",
+                           help="treat budget exhaustion as an error (exit 3)")
 
     p = sub.add_parser("invariants", help="gamma, bondage, proxy, girth, degrees")
     p.add_argument("graph", nargs="?", default="-", help="graph6 string or - for stdin")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--bondage-cap", type=_bondage_cap, default=None, help=_BONDAGE_CAP_HELP)
 
     p = sub.add_parser("chi", help="maximum Euler characteristic search")
     p.add_argument("graph", nargs="?", default="-", help="graph6 string or - for stdin")
     p.add_argument("--witness", action="store_true", help="print a witness rotation system")
     p.add_argument("--orientable-only", action="store_true")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    add_budget_flags(p)
+    add_budget_flags(p, strict=True)
 
     p = sub.add_parser(
         "bounds",
@@ -131,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--genus-h", type=int, default=None, help="orientable genus")
     p.add_argument("--genus-k", type=int, default=None, help="non-orientable genus")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    add_budget_flags(p)
+    add_budget_flags(p, strict=False)
 
     p = sub.add_parser("table", help="baseline vs improved cubic-term table")
     p.add_argument("--chi-from", type=int, required=True)
@@ -149,8 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json", "text"), default="text")
     p.add_argument("--threads", type=int, default=_default_threads(),
                    help="parallel verification workers (BONDLAB_THREADS)")
-    p.add_argument("--bondage-cap", type=_bondage_cap, default=None, help=_BONDAGE_CAP_HELP)
-    add_budget_flags(p)
+    add_budget_flags(p, strict=True)
 
     p = sub.add_parser("enumerate", help="connected graphs up to isomorphism, n <= 7")
     p.add_argument("--max-n", type=int, required=True)
@@ -168,7 +154,9 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
     The file's flags go right after the subcommand, so any flag given on the
     command line comes later and argparse keeps its value.  A boolean key
     reads ``true``/``yes``/``on`` as the flag and ``false``/``no``/``off`` as
-    its absence.
+    its absence.  A key that only other subcommands define is skipped, so
+    one file serves every command; a key that no subcommand defines is
+    passed on, and argparse rejects it.
     """
     for at, token in enumerate(argv):
         if token == "--config":
@@ -186,6 +174,11 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
             text = fh.read()
     except OSError as exc:
         parser.error(f"cannot read config: {exc}")
+    at = next((i + 1 for i, token in enumerate(rest) if token in _COMMANDS), len(rest))
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    defined = {name: set(p._option_string_actions) for name, p in sub.choices.items()}
+    own = defined.get(rest[at - 1], set()) if at else set()
+    elsewhere = set().union(*defined.values()) - own
     extra: list[str] = []
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -195,11 +188,12 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
             parser.error(f"config line {ln}: expected key=value")
         key, value = (part.strip() for part in line.split("=", 1))
         flag = "--" + key.replace("_", "-")
+        if flag in elsewhere:
+            continue
         if value.lower() in ("true", "yes", "on"):
             extra.append(flag)
         elif value.lower() not in ("false", "no", "off"):
             extra.extend([flag, value])
-    at = next((i + 1 for i, token in enumerate(rest) if token in _COMMANDS), len(rest))
     return rest[:at] + extra + rest[at:]
 
 
@@ -211,7 +205,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
     stats = degree_stats(g)
     shortest = girth(g)
     connected = g.is_connected()
-    bond = bondage_number(g, cap=args.bondage_cap)
+    bond = bondage_number(g)
     bp = compute_b_prime(g) if connected else None
     data = {
         "graph6": emit_graph6(g),
@@ -224,8 +218,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
         "connected": connected,
         "gamma": bond.gamma_before,
         "b": bond.b,
-        "b_witness": [list(e) for e in bond.witness_edges] if bond.witness_edges else None,
-        "b_exceeded_cap": bond.exceeded_cap,
+        "b_witness": [list(e) for e in bond.witness_edges],
         "bprime": bp.b_prime if bp else None,
         "bprime_edge_term": bp.edge_term if bp else None,
         "bprime_ad_term": bp.ad_term if bp else None,
@@ -251,9 +244,11 @@ def _cmd_chi(args: argparse.Namespace) -> int:
     result = max_euler_characteristic(
         g,
         budget=args.budget,
-        strict=args.strict,
         orientable_only=args.orientable_only,
     )
+    if args.strict and not result.certified:
+        _error(_STRICT_EXHAUSTED)
+        return 3
     data = {
         "graph6": emit_graph6(g),
         **_verdict(result),
@@ -277,7 +272,7 @@ def _cmd_chi(args: argparse.Namespace) -> int:
 def _cmd_bounds(args: argparse.Namespace) -> int:
     if args.graph6 is not None:
         g = parse_graph6(args.graph6)
-        search = max_euler_characteristic(g, budget=args.budget, strict=args.strict)
+        search = max_euler_characteristic(g, budget=args.budget)
         if not search.certified:
             _error("chi search did not certify an exact value; rerun with a larger --budget")
             return 3
@@ -330,13 +325,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         with open(args.corpus, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    records, summary = verify_corpus(
-        lines,
-        budget=args.budget,
-        strict=args.strict,
-        bondage_cap=args.bondage_cap,
-        jobs=args.threads,
-    )
+    records, summary = verify_corpus(lines, budget=args.budget, jobs=args.threads)
+    if args.strict and any(rec.connected and not rec.chi_certified for rec in records):
+        _error(_STRICT_EXHAUSTED)
+        return 3
     sys.stdout.write(emit_report(records, args.format, summary))
     if args.format == "text":
         print(
@@ -384,9 +376,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except BudgetExceededError as exc:
-        _error(str(exc))
-        return 3
     except (GraphFormatError, ValueError, OverflowError) as exc:
         _error(str(exc))
         return 1

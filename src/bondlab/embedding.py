@@ -38,7 +38,6 @@ __all__ = [
     "CurvatureLedger",
     "SideResult",
     "ChiSearchResult",
-    "BudgetExceededError",
     "DEFAULT_BUDGET",
     "trace_faces",
     "curvature",
@@ -47,10 +46,6 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 100_000_000
-
-
-class BudgetExceededError(RuntimeError):
-    """Raised in strict mode when the face-tracing budget runs out."""
 
 
 @dataclass(frozen=True)
@@ -616,7 +611,7 @@ def _branch_and_bound(core: Graph, t: int, allowance: int,
 
 
 def _search_side(core: Graph, signed: bool, cap: int, left: int,
-                 strict: bool, lift: Callable[[RotationSystem], RotationSystem]) -> SideResult:
+                 lift: Callable[[RotationSystem], RotationSystem]) -> SideResult:
     """Search one orientability class of ``core``, whose chi is at most ``cap``.
 
     :func:`_branch_and_bound` decides chi >= t for t from the cap down, by 2
@@ -625,8 +620,7 @@ def _search_side(core: Graph, signed: bool, cap: int, left: int,
     chi, certified because every larger t was refuted in full.  Every core
     with a cycle has a one- or two-face orientable scheme and a one-face
     non-orientable scheme, so some t above ``n - m`` holds unless the budget
-    stops the search first.  Strict mode raises when the budget stops the
-    side before it is decided.
+    stops the search first; a side the budget stops returns uncertified.
     """
     nodes = 0
     for best in range(cap, core.n - core.m, -1 if signed else -2):
@@ -636,8 +630,6 @@ def _search_side(core: Graph, signed: bool, cap: int, left: int,
             break
     else:
         raise AssertionError("no scheme with at most two faces on a core with a cycle")
-    if strict and not decided:
-        raise BudgetExceededError("face-tracing budget exhausted in strict mode")
     found = witness is not None
     return SideResult(
         chi=best if found else None,
@@ -650,7 +642,6 @@ def _search_side(core: Graph, signed: bool, cap: int, left: int,
 def max_euler_characteristic(
     g: Graph,
     budget: int = DEFAULT_BUDGET,
-    strict: bool = False,
     orientable_only: bool = False,
 ) -> ChiSearchResult:
     """Largest Euler characteristic over all 2-cell embeddings.
@@ -679,9 +670,9 @@ def max_euler_characteristic(
     one the budget does not cover.  So ``steps_used`` is the two sides'
     ``nodes``, at most ``budget`` (no steps at all when ``budget`` is
     negative); the planarity test is not charged.  ``budget_stopped`` says
-    some side ran out before it was decided; such a side has chi None.  In
-    strict mode running out raises :class:`BudgetExceededError`; otherwise
-    partial results are returned with flags cleared.
+    some side ran out before it was decided; such a side has chi None and
+    is not certified.  Callers that treat exhaustion as an error decide so
+    from ``certified``.
     """
     if g.n < 1:
         raise ValueError("empty graph")
@@ -721,7 +712,7 @@ def max_euler_characteristic(
                 raise AssertionError("planar rotation system does not re-trace to chi 2")
             or_side = SideResult(chi=2, witness=lift(plane), certified=True)
     if or_side is None:
-        or_side = _search_side(core, False, cap_or, budget, strict, lift)
+        or_side = _search_side(core, False, cap_or, budget, lift)
     steps = or_side.nodes
     nonor_side: SideResult | None = None
     if not orientable_only:
@@ -736,7 +727,7 @@ def max_euler_characteristic(
             # The core has a cycle (a tree's point core is planar, and both
             # reductions keep the cycle rank), so some edge sign is free and
             # the signed space is not empty.
-            nonor_side = _search_side(core, True, cap_nonor, budget - steps, strict, lift)
+            nonor_side = _search_side(core, True, cap_nonor, budget - steps, lift)
             steps += nonor_side.nodes
 
     # Combine.  A skipped signed side could not raise chi, so the overall

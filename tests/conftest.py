@@ -18,7 +18,7 @@ from typing import Callable, Iterator
 
 from bondlab.bounds import _require_chi_nonpositive
 from bondlab.domination import domination_number
-from bondlab.embedding import BudgetExceededError, RotationSystem
+from bondlab.embedding import RotationSystem
 from bondlab.graphs import Graph
 
 
@@ -302,21 +302,18 @@ class SchemeSpace:
 
 
 class _Budget:
-    __slots__ = ("remaining", "strict")
+    __slots__ = ("remaining",)
 
-    def __init__(self, limit: int, strict: bool):
+    def __init__(self, limit: int):
         self.remaining = limit
-        self.strict = strict
 
     def charge(self, amount: int) -> bool:
         """Consume ``amount`` steps if they fit in what remains.
 
         A charge that does not fit is refused whole, so the budget is a hard
-        cap; refusal returns False, or raises in strict mode.
+        cap; refusal returns False.
         """
         if amount > self.remaining:
-            if self.strict:
-                raise BudgetExceededError("face-tracing budget exhausted in strict mode")
             return False
         self.remaining -= amount
         return True
@@ -397,7 +394,7 @@ def reference_sweep(space, limit: int, start: int = 0) -> tuple[int, int | None]
     A budget of exactly ``limit - start`` schemes' states makes its last
     block shrink to end at ``limit``, and the next charge is refused there.
     """
-    budget = _Budget((limit - start) * space.states, strict=False)
+    budget = _Budget((limit - start) * space.states)
     return reference_sweep_vector(space, budget, start)
 
 

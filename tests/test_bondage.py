@@ -58,10 +58,6 @@ class TestBondageNumber:
         with pytest.raises(ValueError):
             bondage_number(Graph(3, [0, 0, 0]))
 
-    def test_cap_exceeded_is_explicit(self):
-        r = bondage_number(make_family("cn", 4), cap=2)
-        assert r.exceeded_cap and r.b is None and r.cap == 2
-
     def test_witness_shape(self):
         g = make_family("petersen")
         r = bondage_number(g)
@@ -111,18 +107,12 @@ class TestBondageNumber:
 
 
 class TestCapAndCertificate:
-    def test_cap_zero_exceeds_even_where_b_is_one(self):
-        r = bondage_number(make_family("pn", 2), cap=0)
-        assert (r.b, r.witness_edges, r.gamma_after) == (None, None, None)
-        assert r.exceeded_cap and r.cap == 0 and r.gamma_before == 1
-
     def test_later_component_with_limit_zero(self):
         # K2 gives b = 1 first, so the search on C4 runs with limit 0; gamma
         # still counts both components.
         g = Graph.from_edges(6, [(0, 1), (2, 3), (3, 4), (4, 5), (2, 5)])
         r = bondage_number(g)
         assert (r.b, r.witness_edges, r.gamma_before, r.gamma_after) == (1, ((0, 1),), 3, 4)
-        assert not r.exceeded_cap and r.cap == 3
         # With C4 first, K2 still wins under its limit min(1, 3 - 1).
         g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5)])
         r = bondage_number(g)
@@ -132,7 +122,7 @@ class TestCapAndCertificate:
         # P6 = C6 - e still has a dominating pair, found at the warm start.
         g = make_family("cn", 6)
         with pytest.raises(AssertionError, match="leaves gamma at 2"):
-            _certified(g, 1, ((0, 1),), 2, 3)
+            _certified(g, 1, ((0, 1),), 2)
 
     @given(st.integers(min_value=2, max_value=8), st.randoms(use_true_random=False))
     @settings(max_examples=80, deadline=None)
@@ -223,7 +213,6 @@ def test_corpus7_results_and_witnesses_match_golden():
         got = (r.gamma_before, r.b, [list(e) for e in r.witness_edges], r.gamma_after)
         want = (row["gamma_before"], row["b"], row["witness_edges"], row["gamma_after"])
         assert got == want, row["graph6"]
-        assert not r.exceeded_cap
 
 
 @pytest.mark.xfail(

@@ -53,29 +53,6 @@ class TestInvariants:
         assert code == 0
         assert "b: 1" in out
 
-    @pytest.mark.parametrize("command, graph", [("invariants", "A_"), ("verify", "-")])
-    @pytest.mark.parametrize("cap", ["0", "-1", "x"])
-    def test_bondage_cap_below_one_is_a_usage_error(self, capsys, tmp_path, command, graph, cap):
-        # b >= 1 on any graph with an edge, so such a cap could only ever
-        # report that it was exceeded.
-        with pytest.raises(SystemExit) as exc:
-            run(capsys, command, graph, f"--bondage-cap={cap}")
-        assert exc.value.code == 2
-        assert "--bondage-cap" in capsys.readouterr().err
-        conf = tmp_path / "bondlab.conf"
-        conf.write_text(f"bondage_cap = {cap}\n")
-        with pytest.raises(SystemExit) as exc:
-            run(capsys, "--config", str(conf), command, graph)
-        assert exc.value.code == 2
-
-    def test_bondage_cap_of_one(self, capsys):
-        code, out, _ = run(capsys, "invariants", "A_", "--bondage-cap", "1", "--format", "json")
-        data = json.loads(out)
-        assert code == 0 and data["b"] == 1 and not data["b_exceeded_cap"]
-        code, out, _ = run(capsys, "invariants", "Cl", "--bondage-cap", "1", "--format", "json")
-        data = json.loads(out)
-        assert code == 0 and data["b"] is None and data["b_exceeded_cap"]
-
     def test_malformed_graph_exits_one(self, capsys):
         code, _, err = run(capsys, "invariants", "!!!")
         assert code == 1
@@ -101,6 +78,12 @@ class TestChi:
         code, _, err = run(capsys, "chi", g6, "--budget", "10", "--strict")
         assert code == 3
         assert "budget" in err
+        # K6 is decided in 220 orientable and 242 signed nodes, so a budget
+        # of 100 stops its orientable side and one of 300 its signed side.
+        for budget in ("100", "300"):
+            code, out, err = run(capsys, "chi", "E~~w", "--budget", budget, "--strict")
+            assert code == 3 and out == ""
+            assert err == "bondlab: error: face-tracing budget exhausted in strict mode\n"
 
     def test_no_exhaustive_flag(self, capsys, tmp_path):
         # chi has no --exhaustive option, on the command line or in a config file.
@@ -167,6 +150,12 @@ class TestBounds:
         assert code == 3
         assert out == ""
         assert err.startswith("bondlab: error:") and "certify" in err
+
+    def test_no_strict_flag(self, capsys):
+        # bounds --graph6 exits 3 on any uncertified chi, so it has no --strict.
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "bounds", "--graph6", "E~~w", "--strict")
+        assert exc.value.code == 2
 
     def test_float_overflow_drops_only_the_detail(self, capsys):
         # The girth bound is exact at any size; only its float detail overflows.
@@ -245,6 +234,18 @@ class TestVerify:
             data = json.loads(out)
             assert [r["error"] for r in data["records"][:3]] == [guard, None, "graph has no edges"]
             assert data["summary"]["graphs"] == 4 and data["summary"]["malformed"] == 1
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_strict_exits_three_on_an_uncertified_chi(self, capsys, tmp_path, threads):
+        # K4 is certified planar without a step; K6 needs 462 search nodes.
+        corpus = tmp_path / "k4k6.g6"
+        corpus.write_text("C~\nE~~w\n")
+        code, out, err = run(capsys, "verify", str(corpus), "--strict", "--budget", "100",
+                             "--threads", threads)
+        assert code == 3 and out == ""
+        assert err == "bondlab: error: face-tracing budget exhausted in strict mode\n"
+        code, out, _ = run(capsys, "verify", str(corpus), "--strict", "--threads", threads)
+        assert code == 0 and "graphs=2 malformed=0 failures=0" in out
 
     def test_empty_corpus_exits_zero(self, capsys, tmp_path):
         corpus = tmp_path / "empty.g6"
@@ -352,6 +353,21 @@ class TestConfig:
         assert code == 3
         assert "budget" in err
 
+    def test_key_of_another_subcommand_is_skipped(self, capsys, tmp_path):
+        # enumerate has no --format, but table, chi and verify do.
+        conf = tmp_path / "run.conf"
+        conf.write_text("format = csv\n")
+        code, out, _ = run(capsys, "--config", str(conf), "enumerate", "--max-n", "2")
+        assert code == 0 and out == "@\nA_\n"
+
+    def test_abbreviated_config_is_a_usage_error(self, capsys, tmp_path):
+        # Read as --config, the file would be parsed and then ignored.
+        conf = tmp_path / "run.conf"
+        conf.write_text("format = csv\n")
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "--conf", str(conf), "table", "--chi-from", "-1", "--chi-to", "0")
+        assert exc.value.code == 2
+
     def test_config_rejects_bad_lines(self, capsys, tmp_path):
         conf = tmp_path / "bad.conf"
         conf.write_text("this is not a pair\n")
@@ -382,14 +398,6 @@ class TestHelpAndEnvironment:
         epilog = out[out.index("and their formulas"):].splitlines()[1:]
         named = [line.split()[0] for line in epilog if line.startswith("  ")]
         assert named == expected[command]
-
-    @pytest.mark.parametrize("command", ["invariants", "verify"])
-    def test_bondage_cap_help_describes_the_witness_search(self, capsys, command):
-        with pytest.raises(SystemExit):
-            cli.main([command, "--help"])
-        out = " ".join(capsys.readouterr().out.split())
-        assert "largest witness size the bondage search tries" in out
-        assert "reported as exceeding the cap" in out
 
     def test_threads_default_from_environment(self, monkeypatch):
         monkeypatch.setenv("BONDLAB_THREADS", "3")

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from bondlab import embedding
 from bondlab.embedding import (
-    BudgetExceededError,
     RotationSystem,
     curvature,
     max_euler_characteristic,
@@ -238,7 +237,7 @@ class TestMaxChi:
     def test_tree_cores_are_certified_without_a_step(self, g):
         # A tree's core is a point, certified at 2 as it stands; the planar
         # identity then settles the non-orientable side at 1.
-        result = max_euler_characteristic(g, budget=0, strict=True)
+        result = max_euler_characteristic(g, budget=0)
         assert result.chi == 2 and result.certified and result.steps_used == 0
         assert result.orientable.chi == 2 and result.orientable.certified
         assert result.nonorientable.chi == 1 and result.nonorientable.certified
@@ -249,7 +248,7 @@ class TestMaxChi:
 
     @TREES
     def test_tree_cores_orientable_only(self, g):
-        result = max_euler_characteristic(g, budget=0, strict=True, orientable_only=True)
+        result = max_euler_characteristic(g, budget=0, orientable_only=True)
         assert result.chi == 2 and result.certified and result.steps_used == 0
         assert result.nonorientable is None
 
@@ -338,11 +337,6 @@ class TestMaxChi:
             assert result.orientable.chi == best_or, g.edges()
             assert result.chi == best_any and result.certified, g.edges()
 
-    def test_budget_strict_raises(self):
-        g = make_family("kmn", 3, 3)
-        with pytest.raises(BudgetExceededError):
-            max_euler_characteristic(g, budget=10, strict=True)
-
     def test_budget_permissive_flags_incomplete(self):
         g = make_family("kmn", 3, 3)
         result = max_euler_characteristic(g, budget=50)
@@ -392,16 +386,6 @@ class TestMaxChi:
         result = max_euler_characteristic(g, budget=budget)
         assert result.budget_stopped and not result.certified
         assert result.steps_used == budget
-
-    def test_strict_on_either_side(self):
-        # K6 is decided in 220 orientable and 242 signed nodes, so a budget
-        # of 100 stops its orientable side and one of 300 its signed side.
-        for budget in (100, 300):
-            with pytest.raises(BudgetExceededError):
-                max_euler_characteristic(make_family("kn", 6), budget=budget, strict=True)
-        for g in (make_family("kn", 5), make_family("petersen")):
-            result = max_euler_characteristic(g, strict=True)
-            assert result.chi == 1 and result.certified
 
     def test_corpus6_and_c5_are_certified(self, corpus6):
         for g in corpus6 + [make_family("cn", 5)]:
@@ -850,7 +834,7 @@ class TestSignedBranchAndBound:
         assert full.orientable.searched == side.searched == 0
         assert side.certified and not full.budget_stopped
         assert full.steps_used == orientable + side.nodes
-        exact = max_euler_characteristic(g, budget=full.steps_used, strict=True)
+        exact = max_euler_characteristic(g, budget=full.steps_used)
         assert exact.certified and exact.steps_used == full.steps_used
         for budget in (0, orientable // 2, orientable, orientable + side.nodes // 2,
                        full.steps_used - 1):
@@ -861,8 +845,6 @@ class TestSignedBranchAndBound:
             assert result.nonorientable.nodes == max(0, budget - orientable)
             assert not result.nonorientable.certified and not result.certified
             assert result.budget_stopped
-            with pytest.raises(BudgetExceededError):
-                max_euler_characteristic(g, budget=budget, strict=True)
         core = embedding._core(g)[0]
         assert embedding._branch_and_bound(core, 1, side.nodes - 1, True) == (
             None, side.nodes - 1, False)
@@ -990,11 +972,9 @@ class TestOrientableBranchAndBound:
         full = max_euler_characteristic(g, orientable_only=True)
         nodes = full.orientable.nodes
         assert full.certified and full.steps_used == nodes and 0 < nodes < 1000
-        exact = max_euler_characteristic(g, budget=nodes, orientable_only=True, strict=True)
+        exact = max_euler_characteristic(g, budget=nodes, orientable_only=True)
         assert exact.certified and not exact.budget_stopped
         for budget in range(-1, nodes):
             result = max_euler_characteristic(g, budget=budget, orientable_only=True)
             assert result.steps_used == result.orientable.nodes == max(0, budget)
             assert not result.certified and result.chi is None and result.budget_stopped
-            with pytest.raises(BudgetExceededError):
-                max_euler_characteristic(g, budget=budget, orientable_only=True, strict=True)

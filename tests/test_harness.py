@@ -155,7 +155,7 @@ class TestForcedChi:
         for chi in (0, -1, -3, -6):
             monkeypatch.setattr(
                 harness, "max_euler_characteristic",
-                lambda g, budget, strict, chi=chi: _certified_search(chi),
+                lambda g, budget, chi=chi: _certified_search(chi),
             )
             records += [verify_graph(make_family(*f)) for f in self.FAMILIES]
         golden = (DATA / "verify_forced_chi.csv").read_text()
@@ -170,7 +170,7 @@ class TestForcedChi:
         for chi in (0, -1, -3, -6):
             monkeypatch.setattr(
                 harness, "max_euler_characteristic",
-                lambda g, budget, strict, chi=chi: _certified_search(chi),
+                lambda g, budget, chi=chi: _certified_search(chi),
             )
             records += [verify_graph(make_family(*f)) for f in self.FAMILIES]
         assert emit_report(records, fmt) == (DATA / golden).read_text()
@@ -179,7 +179,7 @@ class TestForcedChi:
         # cubic and cubic_bprime are two targets of one value.
         monkeypatch.setattr(
             harness, "max_euler_characteristic",
-            lambda g, budget, strict: _certified_search(-3),
+            lambda g, budget: _certified_search(-3),
         )
         rec = verify_graph(make_family("petersen"))
         assert rec.check("cubic").bound_value == rec.check("cubic_bprime").bound_value == 7

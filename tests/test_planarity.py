@@ -115,7 +115,7 @@ class TestPlanarityStep:
                                    parse_graph6("E]~o")],
                              ids=["K4", "Q3", "C6", "E~v_", "E]~o"])
     def test_planar_record_costs_no_steps(self, g):
-        result = max_euler_characteristic(g, budget=0, strict=True)
+        result = max_euler_characteristic(g, budget=0)
         assert result.chi == 2 and result.certified
         assert result.orientable.searched == 0 and result.steps_used == 0
         assert result.nonorientable.chi == 1 and result.nonorientable.certified
