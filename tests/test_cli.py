@@ -53,6 +53,21 @@ class TestInvariants:
         assert code == 0
         assert "b: 1" in out
 
+    @pytest.mark.parametrize("command, graph", [("invariants", "A_"), ("verify", "-")])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_bondage_cap_is_not_an_option(self, capsys, tmp_path, command, graph, via):
+        # The witness search always runs to its proven limit, and no
+        # subcommand defines the key, so a config file cannot set it either.
+        argv = [command, graph, "--bondage-cap=1"]
+        if via == "config":
+            conf = tmp_path / "bondlab.conf"
+            conf.write_text("bondage_cap = 1\n")
+            argv = ["--config", str(conf), command, graph]
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, *argv)
+        assert exc.value.code == 2
+        assert "--bondage-cap" in capsys.readouterr().err
+
     def test_malformed_graph_exits_one(self, capsys):
         code, _, err = run(capsys, "invariants", "!!!")
         assert code == 1
@@ -359,6 +374,20 @@ class TestConfig:
         conf.write_text("format = csv\n")
         code, out, _ = run(capsys, "--config", str(conf), "enumerate", "--max-n", "2")
         assert code == 0 and out == "@\nA_\n"
+
+    @pytest.mark.parametrize("key, argv", [
+        ("strict = true", ["bounds", "--delta", "3", "--chi", "-1"]),
+        ("threads = 2", ["chi", "C~", "--format", "json"]),
+        ("witness = true", ["invariants", "A_"]),
+    ])
+    def test_keys_only_other_subcommands_define_are_skipped(self, capsys, tmp_path, key, argv):
+        # The run is the one without the file: chi and verify define --strict,
+        # verify --threads and chi --witness, but the chosen command does not.
+        conf = tmp_path / "run.conf"
+        conf.write_text(key + "\n")
+        plain = run(capsys, *argv)
+        assert plain[0] == 0
+        assert run(capsys, "--config", str(conf), *argv) == plain
 
     def test_abbreviated_config_is_a_usage_error(self, capsys, tmp_path):
         # Read as --config, the file would be parsed and then ignored.

@@ -343,6 +343,22 @@ class TestMaxChi:
         assert not result.certified and result.budget_stopped
         assert result.steps_used == 50
 
+    @pytest.mark.parametrize("budget, orientable_chi", [(100, None), (300, 0)])
+    def test_a_stopped_side_returns_uncertified(self, budget, orientable_chi):
+        # K6 is decided in 220 orientable and 242 signed nodes, so a budget
+        # of 100 stops its orientable side and one of 300 its signed side.
+        result = max_euler_characteristic(make_family("kn", 6), budget=budget)
+        assert result.budget_stopped and not result.certified
+        assert result.steps_used == budget
+        assert result.orientable.chi == orientable_chi
+        assert result.orientable.certified == (orientable_chi is not None)
+        assert result.nonorientable.chi is None and not result.nonorientable.certified
+
+    @pytest.mark.parametrize("family", [("kn", 5), ("petersen",)])
+    def test_default_budget_certifies_projective_planar_graphs(self, family):
+        result = max_euler_characteristic(make_family(*family))
+        assert result.chi == 1 and result.certified and not result.budget_stopped
+
     @given(
         st.one_of(
             # Nonplanar graphs, so that the signed side is searched too.
