@@ -138,6 +138,22 @@ def corona_path(k: int) -> Graph:
     return Graph.from_edges(2 * k, edges)
 
 
+def torus_triangulation(p: int, q: int) -> Graph:
+    """T(p, q): the p x q torus grid with the diagonal (i, j)-(i+1, j+1) in each square."""
+    edges = set()
+    for i in range(p):
+        for j in range(q):
+            v = i * q + j
+            for w in (((i + 1) % p) * q + j, i * q + (j + 1) % q, ((i + 1) % p) * q + (j + 1) % q):
+                edges.add((min(v, w), max(v, w)))
+    return Graph.from_edges(p * q, sorted(edges))
+
+
+def complete_tripartite(a: int) -> Graph:
+    """K_{a,a,a}, parts {0..a-1}, {a..2a-1} and {2a..3a-1}."""
+    return Graph.from_edges(3 * a, [(u, v) for u, v in combinations(range(3 * a), 2) if u // a != v // a])
+
+
 def oracle_girth(g: Graph) -> float:
     """Shortest cycle via per-edge shortest path in the edge-deleted graph."""
     import math

@@ -18,16 +18,18 @@ from bondlab.bondage import (
     hartnell_rall_bound,
 )
 from bondlab.domination import domination_number, minimum_dominating_sets
-from bondlab.graphs import Graph, enumerate_connected_graphs, make_family, parse_graph6
+from bondlab.graphs import Graph, emit_graph6, enumerate_connected_graphs, make_family, parse_graph6
 
 from conftest import (
     brute_bondage_number,
     brute_one_edge_breakers,
     colex_bondage_number,
+    complete_tripartite,
     corona_path,
     random_connected_graph,
     random_graph,
     reference_cover_bound,
+    torus_triangulation,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -185,10 +187,9 @@ class TestHittingSearch:
         assert bondage_number(g).b == colex_bondage_number(g) == 2
 
     def test_stress_graphs(self):
-        k333 = Graph.from_edges(9, [(u, v) for u, v in combinations(range(9), 2) if u // 3 != v // 3])
         assert bondage_number(make_family("kmn", 5, 5)).b == 5
         assert bondage_number(make_family("qd", 4)).b == 4
-        assert bondage_number(k333).b == 6
+        assert bondage_number(complete_tripartite(3)).b == 6
 
     @given(st.lists(st.integers(min_value=1, max_value=(1 << 80) - 1), min_size=1, max_size=60))
     @settings(max_examples=300, deadline=None)
@@ -213,6 +214,31 @@ def test_corpus7_results_and_witnesses_match_golden():
         got = (r.gamma_before, r.b, [list(e) for e in r.witness_edges], r.gamma_after)
         want = (row["gamma_before"], row["b"], row["witness_edges"], row["gamma_after"])
         assert got == want, row["graph6"]
+
+
+NAMED_GRAPHS = {
+    "K5,5": lambda: make_family("kmn", 5, 5),
+    "Q4": lambda: make_family("qd", 4),
+    "K3,3,3": lambda: complete_tripartite(3),
+    "Q5": lambda: make_family("qd", 5),
+    "T(4,4)": lambda: torus_triangulation(4, 4),
+    "P10oK1": lambda: corona_path(10),
+}
+
+
+@pytest.mark.parametrize("name", list(NAMED_GRAPHS))
+def test_named_results_and_witnesses_match_golden(name):
+    # bondage_named.json holds the same fields for dense graphs whose
+    # searches run deep (n = 7 searches are shallow), as the list-scan
+    # search returned them; the graph6 key is what CI feeds the console script.
+    rows = {row["name"]: row for row in json.loads((DATA / "bondage_named.json").read_text())}
+    assert list(rows) == list(NAMED_GRAPHS)
+    row = rows[name]
+    g = NAMED_GRAPHS[name]()
+    assert emit_graph6(g) == row["graph6"]
+    r = bondage_number(g)
+    got = (r.gamma_before, r.b, [list(e) for e in r.witness_edges], r.gamma_after)
+    assert got == (row["gamma_before"], row["b"], row["witness_edges"], row["gamma_after"])
 
 
 @pytest.mark.xfail(
