@@ -10,9 +10,21 @@ gamma(G)`` holds exactly when ``S`` breaks every minimum dominating set
 One deepening domination search gives ``gamma`` and lists every minimum
 dominating set.  An edge alone raises gamma exactly when it is a one-edge
 breaker of every set, so one sweep over the breakers decides ``b = 1``;
-otherwise a branch and bound over breaker bitmasks finds the smallest edge
-set that holds a breaker of every set.  One domination solve on ``G - S``
-certifies the answer.  It starts at ``gamma(G)``, since any dominating set
+otherwise a branch and bound finds the smallest edge set that holds a
+breaker of every set.
+
+The branch and bound numbers every breaker once: set ``f`` owns an
+``n``-bit block at offset ``f * n``, and bit ``v`` of it is ``E(v, D_f)``.
+Each edge keeps the mask ``contain[e]`` of the breakers that hold it, so a
+node needs a few big-int operations per edge and no loop over the sets.
+Each breaker's count of edges not yet removed is kept bit-sliced and
+lowered as edges go; a breaker whose count is zero breaks its set, and one
+test per block finds the sets still unbroken.  The pruning is the list
+scan's, unchanged: the unbroken set that needs the most new edges, and a
+cover bound in which an edge meets as many sets as it holds live breakers,
+since the breakers of one set are disjoint.  Breakers holding an edge that
+an earlier sibling branch removed on its own are out of play.  One
+domination solve on ``G - S`` certifies the answer.  It starts at ``gamma(G)``, since any dominating set
 of ``G - S`` dominates ``G``, and refutes that level in full.  Each
 component's search is limited to max degree plus min degree minus one
 edges, a proven upper bound, so it always finds the exact value on
@@ -131,17 +143,36 @@ def _one_edge_breaker(families: list[list[int]]) -> int:
     return next(b for b in families[0] if b & common)
 
 
-def _cover_bound(reaches: list[int]) -> int:
-    """A lower bound on the edges needed to meet every mask in ``reaches``.
+def _breaker_masks(g: Graph, sets: list[tuple[int, ...]]) -> tuple[list[int], int, int]:
+    """Every breaker as one bit: per edge, the breakers that hold it.
 
-    An edge meets at most as many masks as contain it, so ``k`` edges meet
-    at most the ``k`` largest of those counts.  The counts are kept
-    bit-sliced: bit ``i`` of ``levels[j]`` is bit ``j`` of edge ``i``'s
-    count, and each mask is added to every edge at once by a ripple carry.
+    Set ``f`` owns the ``g.n``-bit block at offset ``f * g.n``, and bit ``v``
+    of that block stands for ``E(v, D_f)``; it is a breaker when ``v`` is not
+    in ``D_f``.  Returns ``contain``, with ``contain[i]`` the breakers that
+    hold edge ``i``, the mask of every breaker, and the mask of each block's
+    lowest bit.  ``member[u]`` marks the blocks whose set holds ``u``, so
+    edge ``(a, b)`` is in ``E(a, D)`` exactly when ``b`` is in ``D`` and
+    ``a`` is not, and ``contain`` takes two shifts an edge.
+    """
+    n = g.n
+    sets_in_blocks = int("".join(format(sum(1 << u for u in dom), f"0{n}b") for dom in reversed(sets)), 2)
+    base = int(("0" * (n - 1) + "1") * len(sets), 2)
+    member = [sets_in_blocks >> u & base for u in range(n)]
+    contain = [
+        (member[b] & ~member[a]) << a | (member[a] & ~member[b]) << b for a, b in g.edges()
+    ]
+    return contain, ((base << n) - base) ^ sets_in_blocks, base
+
+
+def _count(masks: list[int]) -> list[int]:
+    """Per bit, how many of ``masks`` hold it, bit-sliced.
+
+    Bit ``i`` of ``levels[j]`` is bit ``j`` of bit ``i``'s count, and each
+    mask is added to every bit at once by a ripple carry.
     """
     levels: list[int] = []
-    for reach in reaches:
-        carry = reach
+    for mask in masks:
+        carry = mask
         for j, level in enumerate(levels):
             levels[j] = level ^ carry
             carry &= level
@@ -149,20 +180,57 @@ def _cover_bound(reaches: list[int]) -> int:
                 break
         else:
             levels.append(carry)
-    edges = 0
-    for level in levels:
-        edges |= level
-    hits = []
-    while edges:
-        low = edges & -edges
-        hits.append(sum(1 << j for j, level in enumerate(levels) if level & low))
-        edges ^= low
-    left = len(reaches)
-    for k, h in enumerate(sorted(hits, reverse=True), 1):
-        left -= h
-        if left <= 0:
-            return k
-    raise AssertionError("every mask holds an edge")
+    return levels
+
+
+def _minus(levels: list[int], masks: list[int]) -> list[int]:
+    """The bit-sliced counts ``levels`` less the counts of ``masks``.
+
+    No count may fall below zero.  Each mask is taken from every bit at once
+    by a ripple borrow.
+    """
+    levels = levels.copy()
+    for mask in masks:
+        borrow = mask
+        for j, level in enumerate(levels):
+            levels[j] = level ^ borrow
+            borrow &= ~level
+            if not borrow:
+                break
+    return levels
+
+
+def _at_least(levels: list[int], k: int) -> int:
+    """The bits whose bit-sliced count in ``levels`` is at least ``k >= 1``."""
+    if k.bit_length() > len(levels):
+        return 0
+    above, equal = 0, -1
+    for j in reversed(range(len(levels))):
+        if k >> j & 1:
+            equal &= levels[j]
+        else:
+            above |= equal & levels[j]
+            equal &= ~levels[j]
+    return above | equal
+
+
+def _edge_hits(contain: list[int], live: int, removed: int) -> list[int]:
+    """How many ``live`` breakers each edge not in ``removed`` holds.
+
+    Breakers of one set are disjoint, so this is the number of sets whose
+    live breakers the edge meets.
+    """
+    hits = list(map(int.bit_count, map(live.__and__, contain)))
+    while removed:
+        low = removed & -removed
+        hits[low.bit_length() - 1] = 0
+        removed ^= low
+    return hits
+
+
+def _covers(hits: list[int], need: int, k: int) -> bool:
+    """Whether ``k`` edges, edge ``i`` meeting ``hits[i]`` sets, can meet ``need``."""
+    return sum(sorted(hits, reverse=True)[:k]) >= need
 
 
 def _bondage_connected(
@@ -178,53 +246,62 @@ def _bondage_connected(
         one = _one_edge_breaker(families)
         if one:
             return 1, (edges[one.bit_length() - 1],)
+    n = g.n
+    contain, breakers, base = _breaker_masks(g, sets)
+    top = base << (n - 1)
+    rest = top - base
+
+    def blocks(mask: int) -> int:
+        # The top bit of every block in which ``mask`` has a bit.
+        return ((mask & rest) + rest | mask) & top
+
     best_size = limit + 1
     best = 0
 
-    def search(removed: int, size: int, families: list[list[int]], forbidden: int) -> None:
+    def search(removed: int, size: int, forbidden: int, banned: int, left: list[int]) -> None:
+        # ``left`` counts each breaker's edges not yet removed, bit-sliced.
         # ``forbidden`` holds edges an earlier sibling branch removed on
         # their own; every edge set holding one was searched there, so a
-        # breaker that meets ``forbidden`` is out of play.
+        # breaker that meets ``forbidden``, a bit of ``banned``, is out of
+        # play.
         nonlocal best_size, best
-        unbroken = []
-        reaches = []
-        most = 0
-        for breakers in families:
-            need = g.m
-            reach = 0
-            for b in breakers:
-                if b & forbidden:
-                    continue
-                new = b & ~removed
-                if not new:
-                    need = 0
-                    break
-                reach |= new
-                if new.bit_count() < need:
-                    need = new.bit_count()
-            if need:
-                if not reach:
-                    return
-                unbroken.append(breakers)
-                reaches.append(reach)
-                most = max(most, need)
+        held = 0
+        for level in left:
+            held |= level
+        unbroken = top & ~blocks(breakers & ~held)
         if not unbroken:
             best_size, best = size, removed
             return
-        # Both bounds are admissible: the unbroken set needing the most new
-        # edges, and the edges that can meet every unbroken set's reach.
-        if size + most >= best_size or size + _cover_bound(reaches) >= best_size:
+        slack = best_size - size
+        if slack <= 1:
             return
-        for b in sorted(unbroken[0], key=lambda b: (b & ~removed).bit_count()):
+        live = breakers & ~banned & (unbroken << 1) - (unbroken >> (n - 1))
+        # Both bounds are admissible: the unbroken set needing the most new
+        # edges, and the edges that can meet every unbroken set.  A set whose
+        # live breakers all need ``slack`` edges or more, or that has none
+        # left, cannot be broken in time.
+        if blocks(live & ~_at_least(left, slack)) != unbroken:
+            return
+        if not _covers(_edge_hits(contain, live, removed), unbroken.bit_count(), slack - 1):
+            return
+        first = (unbroken & -unbroken).bit_length() // n - 1
+        for b in sorted(families[first], key=lambda b: (b & ~removed).bit_count()):
             if b & forbidden:
                 continue
-            extra = (b & ~removed).bit_count()
+            new = b & ~removed
+            extra = new.bit_count()
             if size + extra < best_size:
-                search(removed | b, size + extra, unbroken, forbidden)
+                gone = []
+                while new:
+                    low = new & -new
+                    gone.append(contain[low.bit_length() - 1])
+                    new ^= low
+                search(removed | b, size + extra, forbidden, banned, _minus(left, gone))
             if b.bit_count() == 1:
                 forbidden |= b
+                banned |= contain[b.bit_length() - 1]
 
-    search(0, 0, families, 0)
+    search(0, 0, 0, 0, _count(contain))
     if best_size > limit:
         return None
     return best_size, tuple(e for i, e in enumerate(edges) if best >> i & 1)

@@ -16,6 +16,7 @@ import random
 from itertools import combinations, permutations
 from typing import Callable, Iterator
 
+from bondlab.bondage import _breaker_families, _one_edge_breaker
 from bondlab.bounds import _require_chi_nonpositive
 from bondlab.domination import domination_number
 from bondlab.embedding import RotationSystem
@@ -575,6 +576,74 @@ def reference_cover_bound(reaches: list[int]) -> int:
         if left <= 0:
             return k
     raise AssertionError("every mask holds an edge")
+
+
+def reference_bondage_connected(
+    g: Graph, sets: list[tuple[int, ...]], limit: int
+) -> tuple[int, tuple[tuple[int, int], ...]] | None:
+    """The bondage search as a scan of every family's breaker list, kept as an oracle.
+
+    This is the list-scan form that ``bondage._bondage_connected`` replaced,
+    with ``reference_cover_bound`` for the cover bound: at every node it
+    rebuilds the list of unbroken families from their breakers.  ``sets``
+    must be every minimum dominating set of ``g``.
+    """
+    edges = g.edges()
+    families = _breaker_families(g, sets)
+    if limit >= 1:
+        one = _one_edge_breaker(families)
+        if one:
+            return 1, (edges[one.bit_length() - 1],)
+    best_size = limit + 1
+    best = 0
+
+    def search(removed: int, size: int, families: list[list[int]], forbidden: int) -> None:
+        # ``forbidden`` holds edges an earlier sibling branch removed on
+        # their own; every edge set holding one was searched there, so a
+        # breaker that meets ``forbidden`` is out of play.
+        nonlocal best_size, best
+        unbroken = []
+        reaches = []
+        most = 0
+        for breakers in families:
+            need = g.m
+            reach = 0
+            for b in breakers:
+                if b & forbidden:
+                    continue
+                new = b & ~removed
+                if not new:
+                    need = 0
+                    break
+                reach |= new
+                if new.bit_count() < need:
+                    need = new.bit_count()
+            if need:
+                if not reach:
+                    return
+                unbroken.append(breakers)
+                reaches.append(reach)
+                most = max(most, need)
+        if not unbroken:
+            best_size, best = size, removed
+            return
+        # Both bounds are admissible: the unbroken set needing the most new
+        # edges, and the edges that can meet every unbroken set's reach.
+        if size + most >= best_size or size + reference_cover_bound(reaches) >= best_size:
+            return
+        for b in sorted(unbroken[0], key=lambda b: (b & ~removed).bit_count()):
+            if b & forbidden:
+                continue
+            extra = (b & ~removed).bit_count()
+            if size + extra < best_size:
+                search(removed | b, size + extra, unbroken, forbidden)
+            if b.bit_count() == 1:
+                forbidden |= b
+
+    search(0, 0, families, 0)
+    if best_size > limit:
+        return None
+    return best_size, tuple(e for i, e in enumerate(edges) if best >> i & 1)
 
 
 def reference_floor_largest_root(cubic) -> int:

@@ -1,4 +1,5 @@
 import json
+import random
 from itertools import combinations
 from pathlib import Path
 
@@ -10,15 +11,26 @@ from bondlab import bondage
 from bondlab.bondage import (
     _bondage_connected,
     _breaker_families,
+    _at_least,
     _certified,
-    _cover_bound,
+    _count,
+    _covers,
+    _edge_hits,
+    _minus,
     _one_edge_breaker,
     bondage_number,
     compute_b_prime,
     hartnell_rall_bound,
 )
 from bondlab.domination import domination_number, minimum_dominating_sets
-from bondlab.graphs import Graph, emit_graph6, enumerate_connected_graphs, make_family, parse_graph6
+from bondlab.graphs import (
+    Graph,
+    degree_stats,
+    emit_graph6,
+    enumerate_connected_graphs,
+    make_family,
+    parse_graph6,
+)
 
 from conftest import (
     brute_bondage_number,
@@ -28,6 +40,7 @@ from conftest import (
     corona_path,
     random_connected_graph,
     random_graph,
+    reference_bondage_connected,
     reference_cover_bound,
     torus_triangulation,
 )
@@ -191,16 +204,91 @@ class TestHittingSearch:
         assert bondage_number(make_family("qd", 4)).b == 4
         assert bondage_number(complete_tripartite(3)).b == 6
 
+    @staticmethod
+    def check_counts(reaches):
+        # Each reach is a set with a single breaker, bit i; the search counts
+        # an edge's sets as the live bits of its per-edge mask.
+        contain = [
+            sum(1 << i for i, reach in enumerate(reaches) if reach >> e & 1)
+            for e in range(max(reaches).bit_length())
+        ]
+        hits = _edge_hits(contain, (1 << len(reaches)) - 1, 0)
+        assert hits == [mask.bit_count() for mask in contain]
+        assert _edge_hits(contain, (1 << len(reaches)) - 1, 1) == [0] + hits[1:]
+        want = reference_cover_bound(reaches)
+        for k in range(1, len(contain) + 1):
+            assert _covers(hits, len(reaches), k) == (k >= want)
+        # The bit-sliced counts are the reaches' sizes, and removing edge 0
+        # takes one from every reach that holds it.
+        levels = _count(contain)
+        for c in range(1, max(r.bit_count() for r in reaches) + 2):
+            assert _at_least(levels, c) == sum(
+                1 << i for i, reach in enumerate(reaches) if reach.bit_count() >= c
+            )
+            assert _at_least(_minus(levels, contain[:1]), c) == sum(
+                1 << i for i, reach in enumerate(reaches) if (reach >> 1 << 1).bit_count() >= c
+            )
+
     @given(st.lists(st.integers(min_value=1, max_value=(1 << 80) - 1), min_size=1, max_size=60))
     @settings(max_examples=300, deadline=None)
     def test_cover_bound_matches_per_bit_counting(self, reaches):
-        assert _cover_bound(reaches) == reference_cover_bound(reaches)
+        self.check_counts(reaches)
 
     @given(st.lists(st.integers(min_value=1, max_value=15), min_size=1, max_size=40))
     @settings(max_examples=300, deadline=None)
     def test_cover_bound_matches_on_few_edges(self, reaches):
-        # Few edges met by many masks: counts run deep into the carry chain.
-        assert _cover_bound(reaches) == reference_cover_bound(reaches)
+        self.check_counts(reaches)
+        # Few bits held by many masks: counts run deep into the carry chain.
+        levels = _count(reaches)
+        for c in range(1, len(reaches) + 2):
+            assert _at_least(levels, c) == sum(
+                1 << e for e in range(4) if sum(r >> e & 1 for r in reaches) >= c
+            )
+
+
+class TestBitmaskSearch:
+    """The search on breaker bitmasks against the list scan it replaced."""
+
+    @staticmethod
+    def check(g, limits=None):
+        _, sets = minimum_dominating_sets(g)
+        stats = degree_stats(g)
+        top = stats.max_degree + stats.min_degree - 1
+        for limit in range(top + 1) if limits is None else limits:
+            want = reference_bondage_connected(g, sets, limit)
+            assert bondage._bondage_connected(g, sets, limit) == want, (g.edges(), limit)
+        return want
+
+    @staticmethod
+    def relabelled(g, rng):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+    def test_corpus6_at_every_limit(self):
+        for g in enumerate_connected_graphs(6):
+            if g.m:
+                self.check(g)
+
+    @given(st.integers(min_value=2, max_value=9), st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_random_graphs(self, n, rng):
+        g = random_connected_graph(rng, n, extra=rng.uniform(0.0, 0.8))
+        stats = degree_stats(g)
+        top = stats.max_degree + stats.min_degree - 1
+        self.check(g, [rng.randint(0, top), top])
+
+    def test_corona_with_many_minimum_dominating_sets(self):
+        assert self.check(corona_path(10), [1, 2, 3]) == (2, ((0, 1), (0, 10)))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stress_graphs_relabelled(self, seed):
+        rng = random.Random(seed)
+        for g in (make_family("kmn", 5, 5), make_family("qd", 4), complete_tripartite(3)):
+            h = self.relabelled(g, rng)
+            stats = degree_stats(h)
+            b, _ = self.check(h, [stats.max_degree + stats.min_degree - 1])
+            assert self.check(h, [b - 1]) is None
 
 
 def test_corpus7_results_and_witnesses_match_golden():
