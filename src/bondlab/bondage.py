@@ -19,16 +19,18 @@ Each edge keeps the mask ``contain[e]`` of the breakers that hold it, so a
 node needs a few big-int operations per edge and no loop over the sets.
 Each breaker's count of edges not yet removed is kept bit-sliced and
 lowered as edges go; a breaker whose count is zero breaks its set, and one
-test per block finds the sets still unbroken.  The pruning is the list
-scan's, unchanged: the unbroken set that needs the most new edges, and a
-cover bound in which an edge meets as many sets as it holds live breakers,
-since the breakers of one set are disjoint.  Breakers holding an edge that
-an earlier sibling branch removed on its own are out of play.  One
-domination solve on ``G - S`` certifies the answer.  It starts at ``gamma(G)``, since any dominating set
-of ``G - S`` dominates ``G``, and refutes that level in full.  Each
-component's search is limited to max degree plus min degree minus one
-edges, a proven upper bound, so it always finds the exact value on
-nonempty graphs.
+test per block finds the sets still unbroken.  The branch order and the
+two bounds are those of the list scan the tests keep as an oracle: the
+unbroken set that needs the most new edges, and a cover bound in which an
+edge meets as many sets as it holds live breakers, since the breakers of
+one set are disjoint.  Breakers holding an edge that an earlier sibling
+branch removed on its own are out of play.
+
+One domination solve on ``G - S`` certifies the answer.  It starts at
+``gamma(G)``, since any dominating set of ``G - S`` dominates ``G``, and
+refutes that level in full.  Each component's search is limited to max
+degree plus min degree minus one edges, a proven upper bound, so it always
+finds the exact value on nonempty graphs.
 """
 
 from __future__ import annotations
@@ -155,7 +157,9 @@ def _breaker_masks(g: Graph, sets: list[tuple[int, ...]]) -> tuple[list[int], in
     ``a`` is not, and ``contain`` takes two shifts an edge.
     """
     n = g.n
-    sets_in_blocks = int("".join(format(sum(1 << u for u in dom), f"0{n}b") for dom in reversed(sets)), 2)
+    sets_in_blocks = int(
+        "".join(format(sum(1 << u for u in dom), f"0{n}b") for dom in reversed(sets)), 2
+    )
     base = int(("0" * (n - 1) + "1") * len(sets), 2)
     member = [sets_in_blocks >> u & base for u in range(n)]
     contain = [

@@ -152,7 +152,8 @@ def torus_triangulation(p: int, q: int) -> Graph:
 
 def complete_tripartite(a: int) -> Graph:
     """K_{a,a,a}, parts {0..a-1}, {a..2a-1} and {2a..3a-1}."""
-    return Graph.from_edges(3 * a, [(u, v) for u, v in combinations(range(3 * a), 2) if u // a != v // a])
+    edges = [(u, v) for u, v in combinations(range(3 * a), 2) if u // a != v // a]
+    return Graph.from_edges(3 * a, edges)
 
 
 def oracle_girth(g: Graph) -> float:
