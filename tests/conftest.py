@@ -47,6 +47,13 @@ def random_connected_graph(rng: random.Random, n: int, extra: float = 0.3) -> Gr
     return Graph.from_edges(n, sorted(edges))
 
 
+def relabelled(g: Graph, rng: random.Random) -> Graph:
+    """``g`` under a random vertex permutation drawn from ``rng``."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
 def random_rotation_system(rng: random.Random, g: Graph, signed: bool = False) -> RotationSystem:
     rotations = []
     for v in range(g.n):

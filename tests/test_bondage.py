@@ -42,6 +42,7 @@ from conftest import (
     random_graph,
     reference_bondage_connected,
     reference_cover_bound,
+    relabelled,
     torus_triangulation,
 )
 
@@ -259,12 +260,6 @@ class TestBitmaskSearch:
             assert bondage._bondage_connected(g, sets, limit) == want, (g.edges(), limit)
         return want
 
-    @staticmethod
-    def relabelled(g, rng):
-        perm = list(range(g.n))
-        rng.shuffle(perm)
-        return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-
     def test_corpus6_at_every_limit(self):
         for g in enumerate_connected_graphs(6):
             if g.m:
@@ -285,7 +280,7 @@ class TestBitmaskSearch:
     def test_stress_graphs_relabelled(self, seed):
         rng = random.Random(seed)
         for g in (make_family("kmn", 5, 5), make_family("qd", 4), complete_tripartite(3)):
-            h = self.relabelled(g, rng)
+            h = relabelled(g, rng)
             stats = degree_stats(h)
             b, _ = self.check(h, [stats.max_degree + stats.min_degree - 1])
             assert self.check(h, [b - 1]) is None

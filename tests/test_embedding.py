@@ -27,6 +27,7 @@ from conftest import (
     reference_is_planar,
     reference_sweep,
     reference_sweep_scalar,
+    relabelled,
 )
 
 PERFBENCH_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data"
@@ -457,12 +458,6 @@ def _swept_chi(core, signed):
     return _SWEPT[key]
 
 
-def _relabelled(g, rng):
-    perm = list(range(g.n))
-    rng.shuffle(perm)
-    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-
-
 def _stress_graphs():
     k333 = Graph.from_edges(9, [(u, v) for u in range(9) for v in range(u + 1, 9)
                                 if u // 3 != v // 3])
@@ -641,7 +636,7 @@ class TestBranchAndBoundSearch:
         rng = random.Random(7)
         named = [make_family("kmn", 4, 4), make_family("petersen")]
         pairs = [(g, g) for g in corpus6 + named]
-        pairs += [(_relabelled(g, rng), g) for g in corpus6[-40:]]
+        pairs += [(relabelled(g, rng), g) for g in corpus6[-40:]]
         compared = 0
         for g, original in pairs:
             result = max_euler_characteristic(g, budget=3 * 10**6)
@@ -692,7 +687,7 @@ class TestBranchAndBoundSearch:
         # the values of its original on each side, whatever the nodes spent.
         rng = random.Random(2024)
         for g in corpus6:
-            h = _relabelled(g, rng)
+            h = relabelled(g, rng)
             a, b = (max_euler_characteristic(x, budget=3 * 10**7) for x in (g, h))
             assert a.certified and b.certified, g.edges()
             assert (a.chi, a.orientable.chi) == (b.chi, b.orientable.chi), g.edges()
@@ -764,7 +759,7 @@ class TestBranchAndBoundSearch:
         for seed in (1, 3, 6):
             rng = random.Random(seed)
             for g in corpus6:
-                side = max_euler_characteristic(_relabelled(g, rng), budget=3 * 10**7).nonorientable
+                side = max_euler_characteristic(relabelled(g, rng), budget=3 * 10**7).nonorientable
                 assert side.nodes <= 1400, (seed, g.edges(), side.nodes)
 
     def test_k44_signed_side_reaches_its_cap(self):
