@@ -2,10 +2,11 @@
 
 The oracles here deliberately take different routes from the library code:
 domination by raw subset enumeration, bondage by re-solving domination on
-every edge subset, girth via per-edge shortest paths, isomorphism and the
-canonical code by permutation search, graph6 and planarity via networkx, chi
-sweeps that trace every scheme of a quotiented scheme space in full, cubic
-and radical floors by a scan of their defining predicate.  Agreement between
+every edge subset and its branch and bound by a scan of every set's breaker
+list, girth via per-edge shortest paths, isomorphism and the canonical code
+by permutation search, graph6 and planarity via networkx, chi sweeps that
+trace every scheme of a quotiented scheme space in full, cubic and radical
+floors by a scan of their defining predicate.  Agreement between
 two independent implementations is the point.
 """
 
