@@ -278,6 +278,17 @@ class TestCorpus7Golden:
         assert emit_report(records, "csv") == lines[0] + "".join(picked)
 
 
+def test_sparse_pool_report_matches_golden():
+    # verify_sparse_pool.csv is `verify --format csv` over the graph6 lines of
+    # perfbench/data/sparse_pool.json, 2,000 connected graphs with n 8-14 on
+    # which bondage and its domination solves are most of the cost; CI
+    # compares it through the console script as well.
+    lines = (DATA / "verify_sparse_pool.csv").read_text().splitlines(keepends=True)
+    assert len(lines) == 2001
+    records, _ = verify_corpus([line.split(",", 1)[0] for line in lines[1:]])
+    assert emit_report(records, "csv") == "".join(lines)
+
+
 @pytest.fixture(scope="module")
 def sample():
     lines = ["A_", "Ch", "bogus(", "D?{"]
