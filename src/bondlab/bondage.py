@@ -8,23 +8,25 @@ gamma(G)`` holds exactly when ``S`` breaks every minimum dominating set
 ``inc[v] & reach(D)``: the edges at ``v`` that also meet ``D``.
 
 One deepening domination search gives ``gamma`` and lists every minimum
-dominating set.  An edge alone raises gamma exactly when it is a one-edge
-breaker of every set, so one sweep over the breakers decides ``b = 1``;
-otherwise a branch and bound finds the smallest edge set that holds a
-breaker of every set.
-
-The branch and bound numbers every breaker once: set ``f`` owns an
+dominating set.  Every breaker is then numbered once: set ``f`` owns an
 ``n``-bit block at offset ``f * n``, and bit ``v`` of it is ``E(v, D_f)``.
-Each edge keeps the mask ``contain[e]`` of the breakers that hold it, so a
-node needs a few big-int operations per edge and no loop over the sets.
-Each breaker's count of edges not yet removed is kept bit-sliced and
-lowered as edges go; a breaker whose count is zero breaks its set, and one
-test per block finds the sets still unbroken.  The branch order and the
-two bounds are those of the list scan the tests keep as an oracle: the
-unbroken set that needs the most new edges, and a cover bound in which an
-edge meets as many sets as it holds live breakers, since the breakers of
-one set are disjoint.  Breakers holding an edge that an earlier sibling
-branch removed on its own are out of play.
+Each edge keeps the mask ``contain[e]`` of the breakers that hold it, and
+each breaker's count of edges is kept bit-sliced.
+
+An edge alone raises gamma exactly when it is a one-edge breaker of every
+set.  The breakers whose count is one mark those, so ``b = 1`` is decided
+by testing, for each edge, that its mask meets every block of them.
+Otherwise a branch and bound finds the smallest edge set that holds a
+breaker of every set.  A node needs a few big-int operations per edge and
+no loop over the sets: the counts are lowered as edges go, a breaker whose
+count is zero breaks its set, and one test per block finds the sets still
+unbroken.  The branch order and the two bounds are those of the list scan
+the tests keep as an oracle: the unbroken set that needs the most new
+edges, and a cover bound in which an edge meets as many sets as it holds
+live breakers, since the breakers of one set are disjoint.  Breakers
+holding an edge that an earlier sibling branch removed on its own are out
+of play.  The search branches on one set's breakers as edge masks, and
+builds that list only when it first branches on the set.
 
 One domination solve on ``G - S`` certifies the answer.  It starts at
 ``gamma(G)``, since any dominating set of ``G - S`` dominates ``G``, and
@@ -106,64 +108,28 @@ def compute_b_prime(g: Graph) -> BPrimeResult:
     )
 
 
-def _breaker_families(g: Graph, sets: list[tuple[int, ...]]) -> list[list[int]]:
-    """For each minimum dominating set ``D``, its breakers ``E(v, D)``.
-
-    A breaker is a bitmask over the indices of ``g.edges()``.  Breakers of
-    one set are pairwise disjoint, since each holds only edges at its ``v``.
-    """
-    inc = [0] * g.n
-    for i, (u, v) in enumerate(g.edges()):
-        inc[u] |= 1 << i
-        inc[v] |= 1 << i
-    families = []
-    for dom in sets:
-        reach = 0
-        for u in dom:
-            reach |= inc[u]
-        families.append([inc[v] & reach for v in range(g.n) if v not in dom])
-    return families
-
-
-def _one_edge_breaker(families: list[list[int]]) -> int:
-    """The first edge, in the first family's order, that breaks every set alone.
-
-    An edge alone raises gamma exactly when it is a one-edge breaker of
-    every minimum dominating set; the branch and bound would take the first
-    such breaker of the first family.  Returns its bit, or 0 if none exists.
-    """
-    common = -1
-    for breakers in families:
-        ones = 0
-        for b in breakers:
-            if not b & (b - 1):
-                ones |= b
-        common &= ones
-        if not common:
-            return 0
-    # Breakers of a set are disjoint, so only a one-edge breaker meets ``common``.
-    return next(b for b in families[0] if b & common)
-
-
-def _breaker_masks(g: Graph, sets: list[tuple[int, ...]]) -> tuple[list[int], int, int]:
+def _breaker_masks(
+    n: int, edges: list[tuple[int, int]], sets: list[tuple[int, ...]]
+) -> tuple[list[int], int, int]:
     """Every breaker as one bit: per edge, the breakers that hold it.
 
-    Set ``f`` owns the ``g.n``-bit block at offset ``f * g.n``, and bit ``v``
+    ``edges`` are the edges of an ``n``-vertex graph and ``sets`` its
+    minimum dominating sets.  Set ``f`` owns the ``n``-bit block at offset
+    ``f * n``, and bit ``v``
     of that block stands for ``E(v, D_f)``; it is a breaker when ``v`` is not
     in ``D_f``.  Returns ``contain``, with ``contain[i]`` the breakers that
-    hold edge ``i``, the mask of every breaker, and the mask of each block's
+    hold ``edges[i]``, the mask of every breaker, and the mask of each block's
     lowest bit.  ``member[u]`` marks the blocks whose set holds ``u``, so
     edge ``(a, b)`` is in ``E(a, D)`` exactly when ``b`` is in ``D`` and
     ``a`` is not, and ``contain`` takes two shifts an edge.
     """
-    n = g.n
     sets_in_blocks = int(
         "".join(format(sum(1 << u for u in dom), f"0{n}b") for dom in reversed(sets)), 2
     )
     base = int(("0" * (n - 1) + "1") * len(sets), 2)
     member = [sets_in_blocks >> u & base for u in range(n)]
     contain = [
-        (member[b] & ~member[a]) << a | (member[a] & ~member[b]) << b for a, b in g.edges()
+        (member[b] & ~member[a]) << a | (member[a] & ~member[b]) << b for a, b in edges
     ]
     return contain, ((base << n) - base) ^ sets_in_blocks, base
 
@@ -245,19 +211,44 @@ def _bondage_connected(
     ``sets`` must be every minimum dominating set of ``g``.
     """
     edges = g.edges()
-    families = _breaker_families(g, sets)
-    if limit >= 1:
-        one = _one_edge_breaker(families)
-        if one:
-            return 1, (edges[one.bit_length() - 1],)
     n = g.n
-    contain, breakers, base = _breaker_masks(g, sets)
+    contain, breakers, base = _breaker_masks(n, edges, sets)
     top = base << (n - 1)
     rest = top - base
 
     def blocks(mask: int) -> int:
         # The top bit of every block in which ``mask`` has a bit.
         return ((mask & rest) + rest | mask) & top
+
+    counts = _count(contain)
+    if limit >= 1:
+        # An edge alone breaks a set exactly when it is a one-edge breaker of
+        # it, and it holds at most one breaker of each set.  The branch and
+        # bound would take the first set's one-edge breaker of lowest vertex.
+        ones = breakers & ~_at_least(counts, 2)
+        first_block = (1 << n) - 1
+        alone = [
+            (hit & first_block, i)
+            for i, hit in enumerate(map(ones.__and__, contain))
+            if blocks(hit) == top
+        ]
+        if alone:
+            return 1, (edges[min(alone)[1]],)
+    inc = [0] * n
+    for i, (u, v) in enumerate(edges):
+        inc[u] |= 1 << i
+        inc[v] |= 1 << i
+    families: dict[int, list[int]] = {}
+
+    def family(f: int) -> list[int]:
+        # The breakers ``E(v, D_f)`` as edge masks, by ``v``, built when the
+        # search first branches on set ``f``.
+        if f not in families:
+            reach = 0
+            for u in sets[f]:
+                reach |= inc[u]
+            families[f] = [inc[v] & reach for v in range(n) if v not in sets[f]]
+        return families[f]
 
     best_size = limit + 1
     best = 0
@@ -289,7 +280,7 @@ def _bondage_connected(
         if not _covers(_edge_hits(contain, live, removed), unbroken.bit_count(), slack - 1):
             return
         first = (unbroken & -unbroken).bit_length() // n - 1
-        for b in sorted(families[first], key=lambda b: (b & ~removed).bit_count()):
+        for b in sorted(family(first), key=lambda b: (b & ~removed).bit_count()):
             if b & forbidden:
                 continue
             new = b & ~removed
@@ -305,7 +296,7 @@ def _bondage_connected(
                 forbidden |= b
                 banned |= contain[b.bit_length() - 1]
 
-    search(0, 0, 0, 0, _count(contain))
+    search(0, 0, 0, 0, counts)
     if best_size > limit:
         return None
     return best_size, tuple(e for i, e in enumerate(edges) if best >> i & 1)

@@ -6,9 +6,19 @@ level with a dominating set is the domination number; the whole vertex set
 dominates, so the deepening ends by level ``n``.  The search stops at its
 first set for :func:`domination_number`, and runs that level to completion
 for :func:`minimum_dominating_sets`, so the bondage search gets ``gamma``
-and every minimum dominating set in one pass.  Deepening may start at any
-known lower bound: the bondage certificate starts on ``G - S`` at
-``gamma(G)``.  Graphs above :data:`VERTEX_LIMIT` vertices are refused.
+and every minimum dominating set in one pass.
+
+Deepening starts at the largest of three lower bounds: a caller's
+``start``, ``ceil(n / max closed neighbourhood)``, and the size of a greedy
+2-packing, a set of vertices with pairwise disjoint closed neighbourhoods,
+each of which needs a dominator of its own.  The bondage certificate starts
+on ``G - S`` at ``gamma(G)``.  The vertices are sorted once by
+(closed-neighbourhood size, label), so the branch vertex is the first
+uncovered one in that order.  A node with one pick left tests each
+candidate directly for covering the rest, and every other node is pruned
+when the picks left, each covering at most the largest closed
+neighbourhood, cannot cover what is uncovered.  Graphs above
+:data:`VERTEX_LIMIT` vertices are refused.
 """
 
 from __future__ import annotations
@@ -48,51 +58,82 @@ def instance_size_error(n: int) -> str | None:
     return None
 
 
-def _dominating_sets(closed: Sequence[int], full: int, k: int) -> Iterator[tuple[int, ...]]:
+def _search_order(closed: Sequence[int]) -> list[int]:
+    """The vertices by (closed-neighbourhood size, label), as one mask per size.
+
+    The masks come by increasing size, so the lowest uncovered bit of the
+    first mask that meets the uncovered vertices is a most-constrained
+    uncovered vertex, with ties broken by label.
+    """
+    classes = [0] * (len(closed) + 1)
+    for v, mask in enumerate(closed):
+        classes[mask.bit_count()] |= 1 << v
+    return [mask for mask in classes if mask]
+
+
+def _packing_bound(closed: Sequence[int], order: Sequence[int]) -> int:
+    """The size of a greedy 2-packing, a lower bound on the domination number.
+
+    Vertices whose closed neighbourhoods are pairwise disjoint are taken in
+    search order; each needs a dominator of its own.
+    """
+    taken = size = 0
+    for classmask in order:
+        while classmask:
+            low = classmask & -classmask
+            classmask ^= low
+            mask = closed[low.bit_length() - 1]
+            if not mask & taken:
+                taken |= mask
+                size += 1
+    return size
+
+
+def _dominating_sets(
+    closed: Sequence[int], order: Sequence[int], k: int
+) -> Iterator[tuple[int, ...]]:
     """Dominating sets of at most ``k`` vertices in search order, none twice.
 
-    Branches on the closed neighbourhood of a most-constrained uncovered
-    vertex; each branch excludes the candidates its earlier siblings took,
-    so no set is reached twice.  With ``k`` the domination number this
-    yields every minimum dominating set.
+    ``order`` is :func:`_search_order` of ``closed``.  Branches on the closed
+    neighbourhood of the first uncovered vertex in that order, a most
+    constrained one, taking candidates by label; each branch excludes the
+    candidates its earlier siblings took, so no set is reached twice.  With
+    one pick left, each candidate is tested directly.  With ``k`` the
+    domination number this yields every minimum dominating set.
     """
-    n = len(closed)
+    full = (1 << len(closed)) - 1
+    max_cover = max(map(int.bit_count, closed))
     chosen: list[int] = []
 
     def dfs(covered: int, remaining: int, excluded: int) -> Iterator[tuple[int, ...]]:
-        if covered == full:
+        uncovered = full & ~covered
+        if not uncovered:
             yield tuple(chosen)
             return
-        if remaining == 0:
+        # Admissible bound: no pick covers more than max_cover vertices.
+        if max_cover * remaining < uncovered.bit_count():
             return
-        uncovered = full & ~covered
-        # Admissible bound: no pick covers more than max_gain new vertices.
-        max_gain = 0
-        for mask in closed:
-            gain = (mask & uncovered).bit_count()
-            if gain > max_gain:
-                max_gain = gain
-        if max_gain * remaining < uncovered.bit_count():
+        for classmask in order:
+            pick = uncovered & classmask
+            if pick:
+                break
+        cand = closed[(pick & -pick).bit_length() - 1] & ~excluded
+        if remaining == 1:
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                c = low.bit_length() - 1
+                if not uncovered & ~closed[c]:
+                    yield (*chosen, c)
             return
-        # Branch on the uncovered vertex with the fewest dominators.
-        pick = -1
-        pick_size = n + 2
-        rest = uncovered
-        while rest:
-            u = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            size = closed[u].bit_count()
-            if size < pick_size:
-                pick_size = size
-                pick = u
-        cand = closed[pick] & ~excluded
         while cand:
-            c = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
+            low = cand & -cand
+            cand ^= low
+            c = low.bit_length() - 1
             chosen.append(c)
             yield from dfs(covered | closed[c], remaining - 1, excluded)
             chosen.pop()
-            excluded |= 1 << c
+            excluded |= low
 
     return dfs(0, k, 0)
 
@@ -100,25 +141,33 @@ def _dominating_sets(closed: Sequence[int], full: int, k: int) -> Iterator[tuple
 def _deepen(g: Graph, start: int = 0) -> tuple[int, Iterator[tuple[int, ...]]]:
     """The domination number of ``g`` and its minimum dominating sets.
 
-    Deepening starts at ``start`` or at ``ceil(n / max closed neighbourhood)``,
-    whichever is larger, so ``start`` must not exceed the domination number.
-    Every level below the returned one is refuted in full.  The iterator
-    yields the sets of that level in search order, unsorted, none twice;
-    its first set is already found, and the rest are searched only when it
-    is read on.  Raises ``ValueError`` on an empty graph and above
-    :data:`VERTEX_LIMIT` vertices.
+    Deepening starts at ``start``, at ``ceil(n / max closed neighbourhood)``
+    or at the size of a greedy 2-packing, whichever is largest, so ``start``
+    must not exceed the domination number.  Every level below the returned
+    one is refuted in full.  The iterator yields the sets of that level in
+    search order, unsorted, none twice; its first set is already found, and
+    the rest are searched only when it is read on.  Raises ``ValueError`` on
+    an empty graph, above :data:`VERTEX_LIMIT` vertices, when ``start``
+    exceeds ``n``, and when the first set found is smaller than its level,
+    which shows that ``start`` exceeded the domination number.
     """
     if g.n < 1:
         raise ValueError("domination needs at least one vertex")
     error = instance_size_error(g.n)
     if error is not None:
         raise ValueError(error)
+    if start > g.n:
+        raise ValueError(f"start {start} exceeds the {g.n} vertices, which dominate")
     closed = [g.closed_mask(v) for v in range(g.n)]
-    full = (1 << g.n) - 1
-    max_cover = max(mask.bit_count() for mask in closed)
-    for k in range(max(start, -(-g.n // max_cover)), g.n + 1):
-        sets = _dominating_sets(closed, full, k)
+    order = _search_order(closed)
+    max_cover = max(map(int.bit_count, closed))
+    for k in range(max(start, -(-g.n // max_cover), _packing_bound(closed, order)), g.n + 1):
+        sets = _dominating_sets(closed, order, k)
         for first in sets:
+            if len(first) < k:
+                raise ValueError(
+                    f"start {start} exceeds the domination number: {len(first)} vertices dominate"
+                )
             return k, chain((first,), sets)
     # The whole vertex set dominates, so this is unreachable.
     raise AssertionError("search found no dominating set of n vertices")
@@ -129,7 +178,9 @@ def domination_number(g: Graph, *, start: int = 0) -> DominationResult:
 
     Deepening starts at ``start``, which must be a lower bound on the
     domination number; every level from there up is refuted in full.
-    Raises ``ValueError`` above :data:`VERTEX_LIMIT` vertices.
+    Raises ``ValueError`` above :data:`VERTEX_LIMIT` vertices, when
+    ``start`` exceeds ``n``, and when the first set found is smaller than
+    ``start``.
     """
     gamma, sets = _deepen(g, start)
     return DominationResult(gamma=gamma, witness=next(sets))

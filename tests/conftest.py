@@ -1,7 +1,8 @@
 """Shared generators and independent oracles for the test suite.
 
 The oracles here deliberately take different routes from the library code:
-domination by raw subset enumeration, bondage by re-solving domination on
+domination by raw subset enumeration and its search order by a search that
+rescans every vertex at each node, bondage by re-solving domination on
 every edge subset and its branch and bound by a scan of every set's breaker
 list, girth via per-edge shortest paths, isomorphism and the canonical code
 by permutation search, graph6 and planarity via networkx, chi sweeps that
@@ -15,9 +16,8 @@ from __future__ import annotations
 import math
 import random
 from itertools import combinations, permutations
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
-from bondlab.bondage import _breaker_families, _one_edge_breaker
 from bondlab.bounds import _require_chi_nonpositive
 from bondlab.domination import domination_number
 from bondlab.embedding import RotationSystem
@@ -97,6 +97,60 @@ def brute_minimum_dominating_sets(g: Graph) -> list[tuple[int, ...]]:
         if covered == full:
             out.append(subset)
     return out
+
+
+def reference_dominating_sets(
+    closed: Sequence[int], full: int, k: int
+) -> Iterator[tuple[int, ...]]:
+    """Dominating sets of at most ``k`` vertices in search order, none twice.
+
+    This is the recursive search that ``domination._dominating_sets``
+    replaced, kept as an oracle of its order: it rescans every closed
+    neighbourhood for the branch vertex and the gain bound at each node.
+    Branches on the closed neighbourhood of a most-constrained uncovered
+    vertex; each branch excludes the candidates its earlier siblings took,
+    so no set is reached twice.  With ``k`` the domination number this
+    yields every minimum dominating set.
+    """
+    n = len(closed)
+    chosen: list[int] = []
+
+    def dfs(covered: int, remaining: int, excluded: int) -> Iterator[tuple[int, ...]]:
+        if covered == full:
+            yield tuple(chosen)
+            return
+        if remaining == 0:
+            return
+        uncovered = full & ~covered
+        # Admissible bound: no pick covers more than max_gain new vertices.
+        max_gain = 0
+        for mask in closed:
+            gain = (mask & uncovered).bit_count()
+            if gain > max_gain:
+                max_gain = gain
+        if max_gain * remaining < uncovered.bit_count():
+            return
+        # Branch on the uncovered vertex with the fewest dominators.
+        pick = -1
+        pick_size = n + 2
+        rest = uncovered
+        while rest:
+            u = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            size = closed[u].bit_count()
+            if size < pick_size:
+                pick_size = size
+                pick = u
+        cand = closed[pick] & ~excluded
+        while cand:
+            c = (cand & -cand).bit_length() - 1
+            cand &= cand - 1
+            chosen.append(c)
+            yield from dfs(covered | closed[c], remaining - 1, excluded)
+            chosen.pop()
+            excluded |= 1 << c
+
+    return dfs(0, k, 0)
 
 
 def brute_bondage_number(g: Graph) -> int:
@@ -587,19 +641,59 @@ def reference_cover_bound(reaches: list[int]) -> int:
     raise AssertionError("every mask holds an edge")
 
 
+def _breaker_families(g: Graph, sets: list[tuple[int, ...]]) -> list[list[int]]:
+    """For each minimum dominating set ``D``, its breakers ``E(v, D)``.
+
+    A breaker is a bitmask over the indices of ``g.edges()``.  Breakers of
+    one set are pairwise disjoint, since each holds only edges at its ``v``.
+    """
+    inc = [0] * g.n
+    for i, (u, v) in enumerate(g.edges()):
+        inc[u] |= 1 << i
+        inc[v] |= 1 << i
+    families = []
+    for dom in sets:
+        reach = 0
+        for u in dom:
+            reach |= inc[u]
+        families.append([inc[v] & reach for v in range(g.n) if v not in dom])
+    return families
+
+
+def _one_edge_breaker(families: list[list[int]]) -> int:
+    """The first edge, in the first family's order, that breaks every set alone.
+
+    An edge alone raises gamma exactly when it is a one-edge breaker of
+    every minimum dominating set; the branch and bound would take the first
+    such breaker of the first family.  Returns its bit, or 0 if none exists.
+    """
+    common = -1
+    for breakers in families:
+        ones = 0
+        for b in breakers:
+            if not b & (b - 1):
+                ones |= b
+        common &= ones
+        if not common:
+            return 0
+    # Breakers of a set are disjoint, so only a one-edge breaker meets ``common``.
+    return next(b for b in families[0] if b & common)
+
+
 def reference_bondage_connected(
-    g: Graph, sets: list[tuple[int, ...]], limit: int
+    g: Graph, sets: list[tuple[int, ...]], limit: int, sweep: bool = True
 ) -> tuple[int, tuple[tuple[int, int], ...]] | None:
     """The bondage search as a scan of every family's breaker list, kept as an oracle.
 
     This is the list-scan form that ``bondage._bondage_connected`` replaced,
     with ``reference_cover_bound`` for the cover bound: at every node it
     rebuilds the list of unbroken families from their breakers.  ``sets``
-    must be every minimum dominating set of ``g``.
+    must be every minimum dominating set of ``g``.  With ``sweep`` false the
+    branch and bound decides ``b = 1`` too, without ``_one_edge_breaker``.
     """
     edges = g.edges()
     families = _breaker_families(g, sets)
-    if limit >= 1:
+    if sweep and limit >= 1:
         one = _one_edge_breaker(families)
         if one:
             return 1, (edges[one.bit_length() - 1],)

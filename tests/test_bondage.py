@@ -10,14 +10,12 @@ from hypothesis import strategies as st
 from bondlab import bondage
 from bondlab.bondage import (
     _bondage_connected,
-    _breaker_families,
     _at_least,
     _certified,
     _count,
     _covers,
     _edge_hits,
     _minus,
-    _one_edge_breaker,
     bondage_number,
     compute_b_prime,
     hartnell_rall_bound,
@@ -33,6 +31,8 @@ from bondlab.graphs import (
 )
 
 from conftest import (
+    _breaker_families,
+    _one_edge_breaker,
     brute_bondage_number,
     brute_one_edge_breakers,
     colex_bondage_number,
@@ -152,7 +152,7 @@ class TestCapAndCertificate:
 
 
 class TestOneEdgeSweep:
-    """The b = 1 sweep against raw enumeration and the branch and bound alone."""
+    """The b = 1 sweep over the breaker masks against raw enumeration and the list scan."""
 
     @staticmethod
     def check(g):
@@ -162,14 +162,17 @@ class TestOneEdgeSweep:
         assert bool(one) == bool(oracle)
         if not one:
             assert _bondage_connected(g, sets, 1) is None
+            assert reference_bondage_connected(g, sets, 1, sweep=False) is None
             return None
         edge = g.edges()[one.bit_length() - 1]
         assert edge in oracle
-        # The sweep picks the witness the branch and bound would, and honours
-        # the limit.
+        # The sweep decides b = 1 before the branch and bound removes an edge,
+        # which it does through _minus, and picks the witness the list scan's
+        # own branch and bound takes.  It honours the limit.
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(bondage, "_one_edge_breaker", lambda families: 0)
+            mp.setattr(bondage, "_minus", None)
             assert _bondage_connected(g, sets, 1) == (1, (edge,))
+        assert reference_bondage_connected(g, sets, 1, sweep=False) == (1, (edge,))
         assert _bondage_connected(g, sets, 0) is None
         return edge
 

@@ -4,10 +4,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bondlab.domination import _deepen, domination_number, is_dominating, minimum_dominating_sets
-from bondlab.graphs import Graph, components, make_family
+from bondlab.domination import (
+    _deepen,
+    _dominating_sets,
+    _packing_bound,
+    _search_order,
+    domination_number,
+    is_dominating,
+    minimum_dominating_sets,
+)
+from bondlab.graphs import Graph, components, enumerate_connected_graphs, make_family
 
-from conftest import brute_domination_number, brute_minimum_dominating_sets, random_graph
+from conftest import (
+    brute_domination_number,
+    brute_minimum_dominating_sets,
+    corona_path,
+    random_graph,
+    reference_dominating_sets,
+)
+
+
+def every_graph(max_n):
+    """One graph per isomorphism class on 1..max_n vertices.
+
+    A graph or its complement is connected, so the connected classes and
+    the complements of those with a disconnected complement cover them all.
+    """
+    for g in enumerate_connected_graphs(max_n):
+        yield g
+        full = (1 << g.n) - 1
+        co = Graph(g.n, [full & ~(mask | 1 << v) for v, mask in enumerate(g.adjacency)])
+        if not co.is_connected():
+            yield co
 
 
 class TestDominationNumber:
@@ -72,6 +100,15 @@ class TestDominationNumber:
         assert k == gamma == domination_number(g, start=start).gamma
         assert sorted(tuple(sorted(d)) for d in sets) == brute_minimum_dominating_sets(g)
 
+    def test_start_above_gamma_is_refused(self):
+        # P4 has gamma 2: level 3 first finds the 2-vertex set (0, 2).
+        g = make_family("pn", 4)
+        assert domination_number(g, start=2).gamma == 2
+        with pytest.raises(ValueError, match="exceeds the domination number: 2 vertices dominate"):
+            domination_number(g, start=3)
+        with pytest.raises(ValueError, match="exceeds the 4 vertices"):
+            domination_number(g, start=5)
+
     def test_witness_deterministic(self):
         g = make_family("petersen")
         assert domination_number(g).witness == domination_number(g).witness
@@ -92,6 +129,42 @@ class TestDominationNumber:
         g = random_graph(rng, n, p=0.25)
         total = sum(domination_number(c).gamma for c in components(g))
         assert domination_number(g).gamma == total
+
+
+class TestSearchOrder:
+    """The search against the recursive search it replaced, level by level."""
+
+    @staticmethod
+    def check(g, top):
+        closed = [g.closed_mask(v) for v in range(g.n)]
+        order = _search_order(closed)
+        full = (1 << g.n) - 1
+        for k in range(top + 1):
+            want = list(reference_dominating_sets(closed, full, k))
+            assert list(_dominating_sets(closed, order, k)) == want, (g.edges(), k)
+
+    def test_every_graph_to_six_vertices(self):
+        graphs = list(every_graph(6))
+        assert len(graphs) == 1 + 2 + 4 + 11 + 34 + 156
+        for g in graphs:
+            # One level past gamma also lists sets that are not minimum.
+            self.check(g, min(domination_number(g).gamma + 1, g.n))
+
+    @given(st.integers(min_value=1, max_value=9), st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_random_graphs(self, n, rng):
+        g = random_graph(rng, n, p=rng.uniform(0.1, 0.7))
+        self.check(g, min(brute_domination_number(g) + 1, g.n))
+
+    def test_corona_with_many_minimum_dominating_sets(self):
+        self.check(corona_path(10), 10)
+
+    @given(st.integers(min_value=1, max_value=8), st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_packing_never_exceeds_gamma(self, n, rng):
+        g = random_graph(rng, n, p=rng.uniform(0.1, 0.7))
+        closed = [g.closed_mask(v) for v in range(g.n)]
+        assert _packing_bound(closed, _search_order(closed)) <= brute_domination_number(g)
 
 
 class TestIsDominating:
