@@ -115,13 +115,13 @@ def _breaker_masks(
 
     ``edges`` are the edges of an ``n``-vertex graph and ``sets`` its
     minimum dominating sets.  Set ``f`` owns the ``n``-bit block at offset
-    ``f * n``, and bit ``v``
-    of that block stands for ``E(v, D_f)``; it is a breaker when ``v`` is not
-    in ``D_f``.  Returns ``contain``, with ``contain[i]`` the breakers that
-    hold ``edges[i]``, the mask of every breaker, and the mask of each block's
-    lowest bit.  ``member[u]`` marks the blocks whose set holds ``u``, so
-    edge ``(a, b)`` is in ``E(a, D)`` exactly when ``b`` is in ``D`` and
-    ``a`` is not, and ``contain`` takes two shifts an edge.
+    ``f * n``, and bit ``v`` of that block stands for ``E(v, D_f)``; it is a
+    breaker when ``v`` is not in ``D_f``.  Returns ``contain``, with
+    ``contain[i]`` the breakers that hold ``edges[i]``, the mask of every
+    breaker, and the mask of each block's lowest bit.  ``member[u]`` marks
+    the blocks whose set holds ``u``, so edge ``(a, b)`` is in ``E(a, D)``
+    exactly when ``b`` is in ``D`` and ``a`` is not, and ``contain`` takes
+    two shifts an edge.
     """
     sets_in_blocks = int(
         "".join(format(sum(1 << u for u in dom), f"0{n}b") for dom in reversed(sets)), 2
@@ -230,7 +230,7 @@ def _bondage_connected(
         alone = [
             (hit & first_block, i)
             for i, hit in enumerate(map(ones.__and__, contain))
-            if blocks(hit) == top
+            if hit & first_block and blocks(hit) == top
         ]
         if alone:
             return 1, (edges[min(alone)[1]],)
