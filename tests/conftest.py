@@ -218,6 +218,19 @@ def complete_tripartite(a: int) -> Graph:
     return Graph.from_edges(3 * a, edges)
 
 
+def subdivided_with_pendants(g: Graph) -> Graph:
+    """``g`` with every edge subdivided once, then one pendant at every vertex.
+
+    Edge ``i`` of ``g.edges()`` gets subdivision vertex ``n + i``; the
+    pendant of vertex ``v`` is ``n + m + v``.  Both moves keep chi on each
+    side, so the result has the chi of ``g`` and reduces to a copy of it.
+    """
+    n, m = g.n, g.m
+    edges = [e for i, (u, v) in enumerate(g.edges()) for e in ((u, n + i), (v, n + i))]
+    edges += [(v, n + m + v) for v in range(n + m)]
+    return Graph.from_edges(2 * (n + m), edges)
+
+
 def oracle_girth(g: Graph) -> float:
     """Shortest cycle via per-edge shortest path in the edge-deleted graph."""
     import math

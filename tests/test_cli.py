@@ -9,9 +9,27 @@ from pathlib import Path
 import pytest
 
 from bondlab import cli
-from bondlab.graphs import make_family, emit_graph6
+from bondlab.graphs import enumerate_connected_graphs, make_family, emit_graph6
+
+from conftest import complete_tripartite, subdivided_with_pendants
 
 DATA = Path(__file__).parent / "data"
+
+# The named rows of chi_golden.json, in file order.
+CHI_NAMED = {
+    "K5": lambda: make_family("kn", 5),
+    "K6": lambda: make_family("kn", 6),
+    "K7": lambda: make_family("kn", 7),
+    "K3,3": lambda: make_family("kmn", 3, 3),
+    "K4,4": lambda: make_family("kmn", 4, 4),
+    "K5,5": lambda: make_family("kmn", 5, 5),
+    "Q3": lambda: make_family("qd", 3),
+    "Q4": lambda: make_family("qd", 4),
+    "K3,3,3": lambda: complete_tripartite(3),
+    "Petersen": lambda: make_family("petersen"),
+    "P6": lambda: make_family("pn", 6),
+    "K5 subdivided, pendants": lambda: subdivided_with_pendants(make_family("kn", 5)),
+}
 
 
 def run(capsys, *argv):
@@ -124,6 +142,21 @@ class TestChi:
         assert list(data) == ["graph6", "chi", "certified", "steps_used",
                               "orientable", "nonorientable"]
         assert list(data["orientable"]) == list(data["nonorientable"]) == ["chi", "certified"]
+
+    def test_results_and_witnesses_match_golden(self, capsys):
+        # chi_golden.json holds the parsed output of `chi --format json
+        # --witness`, witness and steps_used included, for every graph with
+        # an edge of order at most 6 (name null) and for named graphs; CI
+        # feeds the named rows' graph6 to the console script.
+        rows = json.loads((DATA / "chi_golden.json").read_text())
+        corpus = [row["graph6"] for row in rows if row["name"] is None]
+        assert corpus == [emit_graph6(g) for g in enumerate_connected_graphs(6) if g.m]
+        named = {row["name"]: row["graph6"] for row in rows if row["name"] is not None}
+        assert named == {name: emit_graph6(build()) for name, build in CHI_NAMED.items()}
+        for row in rows:
+            code, out, _ = run(capsys, "chi", row["graph6"], "--format", "json", "--witness")
+            assert code == 0
+            assert json.loads(out) == row["output"], row["name"] or row["graph6"]
 
     def test_orientable_only(self, capsys):
         g6 = emit_graph6(make_family("kn", 5))
