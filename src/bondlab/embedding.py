@@ -10,21 +10,22 @@ Each orientability class is decided by a face-building branch-and-bound
 (:func:`_branch_and_bound`) that both finds and refutes: it decides "some
 scheme on this side has chi >= t" for t from the side's cap down, and the
 first t that holds is certified, as every larger t was refuted in full.
-Caps come from combinatorial face-length counting.  A core whose cap allows
-the sphere is first tested for planarity (:mod:`.planarity`): a planar core
-is certified at chi 2 by the test's rotation system, once a count of its
-faces confirms it, with nothing searched; a nonplanar one has orientable
-chi at most 0.  A tree's core collapses to a point, certified at chi 2 as
-it stands, which then goes the way of a planar core.  Once the orientable
-side reaches the signed side's cap, the signed side cannot raise chi and is
-not searched.
+Caps come from combinatorial face-length counting.  The sphere is decided
+once, before any search: a tree's core collapses to a point, and a core
+whose cap allows the sphere is tested for planarity (:mod:`.planarity`).
+A point, or a planar core whose test's rotation system a count of its faces
+confirms, is certified at chi 2 orientably and 1 non-orientably with
+nothing searched.  Otherwise orientable chi is at most 0 and that side is
+searched first; the signed side is searched only while the orientable side
+is short of the signed side's cap, since it could not raise chi otherwise.
 
-``certified`` marks a proven maximum: an attained cap, the planarity test,
-or the branch-and-bound's refutation of every larger value.
+``certified`` marks a proven maximum: the sphere, or the branch-and-bound's
+refutation of every larger value.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -301,12 +302,13 @@ class SideResult:
     """Outcome for one orientability class.
 
     ``chi`` is the best value found (None if nothing was found);
-    ``certified`` means the value is provably the maximum (a proven
-    combinatorial upper bound was attained, the planarity test or a tree's
-    point core, the branch-and-bound's refutation of every larger value, or
-    the planar identity on the non-orientable side).  ``nodes`` counts the
-    states the branch-and-bound placed.  ``searched`` is always 0; it is
-    kept only because ``perfbench/run.py`` reads it.
+    ``certified`` means the value is provably the maximum.  The sphere
+    branch certifies both sides of a planar core or a tree's point core:
+    2 with the plane witness, and 1 by the planar identity with no witness.
+    Otherwise the branch-and-bound certifies a value by refuting every
+    larger one.  ``nodes`` counts the states the branch-and-bound placed.
+    ``searched`` is always 0; it is kept only because ``perfbench/run.py``
+    reads it.
     """
 
     chi: int | None
@@ -346,15 +348,24 @@ class ChiSearchResult:
 # -- exact reductions preserving chi ----------------------------------------
 
 
-def _lift_witness(core_rs: dict[int, list[int]], neg: set[tuple[int, int]],
-                  ops: list[tuple], n: int) -> RotationSystem:
-    """Undo the reductions, rebuilding a rotation system on all n vertices."""
-    rot = {v: list(r) for v, r in core_rs.items()}
-    neg = set(neg)
+def _lift_witness(core_rs: RotationSystem, labels: list[int], ops: list[tuple],
+                  n: int) -> RotationSystem:
+    """A scheme of the core as a scheme of the graph it was reduced from.
+
+    Core vertex ``i`` is vertex ``labels[i]``; the ``ops`` of :func:`_core`
+    are then undone last first on all ``n`` vertices: a pendant rejoins the
+    end of its neighbour's rotation, and a suppressed vertex ``v`` takes the
+    place of ``y`` at ``x`` and of ``x`` at ``y``, the edge's sign moving
+    onto ``(x, v)``.
+    """
+    rot: list[list[int]] = [[] for _ in range(n)]
+    for i, r in enumerate(core_rs.rotations):
+        rot[labels[i]] = [labels[x] for x in r]
+    neg = {tuple(sorted((labels[u], labels[v]))) for u, v in core_rs.negative_edges}
     for op in reversed(ops):
         if op[0] == "pendant":
             _, leaf, attach = op
-            rot.setdefault(attach, []).append(leaf)
+            rot[attach].append(leaf)
             rot[leaf] = [attach]
         else:
             _, v, x, y = op
@@ -363,12 +374,9 @@ def _lift_witness(core_rs: dict[int, list[int]], neg: set[tuple[int, int]],
             rot[v] = [x, y]
             e = (min(x, y), max(x, y))
             if e in neg:
-                neg.discard(e)
+                neg.remove(e)
                 neg.add((min(x, v), max(x, v)))
-    return RotationSystem(
-        rotations=tuple(tuple(rot.get(v, ())) for v in range(n)),
-        negative_edges=frozenset(neg),
-    )
+    return RotationSystem(tuple(map(tuple, rot)), frozenset(neg))
 
 
 def _core(g: Graph) -> tuple[Graph, list[int], list[tuple]]:
@@ -646,24 +654,27 @@ def max_euler_characteristic(
 ) -> ChiSearchResult:
     """Largest Euler characteristic over all 2-cell embeddings.
 
-    Searches rotation schemes of the reduced core (pendants stripped,
-    suppressible degree-2 vertices contracted; both moves preserve chi).
-    Each orientability class is searched once by :func:`_search_side`: the
-    orientable class first, then signed schemes for the non-orientable
-    class; a planar outcome settles the non-orientable value at 1 without a
-    search.
+    Searches the reduced core (pendants stripped, suppressible degree-2
+    vertices contracted; both moves preserve chi on each side) and lifts
+    each witness back to ``g``.  One of two branches decides the core.
 
-    When the face-length cap allows chi 2, the core is first tested for
-    planarity.  A planar core's orientable side is certified at 2 with the
-    test's rotation system as its witness, after its faces are counted
-    again independently; it has ``nodes = 0``.  A tree's core is a point,
-    certified at 2 as it stands, and goes on the same way.  A nonplanar
-    core's orientable cap drops to 0.  Both sides are then decided by the
-    branch-and-bound, so a certified value below a side's cap was reached
-    by refuting every larger one in full.  When the orientable side is
-    certified at or above the signed side's cap, the signed side cannot
-    raise chi, so it is not searched and ``nonorientable`` is None; the
-    overall value is certified by the orientable side alone.
+    *Sphere.*  A tree's core is a point.  A core whose face-length cap is 2
+    is tested for planarity, and the test's rotation system, once a count of
+    its faces confirms chi 2, is the plane witness.  Then the orientable
+    side is certified at 2 and the non-orientable side at 1, without a
+    witness, by the planar identity; nothing is searched.
+
+    *Nonplanar.*  :func:`_search_side` decides the orientable side from the
+    cap taken down to an even value at most 0, then the signed side from
+    the cap taken down to at most 1, on the budget the orientable side
+    left.  When the orientable side is certified at or above the signed
+    side's cap, the signed side cannot raise chi, so it is not searched and
+    ``nonorientable`` is None.  A certified value below a side's cap was
+    reached by refuting every larger one in full.
+
+    ``nonorientable`` is also None under ``orientable_only``.  Chi and the
+    witness come from the first side with the largest chi, orientable
+    first, and the result is certified iff every side present is.
 
     Budget is counted in face-tracing steps and is a hard cap: each state
     the branch-and-bound places costs one step, and it stops before placing
@@ -679,73 +690,44 @@ def max_euler_characteristic(
     if not g.is_connected():
         raise ValueError("chi search is defined for connected graphs; split components first")
 
-    core, core_labels, ops = _core(g)
+    core, labels, ops = _core(g)
+    lift = functools.partial(_lift_witness, labels=labels, ops=ops, n=g.n)
+    cap = _face_length_upper_bound(core)
 
-    def lift(core_rs: RotationSystem) -> RotationSystem:
-        rot = {
-            core_labels[i]: [core_labels[x] for x in core_rs.rotations[i]]
-            for i in range(core.n)
-        }
-        neg = {
-            (min(core_labels[u], core_labels[v]), max(core_labels[u], core_labels[v]))
-            for u, v in core_rs.negative_edges
-        }
-        return _lift_witness(rot, neg, ops, g.n)
-
-    chi_cap = _face_length_upper_bound(core)
-    cap_or = chi_cap if chi_cap % 2 == 0 else chi_cap - 1
-    cap_nonor = min(1, chi_cap)
-
-    or_side = None
+    plane = None
     if core.m == 0:
-        # The core collapsed to a point: the graph is a tree (sphere).
-        point = RotationSystem(rotations=((),), negative_edges=frozenset())
-        or_side = SideResult(chi=2, witness=lift(point), certified=True)
-    elif cap_or == 2:
-        rotations = planar_rotations(core)
-        if rotations is None:
-            cap_or = 0  # a nonplanar graph has orientable genus at least 1
-        else:
-            plane = RotationSystem(rotations)
-            plane.validate(core)
-            if core.n - core.m + _orientable_face_count(rotations) != 2:
-                raise AssertionError("planar rotation system does not re-trace to chi 2")
-            or_side = SideResult(chi=2, witness=lift(plane), certified=True)
-    if or_side is None:
-        or_side = _search_side(core, False, cap_or, budget, lift)
-    steps = or_side.nodes
+        plane = RotationSystem(((),))  # the core of a tree is a point
+    elif cap == 2 and (rotations := planar_rotations(core)) is not None:
+        plane = RotationSystem(rotations)
+        plane.validate(core)
+        if core.n - core.m + _orientable_face_count(rotations) != 2:
+            raise AssertionError("planar rotation system does not re-trace to chi 2")
+
     nonor_side: SideResult | None = None
-    if not orientable_only:
-        if or_side.certified and or_side.chi == 2:
-            # Planar: the plane drawing sits inside a disc of the projective
-            # plane, so the non-orientable side is exactly 1 (no 2-cell
-            # scheme realises it for trees and some planar cores).
+    if plane is not None:
+        or_side = SideResult(chi=2, witness=lift(plane), certified=True)
+        if not orientable_only:
+            # The plane drawing sits inside a disc of the projective plane,
+            # so the non-orientable side is exactly 1 (no 2-cell scheme
+            # realises it for trees and some planar cores).
             nonor_side = SideResult(chi=1, witness=None, certified=True)
-        elif or_side.certified and or_side.chi >= cap_nonor:
-            pass  # the signed side cannot raise chi, so it is not searched
-        else:
+    else:
+        # Not planar, by the test or by the cap: orientable genus is at least 1.
+        or_side = _search_side(core, False, min(0, cap - cap % 2), budget, lift)
+        if not orientable_only and not (or_side.certified and or_side.chi >= min(1, cap)):
             # The core has a cycle (a tree's point core is planar, and both
             # reductions keep the cycle rank), so some edge sign is free and
             # the signed space is not empty.
-            nonor_side = _search_side(core, True, cap_nonor, budget - steps, lift)
-            steps += nonor_side.nodes
+            nonor_side = _search_side(core, True, min(1, cap), budget - or_side.nodes, lift)
 
-    # Combine.  A skipped signed side could not raise chi, so the overall
-    # value is certified when every side present is.
-    present = [s for s in (or_side, nonor_side) if s is not None]
-    sides = [s for s in present if s.chi is not None]
-    overall_chi = max(s.chi for s in sides) if sides else None
-    overall_witness = None
-    for s in sides:
-        if s.chi == overall_chi and s.witness is not None:
-            overall_witness = s.witness
-            break
-    certified = all(s.certified for s in present)
+    # max keeps the first of equal sides, so a tie goes to the orientable one.
+    sides = [s for s in (or_side, nonor_side) if s is not None]
+    best = max(sides, key=lambda s: -math.inf if s.chi is None else s.chi)
     return ChiSearchResult(
-        chi=overall_chi,
-        witness=overall_witness,
-        certified=certified,
-        steps_used=steps,
+        chi=best.chi,
+        witness=best.witness,
+        certified=all(s.certified for s in sides),
+        steps_used=sum(s.nodes for s in sides),
         budget=budget,
         orientable=or_side,
         nonorientable=nonor_side,

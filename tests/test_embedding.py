@@ -28,6 +28,7 @@ from conftest import (
     reference_sweep,
     reference_sweep_scalar,
     relabelled,
+    subdivided_with_pendants,
 )
 
 PERFBENCH_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data"
@@ -271,6 +272,25 @@ class TestMaxChi:
         result = max_euler_characteristic(make_family("petersen"))
         assert result.chi == 1 and result.certified
         assert result.orientable.chi == 0
+
+    @pytest.mark.parametrize("family, negatives", [
+        (("kn", 5), 3), (("kmn", 3, 3), 3), (("kn", 6), 5),
+    ], ids=["K5", "K3,3", "K6"])
+    def test_signed_witnesses_survive_the_lift(self, family, negatives):
+        # The core is the nonplanar graph itself, so both witnesses are
+        # lifted through every pendant and every suppressed vertex, and each
+        # negative core edge x-y must come back as (x, v) at its
+        # subdivision vertex v.
+        base = make_family(*family)
+        g = subdivided_with_pendants(base)
+        result = max_euler_characteristic(g)
+        orientable = trace_faces(g, result.orientable.witness)
+        assert orientable.chi == 0 and orientable.orientable
+        signed = result.nonorientable.witness
+        traced = trace_faces(g, signed)
+        assert traced.chi == 1 and not traced.orientable
+        assert len(signed.negative_edges) == negatives
+        assert all(base.n <= v < base.n + base.m for _, v in signed.negative_edges)
 
     def test_witness_traces_to_reported_chi(self):
         rng = random.Random(9)
