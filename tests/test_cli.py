@@ -205,6 +205,20 @@ class TestBounds:
             run(capsys, "bounds", "--graph6", "E~~w", "--strict")
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--delta", "-1"], "maximum degree must be >= 0, got -1"),
+        (["--girth", "2"], "girth must be >= 3 or infinite, got 2"),
+        (["--n", "0"], "order must be positive, got 0"),
+        (["--m", "-3"], "size must be >= 0, got -3"),
+    ], ids=["delta", "girth", "n", "m"])
+    def test_out_of_range_parameter_exits_one(self, capsys, flags, message):
+        # chi 1 makes every chi row inapplicable, so no row reads the value:
+        # the parameter alone is refused, not the formula it would feed.
+        argv = ["bounds", "--delta", "3", "--chi", "1", *flags]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == f"bondlab: error: {message}\n"
+
     def test_float_overflow_drops_only_the_detail(self, capsys):
         # The girth bound is exact at any size; only its float detail overflows.
         code, out, err = run(capsys, "bounds", "--delta", "3", "--chi", "-1",
@@ -249,7 +263,7 @@ class TestVerify:
             graph6="A_",
             checks=(TheoremCheck("cubic", True, 0, False, -1),),
         )
-        summary = CorpusSummary(1, 0, {}, 1)
+        summary = CorpusSummary(graphs=1, malformed=0, failures=1, per_check={})
 
         monkeypatch.setattr(cli, "verify_corpus", lambda *a, **k: ([record], summary))
         corpus = tmp_path / "one.g6"
