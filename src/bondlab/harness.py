@@ -45,9 +45,9 @@ CHECKS = tuple(row for row in bnd.REGISTRY if row.checked)
 CHECK_NAMES = tuple(row.name for row in CHECKS)
 
 
-# The two dataclasses below describe the report: each field, in order, is a
-# JSON key and a schema property, and each scalar record field a CSV column.
-# Field metadata says what the type does not.
+# The three dataclasses below describe the report: each field, in order, is
+# a JSON key and a schema property, and each scalar record field a CSV
+# column.  Field metadata says what the type does not.
 _REQUIRED = {"required": True}  # the schema requires the key
 
 
@@ -99,11 +99,13 @@ class VerificationRecord:
 
 @dataclass(frozen=True)
 class CorpusSummary:
-    graphs: int
-    malformed: int
-    per_check: dict[str, dict[str, int]]
-    failures: int
-    bprime_counterexamples: tuple[str, ...] = ()
+    graphs: int = field(metadata=_REQUIRED)
+    malformed: int = field(metadata=_REQUIRED)
+    failures: int = field(metadata=_REQUIRED)
+    # Pass, fail and skip counts per check name.
+    per_check: dict[str, dict[str, int]] = field(metadata=_REQUIRED)
+    bprime_counterexamples: tuple[str, ...] = field(
+        default=(), metadata={"items": {"type": "string"}})
 
     @property
     def ok(self) -> bool:
@@ -233,6 +235,8 @@ _JSON_TYPES = {
     "bool": "boolean",
     "bool | None": ["boolean", "null"],
     "tuple[TheoremCheck, ...]": "array",
+    "tuple[str, ...]": "array",
+    "dict[str, dict[str, int]]": "object",
 }
 
 
@@ -248,7 +252,8 @@ def _object_schema(cls) -> dict:
         if "enum" in f.metadata:
             prop["enum"] = f.metadata["enum"]
         if "items" in f.metadata:
-            prop["items"] = _object_schema(f.metadata["items"])
+            items = f.metadata["items"]  # a report dataclass or a schema
+            prop["items"] = items if type(items) is dict else _object_schema(items)
     return {
         "type": "object",
         "required": [_key(f) for f in fields(cls) if f.metadata.get("required")],
@@ -263,7 +268,7 @@ _JSON_FIELDS = {
         [encode_basestring_ascii(_key(f)) + ": " for f in fields(cls)],
         attrgetter(*(f.name for f in fields(cls))),
     )
-    for cls in (TheoremCheck, VerificationRecord)
+    for cls in (TheoremCheck, VerificationRecord, CorpusSummary)
 }
 # The scalar record fields in CSV column order (sorted is stable), a getter
 # of their values and the cell written for each one's None.
@@ -285,17 +290,7 @@ REPORT_JSON_SCHEMA = {
     "required": ["records", "summary"],
     "properties": {
         "records": {"type": "array", "items": _object_schema(VerificationRecord)},
-        "summary": {
-            "type": "object",
-            "required": ["graphs", "malformed", "failures", "per_check"],
-            "properties": {
-                "graphs": {"type": "integer"},
-                "malformed": {"type": "integer"},
-                "failures": {"type": "integer"},
-                "per_check": {"type": "object"},
-                "bprime_counterexamples": {"type": "array", "items": {"type": "string"}},
-            },
-        },
+        "summary": _object_schema(CorpusSummary),
     },
 }
 
@@ -312,8 +307,8 @@ _JSON_SCALARS = {
 def _json_text(value, pad: str) -> str:
     """``value`` as ``json.dumps(value, indent=2)`` lays it out at indent ``pad``.
 
-    Records and checks are written as objects under their report keys;
-    dicts, lists and tuples as objects and arrays.
+    Records, checks and summaries are written as objects under their report
+    keys; dicts, lists and tuples as objects and arrays.
     """
     kind = type(value)
     if kind in _JSON_SCALARS:
@@ -363,17 +358,7 @@ def emit_report(
     if fmt == "json":
         if summary is None:
             summary = _summarize(records)
-        payload = {
-            "records": list(records),
-            "summary": {
-                "graphs": summary.graphs,
-                "malformed": summary.malformed,
-                "failures": summary.failures,
-                "per_check": summary.per_check,
-                "bprime_counterexamples": summary.bprime_counterexamples,
-            },
-        }
-        return _json_text(payload, "") + "\n"
+        return _json_text({"records": list(records), "summary": summary}, "") + "\n"
     if fmt == "text":
         lines = []
         header = (
@@ -426,7 +411,11 @@ def _summarize(records: Sequence[VerificationRecord]) -> CorpusSummary:
                 per_check[c.name]["fail"] += 1
                 failures += 1
     return CorpusSummary(
-        len(records), malformed, per_check, failures, tuple(counterexamples)
+        graphs=len(records),
+        malformed=malformed,
+        failures=failures,
+        per_check=per_check,
+        bprime_counterexamples=tuple(counterexamples),
     )
 
 
