@@ -13,8 +13,8 @@ first t that holds is certified, as every larger t was refuted in full.
 Caps come from combinatorial face-length counting.  The sphere is decided
 once, before any search: a tree's core collapses to a point, and a core
 whose cap allows the sphere is tested for planarity (:mod:`.planarity`).
-A point, or a planar core whose test's rotation system a count of its faces
-confirms, is certified at chi 2 orientably and 1 non-orientably with
+A point, or a planar core once a count of its faces confirms the test's
+rotation system, is certified at chi 2 orientably and 1 non-orientably with
 nothing searched.  Otherwise orientable chi is at most 0 and that side is
 searched first; the signed side is searched only while the orientable side
 is short of the signed side's cap, since it could not raise chi otherwise.
@@ -655,26 +655,23 @@ def max_euler_characteristic(
     """Largest Euler characteristic over all 2-cell embeddings.
 
     Searches the reduced core (pendants stripped, suppressible degree-2
-    vertices contracted; both moves preserve chi on each side) and lifts
-    each witness back to ``g``.  One of two branches decides the core.
+    vertices contracted; both keep chi on each side) in one of two
+    branches, and lifts each witness back to ``g``.
 
-    *Sphere.*  A tree's core is a point.  A core whose face-length cap is 2
-    is tested for planarity, and the test's rotation system, once a count of
-    its faces confirms chi 2, is the plane witness.  Then the orientable
-    side is certified at 2 and the non-orientable side at 1, without a
-    witness, by the planar identity; nothing is searched.
+    *Sphere.*  A tree's core is a point; a core whose face-length cap is 2
+    and which the planarity test embeds, its faces counted again to confirm
+    chi 2, gives the plane witness.  Neither side is searched: orientable
+    chi is 2, and non-orientable chi 1 by the planar identity, no witness.
 
     *Nonplanar.*  :func:`_search_side` decides the orientable side from the
-    cap taken down to an even value at most 0, then the signed side from
-    the cap taken down to at most 1, on the budget the orientable side
-    left.  When the orientable side is certified at or above the signed
-    side's cap, the signed side cannot raise chi, so it is not searched and
-    ``nonorientable`` is None.  A certified value below a side's cap was
-    reached by refuting every larger one in full.
+    cap taken down to an even value at most 0, then, on the budget left,
+    the signed side from the cap taken down to at most 1, unless the
+    orientable side is certified at or above that, which it could not beat.
+    A value below a side's cap is certified by refuting every larger one.
 
-    ``nonorientable`` is also None under ``orientable_only``.  Chi and the
-    witness come from the first side with the largest chi, orientable
-    first, and the result is certified iff every side present is.
+    ``nonorientable`` is None then and under ``orientable_only``.  Chi and
+    the witness come from the first side with the largest chi, orientable
+    first; the result is certified iff every side present is.
 
     Budget is counted in face-tracing steps and is a hard cap: each state
     the branch-and-bound places costs one step, and it stops before placing
