@@ -28,11 +28,10 @@ holding an edge that an earlier sibling branch removed on its own are out
 of play.  The search branches on one set's breakers as edge masks, and
 builds that list only when it first branches on the set.
 
-One domination solve on ``G - S`` certifies the answer.  It starts at
-``gamma(G)``, since any dominating set of ``G - S`` dominates ``G``, and
-refutes that level in full.  Each component's search is limited to max
-degree plus min degree minus one edges, a proven upper bound, so it always
-finds the exact value on nonempty graphs.
+One domination solve on ``G - S`` certifies the answer: it takes only that
+graph, and its value must exceed ``gamma(G)``.  Each component's search is
+limited to max degree plus min degree minus one edges, a proven upper
+bound, so it always finds the exact value on nonempty graphs.
 """
 
 from __future__ import annotations
@@ -305,12 +304,8 @@ def _bondage_connected(
 def _certified(
     g: Graph, b: int, witness: tuple[tuple[int, int], ...], gamma_before: int
 ) -> BondageResult:
-    """The result for ``witness``, after checking that its removal raises gamma.
-
-    The solve on ``G - S`` starts at ``gamma_before``: any dominating set of
-    ``G - S`` dominates ``G``, so none is smaller.
-    """
-    gamma_after = domination_number(g.remove_edges(witness), start=gamma_before).gamma
+    """The result for ``witness``, after checking that its removal raises gamma."""
+    gamma_after = domination_number(g.remove_edges(witness)).gamma
     if gamma_after <= gamma_before:
         raise AssertionError(f"bondage witness {witness} leaves gamma at {gamma_after}")
     return BondageResult(b, witness, gamma_before, gamma_after)

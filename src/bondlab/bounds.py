@@ -513,17 +513,22 @@ def build_bound_report(
     ``girth`` may be ``math.inf`` for forests; girth-based entries then stay
     inapplicable.  Genus parameters are optional because they come from a
     separate search.  Raises ValueError for a parameter no graph has: a
-    negative ``delta`` or ``m``, a finite ``girth`` below 3, or ``n`` below
-    1, whether or not a row would read it.
+    negative ``delta`` or ``m``, a ``chi`` above 2, a finite ``girth`` below
+    3, ``n`` below 1, or a ``delta`` above ``n - 1``, whether or not a row
+    would read it.
     """
     if delta < 0:
         raise ValueError(f"maximum degree must be >= 0, got {delta}")
+    if chi > 2:
+        raise ValueError(f"Euler characteristic must be <= 2, got {chi}")
     if girth is not None and girth < 3:
         raise ValueError(f"girth must be >= 3 or infinite, got {girth}")
     if n is not None and n < 1:
         raise ValueError(f"order must be positive, got {n}")
     if m is not None and m < 0:
         raise ValueError(f"size must be >= 0, got {m}")
+    if n is not None and delta > n - 1:
+        raise ValueError(f"maximum degree {delta} exceeds n - 1 = {n - 1}")
     p = BoundParams(delta, chi, girth, n, m, h, k)
     entries: list[BoundEntry] = []
     details: dict[str, float] = {}

@@ -8,11 +8,10 @@ first set for :func:`domination_number`, and runs that level to completion
 for :func:`minimum_dominating_sets`, so the bondage search gets ``gamma``
 and every minimum dominating set in one pass.
 
-Deepening starts at the largest of three lower bounds: a caller's
-``start``, ``ceil(n / max closed neighbourhood)``, and the size of a greedy
+Deepening starts at the larger of two lower bounds taken from the graph
+alone: ``ceil(n / max closed neighbourhood)``, and the size of a greedy
 2-packing, a set of vertices with pairwise disjoint closed neighbourhoods,
-each of which needs a dominator of its own.  The bondage certificate starts
-on ``G - S`` at ``gamma(G)``.  The vertices are sorted once by
+each of which needs a dominator of its own.  The vertices are sorted once by
 (closed-neighbourhood size, label), so the branch vertex is the first
 uncovered one in that order.  A node with one pick left tests each
 candidate directly for covering the rest, and every other node is pruned
@@ -138,51 +137,43 @@ def _dominating_sets(
     return dfs(0, k, 0)
 
 
-def _deepen(g: Graph, start: int = 0) -> tuple[int, Iterator[tuple[int, ...]]]:
+def _deepen(g: Graph) -> tuple[int, Iterator[tuple[int, ...]]]:
     """The domination number of ``g`` and its minimum dominating sets.
 
-    Deepening starts at ``start``, at ``ceil(n / max closed neighbourhood)``
-    or at the size of a greedy 2-packing, whichever is largest, so ``start``
-    must not exceed the domination number.  Every level below the returned
-    one is refuted in full.  The iterator yields the sets of that level in
-    search order, unsorted, none twice; its first set is already found, and
-    the rest are searched only when it is read on.  Raises ``ValueError`` on
-    an empty graph, above :data:`VERTEX_LIMIT` vertices, when ``start``
-    exceeds ``n``, and when the first set found is smaller than its level,
-    which shows that ``start`` exceeded the domination number.
+    Deepening starts at ``ceil(n / max closed neighbourhood)`` or at the
+    size of a greedy 2-packing, whichever is larger, and every level below
+    the returned one is refuted in full.  The iterator yields the sets of
+    that level in search order, unsorted, none twice; its first set is
+    already found, and the rest are searched only when it is read on.
+    Raises ``ValueError`` on an empty graph and above :data:`VERTEX_LIMIT`
+    vertices.
     """
     if g.n < 1:
         raise ValueError("domination needs at least one vertex")
     error = instance_size_error(g.n)
     if error is not None:
         raise ValueError(error)
-    if start > g.n:
-        raise ValueError(f"start {start} exceeds the {g.n} vertices, which dominate")
     closed = [g.closed_mask(v) for v in range(g.n)]
     order = _search_order(closed)
     max_cover = max(map(int.bit_count, closed))
-    for k in range(max(start, -(-g.n // max_cover), _packing_bound(closed, order)), g.n + 1):
+    for k in range(max(-(-g.n // max_cover), _packing_bound(closed, order)), g.n + 1):
         sets = _dominating_sets(closed, order, k)
         for first in sets:
+            # A smaller set would show a lower bound above the domination number.
             if len(first) < k:
-                raise ValueError(
-                    f"start {start} exceeds the domination number: {len(first)} vertices dominate"
-                )
+                raise AssertionError(f"{len(first)} vertices dominate below level {k}")
             return k, chain((first,), sets)
     # The whole vertex set dominates, so this is unreachable.
     raise AssertionError("search found no dominating set of n vertices")
 
 
-def domination_number(g: Graph, *, start: int = 0) -> DominationResult:
+def domination_number(g: Graph) -> DominationResult:
     """Exact domination number with a deterministic minimum witness.
 
-    Deepening starts at ``start``, which must be a lower bound on the
-    domination number; every level from there up is refuted in full.
-    Raises ``ValueError`` above :data:`VERTEX_LIMIT` vertices, when
-    ``start`` exceeds ``n``, and when the first set found is smaller than
-    ``start``.
+    Raises ``ValueError`` on an empty graph and above :data:`VERTEX_LIMIT`
+    vertices.
     """
-    gamma, sets = _deepen(g, start)
+    gamma, sets = _deepen(g)
     return DominationResult(gamma=gamma, witness=next(sets))
 
 

@@ -201,31 +201,35 @@ def common_neighbors(g: Graph, u: int, v: int) -> int:
 def girth(g: Graph) -> float:
     """Length of a shortest cycle, or ``math.inf`` for forests.
 
-    Runs one breadth-first search per root; the shortest cycle through the
-    root is found when a non-tree edge joins two search branches, and the
-    minimum over all roots is the girth.
+    Runs one breadth-first search per root over layer bitmasks.  An edge
+    inside layer ``k`` closes a cycle of length at most ``2k + 1``, and a
+    vertex of layer ``k + 1`` reached from two vertices of layer ``k`` one of
+    at most ``2k + 2``; on a shortest cycle through the root one of the two
+    is exact, so the minimum over all roots is the girth.  A root stops once
+    ``2k + 1`` is no shorter than the best cycle so far.
     """
     best = math.inf
     for root in range(g.n):
-        dist = [-1] * g.n
-        parent = [-1] * g.n
-        dist[root] = 0
-        queue = [root]
-        while queue:
-            nxt = []
-            for u in queue:
-                if 2 * dist[u] >= best - 1:
-                    continue
-                for v in g.neighbors(u):
-                    if dist[v] == -1:
-                        dist[v] = dist[u] + 1
-                        parent[v] = u
-                        nxt.append(v)
-                    elif v != parent[u]:
-                        cycle = dist[u] + dist[v] + 1
-                        if cycle < best:
-                            best = cycle
-            queue = nxt
+        seen = layer = 1 << root
+        k = 0
+        while layer and 2 * k + 1 < best:
+            inside = reached = twice = 0
+            rest = layer
+            while rest:
+                v = (rest & -rest).bit_length() - 1
+                rest &= rest - 1
+                adj = g.adjacency[v]
+                inside |= adj & layer
+                new = adj & ~seen
+                twice |= reached & new
+                reached |= new
+            if inside:
+                best = 2 * k + 1
+            elif twice:
+                best = min(best, 2 * k + 2)
+            seen |= reached
+            layer = reached
+            k += 1
     return best
 
 

@@ -107,10 +107,6 @@ class CorpusSummary:
     bprime_counterexamples: tuple[str, ...] = field(
         default=(), metadata={"items": {"type": "string"}})
 
-    @property
-    def ok(self) -> bool:
-        return self.failures == 0
-
 
 def graph_params(g: Graph, search: ChiSearchResult | None) -> bnd.BoundParams:
     """The bound parameters of ``g``, given its chi search (None if not run).

@@ -210,7 +210,9 @@ class TestBounds:
         (["--girth", "2"], "girth must be >= 3 or infinite, got 2"),
         (["--n", "0"], "order must be positive, got 0"),
         (["--m", "-3"], "size must be >= 0, got -3"),
-    ], ids=["delta", "girth", "n", "m"])
+        (["--chi", "5"], "Euler characteristic must be <= 2, got 5"),
+        (["--n", "3"], "maximum degree 3 exceeds n - 1 = 2"),
+    ], ids=["delta", "girth", "n", "m", "chi", "delta-above-n"])
     def test_out_of_range_parameter_exits_one(self, capsys, flags, message):
         # chi 1 makes every chi row inapplicable, so no row reads the value:
         # the parameter alone is refused, not the formula it would feed.

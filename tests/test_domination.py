@@ -92,22 +92,11 @@ class TestDominationNumber:
 
     @given(st.integers(min_value=1, max_value=8), st.randoms(use_true_random=False))
     @settings(max_examples=100, deadline=None)
-    def test_deepening_from_any_lower_bound(self, n, rng):
+    def test_deepening_from_its_own_lower_bounds(self, n, rng):
         g = random_graph(rng, n)
-        gamma = brute_domination_number(g)
-        start = rng.randint(0, gamma)
-        k, sets = _deepen(g, start)
-        assert k == gamma == domination_number(g, start=start).gamma
+        k, sets = _deepen(g)
+        assert k == brute_domination_number(g) == domination_number(g).gamma
         assert sorted(tuple(sorted(d)) for d in sets) == brute_minimum_dominating_sets(g)
-
-    def test_start_above_gamma_is_refused(self):
-        # P4 has gamma 2: level 3 first finds the 2-vertex set (0, 2).
-        g = make_family("pn", 4)
-        assert domination_number(g, start=2).gamma == 2
-        with pytest.raises(ValueError, match="exceeds the domination number: 2 vertices dominate"):
-            domination_number(g, start=3)
-        with pytest.raises(ValueError, match="exceeds the 4 vertices"):
-            domination_number(g, start=5)
 
     def test_witness_deterministic(self):
         g = make_family("petersen")

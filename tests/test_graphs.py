@@ -311,6 +311,10 @@ class TestInvariants:
         g = random_graph(rng, n)
         assert girth(g) == oracle_girth(g)
 
+    def test_girth_matches_oracle_through_order_seven(self):
+        for g in enumerate_connected_graphs(7):
+            assert girth(g) == oracle_girth(g), emit_graph6(g)
+
     def test_girth_three_iff_common_neighbor(self):
         rng = random.Random(7)
         for _ in range(100):

@@ -32,20 +32,20 @@ class TestVerifyGraph:
     def test_two_domination_solves_per_connected_record(self, monkeypatch):
         # One on G inside bondage_number, which lists every minimum
         # dominating set and whose gamma the record reuses, and one on G - S
-        # to certify the witness, started at that gamma.
+        # to certify the witness.
         calls = []
         original = domination._deepen
 
-        def counted(g, start=0):
-            calls.append((g, start))
-            return original(g, start)
+        def counted(g):
+            calls.append(g)
+            return original(g)
 
         monkeypatch.setattr(domination, "_deepen", counted)
         g = make_family("kmn", 3, 3)
         rec = verify_graph(g)
         assert len(calls) == 2
-        assert calls[0] == (g, 0)
-        assert calls[1][0].m == g.m - rec.b and calls[1][1] == rec.gamma == 2
+        assert calls[0] == g
+        assert calls[1].m == g.m - rec.b
 
     def test_hartnell_rall_bound_once_per_record(self, monkeypatch):
         # Connected records read the edge bound off the b' proxy.
@@ -212,7 +212,7 @@ class TestVerifyCorpus:
 
     def test_empty_corpus(self):
         records, summary = verify_corpus([])
-        assert records == [] and summary.graphs == 0 and summary.ok
+        assert records == [] and summary.graphs == 0 and summary.failures == 0
 
     def test_thread_count_does_not_change_records(self):
         lines = [emit_graph6(make_family("cn", k)) for k in range(3, 7)]
