@@ -187,6 +187,17 @@ class TestBounds:
         assert entries["triangle_free"]["bound"] == 7
         assert entries["genus"]["applicable"]
 
+    def test_json_matches_golden(self, capsys):
+        # bounds_golden.json holds the parsed output of `bounds ... --format
+        # json` for each argument list; CI feeds the same rows to the
+        # console script.
+        for row in json.loads((DATA / "bounds_golden.json").read_text()):
+            code, out, _ = run(capsys, "bounds", *row["args"], "--format", "json")
+            assert code == 0
+            payload = json.loads(out)
+            payload.pop("details")
+            assert payload == row["output"], row["args"]
+
     def test_missing_parameters_exit_two(self, capsys):
         code, _, err = run(capsys, "bounds")
         assert code == 2
