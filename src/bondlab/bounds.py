@@ -5,9 +5,10 @@ by integer bisection, and each radical floor floor((c + sqrt(r)) / a), for
 integers a > 0 and r >= 0, as the single expression (c + isqrt(r)) // a.
 That identity holds because for an integer q, a*q - c <= sqrt(r) exactly
 when a*q - c <= isqrt(r).  Rational thresholds are compared with cleared
-denominators.  No float decides a bound, a threshold or a check: floating
-point appears only in cross-check and display values (the ``details`` of a
-report, ``largest_root_bisect``, ``closed_form_root`` and
+denominators.  No float decides a bound, a threshold or a check, and a
+report holds no float: floating point appears only in four cross-check
+functions that the tests hold the exact values against
+(``largest_root_bisect``, ``closed_form_root`` and
 ``order_lower_bound``/``size_lower_bound``).
 
 :data:`REGISTRY` describes each bound once: its name, formula, hypothesis
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -279,7 +280,7 @@ def bound_genus(delta: int, h: int | None = None, k: int | None = None) -> int:
 def order_lower_bound(chi: int) -> float:
     """(3 + sqrt(17 - 8*chi)) / 2, a floor on the order of nontrivial graphs.
 
-    A float for display; the ``order_floor`` registry row decides
+    A float cross-check; the ``order_floor`` registry row decides
     ``n >= order_lower_bound(chi)`` exactly.
     """
     return (3 + math.sqrt(17 - 8 * chi)) / 2
@@ -288,7 +289,7 @@ def order_lower_bound(chi: int) -> float:
 def size_lower_bound(chi: int) -> float:
     """5/2 - chi + sqrt(17 - 8*chi)/2, a floor on the size.
 
-    A float for display; the ``size_floor`` registry row decides
+    A float cross-check; the ``size_floor`` registry row decides
     ``m >= size_lower_bound(chi)`` exactly.
     """
     return 2.5 - chi + math.sqrt(17 - 8 * chi) / 2
@@ -381,11 +382,11 @@ class Bound:
 
     ``value(p)`` is an upper bound on the :class:`BoundParams` field named
     by ``target`` (``"b"`` or ``"b_prime"``); when ``target`` is None it is
-    the exact verdict of a lower bound on the order or size instead.  It is
-    only called where :meth:`applicable` holds.  ``reported`` rows are the
-    entries of :func:`build_bound_report`, ``checked`` rows the checks of
-    the verification harness.  ``detail`` names a float cross-check value
-    the report shows beside an applicable entry.
+    the exact verdict of a lower bound on the order or size instead, so a
+    row yields an int or a bool and never a float.  It is only called where
+    :meth:`applicable` holds.  ``reported`` rows are the entries of
+    :func:`build_bound_report`, ``checked`` rows the checks of the
+    verification harness.
     """
 
     name: str
@@ -396,7 +397,6 @@ class Bound:
     target: str | None = "b"
     reported: bool = True
     checked: bool = True
-    detail: tuple[str, Callable[[BoundParams], float]] | None = None
 
     def applicable(self, p: BoundParams) -> bool:
         """The hypothesis: ``chi`` known where the row needs it, then ``applies``."""
@@ -429,22 +429,16 @@ REGISTRY: tuple[Bound, ...] = (
           lambda p: p.h is not None or p.k is not None,
           lambda p: bound_genus(p.delta, p.h, p.k)),
     Bound("cubic", "delta + floor(t), t the largest real root of z^3+z^2+(3chi-8)z+9chi-12", True,
-          lambda p: p.chi <= 0, _cubic,
-          detail=("cubic_root", lambda p: largest_root_bisect(improved_bound_cubic(p.chi), 1e-9))),
+          lambda p: p.chi <= 0, _cubic),
     Bound("sqrt", "delta + 1 + floor(sqrt(4-3chi))", True,
           lambda p: p.chi <= 0, lambda p: bound_sqrt(p.delta, p.chi)),
     Bound("cubic_baseline",
           "delta + floor(r), r the largest real root of z^3+2z^2+(6chi-7)z+18chi-24", True,
-          lambda p: p.chi <= 0, lambda p: p.delta + cubic_term_baseline(p.chi), checked=False,
-          detail=("baseline_cubic_root",
-                  lambda p: largest_root_bisect(baseline_bound_cubic(p.chi), 1e-9))),
+          lambda p: p.chi <= 0, lambda p: p.delta + cubic_term_baseline(p.chi), checked=False),
     Bound("sqrt_baseline", "delta + ceil(sqrt(12-6chi) - 1/2)", True,
           lambda p: p.chi <= 0, lambda p: bound_sqrt_baseline(p.delta, p.chi), checked=False),
     Bound("girth", "delta + floor((2+sqrt(g^2-g(g-2)chi))/(g-2)), g the girth", True,
-          _girth_applies, lambda p: bound_girth(p.delta, p.chi, int(p.girth)),
-          detail=("girth_root", lambda p: (
-              (2 + math.sqrt(p.girth * p.girth - p.girth * (p.girth - 2) * p.chi))
-              / (p.girth - 2)))),
+          _girth_applies, lambda p: bound_girth(p.delta, p.chi, int(p.girth))),
     Bound("girth_baseline", "delta + floor((sqrt(8g(2-g)chi+(3g-2)^2)-(g-6))/(2(g-2)))", True,
           _girth_applies, lambda p: bound_girth_baseline(p.delta, p.chi, int(p.girth)),
           checked=False),
@@ -452,14 +446,10 @@ REGISTRY: tuple[Bound, ...] = (
           lambda p: p.chi <= 0 and p.girth is not None and p.girth >= 4,
           lambda p: bound_triangle_free(p.delta, p.chi)),
     Bound("order", "delta + floor(1/2 - 3chi/n + sqrt(25/4 - 21chi/n + 9chi^2/n^2))", True,
-          lambda p: p.chi <= 0 and p.n is not None, lambda p: bound_order(p.delta, p.chi, p.n),
-          detail=("order_threshold", lambda p: (
-              0.5 - 3 * p.chi / p.n
-              + math.sqrt(25 / 4 - 21 * p.chi / p.n + 9 * p.chi * p.chi / (p.n * p.n))))),
+          lambda p: p.chi <= 0 and p.n is not None, lambda p: bound_order(p.delta, p.chi, p.n)),
     Bound("size", "delta + floor(3 - 18chi/(m+3chi)), m > -3chi", True,
           lambda p: p.chi <= 0 and p.m is not None and p.m + 3 * p.chi > 0,
-          lambda p: bound_size(p.delta, p.chi, p.m),
-          detail=("size_threshold", lambda p: float(size_threshold(p.chi, p.m)))),
+          lambda p: bound_size(p.delta, p.chi, p.m)),
     Bound("cubic_bprime", "delta + floor(t) bounding b', t the largest root as in cubic", True,
           lambda p: p.chi <= 0, _cubic, target="b_prime", reported=False),
     Bound("order_floor", "n >= (3+sqrt(17-8chi))/2, n >= 2", True,
@@ -490,7 +480,6 @@ class BoundReport:
     delta: int
     chi: int
     entries: tuple[BoundEntry, ...]
-    details: dict[str, float] = field(default_factory=dict)
 
     def entry(self, name: str) -> BoundEntry:
         for e in self.entries:
@@ -531,17 +520,10 @@ def build_bound_report(
         raise ValueError(f"maximum degree {delta} exceeds n - 1 = {n - 1}")
     p = BoundParams(delta, chi, girth, n, m, h, k)
     entries: list[BoundEntry] = []
-    details: dict[str, float] = {}
     for row in REPORTED:
         if not row.applicable(p):
             entries.append(BoundEntry(row.name, None, None, False, row.formula))
             continue
         value = row.value(p)
         entries.append(BoundEntry(row.name, value - delta, value, True, row.formula))
-        if row.detail is not None:
-            key, evaluate = row.detail
-            try:
-                details[key] = evaluate(p)
-            except OverflowError:
-                pass  # a float cross-check only: the exact bound stands without it
-    return BoundReport(delta=delta, chi=chi, entries=tuple(entries), details=details)
+    return BoundReport(delta=delta, chi=chi, entries=tuple(entries))

@@ -269,8 +269,17 @@ def _cmd_chi(args: argparse.Namespace) -> int:
     return 0
 
 
+# The bounds parameters that --graph6 derives from the graph itself.
+_DERIVED = ("delta", "chi", "girth", "n", "m", "genus_h", "genus_k")
+
+
 def _cmd_bounds(args: argparse.Namespace) -> int:
     if args.graph6 is not None:
+        given = ["--" + name.replace("_", "-") for name in _DERIVED
+                 if getattr(args, name) is not None]
+        if given:
+            _error(f"--graph6 derives every parameter; drop {', '.join(given)}")
+            return 2
         g = parse_graph6(args.graph6)
         search = max_euler_characteristic(g, budget=args.budget)
         if not search.certified:
@@ -298,7 +307,6 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
                 }
                 for e in report.entries
             ],
-            "details": report.details,
         }
         print(json.dumps(payload, indent=2))
     else:
@@ -308,8 +316,6 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
                 print(f"{e.name:<16} bound={e.bound_value:<4} term={e.additive_term:<3} [{e.provenance}]")
             else:
                 print(f"{e.name:<16} not applicable")
-        for key, value in report.details.items():
-            print(f"detail {key} = {value:.9f}")
     return 0
 
 

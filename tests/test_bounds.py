@@ -354,9 +354,6 @@ class TestBoundReport:
         assert report.entry("order").applicable
         assert report.entry("size").applicable
         assert report.entry("genus").bound_value == min(4 + 1 + 2, 4 + 2 + 1)
-        assert report.details["cubic_root"] == pytest.approx(
-            bnd.largest_root_bisect(bnd.improved_bound_cubic(-4)), abs=1e-6
-        )
 
     def test_report_skips_inapplicable(self):
         report = bnd.build_bound_report(3, 2)

@@ -190,13 +190,20 @@ class TestBounds:
     def test_json_matches_golden(self, capsys):
         # bounds_golden.json holds the parsed output of `bounds ... --format
         # json` for each argument list; CI feeds the same rows to the
-        # console script.
+        # console script.  Every value is exact, so none is a float.
+        def values(node):
+            if isinstance(node, dict):
+                node = list(node.values())
+            if isinstance(node, list):
+                return [leaf for child in node for leaf in values(child)]
+            return [node]
+
         for row in json.loads((DATA / "bounds_golden.json").read_text()):
             code, out, _ = run(capsys, "bounds", *row["args"], "--format", "json")
             assert code == 0
             payload = json.loads(out)
-            payload.pop("details")
             assert payload == row["output"], row["args"]
+            assert not any(isinstance(v, float) for v in values(payload)), row["args"]
 
     def test_missing_parameters_exit_two(self, capsys):
         code, _, err = run(capsys, "bounds")
@@ -232,19 +239,37 @@ class TestBounds:
         assert code == 1 and out == ""
         assert err == f"bondlab: error: {message}\n"
 
-    def test_float_overflow_drops_only_the_detail(self, capsys):
-        # The girth bound is exact at any size; only its float detail overflows.
+    def test_huge_girth_reports_the_exact_bound(self, capsys):
+        # The girth bound is exact at any size, far beyond the float range.
         code, out, err = run(capsys, "bounds", "--delta", "3", "--chi", "-1",
                              "--girth", str(10**200))
         assert code == 0 and err == ""
         girth = next(line for line in out.splitlines() if line.startswith("girth "))
         assert girth.split()[1:3] == ["bound=4", "term=1"]
-        assert "girth_root" not in out and "detail cubic_root" in out
+        assert not any(line.startswith("detail") for line in out.splitlines())
         code, out, _ = run(capsys, "bounds", "--delta", "3", "--chi", "-1",
                            "--girth", str(10**200), "--format", "json")
         payload = json.loads(out)
-        assert code == 0 and "girth_root" not in payload["details"]
+        assert code == 0 and "details" not in payload
         assert {e["name"]: e["bound"] for e in payload["entries"]}["girth"] == 4
+
+    @pytest.mark.parametrize("flag", [
+        "--delta", "--chi", "--girth", "--n", "--m", "--genus-h", "--genus-k",
+    ])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_graph6_with_a_parameter_exits_two(self, capsys, tmp_path, flag, via):
+        # --graph6 derives every parameter from K5; a given one would be
+        # ignored, so it is a usage error, also when a config file gives it.
+        argv = ["bounds", "--graph6", emit_graph6(make_family("kn", 5))]
+        if via == "flag":
+            argv += [flag, "4"]
+        else:
+            config = tmp_path / "bounds.conf"
+            config.write_text(f"{flag[2:].replace('-', '_')} = 4\n")
+            argv = ["--config", str(config), *argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"bondlab: error: --graph6 derives every parameter; drop {flag}\n"
 
 
 class TestVerify:
