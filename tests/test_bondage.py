@@ -23,6 +23,7 @@ from bondlab.bondage import (
 from bondlab.domination import domination_number, minimum_dominating_sets
 from bondlab.graphs import (
     Graph,
+    common_neighbors,
     degree_stats,
     emit_graph6,
     enumerate_connected_graphs,
@@ -405,6 +406,36 @@ class TestHartnellRall:
             for u, v in g.edges()
         )
         assert r.edge_bound == expected == 5
+
+    @staticmethod
+    def _stated(g):
+        # The bound as Hartnell and Rall state it.
+        return min(
+            g.degree(u) + g.degree(v) - 1 - common_neighbors(g, u, v) for u, v in g.edges()
+        )
+
+    def test_edge_bound_is_the_stated_formula_through_order_six(self):
+        graphs = [g for g in enumerate_connected_graphs(6) if g.m > 0]
+        assert len(graphs) == 142
+        for g in graphs:
+            assert hartnell_rall_bound(g).edge_bound == self._stated(g), emit_graph6(g)
+
+    @pytest.mark.parametrize("parts", [
+        (("kn", 4), ("pn", 3)),
+        (("cn", 5), ("kn", 1), ("kmn", 2, 3)),
+        (("petersen",), ("kn", 2)),
+        (("kn", 2), ("kn", 2), ("kn", 2)),
+        (("qd", 3), ("wn", 5)),
+    ])
+    def test_edge_bound_is_the_stated_formula_on_disjoint_unions(self, parts):
+        n, edges = 0, []
+        for name, *params in parts:
+            part = make_family(name, *params)
+            edges += [(u + n, v + n) for u, v in part.edges()]
+            n += part.n
+        g = Graph.from_edges(n, edges)
+        assert not g.is_connected()
+        assert hartnell_rall_bound(g).edge_bound == self._stated(g)
 
     def test_bound_dominates_bondage_on_small_graphs(self):
         import random

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -25,6 +26,8 @@ from bondlab.graphs import (
 )
 
 from conftest import are_isomorphic, oracle_girth, random_graph, reference_canonical_code
+
+DATA = Path(__file__).parent / "data"
 
 
 def _relabelled(g: Graph, perm: list[int]) -> Graph:
@@ -120,6 +123,71 @@ class TestGraph6:
         back = nx.from_graph6_bytes(ours.encode())
         assert back.number_of_nodes() == g.n
         assert {tuple(sorted(e)) for e in back.edges()} == set(g.edges())
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_each_padding_bit_refused_at_its_byte(self, n):
+        # Every edge bit set, so only the stray padding bit is wrong; the
+        # offset is the byte holding it, counted from the order byte.
+        nbits = n * (n - 1) // 2
+        nbytes = (nbits + 5) // 6
+        for header in ("", ">>graph6<<"):
+            for pad in range(nbits, 6 * nbytes):
+                bits = "1" * nbits + "0" * (6 * nbytes - nbits)
+                bits = bits[:pad] + "1" + bits[pad + 1:]
+                body = "".join(chr(int(bits[i:i + 6], 2) + 63) for i in range(0, len(bits), 6))
+                with pytest.raises(GraphFormatError) as err:
+                    parse_graph6(header + chr(n + 63) + body)
+                offset = len(header) + 1 + pad // 6
+                assert err.value.offset == offset
+                assert str(err.value) == f"nonzero padding bits (byte {offset})"
+
+    @pytest.mark.parametrize("text, offset, code", [
+        (" ?{", 0, 32),
+        ("D {", 1, 32),
+        ("D?\x7f", 2, 127),
+        ("D?\u00e9", 2, 233),
+        (">>graph6<<D? ", 12, 32),
+        (">>graph6<<!?{", 10, 33),
+    ])
+    def test_byte_outside_alphabet_refused_at_its_position(self, text, offset, code):
+        with pytest.raises(GraphFormatError) as err:
+            parse_graph6(text)
+        assert err.value.offset == offset
+        assert str(err.value) == f"byte {code} outside graph6 alphabet (byte {offset})"
+
+    @pytest.mark.parametrize("text, offset, message", [
+        ("", 0, "empty graph6 string"),
+        (">>graph6<<", 10, "empty graph6 string"),
+        ("~?", 0, "long-form graph6 (n > 62) is not supported"),
+        ("D?", 2, "truncated graph6 body: need 2 data bytes, got 1"),
+        ("A", 1, "truncated graph6 body: need 1 data bytes, got 0"),
+        (">>graph6<<F??", 13, "truncated graph6 body: need 4 data bytes, got 2"),
+        ("D?{?", 3, "trailing garbage after graph6 body"),
+        ("A_A_", 2, "trailing garbage after graph6 body"),
+        ("@?", 1, "trailing garbage after graph6 body"),
+        (">>graph6<<D?{??", 13, "trailing garbage after graph6 body"),
+    ])
+    def test_refusal_message_and_offset(self, text, offset, message):
+        with pytest.raises(GraphFormatError) as err:
+            parse_graph6(text)
+        assert err.value.offset == offset
+        assert str(err.value) == f"{message} (byte {offset})"
+
+    @pytest.mark.parametrize("name, column", [
+        ("enumerate_6.g6", False),
+        ("verify_corpus7.csv", True),
+        ("verify_sparse_pool.csv", True),
+    ])
+    def test_parse_agrees_with_networkx_on_goldens(self, name, column):
+        lines = (DATA / name).read_text().splitlines()
+        if column:
+            lines = [line.split(",", 1)[0] for line in lines[1:]]
+        assert len(lines) > 100
+        for line in lines:
+            g = parse_graph6(line)
+            reference = nx.from_graph6_bytes(line.encode())
+            assert g.n == reference.number_of_nodes(), line
+            assert set(g.edges()) == {tuple(sorted(e)) for e in reference.edges()}, line
 
     def test_large_boundary_n62(self):
         g = Graph.from_edges(62, [(0, 61)])

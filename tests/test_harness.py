@@ -282,11 +282,13 @@ def test_sparse_pool_report_matches_golden():
     # verify_sparse_pool.csv is `verify --format csv` over the graph6 lines of
     # perfbench/data/sparse_pool.json, 2,000 connected graphs with n 8-14 on
     # which bondage and its domination solves are most of the cost; CI
-    # compares it through the console script as well.
+    # compares it through the console script as well.  Its JSON report, where
+    # the same checks repeat by the thousand, must be what json.dumps writes.
     lines = (DATA / "verify_sparse_pool.csv").read_text().splitlines(keepends=True)
     assert len(lines) == 2001
-    records, _ = verify_corpus([line.split(",", 1)[0] for line in lines[1:]])
+    records, summary = verify_corpus([line.split(",", 1)[0] for line in lines[1:]])
     assert emit_report(records, "csv") == "".join(lines)
+    assert emit_report(records, "json", summary) == TestEmitReport._dumps(records, summary)
 
 
 @pytest.fixture(scope="module")
