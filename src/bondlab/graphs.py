@@ -282,8 +282,16 @@ def _pair_order(n: int) -> list[tuple[int, int]]:
     return [(i, j) for j in range(1, n) for i in range(j)]
 
 
+# Each graph6 byte as the six bits it carries, most significant first.
+_SIX_BITS = {code: format(code - 63, "06b") for code in range(63, 127)}
+
+
 def parse_graph6(text: str) -> Graph:
-    """Decode a one-line graph6 string into a :class:`Graph`."""
+    """Decode a one-line graph6 string into a :class:`Graph`.
+
+    The bytes become one bit string, and column ``j`` of the upper triangle,
+    the bits of pairs ``(0, j) .. (j - 1, j)``, is read as one integer.
+    """
     if text.endswith("\n"):
         text = text[:-1]
     base = 0
@@ -292,42 +300,41 @@ def parse_graph6(text: str) -> Graph:
         text = text[base:]
     if not text:
         raise GraphFormatError("empty graph6 string", offset=base)
-    data = []
-    for pos, ch in enumerate(text):
-        code = ord(ch)
-        if not (63 <= code <= 126):
-            raise GraphFormatError(
-                f"byte {code!r} outside graph6 alphabet", offset=base + pos
-            )
-        data.append(code - 63)
-    if data[0] == 63:
+    bits = text.translate(_SIX_BITS)
+    if len(bits) != 6 * len(text):
+        # Only a byte outside the alphabet is left as one character.
+        pos = next(pos for pos, ch in enumerate(text) if not "?" <= ch <= "~")
+        raise GraphFormatError(
+            f"byte {ord(text[pos])!r} outside graph6 alphabet", offset=base + pos
+        )
+    n = ord(text[0]) - 63
+    if n == 63:
         raise GraphFormatError(
             "long-form graph6 (n > 62) is not supported", offset=base
         )
-    n = data[0]
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
-    if len(data) - 1 < nbytes:
+    if len(text) - 1 < nbytes:
         raise GraphFormatError(
-            f"truncated graph6 body: need {nbytes} data bytes, got {len(data) - 1}",
+            f"truncated graph6 body: need {nbytes} data bytes, got {len(text) - 1}",
             offset=base + len(text),
         )
-    if len(data) - 1 > nbytes:
+    if len(text) - 1 > nbytes:
         raise GraphFormatError("trailing garbage after graph6 body", offset=base + 1 + nbytes)
-    bits = []
-    for value in data[1:]:
-        for shift in range(5, -1, -1):
-            bits.append((value >> shift) & 1)
-    for pad, bit in enumerate(bits[nbits:]):
-        if bit:
-            raise GraphFormatError(
-                "nonzero padding bits", offset=base + 1 + (nbits + pad) // 6
-            )
+    stray = bits.find("1", 6 + nbits)
+    if stray >= 0:
+        raise GraphFormatError("nonzero padding bits", offset=base + stray // 6)
     adj = [0] * n
-    for (i, j), bit in zip(_pair_order(n), bits):
-        if bit:
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
+    start = 6
+    for j in range(1, n):
+        column = int(bits[start:start + j][::-1], 2)
+        start += j
+        adj[j] = column
+        bit = 1 << j
+        while column:
+            low = column & -column
+            adj[low.bit_length() - 1] |= bit
+            column ^= low
     return Graph(n, adj)
 
 

@@ -125,10 +125,14 @@ def graph_params(g: Graph, search: ChiSearchResult | None) -> bnd.BoundParams:
     return bnd.BoundParams(degree_stats(g).max_degree, chi, girth(g), g.n, g.m, h, k)
 
 
+# Per row, the one check it yields whenever its hypothesis is unmet.
+_UNMET = {row.name: TheoremCheck(row.name, False, None, None, None) for row in CHECKS}
+
+
 def _check(row: bnd.Bound, p: bnd.BoundParams) -> TheoremCheck:
     """Evaluate one registry row; ``satisfied`` is None when it is skipped."""
     if not row.applicable(p):
-        return TheoremCheck(row.name, False, None, None, None)
+        return _UNMET[row.name]
     value = row.value(p)
     if row.target is None:
         return TheoremCheck(row.name, True, None, value, None)
@@ -300,31 +304,48 @@ _JSON_SCALARS = {
 }
 
 
-def _json_text(value, pad: str) -> str:
+def _json_text(value, pad: str, laid_out: dict) -> str:
     """``value`` as ``json.dumps(value, indent=2)`` lays it out at indent ``pad``.
 
     Records, checks and summaries are written as objects under their report
-    keys; dicts, lists and tuples as objects and arrays.
+    keys; dicts, lists and tuples as objects and arrays.  Each distinct
+    check and tuple is laid out once: ``laid_out`` keeps its text by
+    ``(value, pad)``.  Those keys compare by ``==``, under which ``1 ==
+    True``; that is safe only because each field of a check always holds
+    one type (``bound_value`` and ``slack`` an int or None,
+    ``hypothesis_met`` and ``satisfied`` a bool or None).
     """
     kind = type(value)
     if kind in _JSON_SCALARS:
         return _JSON_SCALARS[kind](value)
+    shared = kind is TheoremCheck or kind is tuple
+    if shared:
+        text = laid_out.get((value, pad))
+        if text is not None:
+            return text
     inner = pad + "  "
     if kind in _JSON_FIELDS:
         keys, values = _JSON_FIELDS[kind]
-        items = [k + _json_text(v, inner) for k, v in zip(keys, values(value))]
+        items = [k + _json_text(v, inner, laid_out) for k, v in zip(keys, values(value))]
         opening, closing = "{", "}"
     elif kind is dict:
-        items = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in value.items()]
+        items = [
+            f"{encode_basestring_ascii(k)}: {_json_text(v, inner, laid_out)}"
+            for k, v in value.items()
+        ]
         opening, closing = "{", "}"
     elif kind in (list, tuple):
-        items = [_json_text(v, inner) for v in value]
+        items = [_json_text(v, inner, laid_out) for v in value]
         opening, closing = "[", "]"
     else:
         raise TypeError(f"a report holds no {kind.__name__} values")
     if not items:
-        return opening + closing
-    return f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{closing}"
+        text = opening + closing
+    else:
+        text = f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{closing}"
+    if shared:
+        laid_out[value, pad] = text
+    return text
 
 
 def emit_report(
@@ -332,7 +353,12 @@ def emit_report(
     fmt: str,
     summary: CorpusSummary | None = None,
 ) -> str:
-    """Render records as csv, json, or text with a fixed field order."""
+    """Render records as csv, json, or text with a fixed field order.
+
+    The JSON report lays out each distinct check, and each distinct tuple of
+    checks, once per call: a corpus repeats a few dozen of them thousands
+    of times.
+    """
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -354,7 +380,8 @@ def emit_report(
     if fmt == "json":
         if summary is None:
             summary = _summarize(records)
-        return _json_text({"records": list(records), "summary": summary}, "") + "\n"
+        payload = {"records": list(records), "summary": summary}
+        return _json_text(payload, "", {}) + "\n"
     if fmt == "text":
         lines = []
         header = (
