@@ -1,13 +1,11 @@
 """bondlab: exact bondage numbers, surface embeddings, and bound verification."""
 
 from .bondage import BondageResult, BPrimeResult, bondage_number, compute_b_prime, hartnell_rall_bound
-from .domination import DominationResult, domination_number, is_dominating
+from .domination import DominationResult, domination_number
 from .embedding import (
     ChiSearchResult,
-    CurvatureLedger,
     EmbeddingSummary,
     RotationSystem,
-    curvature,
     max_euler_characteristic,
     ringel_chi,
     trace_faces,
@@ -16,8 +14,6 @@ from .graphs import (
     DegreeStats,
     Graph,
     GraphFormatError,
-    common_neighbors,
-    components,
     degree_stats,
     emit_graph6,
     enumerate_connected_graphs,
@@ -39,11 +35,8 @@ __all__ = [
     "enumerate_connected_graphs",
     "girth",
     "degree_stats",
-    "common_neighbors",
-    "components",
     "DominationResult",
     "domination_number",
-    "is_dominating",
     "BondageResult",
     "BPrimeResult",
     "bondage_number",
@@ -51,10 +44,8 @@ __all__ = [
     "hartnell_rall_bound",
     "RotationSystem",
     "EmbeddingSummary",
-    "CurvatureLedger",
     "ChiSearchResult",
     "trace_faces",
-    "curvature",
     "max_euler_characteristic",
     "ringel_chi",
     "VerificationRecord",

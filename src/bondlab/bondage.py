@@ -44,7 +44,6 @@ from .graphs import Graph, components_with_vertices, degree_stats
 __all__ = [
     "BondageResult",
     "BPrimeResult",
-    "HartnellRallBound",
     "bondage_number",
     "compute_b_prime",
     "hartnell_rall_bound",
@@ -68,28 +67,16 @@ class BPrimeResult:
     ad_term: int
 
 
-@dataclass(frozen=True)
-class HartnellRallBound:
-    edge_bound: int
-    degree_bound: int
+def hartnell_rall_bound(g: Graph) -> int:
+    """Hartnell and Rall's edge bound, min over edges uv of |N(u) | N(v)| - 1.
 
-
-def hartnell_rall_bound(g: Graph) -> HartnellRallBound:
-    """Minimum over edges uv of |N(u) | N(v)| - 1, plus the degree form.
-
-    The union form equals Hartnell and Rall's d(u) + d(v) - 1 - |N(u) & N(v)|:
-    d(u) + d(v) counts each common neighbour twice.  It takes one popcount
-    an edge.
+    The union form equals their d(u) + d(v) - 1 - |N(u) & N(v)|: d(u) + d(v)
+    counts each common neighbour twice.  It takes one popcount an edge.
     """
     if g.m == 0:
         raise ValueError("bound needs at least one edge")
     adj = g.adjacency
-    best = min((adj[u] | adj[v]).bit_count() for u, v in g.edges()) - 1
-    stats = degree_stats(g)
-    return HartnellRallBound(
-        edge_bound=best,
-        degree_bound=stats.max_degree + stats.min_degree - 1,
-    )
+    return min((adj[u] | adj[v]).bit_count() for u, v in g.edges()) - 1
 
 
 def compute_b_prime(g: Graph) -> BPrimeResult:
@@ -102,11 +89,11 @@ def compute_b_prime(g: Graph) -> BPrimeResult:
         raise ValueError("proxy needs at least one edge")
     if not g.is_connected():
         raise ValueError("proxy is defined for connected graphs; decompose first")
-    hr = hartnell_rall_bound(g)
+    edge_term = hartnell_rall_bound(g)
     ad_term = 2 * ((2 * g.m) // g.n) - 1
     return BPrimeResult(
-        b_prime=min(hr.edge_bound, ad_term),
-        edge_term=hr.edge_bound,
+        b_prime=min(edge_term, ad_term),
+        edge_term=edge_term,
         ad_term=ad_term,
     )
 

@@ -6,10 +6,9 @@ integers a > 0 and r >= 0, as the single expression (c + isqrt(r)) // a.
 That identity holds because for an integer q, a*q - c <= sqrt(r) exactly
 when a*q - c <= isqrt(r).  Rational thresholds are compared with cleared
 denominators.  No float decides a bound, a threshold or a check, and a
-report holds no float: floating point appears only in four cross-check
+report holds no float: floating point appears only in three cross-check
 functions that the tests hold the exact values against
-(``largest_root_bisect``, ``closed_form_root`` and
-``order_lower_bound``/``size_lower_bound``).
+(``largest_root_bisect``, ``order_lower_bound`` and ``size_lower_bound``).
 
 :data:`REGISTRY` describes each bound once: its name, formula, hypothesis
 and value.  The report here and the checks of the verification harness are
@@ -18,10 +17,8 @@ both loops over it.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 __all__ = [
@@ -30,7 +27,6 @@ __all__ = [
     "baseline_bound_cubic",
     "floor_largest_root",
     "largest_root_bisect",
-    "closed_form_root",
     "cubic_term",
     "cubic_term_baseline",
     "bound_cubic",
@@ -46,11 +42,6 @@ __all__ = [
     "size_lower_bound",
     "order_term",
     "size_term",
-    "size_threshold",
-    "order_threshold_exceeded",
-    "sign_family_chi",
-    "sign_family_order",
-    "sign_family_size",
     "comparison_table",
     "BoundEntry",
     "BoundReport",
@@ -59,28 +50,7 @@ __all__ = [
     "Bound",
     "REGISTRY",
     "REPORTED",
-    "ORDER_RATIO_BOUNDS",
-    "SIZE_RATIO_BOUNDS",
 ]
-
-# Ratio-threshold constants: the additive term guaranteed once
-# n >= ratio * (-chi), respectively m > ratio * (-chi).  Exact rationals.
-ORDER_RATIO_BOUNDS: tuple[tuple[Fraction, int], ...] = (
-    (Fraction(1), 9),
-    (Fraction(2), 6),
-    (Fraction(3), 5),
-    (Fraction(4), 4),
-    (Fraction(8), 3),
-)
-SIZE_RATIO_BOUNDS: tuple[tuple[Fraction, int], ...] = (
-    (Fraction(6), 8),
-    (Fraction(33, 5), 7),
-    (Fraction(15, 2), 6),
-    (Fraction(9), 5),
-    (Fraction(12), 4),
-    (Fraction(21), 3),
-)
-
 
 def _require_chi_nonpositive(chi: int) -> None:
     if chi > 0:
@@ -144,6 +114,7 @@ def floor_largest_root(cubic: CubicSpec) -> int:
     return lo
 
 
+# Stays in the library because perfbench/run.py:BOUNDS_TRACED names it.
 def largest_root_bisect(cubic: CubicSpec, tol: float = 1e-12) -> float:
     """Bisection value of the nonnegative root, bracketed by sign change."""
     lo = 0.0
@@ -159,22 +130,6 @@ def largest_root_bisect(cubic: CubicSpec, tol: float = 1e-12) -> float:
         else:
             hi = mid
     return lo
-
-
-def closed_form_root(chi: int) -> float:
-    """Radical formula for the sharper cubic's root, cross-check only.
-
-    Evaluated over the complex numbers with principal branches; the
-    imaginary residue must stay below 1e-9.  Bisection remains the source
-    of truth because cube-root branch choices are delicate.
-    """
-    _require_chi_nonpositive(chi)
-    rad = 9 * chi**3 + 69 * chi**2 - 125 * chi
-    d = (9 * cmath.sqrt(complex(rad)) - 108 * chi + 125) ** (1 / 3)
-    value = (d + (25 - 9 * chi) / d - 1) / 3
-    if abs(value.imag) > 1e-9:
-        raise ArithmeticError(f"imaginary residue {value.imag} too large at chi={chi}")
-    return value.real
 
 
 def cubic_term(chi: int) -> int:
@@ -244,17 +199,13 @@ def bound_order(delta: int, chi: int, n: int) -> int:
     return delta + order_term(chi, n)
 
 
-def size_threshold(chi: int, m: int) -> Fraction:
-    """Exact c = 3 - 18*chi / (m + 3*chi); requires m > -3*chi >= 0."""
-    _require_chi_nonpositive(chi)
-    if m + 3 * chi <= 0:
-        raise ValueError(f"size bound needs m > {-3 * chi}, got m={m}")
-    return Fraction(3) + Fraction(-18 * chi, m + 3 * chi)
-
-
 def size_term(chi: int, m: int) -> int:
-    c = size_threshold(chi, m)
-    return c.numerator // c.denominator
+    """floor(3 - 18*chi / (m + 3*chi)), one floor over d = m + 3*chi > 0."""
+    _require_chi_nonpositive(chi)
+    d = m + 3 * chi
+    if d <= 0:
+        raise ValueError(f"size bound needs m > {-3 * chi}, got m={m}")
+    return (3 * d - 18 * chi) // d
 
 
 def bound_size(delta: int, chi: int, m: int) -> int:
@@ -277,6 +228,7 @@ def bound_genus(delta: int, h: int | None = None, k: int | None = None) -> int:
     return min(terms)
 
 
+# Stays in the library because perfbench/run.py:BOUNDS_TRACED names it.
 def order_lower_bound(chi: int) -> float:
     """(3 + sqrt(17 - 8*chi)) / 2, a floor on the order of nontrivial graphs.
 
@@ -286,6 +238,7 @@ def order_lower_bound(chi: int) -> float:
     return (3 + math.sqrt(17 - 8 * chi)) / 2
 
 
+# Stays in the library because perfbench/run.py:BOUNDS_TRACED names it.
 def size_lower_bound(chi: int) -> float:
     """5/2 - chi + sqrt(17 - 8*chi)/2, a floor on the size.
 
@@ -293,40 +246,6 @@ def size_lower_bound(chi: int) -> float:
     ``m >= size_lower_bound(chi)`` exactly.
     """
     return 2.5 - chi + math.sqrt(17 - 8 * chi) / 2
-
-
-# ---------------------------------------------------------------------------
-# Sign families: each triple (A, B, C) is simultaneously positive exactly
-# beyond a single threshold, which is what the bound proofs hinge on.
-# ---------------------------------------------------------------------------
-
-
-def sign_family_chi(chi: int, z) -> tuple[bool, bool, bool]:
-    a = z * z - 2 * z + 2 * chi - 3
-    b = 20 * z**3 + 4 * z * z + 3 * (16 * chi - 41) * z + 96 * chi - 126
-    c = z**3 + z * z + (3 * chi - 8) * z + 9 * chi - 12
-    return (a > 0, b > 0, c > 0)
-
-
-def sign_family_order(n: int, chi: int, z) -> tuple[bool, bool, bool]:
-    a = n * z - 3 * n + 4 * chi
-    b = 10 * n * z * z - (13 * n - 48 * chi) * z - 42 * n + 96 * chi
-    c = n * z * z - (n - 6 * chi) * z - 6 * n + 18 * chi
-    return (a > 0, b > 0, c > 0)
-
-
-def sign_family_size(m: int, chi: int, z) -> tuple[bool, bool, bool]:
-    a = (m + 2 * chi) * z - 3 * m + 2 * chi
-    b = (5 * m + 12 * chi) * z - 14 * m + 24 * chi
-    c = (m + 3 * chi) * z - 3 * m + 9 * chi
-    return (a > 0, b > 0, c > 0)
-
-
-def order_threshold_exceeded(n: int, chi: int, z: Fraction) -> bool:
-    """Exact test of z > c for the order family, cleared denominators."""
-    _require_chi_nonpositive(chi)
-    w = 2 * n * z - n + 6 * chi
-    return w > 0 and w * w > 25 * n * n - 84 * n * chi + 36 * chi * chi
 
 
 # ---------------------------------------------------------------------------

@@ -24,11 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .graphs import Graph
 
-__all__ = ["DominationResult", "domination_number", "is_dominating", "minimum_dominating_sets"]
+__all__ = ["DominationResult", "domination_number", "minimum_dominating_sets"]
 
 # The search is exponential; the guard keeps accidental large inputs from hanging.
 VERTEX_LIMIT = 40
@@ -38,16 +38,6 @@ VERTEX_LIMIT = 40
 class DominationResult:
     gamma: int
     witness: tuple[int, ...]
-
-
-def is_dominating(g: Graph, vertices: Iterable[int]) -> bool:
-    """True iff the closed neighbourhoods of ``vertices`` cover the graph."""
-    covered = 0
-    for v in vertices:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range 0..{g.n - 1}")
-        covered |= g.closed_mask(v)
-    return covered == (1 << g.n) - 1
 
 
 def instance_size_error(n: int) -> str | None:

@@ -36,12 +36,10 @@ from .planarity import planar_rotations
 __all__ = [
     "RotationSystem",
     "EmbeddingSummary",
-    "CurvatureLedger",
     "SideResult",
     "ChiSearchResult",
     "DEFAULT_BUDGET",
     "trace_faces",
-    "curvature",
     "max_euler_characteristic",
     "ringel_chi",
 ]
@@ -74,26 +72,12 @@ class RotationSystem:
     def sign(self, u: int, v: int) -> int:
         return -1 if (min(u, v), max(u, v)) in self.negative_edges else 1
 
-    @classmethod
-    def identity(cls, g: Graph) -> "RotationSystem":
-        """Sorted-neighbour rotations with all edges positive."""
-        return cls(tuple(tuple(g.neighbors(v)) for v in range(g.n)))
-
     def to_json_dict(self) -> dict:
         edges = sorted({tuple(sorted(e)) for e in self.negative_edges})
         return {
             "rotations": [list(rot) for rot in self.rotations],
             "negative_edges": [list(e) for e in edges],
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "RotationSystem":
-        return cls(
-            rotations=tuple(tuple(rot) for rot in data["rotations"]),
-            negative_edges=frozenset(
-                (min(u, v), max(u, v)) for u, v in data.get("negative_edges", [])
-            ),
-        )
 
 
 @dataclass(frozen=True)
@@ -105,12 +89,6 @@ class EmbeddingSummary:
     edge_face_lengths: dict[tuple[int, int], tuple[int, int]]
     chi: int
     orientable: bool
-
-
-@dataclass(frozen=True)
-class CurvatureLedger:
-    weights: dict[tuple[int, int], float]
-    total: float
 
 
 def _dart_tables(g: Graph):
@@ -228,27 +206,6 @@ def trace_faces(g: Graph, rs: RotationSystem) -> EmbeddingSummary:
         chi=g.n - g.m + len(walks),
         orientable=_is_balanced(g, rs),
     )
-
-
-def curvature(g: Graph, summary: EmbeddingSummary) -> CurvatureLedger:
-    """Per-edge discharging weights of a traced embedding; they sum to zero.
-
-    w(uv) = 1/d(u) + 1/d(v) - 1 + 1/f(uv) + 1/f'(uv) - chi/m, where f and f'
-    are the boundary lengths of the faces on either side of the edge.
-    """
-    if g.m < 1:
-        raise ValueError("curvature needs at least one edge")
-    weights = {}
-    for (u, v), (f1, f2) in summary.edge_face_lengths.items():
-        weights[(u, v)] = (
-            1 / g.degree(u)
-            + 1 / g.degree(v)
-            - 1
-            + 1 / f1
-            + 1 / f2
-            - summary.chi / g.m
-        )
-    return CurvatureLedger(weights=weights, total=sum(weights.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -25,8 +24,6 @@ __all__ = [
     "canonical_code",
     "girth",
     "degree_stats",
-    "common_neighbors",
-    "components",
     "components_with_vertices",
 ]
 
@@ -101,9 +98,6 @@ class Graph:
             yield low.bit_length() - 1
             mask ^= low
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adjacency[u] & (1 << v))
-
     def edges(self) -> list[tuple[int, int]]:
         """All edges as sorted ``(u, v)`` pairs with ``u < v``, lexicographic."""
         out = []
@@ -127,14 +121,6 @@ class Graph:
                 raise ValueError(f"edge {u}-{v} not present")
             adj[u] &= ~(1 << v)
             adj[v] &= ~(1 << u)
-        return Graph(self.n, adj)
-
-    def add_edge(self, u: int, v: int) -> "Graph":
-        if u == v or self.has_edge(u, v):
-            raise ValueError(f"cannot add edge {u}-{v}")
-        adj = list(self.adjacency)
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
         return Graph(self.n, adj)
 
     def is_connected(self) -> bool:
@@ -171,31 +157,17 @@ def _closure(adjacency: Sequence[int], seed: int) -> int:
 
 @dataclass(frozen=True)
 class DegreeStats:
-    """Extremal and average degrees; the average is kept exact as 2m/n."""
+    """The largest and smallest vertex degrees."""
 
     max_degree: int
     min_degree: int
-    average_degree: Fraction
 
 
 def degree_stats(g: Graph) -> DegreeStats:
     if g.n < 1:
         raise ValueError("degree stats need at least one vertex")
     degrees = [g.degree(v) for v in range(g.n)]
-    return DegreeStats(
-        max_degree=max(degrees),
-        min_degree=min(degrees),
-        average_degree=Fraction(2 * g.m, g.n),
-    )
-
-
-def common_neighbors(g: Graph, u: int, v: int) -> int:
-    """Number of shared neighbours of the endpoints of edge ``uv``."""
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise ValueError(f"vertex out of range: {u}, {v}")
-    if not g.has_edge(u, v):
-        raise ValueError(f"{u}-{v} is not an edge")
-    return (g.adjacency[u] & g.adjacency[v]).bit_count()
+    return DegreeStats(max_degree=max(degrees), min_degree=min(degrees))
 
 
 def girth(g: Graph) -> float:
@@ -266,10 +238,6 @@ def components_with_vertices(g: Graph) -> list[tuple[Graph, tuple[int, ...]]]:
         )
         out.append((sub, tuple(verts)))
     return out
-
-
-def components(g: Graph) -> list[Graph]:
-    return [sub for sub, _ in components_with_vertices(g)]
 
 
 # ---------------------------------------------------------------------------

@@ -155,7 +155,7 @@ def verify_graph(g: Graph, budget: int = DEFAULT_BUDGET) -> VerificationRecord:
     p = replace(
         graph_params(g, search),
         connected=connected,
-        edge_bound=proxy.edge_term if connected else hartnell_rall_bound(g).edge_bound,
+        edge_bound=proxy.edge_term if connected else hartnell_rall_bound(g),
         b=b,
         b_prime=b_prime,
     )

@@ -9,18 +9,26 @@ by permutation search, graph6 and planarity via networkx, chi sweeps that
 trace every scheme of a quotiented scheme space in full, cubic and radical
 floors by a scan of their defining predicate.  Agreement between
 two independent implementations is the point.
+
+The float and ``Fraction`` cross-checks of the bound formulas (the radical
+root, the sign families, the size threshold, the curvature ledger) and the
+graph helpers that no command needs live here too, so the library itself
+computes in exact integers and carries only what its commands run.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
+from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations, permutations
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from bondlab.bounds import _require_chi_nonpositive
 from bondlab.domination import domination_number
-from bondlab.embedding import RotationSystem
+from bondlab.embedding import EmbeddingSummary, RotationSystem
 from bondlab.graphs import Graph
 
 
@@ -68,8 +76,47 @@ def random_rotation_system(rng: random.Random, g: Graph, signed: bool = False) -
 
 
 # ---------------------------------------------------------------------------
+# Graph and rotation-system helpers that only the tests need
+# ---------------------------------------------------------------------------
+
+
+def common_neighbors(g: Graph, u: int, v: int) -> int:
+    """Number of shared neighbours of the endpoints of edge ``uv``."""
+    if not (0 <= u < g.n and 0 <= v < g.n):
+        raise ValueError(f"vertex out of range: {u}, {v}")
+    if not g.adjacency[u] >> v & 1:
+        raise ValueError(f"{u}-{v} is not an edge")
+    return (g.adjacency[u] & g.adjacency[v]).bit_count()
+
+
+def identity_rotation(g: Graph) -> RotationSystem:
+    """Sorted-neighbour rotations with all edges positive."""
+    return RotationSystem(tuple(tuple(g.neighbors(v)) for v in range(g.n)))
+
+
+def rotation_system_from_json(data: dict) -> RotationSystem:
+    """The inverse of ``RotationSystem.to_json_dict``."""
+    return RotationSystem(
+        rotations=tuple(tuple(rot) for rot in data["rotations"]),
+        negative_edges=frozenset(
+            (min(u, v), max(u, v)) for u, v in data.get("negative_edges", [])
+        ),
+    )
+
+
+# ---------------------------------------------------------------------------
 # Independent oracles
 # ---------------------------------------------------------------------------
+
+
+def is_dominating(g: Graph, vertices: Iterable[int]) -> bool:
+    """True iff the closed neighbourhoods of ``vertices`` cover the graph."""
+    covered = 0
+    for v in vertices:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} out of range 0..{g.n - 1}")
+        covered |= g.closed_mask(v)
+    return covered == (1 << g.n) - 1
 
 
 def brute_domination_number(g: Graph) -> int:
@@ -844,3 +891,105 @@ def reference_order_term(chi: int, n: int) -> int:
 
     est = int(0.5 - 3 * chi / n + math.sqrt(25 / 4 - 21 * chi / n + 9 * chi * chi / (n * n)))
     return reference_floor_by_predicate(pred, est)
+
+
+def size_threshold(chi: int, m: int) -> Fraction:
+    """Exact c = 3 - 18*chi / (m + 3*chi); requires m > -3*chi >= 0."""
+    _require_chi_nonpositive(chi)
+    if m + 3 * chi <= 0:
+        raise ValueError(f"size bound needs m > {-3 * chi}, got m={m}")
+    return Fraction(3) + Fraction(-18 * chi, m + 3 * chi)
+
+
+# Ratio-threshold constants: the additive term guaranteed once
+# n >= ratio * (-chi), respectively m > ratio * (-chi).  Exact rationals.
+ORDER_RATIO_BOUNDS: tuple[tuple[Fraction, int], ...] = (
+    (Fraction(1), 9),
+    (Fraction(2), 6),
+    (Fraction(3), 5),
+    (Fraction(4), 4),
+    (Fraction(8), 3),
+)
+SIZE_RATIO_BOUNDS: tuple[tuple[Fraction, int], ...] = (
+    (Fraction(6), 8),
+    (Fraction(33, 5), 7),
+    (Fraction(15, 2), 6),
+    (Fraction(9), 5),
+    (Fraction(12), 4),
+    (Fraction(21), 3),
+)
+
+
+def closed_form_root(chi: int) -> float:
+    """Radical formula for the sharper cubic's root.
+
+    Evaluated over the complex numbers with principal branches; the
+    imaginary residue must stay below 1e-9.  Cube-root branch choices are
+    delicate, so this only cross-checks the bisected root.
+    """
+    _require_chi_nonpositive(chi)
+    rad = 9 * chi**3 + 69 * chi**2 - 125 * chi
+    d = (9 * cmath.sqrt(complex(rad)) - 108 * chi + 125) ** (1 / 3)
+    value = (d + (25 - 9 * chi) / d - 1) / 3
+    if abs(value.imag) > 1e-9:
+        raise ArithmeticError(f"imaginary residue {value.imag} too large at chi={chi}")
+    return value.real
+
+
+# Sign families: each triple (A, B, C) is simultaneously positive exactly
+# beyond a single threshold, which is what the bound proofs hinge on.
+
+
+def sign_family_chi(chi: int, z) -> tuple[bool, bool, bool]:
+    a = z * z - 2 * z + 2 * chi - 3
+    b = 20 * z**3 + 4 * z * z + 3 * (16 * chi - 41) * z + 96 * chi - 126
+    c = z**3 + z * z + (3 * chi - 8) * z + 9 * chi - 12
+    return (a > 0, b > 0, c > 0)
+
+
+def sign_family_order(n: int, chi: int, z) -> tuple[bool, bool, bool]:
+    a = n * z - 3 * n + 4 * chi
+    b = 10 * n * z * z - (13 * n - 48 * chi) * z - 42 * n + 96 * chi
+    c = n * z * z - (n - 6 * chi) * z - 6 * n + 18 * chi
+    return (a > 0, b > 0, c > 0)
+
+
+def sign_family_size(m: int, chi: int, z) -> tuple[bool, bool, bool]:
+    a = (m + 2 * chi) * z - 3 * m + 2 * chi
+    b = (5 * m + 12 * chi) * z - 14 * m + 24 * chi
+    c = (m + 3 * chi) * z - 3 * m + 9 * chi
+    return (a > 0, b > 0, c > 0)
+
+
+def order_threshold_exceeded(n: int, chi: int, z: Fraction) -> bool:
+    """Exact test of z > c for the order family, cleared denominators."""
+    _require_chi_nonpositive(chi)
+    w = 2 * n * z - n + 6 * chi
+    return w > 0 and w * w > 25 * n * n - 84 * n * chi + 36 * chi * chi
+
+
+@dataclass(frozen=True)
+class CurvatureLedger:
+    weights: dict[tuple[int, int], float]
+    total: float
+
+
+def curvature(g: Graph, summary: EmbeddingSummary) -> CurvatureLedger:
+    """Per-edge discharging weights of a traced embedding; they sum to zero.
+
+    w(uv) = 1/d(u) + 1/d(v) - 1 + 1/f(uv) + 1/f'(uv) - chi/m, where f and f'
+    are the boundary lengths of the faces on either side of the edge.
+    """
+    if g.m < 1:
+        raise ValueError("curvature needs at least one edge")
+    weights = {}
+    for (u, v), (f1, f2) in summary.edge_face_lengths.items():
+        weights[(u, v)] = (
+            1 / g.degree(u)
+            + 1 / g.degree(v)
+            - 1
+            + 1 / f1
+            + 1 / f2
+            - summary.chi / g.m
+        )
+    return CurvatureLedger(weights=weights, total=sum(weights.values()))

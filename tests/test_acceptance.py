@@ -20,15 +20,24 @@ from bondlab.embedding import (
     ringel_chi,
     trace_faces,
 )
-from bondlab.graphs import (
-    common_neighbors,
-    degree_stats,
-    enumerate_connected_graphs,
-    make_family,
-)
+from bondlab.graphs import degree_stats, enumerate_connected_graphs, make_family
 from bondlab.harness import verify_graph
 
-from conftest import SchemeSpace, random_connected_graph, random_rotation_system, reference_sweep
+from conftest import (
+    ORDER_RATIO_BOUNDS,
+    SIZE_RATIO_BOUNDS,
+    SchemeSpace,
+    closed_form_root,
+    common_neighbors,
+    order_threshold_exceeded,
+    random_connected_graph,
+    random_rotation_system,
+    reference_sweep,
+    sign_family_chi,
+    sign_family_order,
+    sign_family_size,
+    size_threshold,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -67,13 +76,13 @@ def test_criterion_1_table_reproduction(capsys):
 def test_criterion_2_ratio_thresholds():
     order_ok = True
     for chi in (-10, -60):
-        for ratio, constant in bnd.ORDER_RATIO_BOUNDS:
+        for ratio, constant in ORDER_RATIO_BOUNDS:
             boundary = int(ratio * -chi)
             order_ok &= bnd.order_term(chi, boundary) == constant
             order_ok &= bnd.order_term(chi, boundary + 1) <= constant
     size_ok = True
     for chi in (-10, -60):
-        for ratio, constant in bnd.SIZE_RATIO_BOUNDS:
+        for ratio, constant in SIZE_RATIO_BOUNDS:
             first = math.floor(ratio * -chi) + 1  # smallest m strictly above
             size_ok &= bnd.size_term(chi, first) == constant
             size_ok &= bnd.size_term(chi, first + 1) <= constant
@@ -215,7 +224,7 @@ def test_criterion_6_root_solver_correctness():
         exact = bnd.floor_largest_root(cubic)
         root = bnd.largest_root_bisect(cubic)
         ok &= exact == math.floor(root)
-        ok &= abs(bnd.closed_form_root(chi) - root) < 1e-6
+        ok &= abs(closed_form_root(chi) - root) < 1e-6
         ok &= root >= 3 - 1e-12
         if previous_root is not None:
             ok &= root > previous_root  # strictly decreasing in chi
@@ -258,19 +267,19 @@ def test_criterion_7_property_suites():
         z = Fraction(i, 100)
         if abs(float(z) - threshold) < 1e-9:
             continue
-        signs_ok &= all(bnd.sign_family_chi(-5, z)) == (float(z) > threshold)
+        signs_ok &= all(sign_family_chi(-5, z)) == (float(z) > threshold)
     for n in (1, 5, 12):
         for chi in (0, -4, -30):
             for i in range(0, 400):
                 z = Fraction(i, 10)
-                signs_ok &= all(bnd.sign_family_order(n, chi, z)) == bnd.order_threshold_exceeded(n, chi, z)
+                signs_ok &= all(sign_family_order(n, chi, z)) == order_threshold_exceeded(n, chi, z)
     for chi in (0, -3, -12):
         for m in (-3 * chi + 2, -3 * chi + 25):
-            thr = bnd.size_threshold(chi, m)
+            thr = size_threshold(chi, m)
             for i in range(0, 400):
                 z = Fraction(i, 10)
                 if z != thr:
-                    signs_ok &= all(bnd.sign_family_size(m, chi, z)) == (z > thr)
+                    signs_ok &= all(sign_family_size(m, chi, z)) == (z > thr)
 
     girth_ok = all(
         bnd.bound_girth(0, chi, g + 1) <= bnd.bound_girth(0, chi, g)

@@ -8,11 +8,19 @@ from hypothesis import strategies as st
 from bondlab import bounds as bnd
 
 from conftest import (
+    ORDER_RATIO_BOUNDS,
+    SIZE_RATIO_BOUNDS,
+    closed_form_root,
+    order_threshold_exceeded,
     reference_bound_girth,
     reference_bound_girth_baseline,
     reference_ceil_sqrt_minus_half,
     reference_floor_largest_root,
     reference_order_term,
+    sign_family_chi,
+    sign_family_order,
+    sign_family_size,
+    size_threshold,
 )
 
 # The 22 cubic-term pairs for chi = 0, -1, ..., -21 (baseline, improved).
@@ -66,7 +74,7 @@ class TestCubicTerms:
 
     def test_closed_form_agrees_with_bisection(self):
         for chi in range(-200, 1):
-            assert bnd.closed_form_root(chi) == pytest.approx(
+            assert closed_form_root(chi) == pytest.approx(
                 bnd.largest_root_bisect(bnd.improved_bound_cubic(chi)), abs=1e-6
             )
 
@@ -157,7 +165,7 @@ class TestClosedFormBounds:
 
     def test_order_ratio_constants_at_boundary_and_inside(self):
         chi = -60
-        for ratio, constant in bnd.ORDER_RATIO_BOUNDS:
+        for ratio, constant in ORDER_RATIO_BOUNDS:
             boundary = int(ratio * -chi)
             assert bnd.order_term(chi, boundary) == constant
             assert bnd.order_term(chi, boundary + 1) <= constant
@@ -169,7 +177,7 @@ class TestClosedFormBounds:
 
     def test_size_ratio_constants_at_boundary_and_inside(self):
         chi = -60
-        for ratio, constant in bnd.SIZE_RATIO_BOUNDS:
+        for ratio, constant in SIZE_RATIO_BOUNDS:
             first_valid = int(ratio * -chi) + 1
             assert bnd.size_term(chi, first_valid) == constant
             assert bnd.size_term(chi, first_valid + 1) <= constant
@@ -211,6 +219,17 @@ class TestIsqrtForms:
         for chi in self.CHIS:
             for n in self.ORDERS:
                 assert bnd.order_term(chi, n) == reference_order_term(chi, n), (chi, n)
+
+    def test_size_term_matches_fraction_threshold(self):
+        for chi in self.CHIS:
+            for m in (-3 * chi + 1, -3 * chi + 2, -5 * chi + 1, -7 * chi + 3, -30 * chi + 7,
+                      -3 * chi + 10**6):
+                c = size_threshold(chi, m)
+                assert bnd.size_term(chi, m) == c.numerator // c.denominator, (chi, m)
+            with pytest.raises(ValueError):
+                bnd.size_term(chi, -3 * chi)
+        with pytest.raises(ValueError):
+            bnd.size_term(1, 10)
 
     def test_sqrt_baseline_matches_scan(self):
         for chi in self.CHIS:
@@ -298,8 +317,8 @@ class TestRegistry:
 
 class TestSignFamilies:
     def test_chi_family_examples(self):
-        assert bnd.sign_family_chi(0, 3.5) == (True, True, True)
-        a, b, c = bnd.sign_family_chi(0, 3)
+        assert sign_family_chi(0, 3.5) == (True, True, True)
+        a, b, c = sign_family_chi(0, 3)
         assert not c  # z = 3 is exactly the root
 
     def test_chi_family_equivalence_on_grid(self):
@@ -309,15 +328,15 @@ class TestSignFamilies:
                 z = Fraction(i, 100)
                 if abs(float(z) - threshold) < 1e-9:
                     continue
-                assert all(bnd.sign_family_chi(chi, z)) == (float(z) > threshold), (chi, z)
+                assert all(sign_family_chi(chi, z)) == (float(z) > threshold), (chi, z)
 
     def test_order_family_equivalence_exact(self):
         for n in (1, 4, 9):
             for chi in (0, -3, -11):
                 for i in range(0, 400):
                     z = Fraction(i, 10)
-                    expected = bnd.order_threshold_exceeded(n, chi, z)
-                    assert all(bnd.sign_family_order(n, chi, z)) == expected, (n, chi, z)
+                    expected = order_threshold_exceeded(n, chi, z)
+                    assert all(sign_family_order(n, chi, z)) == expected, (n, chi, z)
 
     def test_size_family_equivalence_exact(self):
         for chi in (0, -2, -7):
@@ -329,7 +348,7 @@ class TestSignFamilies:
                     z = Fraction(i, 10)
                     if z == threshold:
                         continue
-                    assert all(bnd.sign_family_size(m, chi, z)) == (z > threshold), (chi, m, z)
+                    assert all(sign_family_size(m, chi, z)) == (z > threshold), (chi, m, z)
 
 
 class TestComparisonTable:

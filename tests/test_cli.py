@@ -11,7 +11,7 @@ import pytest
 from bondlab import cli
 from bondlab.graphs import enumerate_connected_graphs, make_family, emit_graph6
 
-from conftest import complete_tripartite, subdivided_with_pendants
+from conftest import complete_tripartite, rotation_system_from_json, subdivided_with_pendants
 
 DATA = Path(__file__).parent / "data"
 
@@ -100,10 +100,10 @@ class TestChi:
         assert code == 0
         assert data["chi"] == 1 and data["certified"]
         assert data["orientable"]["chi"] == 0
-        from bondlab.embedding import RotationSystem, trace_faces
+        from bondlab.embedding import trace_faces
         from bondlab.graphs import parse_graph6
 
-        rs = RotationSystem.from_json_dict(data["witness"])
+        rs = rotation_system_from_json(data["witness"])
         assert trace_faces(parse_graph6(g6), rs).chi == 1
 
     def test_strict_budget_exit_three(self, capsys):
@@ -383,6 +383,8 @@ class TestEnumerateAndFamilies:
             "assert cli.main(['enumerate', '--max-n', '6']) == 0\n"
             f"assert cli.main(['verify', {str(corpus)!r}, '--threads', '1']) == 0\n"
             "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+            "assert 'fractions' not in sys.modules, 'fractions was imported'\n"
+            "assert 'cmath' not in sys.modules, 'cmath was imported'\n"
         )
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)

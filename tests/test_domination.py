@@ -10,15 +10,15 @@ from bondlab.domination import (
     _packing_bound,
     _search_order,
     domination_number,
-    is_dominating,
     minimum_dominating_sets,
 )
-from bondlab.graphs import Graph, components, enumerate_connected_graphs, make_family
+from bondlab.graphs import Graph, components_with_vertices, enumerate_connected_graphs, make_family
 
 from conftest import (
     brute_domination_number,
     brute_minimum_dominating_sets,
     corona_path,
+    is_dominating,
     random_graph,
     reference_dominating_sets,
 )
@@ -116,7 +116,7 @@ class TestDominationNumber:
     @settings(max_examples=75, deadline=None)
     def test_additive_over_components(self, n, rng):
         g = random_graph(rng, n, p=0.25)
-        total = sum(domination_number(c).gamma for c in components(g))
+        total = sum(domination_number(c).gamma for c, _ in components_with_vertices(g))
         assert domination_number(g).gamma == total
 
 

@@ -10,9 +10,17 @@ from fractions import Fraction
 
 from bondlab import bounds as bnd
 from bondlab.bondage import compute_b_prime
-from bondlab.graphs import common_neighbors, degree_stats
+from bondlab.graphs import degree_stats
 
-from conftest import random_connected_graph
+from conftest import (
+    common_neighbors,
+    order_threshold_exceeded,
+    random_connected_graph,
+    sign_family_chi,
+    sign_family_order,
+    sign_family_size,
+    size_threshold,
+)
 
 
 class TestEdgeChain:
@@ -44,26 +52,26 @@ class TestSignEquivalences:
             z = Fraction(i, 100)
             if abs(float(z) - threshold) < 1e-9:
                 continue
-            assert all(bnd.sign_family_chi(chi, z)) == (float(z) > threshold), z
+            assert all(sign_family_chi(chi, z)) == (float(z) > threshold), z
 
     def test_order_family_matches_exact_threshold(self):
         for n in (1, 2, 7, 30):
             for chi in (0, -1, -6, -40):
                 for i in range(0, 600):
                     z = Fraction(i, 8)
-                    expected = bnd.order_threshold_exceeded(n, chi, z)
-                    assert all(bnd.sign_family_order(n, chi, z)) == expected, (n, chi, z)
+                    expected = order_threshold_exceeded(n, chi, z)
+                    assert all(sign_family_order(n, chi, z)) == expected, (n, chi, z)
 
     def test_size_family_matches_exact_threshold(self):
         for chi in (0, -1, -9):
             for extra in (1, 7, 100):
                 m = -3 * chi + extra
-                threshold = bnd.size_threshold(chi, m)
+                threshold = size_threshold(chi, m)
                 for i in range(0, 600):
                     z = Fraction(i, 8)
                     if z == threshold:
                         continue
-                    assert all(bnd.sign_family_size(m, chi, z)) == (z > threshold), (chi, m, z)
+                    assert all(sign_family_size(m, chi, z)) == (z > threshold), (chi, m, z)
 
 
 class TestGirthMonotonicity:
