@@ -11,23 +11,28 @@ Each orientability class is decided by a face-building branch-and-bound
 scheme on this side has chi >= t" for t from the side's cap down, and the
 first t that holds is certified, as every larger t was refuted in full.
 Caps come from combinatorial face-length counting.  The sphere is decided
-once, before any search: a tree's core collapses to a point, and a core
-whose cap allows the sphere is tested for planarity (:mod:`.planarity`).
-A point, or a planar core once a count of its faces confirms the test's
-rotation system, is certified at chi 2 orientably and 1 non-orientably with
-nothing searched.  Otherwise orientable chi is at most 0 and that side is
-searched first; the signed side is searched only while the orientable side
-is short of the signed side's cap, since it could not raise chi otherwise.
+once, before any search: a tree's core collapses to a point; a core with at
+most 8 edges is planar by counting, since every nonplanar graph has at least
+9 (Kuratowski); a larger core whose cap allows the sphere is tested for
+planarity (:mod:`.planarity`).  A point, a counted core, or a planar core
+once a count of its faces confirms the test's rotation system, is certified
+at chi 2 orientably and 1 non-orientably with nothing searched.  Otherwise
+orientable chi is at most 0 and that side is searched first; the signed
+side is searched only while the orientable side is short of the signed
+side's cap, since it could not raise chi otherwise.
 
 ``certified`` marks a proven maximum: the sphere, or the branch-and-bound's
-refutation of every larger value.
+refutation of every larger value.  Witnesses are built when first read:
+a counted core's plane witness is then embedded by the planarity test and
+confirmed by a count of its faces, and every witness is lifted to the graph
+as given only then.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .graphs import Graph, girth
@@ -45,6 +50,9 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 100_000_000
+
+# Every nonplanar graph contains a subdivision of K5 (10 edges) or K3,3 (9).
+_NONPLANAR_MIN_EDGES = 9
 
 
 @dataclass(frozen=True)
@@ -266,13 +274,23 @@ class SideResult:
     larger one.  ``nodes`` counts the states the branch-and-bound placed.
     ``searched`` is always 0; it is kept only because ``perfbench/run.py``
     reads it.
+
+    ``witness`` is built by ``build`` when first read, then kept; it is None
+    when there is no builder.  Building re-checks what the value rests on:
+    a counted core's plane witness must come out of the planarity test and
+    count to chi 2 (an ``AssertionError`` otherwise).  ``build`` takes no
+    part in comparisons, so two sides compare equal on their values alone.
     """
 
     chi: int | None
-    witness: RotationSystem | None
     certified: bool
     searched: int = 0
     nodes: int = 0
+    build: Callable[[], RotationSystem] | None = field(default=None, repr=False, compare=False)
+
+    @functools.cached_property
+    def witness(self) -> RotationSystem | None:
+        return None if self.build is None else self.build()
 
 
 @dataclass(frozen=True)
@@ -282,16 +300,22 @@ class ChiSearchResult:
     ``nonorientable`` is None under ``orientable_only``, and when the
     orientable side was certified at or above the signed side's cap, so that
     the signed side could not raise chi.  ``steps_used`` is the sum of the
-    sides' ``nodes``.
+    sides' ``nodes``.  ``witness`` is the witness of the side ``chi`` comes
+    from, built when first read.
     """
 
     chi: int | None
-    witness: RotationSystem | None
     certified: bool
     steps_used: int
     budget: int
     orientable: SideResult
     nonorientable: SideResult | None
+
+    @property
+    def witness(self) -> RotationSystem | None:
+        # chi is that of the first side with the largest chi, orientable first.
+        side = self.orientable if self.chi == self.orientable.chi else self.nonorientable
+        return side.witness
 
     @property
     def budget_stopped(self) -> bool:
@@ -381,7 +405,7 @@ def _core(g: Graph) -> tuple[Graph, list[int], list[tuple]]:
             mask |= 1 << index[low.bit_length() - 1]
             rest ^= low
         masks.append(mask)
-    return Graph(len(labels), masks), labels, ops
+    return Graph._trusted(len(labels), masks), labels, ops
 
 
 # -- caps and face counts ---------------------------------------------------
@@ -418,6 +442,21 @@ def _orientable_face_count(rotations: tuple[tuple[int, ...], ...]) -> int:
         while dart in after:
             dart = (dart[1], after.pop(dart))
     return faces
+
+
+def _plane_witness(core: Graph, rotations: tuple[tuple[int, ...], ...] | None) -> RotationSystem:
+    """The planarity test's ``rotations`` of ``core``, confirmed at chi 2.
+
+    Raises ``AssertionError`` when the test found none, or when a count of
+    the faces of its rotation system does not give chi 2.
+    """
+    if rotations is None:
+        raise AssertionError("planarity test finds no plane embedding of a core decided planar")
+    plane = RotationSystem(rotations)
+    plane.validate(core)
+    if core.n - core.m + _orientable_face_count(rotations) != 2:
+        raise AssertionError("planar rotation system does not re-trace to chi 2")
+    return plane
 
 
 # -- face-building branch-and-bound -----------------------------------------
@@ -598,9 +637,9 @@ def _search_side(core: Graph, signed: bool, cap: int, left: int,
     found = witness is not None
     return SideResult(
         chi=best if found else None,
-        witness=lift(witness) if found else None,
         certified=found,
         nodes=nodes,
+        build=functools.partial(lift, witness) if found else None,
     )
 
 
@@ -613,12 +652,16 @@ def max_euler_characteristic(
 
     Searches the reduced core (pendants stripped, suppressible degree-2
     vertices contracted; both keep chi on each side) in one of two
-    branches, and lifts each witness back to ``g``.
+    branches, and lifts each witness back to ``g`` when it is first read.
 
-    *Sphere.*  A tree's core is a point; a core whose face-length cap is 2
-    and which the planarity test embeds, its faces counted again to confirm
-    chi 2, gives the plane witness.  Neither side is searched: orientable
-    chi is 2, and non-orientable chi 1 by the planar identity, no witness.
+    *Sphere.*  A tree's core is a point.  A core with at most 8 edges is
+    planar by counting, since every nonplanar graph has at least 9; neither
+    the planarity test nor the girth cap runs for it, and its plane witness
+    is embedded by the test, its faces counted to confirm chi 2, when first
+    read.  A larger core whose face-length cap is 2 and which the planarity
+    test embeds, its faces counted again to confirm chi 2, gives the plane
+    witness.  Neither side is searched: orientable chi is 2, and
+    non-orientable chi 1 by the planar identity, no witness.
 
     *Nonplanar.*  :func:`_search_side` decides the orientable side from the
     cap taken down to an even value at most 0, then, on the budget left,
@@ -646,25 +689,26 @@ def max_euler_characteristic(
 
     core, labels, ops = _core(g)
     lift = functools.partial(_lift_witness, labels=labels, ops=ops, n=g.n)
-    cap = _face_length_upper_bound(core)
 
     plane = None
     if core.m == 0:
-        plane = RotationSystem(((),))  # the core of a tree is a point
-    elif cap == 2 and (rotations := planar_rotations(core)) is not None:
-        plane = RotationSystem(rotations)
-        plane.validate(core)
-        if core.n - core.m + _orientable_face_count(rotations) != 2:
-            raise AssertionError("planar rotation system does not re-trace to chi 2")
+        plane = functools.partial(lift, RotationSystem(((),)))  # the core of a tree is a point
+    elif core.m < _NONPLANAR_MIN_EDGES:
+        def plane() -> RotationSystem:
+            return lift(_plane_witness(core, planar_rotations(core)))
+    else:
+        cap = _face_length_upper_bound(core)
+        if cap == 2 and (rotations := planar_rotations(core)) is not None:
+            plane = functools.partial(lift, _plane_witness(core, rotations))
 
     nonor_side: SideResult | None = None
     if plane is not None:
-        or_side = SideResult(chi=2, witness=lift(plane), certified=True)
+        or_side = SideResult(chi=2, certified=True, build=plane)
         if not orientable_only:
             # The plane drawing sits inside a disc of the projective plane,
             # so the non-orientable side is exactly 1 (no 2-cell scheme
             # realises it for trees and some planar cores).
-            nonor_side = SideResult(chi=1, witness=None, certified=True)
+            nonor_side = SideResult(chi=1, certified=True)
     else:
         # Not planar, by the test or by the cap: orientable genus is at least 1.
         or_side = _search_side(core, False, min(0, cap - cap % 2), budget, lift)
@@ -679,7 +723,6 @@ def max_euler_characteristic(
     best = max(sides, key=lambda s: -math.inf if s.chi is None else s.chi)
     return ChiSearchResult(
         chi=best.chi,
-        witness=best.witness,
         certified=all(s.certified for s in sides),
         steps_used=sum(s.nodes for s in sides),
         budget=budget,

@@ -77,6 +77,19 @@ class Graph:
         self.m = degree_total // 2
 
     @classmethod
+    def _trusted(cls, n: int, adjacency: Sequence[int]) -> "Graph":
+        """A graph from ``n`` masks already symmetric, loop-free and in range.
+
+        Internal: it skips the checks of ``Graph(n, adjacency)``, so it takes
+        only masks built from a valid graph.
+        """
+        g = cls.__new__(cls)
+        g.n = n
+        g.adjacency = adj = tuple(adjacency)
+        g.m = sum(mask.bit_count() for mask in adj) // 2
+        return g
+
+    @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         adj = [0] * n
         for u, v in edges:
@@ -121,7 +134,7 @@ class Graph:
                 raise ValueError(f"edge {u}-{v} not present")
             adj[u] &= ~(1 << v)
             adj[v] &= ~(1 << u)
-        return Graph(self.n, adj)
+        return Graph._trusted(self.n, adj)
 
     def is_connected(self) -> bool:
         return self.n <= 1 or _closure(self.adjacency, 1) == (1 << self.n) - 1
@@ -303,7 +316,7 @@ def parse_graph6(text: str) -> Graph:
             low = column & -column
             adj[low.bit_length() - 1] |= bit
             column ^= low
-    return Graph(n, adj)
+    return Graph._trusted(n, adj)
 
 
 def emit_graph6(g: Graph) -> str:

@@ -25,7 +25,15 @@ from .bondage import bondage_number, compute_b_prime, hartnell_rall_bound
 from .domination import instance_size_error
 from .domination import domination_number  # noqa: F401 (perfbench/run.py:install_tracer wraps it)
 from .embedding import DEFAULT_BUDGET, ChiSearchResult, max_euler_characteristic
-from .graphs import Graph, GraphFormatError, degree_stats, emit_graph6, girth, parse_graph6
+from .graphs import (
+    GRAPH6_HEADER,
+    Graph,
+    GraphFormatError,
+    degree_stats,
+    emit_graph6,
+    girth,
+    parse_graph6,
+)
 
 __all__ = [
     "TheoremCheck",
@@ -144,6 +152,11 @@ def _check(row: bnd.Bound, p: bnd.BoundParams) -> TheoremCheck:
 
 def verify_graph(g: Graph, budget: int = DEFAULT_BUDGET) -> VerificationRecord:
     """Compute all invariants for one graph and test every applicable bound."""
+    return _verify(g, emit_graph6(g), budget)
+
+
+def _verify(g: Graph, graph6: str, budget: int) -> VerificationRecord:
+    """:func:`verify_graph` for ``g``, whose graph6 text is ``graph6``."""
     if g.m < 1:
         raise ValueError("verification needs at least one edge")
     bond = bondage_number(g)
@@ -160,7 +173,7 @@ def verify_graph(g: Graph, budget: int = DEFAULT_BUDGET) -> VerificationRecord:
         b_prime=b_prime,
     )
     return VerificationRecord(
-        graph6=emit_graph6(g),
+        graph6=graph6,
         n=g.n,
         m=g.m,
         delta=p.delta,
@@ -188,7 +201,9 @@ def _verify_line(args: tuple[str, int]) -> VerificationRecord:
         too_large = instance_size_error(g.n)
         if too_large is not None:
             return VerificationRecord(graph6=line, error=too_large)
-        return verify_graph(g, budget=budget)
+        # parse_graph6 refuses padding bits, trailing bytes and the long
+        # form, so the line without its header is the graph's own graph6.
+        return _verify(g, line.removeprefix(GRAPH6_HEADER), budget)
     except GraphFormatError as exc:
         return VerificationRecord(graph6=line, error=f"malformed graph6: {exc}")
 

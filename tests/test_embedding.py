@@ -33,6 +33,7 @@ from conftest import (
     subdivided_with_pendants,
 )
 
+DATA = Path(__file__).resolve().parent / "data"
 PERFBENCH_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data"
 
 
@@ -440,11 +441,14 @@ class TestMaxChi:
                 a = max_euler_characteristic(g, budget=small)
                 b = max_euler_characteristic(g, budget=large)
                 stopped += a.budget_stopped
+                # Sides compare by value; their witnesses, built on request,
+                # are compared on their own.
                 for x, y in ((a.orientable, b.orientable), (a.nonorientable, b.nonorientable)):
                     if x is not None and x.certified:
-                        assert x == y, (g.edges(), small)
+                        assert x == y and x.witness == y.witness, (g.edges(), small)
                 if a.certified:
                     assert a == dataclasses.replace(b, budget=small), (g.edges(), small)
+                    assert a.witness == b.witness, (g.edges(), small)
         assert stopped == 12  # 11 searches at 100 steps, K5,5 at 1000
 
 
@@ -717,6 +721,21 @@ class TestBranchAndBoundSearch:
             if a.nonorientable is not None:
                 assert a.nonorientable.chi == b.nonorientable.chi, g.edges()
             _assert_witnesses_retrace(h, b)
+
+    def test_every_witness_read_retraces_on_the_chi_golden(self):
+        # The golden's unnamed rows are corpus6's graphs with an edge, its
+        # named rows K5-K7, K5,5, Q4, Petersen and more.  Witnesses are built
+        # when first read, so each is re-traced to its side's chi and
+        # orientability as it is read, and is the one the golden holds.
+        rows = json.loads((DATA / "chi_golden.json").read_text())
+        for row in rows:
+            g = parse_graph6(row["graph6"])
+            result = max_euler_characteristic(g)
+            assert result.orientable.witness is not None, row["graph6"]
+            _assert_witnesses_retrace(g, result)
+            want = rotation_system_from_json(row["output"]["witness"])
+            assert result.witness == want, row["graph6"]
+        assert len(rows) == 154
 
     def test_traces_only_its_witnesses(self, corpus6, monkeypatch):
         # No side is swept: trace_faces runs once for each side the

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bondlab import embedding
 from bondlab.bondage import compute_b_prime
 from bondlab.graphs import (
     Graph,
@@ -64,6 +65,26 @@ class TestGraphBasics:
         h = g.remove_edges([(0, 1)])
         assert h.m == 4
         assert Graph.from_edges(5, h.edges() + [(0, 1)]) == g
+
+    @pytest.mark.parametrize("name", ["enumerate_6.g6", "verify_corpus7.csv",
+                                      "verify_sparse_pool.csv"])
+    def test_trusted_graphs_pass_the_checks(self, name):
+        # parse_graph6, remove_edges and the chi search's core build graphs
+        # without the constructor's checks; each must be a graph the checked
+        # constructor accepts, with the same edge count.
+        lines = (DATA / name).read_text().splitlines()
+        if name.endswith(".csv"):
+            lines = [line.split(",", 1)[0] for line in lines[1:]]
+        built = 0
+        for line in lines:
+            g = parse_graph6(line)
+            trusted = [g, embedding._core(g)[0]] if g.m else [g]
+            trusted += [g.remove_edges([e]) for e in g.edges()]
+            for h in trusted:
+                checked = Graph(h.n, h.adjacency)
+                assert (h.n, h.adjacency, h.m) == (checked.n, checked.adjacency, checked.m), line
+            built += len(trusted)
+        assert built > 2 * len(lines)
 
 
 class TestGraph6:

@@ -10,8 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bondlab import bondage, cli, domination, harness
-from bondlab.graphs import Graph, emit_graph6, enumerate_connected_graphs, make_family
+from bondlab import bondage, cli, domination, embedding, harness
+from bondlab.graphs import (
+    GRAPH6_HEADER,
+    Graph,
+    emit_graph6,
+    enumerate_connected_graphs,
+    make_family,
+    parse_graph6,
+)
 from bondlab.harness import (
     CHECK_NAMES,
     CSV_COLUMNS,
@@ -193,6 +200,48 @@ class TestVerifyCorpus:
         monkeypatch.setattr("sys.stdin", io.StringIO(capsys.readouterr().out))
         assert cli.main(["verify", "--format", "csv"]) == 0
         assert capsys.readouterr().out == (DATA / "verify_corpus6.csv").read_text()
+
+    def test_builds_no_witness(self, monkeypatch):
+        # verify reads chi values only, so no witness is lifted to the graph,
+        # though the search certifies every corpus6 graph.
+        lifted = []
+        lift = embedding._lift_witness
+
+        def counted(*args, **kwargs):
+            lifted.append(args)
+            return lift(*args, **kwargs)
+
+        monkeypatch.setattr(embedding, "_lift_witness", counted)
+        lines = (DATA / "enumerate_6.g6").read_text().splitlines()
+        records, _ = verify_corpus(lines)
+        assert all(r.chi_certified for r in records if r.error is None)
+        assert lifted == []
+        assert embedding.max_euler_characteristic(parse_graph6(lines[-1])).witness is not None
+        assert len(lifted) == 1
+
+    @pytest.mark.parametrize("name", ["verify_corpus6.csv", "verify_corpus7.csv",
+                                      "verify_sparse_pool.csv"])
+    def test_record_graph6_is_the_parsed_line(self, monkeypatch, name):
+        # A verified record keeps the line it parsed, header dropped, as its
+        # graph6; on every corpus line, with and without the header, that is
+        # what emit_graph6 writes of the parsed graph.  (A record with an
+        # error, such as corpus6's edgeless "@", keeps its line as given.)
+        # Only the text is checked here, so the rest is left unbuilt.
+        monkeypatch.setattr(harness, "_verify",
+                            lambda g, graph6, budget: VerificationRecord(graph6=graph6))
+        lines = [line.split(",", 1)[0] for line in (DATA / name).read_text().splitlines()[1:]]
+        want = [emit_graph6(parse_graph6(line)) for line in lines if parse_graph6(line).m]
+        assert len(want) >= len(lines) - 1
+        for prefix in ("", GRAPH6_HEADER):
+            records, _ = verify_corpus([prefix + line for line in lines])
+            assert [r.graph6 for r in records if r.error is None] == want
+
+    def test_header_lines_give_the_golden_report(self):
+        # What CI pipes through the console script: the sparse pool's lines
+        # with the graph6 header give its golden report.
+        lines = (DATA / "verify_sparse_pool.csv").read_text().splitlines(keepends=True)
+        records, _ = verify_corpus([GRAPH6_HEADER + line.split(",", 1)[0] for line in lines[1:]])
+        assert emit_report(records, "csv") == "".join(lines)
 
     def test_malformed_lines_do_not_abort(self):
         records, summary = verify_corpus(["A_", "not-a-graph\x01", "", "Bw"])

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,8 @@ from bondlab.graphs import Graph, enumerate_connected_graphs, make_family, parse
 from bondlab.planarity import planar_rotations
 
 from conftest import SchemeSpace, random_connected_graph, reference_is_planar, reference_sweep
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -81,8 +85,11 @@ class TestPlanarityStep:
         assert networkx_only == 4
 
     def test_runs_once_where_the_cap_allows_the_sphere(self, corpus6, monkeypatch):
-        # A core whose face-length cap is below 2 (K5, K6, Petersen) is not
-        # tested for planarity; a tree has no core to test.
+        # The search tests a core for planarity only when it has at least 9
+        # edges and a face-length cap of 2 (K5, K6 and Petersen have caps
+        # below 2; a tree has no core to test).  A core with 1-8 edges is
+        # planar by counting, so it is tested once, when its witness is
+        # first read, and never again.
         calls = []
         step = embedding.planar_rotations
 
@@ -91,17 +98,40 @@ class TestPlanarityStep:
             return step(core)
 
         monkeypatch.setattr(embedding, "planar_rotations", recorded)
-        skipped = 0
+        kinds = {"tested": 0, "counted": 0, "skipped": 0}
         for g in corpus6[::7] + [make_family("qd", 3), make_family("kn", 5),
                                  make_family("kn", 6), make_family("petersen"),
                                  make_family("pn", 5)]:
             calls.clear()
-            max_euler_characteristic(g, budget=10**5)
+            result = max_euler_characteristic(g, budget=10**5)
             core = embedding._core(g)[0]
-            allows = core.m > 0 and embedding._face_length_upper_bound(core) == 2
-            assert calls == ([core] if allows else []), g.edges()
-            skipped += not allows
-        assert skipped >= 4
+            tested = core.m >= 9 and embedding._face_length_upper_bound(core) == 2
+            counted = 0 < core.m < 9
+            assert calls == ([core] if tested else []), g.edges()
+            witness = result.orientable.witness
+            assert trace_faces(g, witness).chi == result.orientable.chi, g.edges()
+            assert result.orientable.witness is witness, g.edges()
+            assert calls == ([core] if tested or counted else []), g.edges()
+            kinds["tested" if tested else "counted" if counted else "skipped"] += 1
+        assert kinds == {"tested": 7, "counted": 13, "skipped": 6}
+
+    @pytest.mark.parametrize("name", ["corpus6", "verify_corpus7.csv", "verify_sparse_pool.csv"])
+    def test_cores_of_at_most_eight_edges_are_planar(self, corpus6, name):
+        # The counting rule the search certifies the sphere by, checked
+        # against the planarity test on every core it decides.
+        if name == "corpus6":
+            graphs = corpus6
+        else:
+            lines = (DATA / name).read_text().splitlines()[1:]
+            graphs = [parse_graph6(line.split(",", 1)[0]) for line in lines]
+        counted = 0
+        for g in graphs:
+            core = embedding._core(g)[0]
+            if core.m <= 8:
+                assert planar_rotations(core) is not None, g.edges()
+                counted += 1
+        assert counted == {"corpus6": 99, "verify_corpus7.csv": 277,
+                           "verify_sparse_pool.csv": 1072}[name]
 
     @pytest.mark.parametrize("graph6", ["E~z_", "Ev~_", "E~~?"])
     def test_nonplanar_cores_stop_at_genus_one(self, graph6):
