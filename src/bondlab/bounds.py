@@ -400,12 +400,6 @@ class BoundReport:
     chi: int
     entries: tuple[BoundEntry, ...]
 
-    def entry(self, name: str) -> BoundEntry:
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(name)
-
 
 def build_bound_report(
     delta: int,

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from typing import Sequence
 
@@ -64,12 +63,12 @@ def _read_graph(source: str) -> Graph:
     return parse_graph6(source)
 
 
-def _default_threads() -> int:
-    env = os.environ.get("BONDLAB_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
+def positive_int(text: str) -> int:
+    """The ``--threads`` type: a whole number of workers, at least 1."""
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"needs at least 1 worker, not {count}")
+    return count
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -134,8 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus", nargs="?", default="-",
                    help="newline-delimited graph6 file, or - for stdin")
     p.add_argument("--format", choices=("csv", "json", "text"), default="text")
-    p.add_argument("--threads", type=int, default=_default_threads(),
-                   help="parallel verification workers (BONDLAB_THREADS)")
+    p.add_argument("--threads", type=positive_int, default=1,
+                   help="parallel verification workers, at least 1")
     add_budget_flags(p, strict=True)
 
     p = sub.add_parser("enumerate", help="connected graphs up to isomorphism, n <= 7")

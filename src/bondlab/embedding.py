@@ -33,7 +33,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, ClassVar
 
 from .graphs import Graph, girth
 from .planarity import planar_rotations
@@ -272,8 +272,8 @@ class SideResult:
     2 with the plane witness, and 1 by the planar identity with no witness.
     Otherwise the branch-and-bound certifies a value by refuting every
     larger one.  ``nodes`` counts the states the branch-and-bound placed.
-    ``searched`` is always 0; it is kept only because ``perfbench/run.py``
-    reads it.
+    ``searched`` is a class constant, always 0 and no field: no search
+    counts schemes, and only the benchmark's counters read it.
 
     ``witness`` is built by ``build`` when first read, then kept; it is None
     when there is no builder.  Building re-checks what the value rests on:
@@ -284,9 +284,9 @@ class SideResult:
 
     chi: int | None
     certified: bool
-    searched: int = 0
     nodes: int = 0
     build: Callable[[], RotationSystem] | None = field(default=None, repr=False, compare=False)
+    searched: ClassVar[int] = 0
 
     @functools.cached_property
     def witness(self) -> RotationSystem | None:
@@ -300,8 +300,9 @@ class ChiSearchResult:
     ``nonorientable`` is None under ``orientable_only``, and when the
     orientable side was certified at or above the signed side's cap, so that
     the signed side could not raise chi.  ``steps_used`` is the sum of the
-    sides' ``nodes``.  ``witness`` is the witness of the side ``chi`` comes
-    from, built when first read.
+    sides' ``nodes``.  Only the budget leaves a side undecided, so
+    ``certified`` is false exactly when it stopped some side.  ``witness``
+    is the witness of the side ``chi`` comes from, built when first read.
     """
 
     chi: int | None
@@ -316,14 +317,6 @@ class ChiSearchResult:
         # chi is that of the first side with the largest chi, orientable first.
         side = self.orientable if self.chi == self.orientable.chi else self.nonorientable
         return side.witness
-
-    @property
-    def budget_stopped(self) -> bool:
-        """Some searched side ran out of budget before it was decided.
-
-        Only the budget leaves a side undecided, so this is ``not certified``.
-        """
-        return not self.certified
 
 
 # -- exact reductions preserving chi ----------------------------------------
@@ -414,15 +407,11 @@ def _core(g: Graph) -> tuple[Graph, list[int], list[tuple]]:
 def _face_length_upper_bound(core: Graph) -> int:
     """Proven cap on chi from face-length counting on the core.
 
-    Cores have min degree >= 2 (or at most one edge), so face walks never
-    backtrack immediately and every face has length >= girth.  A core with
-    at most one edge is a tree, whose one face gives chi 2.
+    ``core`` must have an edge.  A core with an edge has minimum degree 2,
+    hence a cycle, so its girth is finite; face walks never backtrack
+    immediately, so every face has length at least the girth.
     """
-    if core.m <= 1:
-        return 2
-    shortest = girth(core)
-    min_face = 2 if shortest == math.inf else int(shortest)
-    return min(2, core.n - core.m + (2 * core.m) // min_face)
+    return min(2, core.n - core.m + (2 * core.m) // girth(core))
 
 
 def _orientable_face_count(rotations: tuple[tuple[int, ...], ...]) -> int:
@@ -677,10 +666,10 @@ def max_euler_characteristic(
     the branch-and-bound places costs one step, and it stops before placing
     one the budget does not cover.  So ``steps_used`` is the two sides'
     ``nodes``, at most ``budget`` (no steps at all when ``budget`` is
-    negative); the planarity test is not charged.  ``budget_stopped`` says
-    some side ran out before it was decided; such a side has chi None and
-    is not certified.  Callers that treat exhaustion as an error decide so
-    from ``certified``.
+    negative); the planarity test is not charged.  A side the budget stops
+    before it is decided has chi None and is not certified, and neither is
+    the result.  Callers that treat exhaustion as an error decide so from
+    ``certified``.
     """
     if g.n < 1:
         raise ValueError("empty graph")

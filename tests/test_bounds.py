@@ -31,6 +31,11 @@ TERM_PAIRS = [
 ]
 
 
+def _by_name(report):
+    """A report's entries by name."""
+    return {e.name: e for e in report.entries}
+
+
 class TestCubicTerms:
     def test_frozen_term_pairs(self):
         for i, (baseline, improved) in enumerate(TERM_PAIRS):
@@ -311,7 +316,7 @@ class TestRegistry:
             return original(delta, chi)
 
         monkeypatch.setattr(bnd, "bound_cubic", counted)
-        assert bnd.build_bound_report(4, -4).entry("cubic").bound_value == 8
+        assert _by_name(bnd.build_bound_report(4, -4))["cubic"].bound_value == 8
         assert calls == [(4, -4)]
 
 
@@ -365,22 +370,22 @@ class TestComparisonTable:
 
 class TestBoundReport:
     def test_report_for_plain_parameters(self):
-        report = bnd.build_bound_report(4, -4, girth=5, n=20, m=30, h=1, k=2)
-        assert report.entry("cubic").bound_value == 8
-        assert report.entry("sqrt").bound_value == 9
-        assert report.entry("girth").applicable
-        assert report.entry("triangle_free").applicable
-        assert report.entry("order").applicable
-        assert report.entry("size").applicable
-        assert report.entry("genus").bound_value == min(4 + 1 + 2, 4 + 2 + 1)
+        report = _by_name(bnd.build_bound_report(4, -4, girth=5, n=20, m=30, h=1, k=2))
+        assert report["cubic"].bound_value == 8
+        assert report["sqrt"].bound_value == 9
+        assert report["girth"].applicable
+        assert report["triangle_free"].applicable
+        assert report["order"].applicable
+        assert report["size"].applicable
+        assert report["genus"].bound_value == min(4 + 1 + 2, 4 + 2 + 1)
 
     def test_report_skips_inapplicable(self):
-        report = bnd.build_bound_report(3, 2)
-        assert not report.entry("cubic").applicable
-        assert not report.entry("size").applicable
+        report = _by_name(bnd.build_bound_report(3, 2))
+        assert not report["cubic"].applicable
+        assert not report["size"].applicable
 
     def test_triangle_entry_needs_girth_at_least_four(self):
-        report = bnd.build_bound_report(3, -1, girth=3)
-        assert not report.entry("triangle_free").applicable
-        report = bnd.build_bound_report(3, -1, girth=4)
-        assert report.entry("triangle_free").applicable
+        report = _by_name(bnd.build_bound_report(3, -1, girth=3))
+        assert not report["triangle_free"].applicable
+        report = _by_name(bnd.build_bound_report(3, -1, girth=4))
+        assert report["triangle_free"].applicable

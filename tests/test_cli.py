@@ -347,6 +347,24 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", str(corpus), "--strict", "--threads", threads)
         assert code == 0 and "graphs=2 malformed=0 failures=0" in out
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_threads_below_one_is_a_usage_error(self, capsys, tmp_path, threads, via):
+        corpus = tmp_path / "k4.g6"
+        corpus.write_text("C~\n")
+        argv = ["verify", str(corpus)]
+        if via == "flag":
+            argv += ["--threads", threads]
+        else:
+            conf = tmp_path / "run.conf"
+            conf.write_text(f"threads = {threads}\n")
+            argv = ["--config", str(conf)] + argv
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert f"argument --threads: needs at least 1 worker, not {threads}" in captured.err
+
     def test_empty_corpus_exits_zero(self, capsys, tmp_path):
         corpus = tmp_path / "empty.g6"
         corpus.write_text("")
@@ -476,6 +494,32 @@ class TestConfig:
         assert plain[0] == 0
         assert run(capsys, "--config", str(conf), *argv) == plain
 
+    def test_config_threads_reach_verify(self, capsys, monkeypatch, tmp_path):
+        # The config file is the one way to set a worker count without the
+        # flag; the environment sets none.
+        monkeypatch.setenv("BONDLAB_THREADS", "3")
+        corpus = tmp_path / "corpus.g6"
+        corpus.write_text("\n".join(emit_graph6(make_family("cn", k)) for k in (3, 4, 5)) + "\n")
+        conf = tmp_path / "run.conf"
+        conf.write_text("threads = 2\n")
+        parser = cli.build_parser()
+        assert parser.parse_args(["verify", "x"]).threads == 1
+        args = parser.parse_args(cli._apply_config(parser, ["--config", str(conf), "verify", "x"]))
+        assert args.threads == 2
+        seen = []
+        real = cli.verify_corpus
+
+        def spy(lines, budget, jobs):
+            seen.append(jobs)
+            return real(lines, budget=budget, jobs=jobs)
+
+        monkeypatch.setattr(cli, "verify_corpus", spy)
+        code, out, _ = run(capsys, "--config", str(conf), "verify", str(corpus), "--format", "csv")
+        assert code == 0
+        code, serial, _ = run(capsys, "verify", str(corpus), "--format", "csv", "--threads", "1")
+        assert code == 0 and out == serial
+        assert seen == [2, 1]
+
     def test_abbreviated_config_is_a_usage_error(self, capsys, tmp_path):
         # Read as --config, the file would be parsed and then ignored.
         conf = tmp_path / "run.conf"
@@ -514,15 +558,6 @@ class TestHelpAndEnvironment:
         epilog = out[out.index("and their formulas"):].splitlines()[1:]
         named = [line.split()[0] for line in epilog if line.startswith("  ")]
         assert named == expected[command]
-
-    def test_threads_default_from_environment(self, monkeypatch):
-        monkeypatch.setenv("BONDLAB_THREADS", "3")
-        parser = cli.build_parser()
-        args = parser.parse_args(["verify", "x"])
-        assert args.threads == 3
-        monkeypatch.setenv("BONDLAB_THREADS", "junk")
-        args = cli.build_parser().parse_args(["verify", "x"])
-        assert args.threads == 1
 
 
 class TestDeterminism:

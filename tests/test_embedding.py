@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from bondlab import embedding
 from bondlab.embedding import (
     RotationSystem,
+    SideResult,
     max_euler_characteristic,
     ringel_chi,
     trace_faces,
@@ -246,7 +247,6 @@ class TestMaxChi:
         assert result.chi == 2 and result.certified and result.steps_used == 0
         assert result.orientable.chi == 2 and result.orientable.certified
         assert result.nonorientable.chi == 1 and result.nonorientable.certified
-        assert not result.budget_stopped
         if g.m > 0:
             traced = trace_faces(g, result.witness)
             assert traced.chi == 2 and traced.orientable
@@ -364,7 +364,7 @@ class TestMaxChi:
     def test_budget_permissive_flags_incomplete(self):
         g = make_family("kmn", 3, 3)
         result = max_euler_characteristic(g, budget=50)
-        assert not result.certified and result.budget_stopped
+        assert not result.certified
         assert result.steps_used == 50
 
     @pytest.mark.parametrize("budget, orientable_chi", [(100, None), (300, 0)])
@@ -372,7 +372,7 @@ class TestMaxChi:
         # K6 is decided in 220 orientable and 242 signed nodes, so a budget
         # of 100 stops its orientable side and one of 300 its signed side.
         result = max_euler_characteristic(make_family("kn", 6), budget=budget)
-        assert result.budget_stopped and not result.certified
+        assert not result.certified
         assert result.steps_used == budget
         assert result.orientable.chi == orientable_chi
         assert result.orientable.certified == (orientable_chi is not None)
@@ -381,7 +381,7 @@ class TestMaxChi:
     @pytest.mark.parametrize("family", [("kn", 5), ("petersen",)])
     def test_default_budget_certifies_projective_planar_graphs(self, family):
         result = max_euler_characteristic(make_family(*family))
-        assert result.chi == 1 and result.certified and not result.budget_stopped
+        assert result.chi == 1 and result.certified
 
     @given(
         st.one_of(
@@ -399,7 +399,6 @@ class TestMaxChi:
         orientable, nonor = result.orientable, result.nonorientable
         signed = nonor.nodes if nonor else 0
         assert result.steps_used == orientable.nodes + signed <= max(0, budget)
-        assert orientable.searched == 0 and (nonor is None or nonor.searched == 0)
         # A side the budget stopped could not pay for one more node.
         if not orientable.certified or (nonor is not None and not nonor.certified):
             assert budget - result.steps_used < 1
@@ -407,6 +406,16 @@ class TestMaxChi:
     def test_rejects_disconnected(self):
         with pytest.raises(ValueError):
             max_euler_characteristic(Graph.from_edges(4, [(0, 1), (2, 3)]))
+
+    def test_searched_is_a_class_constant(self):
+        # Read only by the benchmark's counters; it takes no part in
+        # construction, comparison or repr.
+        side = max_euler_characteristic(make_family("kn", 5)).orientable
+        assert [f.name for f in dataclasses.fields(SideResult)] == [
+            "chi", "certified", "nodes", "build"]
+        assert SideResult.searched == side.searched == 0
+        assert side == SideResult(side.chi, side.certified, side.nodes)
+        assert "searched" not in repr(side)
 
     def test_determinism(self):
         g = make_family("kmn", 3, 3)
@@ -424,13 +433,13 @@ class TestMaxChi:
         full = max_euler_characteristic(g)
         assert full.certified and full.steps_used > budget
         result = max_euler_characteristic(g, budget=budget)
-        assert result.budget_stopped and not result.certified
+        assert not result.certified
         assert result.steps_used == budget
 
     def test_corpus6_and_c5_are_certified(self, corpus6):
         for g in corpus6 + [make_family("cn", 5)]:
             result = max_euler_characteristic(g)
-            assert result.certified and not result.budget_stopped, g.edges()
+            assert result.certified, g.edges()
 
     def test_a_larger_budget_changes_no_decided_side(self, corpus6):
         # A side decided within a budget never sees what is left of it, so
@@ -440,7 +449,7 @@ class TestMaxChi:
             for small, large in ((100, 1000), (1000, 10**5)):
                 a = max_euler_characteristic(g, budget=small)
                 b = max_euler_characteristic(g, budget=large)
-                stopped += a.budget_stopped
+                stopped += not a.certified
                 # Sides compare by value; their witnesses, built on request,
                 # are compared on their own.
                 for x, y in ((a.orientable, b.orientable), (a.nonorientable, b.nonorientable)):
@@ -644,7 +653,6 @@ class TestBranchAndBoundSearch:
             result = max_euler_characteristic(g, budget=3 * 10**7)
             assert result.certified, g.edges()
             assert result.orientable.certified and result.nonorientable.certified
-            assert not result.budget_stopped
             _assert_witnesses_retrace(g, result)
 
     @given(st.integers(min_value=2, max_value=8), st.randoms(use_true_random=False))
@@ -771,15 +779,15 @@ class TestBranchAndBoundSearch:
         for g, chi in zip(_stress_graphs(), (-3, 0, 0)):
             result = max_euler_characteristic(g, budget=10**6)
             orientable, nonor = result.orientable, result.nonorientable
-            assert (result.chi, result.certified, result.budget_stopped) == (chi, True, False)
-            assert orientable.certified and orientable.searched == 0 and orientable.nodes > 0
+            assert (result.chi, result.certified) == (chi, True)
+            assert orientable.certified and orientable.nodes > 0
             signed = 0 if nonor is None else nonor.nodes
             assert result.steps_used == orientable.nodes + signed < 10**5
             if chi == 0:
                 assert orientable.chi == 0 and nonor is None
             else:
                 assert (orientable.chi, nonor.chi, nonor.certified) == (-4, -3, True)
-                assert nonor.searched == 0 and nonor.nodes > 0
+                assert nonor.nodes > 0
             _assert_witnesses_retrace(g, result)
 
     def test_node_counts_on_the_sparse_pool(self):
@@ -817,10 +825,10 @@ class TestBranchAndBoundSearch:
 
     def test_budget_stopped(self):
         # K6 is decided in 220 orientable and 242 signed nodes.
-        assert not max_euler_characteristic(make_family("kn", 6), budget=462).budget_stopped
+        assert max_euler_characteristic(make_family("kn", 6), budget=462).certified
         for budget in (100, 400):
-            assert max_euler_characteristic(make_family("kn", 6), budget=budget).budget_stopped
-        assert not max_euler_characteristic(make_family("kn", 5)).budget_stopped
+            assert not max_euler_characteristic(make_family("kn", 6), budget=budget).certified
+        assert max_euler_characteristic(make_family("kn", 5)).certified
 
 
 def _k1222():
@@ -883,8 +891,7 @@ class TestSignedBranchAndBound:
         full = max_euler_characteristic(g)
         orientable, side = full.orientable.nodes, full.nonorientable
         assert orientable > 0 and side.nodes > 0
-        assert full.orientable.searched == side.searched == 0
-        assert side.certified and not full.budget_stopped
+        assert side.certified and full.certified
         assert full.steps_used == orientable + side.nodes
         exact = max_euler_characteristic(g, budget=full.steps_used)
         assert exact.certified and exact.steps_used == full.steps_used
@@ -896,7 +903,6 @@ class TestSignedBranchAndBound:
             assert result.orientable.certified == (budget >= orientable)
             assert result.nonorientable.nodes == max(0, budget - orientable)
             assert not result.nonorientable.certified and not result.certified
-            assert result.budget_stopped
         core = embedding._core(g)[0]
         assert embedding._branch_and_bound(core, 1, side.nodes - 1, True) == (
             None, side.nodes - 1, False)
@@ -987,7 +993,7 @@ class TestOrientableBranchAndBound:
     ], ids=["K4,4", "K3,5", "K7", "K1,2,2,2", "K3,3,3", "Q4", "C4xC4", "C4xC5", "K5,5"])
     def test_graphs_the_theorem_is_about_are_certified(self, g, chi, orientable, ringel):
         result = max_euler_characteristic(g)
-        assert (result.chi, result.certified, result.budget_stopped) == (chi, True, False)
+        assert (result.chi, result.certified) == (chi, True)
         assert (result.orientable.chi, result.orientable.certified) == (orientable, True)
         assert result.steps_used < 10**5
         if ringel is not None:
@@ -1025,8 +1031,8 @@ class TestOrientableBranchAndBound:
         nodes = full.orientable.nodes
         assert full.certified and full.steps_used == nodes and 0 < nodes < 1000
         exact = max_euler_characteristic(g, budget=nodes, orientable_only=True)
-        assert exact.certified and not exact.budget_stopped
+        assert exact.certified
         for budget in range(-1, nodes):
             result = max_euler_characteristic(g, budget=budget, orientable_only=True)
             assert result.steps_used == result.orientable.nodes == max(0, budget)
-            assert not result.certified and result.chi is None and result.budget_stopped
+            assert not result.certified and result.chi is None

@@ -1,7 +1,7 @@
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -224,9 +224,9 @@ class TestVerifyCorpus:
     def test_record_graph6_is_the_parsed_line(self, monkeypatch, name):
         # A verified record keeps the line it parsed, header dropped, as its
         # graph6; on every corpus line, with and without the header, that is
-        # what emit_graph6 writes of the parsed graph.  (A record with an
-        # error, such as corpus6's edgeless "@", keeps its line as given.)
-        # Only the text is checked here, so the rest is left unbuilt.
+        # what emit_graph6 writes of the parsed graph.  (Records with an
+        # error drop the header too; see the test below.)  Only the text is
+        # checked here, so the rest is left unbuilt.
         monkeypatch.setattr(harness, "_verify",
                             lambda g, graph6, budget: VerificationRecord(graph6=graph6))
         lines = [line.split(",", 1)[0] for line in (DATA / name).read_text().splitlines()[1:]]
@@ -235,6 +235,21 @@ class TestVerifyCorpus:
         for prefix in ("", GRAPH6_HEADER):
             records, _ = verify_corpus([prefix + line for line in lines])
             assert [r.graph6 for r in records if r.error is None] == want
+
+    def test_header_lines_give_the_records_of_bare_lines(self):
+        # A record's graph6 is its line without the header, whether it is
+        # verified, skipped or malformed.  A refusal's byte offset counts
+        # into the line as given, so it moves by the header's length.
+        lines = ["@", "B~~", "A_x", "A_\x01", emit_graph6(make_family("pn", 41)), "C~"]
+        bare, _ = verify_corpus(lines)
+        headed, _ = verify_corpus([GRAPH6_HEADER + line for line in lines])
+        assert [r.error is None for r in bare] == [False] * 5 + [True]
+        for plain, prefixed in zip(bare, headed):
+            error = plain.error
+            if error is not None and error.startswith("malformed graph6:"):
+                head, offset = error.rstrip(")").rsplit(" (byte ", 1)
+                error = f"{head} (byte {int(offset) + len(GRAPH6_HEADER)})"
+            assert prefixed == replace(plain, error=error)
 
     def test_header_lines_give_the_golden_report(self):
         # What CI pipes through the console script: the sparse pool's lines

@@ -138,7 +138,7 @@ class TestPlanarityStep:
         result = max_euler_characteristic(parse_graph6(graph6))
         side = result.orientable
         assert side.chi == 0 and side.certified
-        assert side.searched == 0 and 0 < side.nodes < 1000
+        assert 0 < side.nodes < 1000
 
     @pytest.mark.parametrize("g", [make_family("kn", 4), make_family("qd", 3),
                                    make_family("cn", 6), parse_graph6("E~v_"),
@@ -147,6 +147,6 @@ class TestPlanarityStep:
     def test_planar_record_costs_no_steps(self, g):
         result = max_euler_characteristic(g, budget=0)
         assert result.chi == 2 and result.certified
-        assert result.orientable.searched == 0 and result.steps_used == 0
+        assert result.steps_used == 0
         assert result.nonorientable.chi == 1 and result.nonorientable.certified
         assert trace_faces(g, result.witness).chi == 2
