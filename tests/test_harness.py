@@ -355,6 +355,29 @@ def test_sparse_pool_report_matches_golden():
     assert emit_report(records, "json", summary) == TestEmitReport._dumps(records, summary)
 
 
+def test_disconnected_report_matches_golden():
+    # verify_disconnected.csv is `verify --format csv` over every disjoint
+    # union G + H of connected graphs on at most 6 vertices, G listed no
+    # later than H, with n(G) + n(H) <= 7 and an edge: the records that take
+    # bondage_number's componentwise path.  CI compares it through the
+    # console script as well.  Each b is the least b of a component with an
+    # edge, as verify_corpus6.csv gives it.
+    lines = (DATA / "verify_disconnected.csv").read_text().splitlines(keepends=True)
+    graphs = list(enumerate_connected_graphs(6))
+    pairs = [(g, h) for i, g in enumerate(graphs) for h in graphs[i:]
+             if g.n + h.n <= 7 and g.m + h.m]
+    unions = [Graph.from_edges(g.n + h.n, g.edges() + [(u + g.n, v + g.n) for u, v in h.edges()])
+              for g, h in pairs]
+    assert [line.split(",", 1)[0] for line in lines[1:]] == [emit_graph6(u) for u in unions]
+    assert len(unions) == 187
+    records, _ = verify_corpus([emit_graph6(u) for u in unions])
+    assert emit_report(records, "csv") == "".join(lines)
+    b = {r["graph6"]: r["b"] for r in csv.DictReader((DATA / "verify_corpus6.csv").read_text().splitlines())}
+    for (g, h), rec in zip(pairs, records):
+        assert rec.connected is False and rec.error is None
+        assert rec.b == min(int(b[emit_graph6(c)]) for c in (g, h) if c.m), rec.graph6
+
+
 @pytest.fixture(scope="module")
 def sample():
     lines = ["A_", "Ch", "bogus(", "D?{"]
