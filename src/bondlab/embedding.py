@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar
 
-from .graphs import Graph, girth
+from .graphs import Graph, _relabel, girth
 from .planarity import planar_rotations
 
 __all__ = [
@@ -359,9 +359,10 @@ def _core(g: Graph) -> tuple[Graph, list[int], list[tuple]]:
     Both moves preserve the set of surfaces the graph embeds in, hence chi
     on both orientability classes.  One worklist holds the vertices of
     degree at most 2, in label order first; a neighbour a move leaves at
-    degree at most 2 joins it again.  Returns the core relabelled 0..k-1
-    (``g`` itself when nothing reduces), its original labels, and the
-    reduction ops, in order.
+    degree at most 2 joins it again.  Returns the core, its surviving
+    vertices renumbered 0..k-1 in label order by ``graphs._relabel`` (``g``
+    itself when nothing reduces), its original labels, and the reduction
+    ops, in order.
     """
     adj = list(g.adjacency)
     alive = (1 << g.n) - 1
@@ -389,16 +390,7 @@ def _core(g: Graph) -> tuple[Graph, list[int], list[tuple]]:
     if not ops:
         return g, list(range(g.n)), ops
     labels = [v for v in range(g.n) if alive >> v & 1]
-    index = {v: i for i, v in enumerate(labels)}
-    masks = []
-    for v in labels:
-        rest, mask = adj[v], 0
-        while rest:
-            low = rest & -rest
-            mask |= 1 << index[low.bit_length() - 1]
-            rest ^= low
-        masks.append(mask)
-    return Graph._trusted(len(labels), masks), labels, ops
+    return _relabel(adj, labels), labels, ops
 
 
 # -- caps and face counts ---------------------------------------------------
@@ -480,9 +472,7 @@ def _branch_and_bound(core: Graph, t: int, allowance: int,
     if not signed:
         t += t % 2
     order = sorted(range(core.n), key=lambda v: -core.degree(v))
-    rank = {v: i for i, v in enumerate(order)}
-    edges, _, tail, head = _dart_tables(
-        Graph.from_edges(core.n, [(rank[u], rank[v]) for u, v in core.edges()]))
+    edges, _, tail, head = _dart_tables(_relabel(core.adjacency, order))
     m = len(edges)
     need = t - core.n + m
     span = 2 * int(girth(core))

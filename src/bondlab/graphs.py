@@ -3,6 +3,13 @@
 Adjacency is stored as one bitmask per vertex, so neighbourhood unions,
 intersections and domination checks are single word operations.  Graphs are
 immutable after construction; every operation returns a new value.
+
+Every re-encoding of a graph lives here.  The edge code, bit ``j(j-1)/2 + i``
+for the pair ``(i, j)``, is graph6's bit order, :func:`canonical_code`'s
+value and the enumeration's key.  One relabelling, ``_relabel``, renumbers
+a vertex subset for components and for the chi search's core.  Outside
+input, ``Graph(n, adjacency)`` and :func:`parse_graph6`, is checked in
+full; graphs built from valid graphs skip the checks.
 """
 
 from __future__ import annotations
@@ -91,6 +98,9 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        """A graph from its edges, each checked; the masks it builds are symmetric."""
+        if n < 0:
+            raise ValueError("vertex count must be nonnegative")
         adj = [0] * n
         for u, v in edges:
             if u == v:
@@ -99,7 +109,7 @@ class Graph:
                 raise ValueError(f"edge {u}-{v} outside 0..{n - 1}")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        return cls(n, adj)
+        return cls._trusted(n, adj)
 
     def degree(self, v: int) -> int:
         return self.adjacency[v].bit_count()
@@ -234,33 +244,35 @@ def components_with_vertices(g: Graph) -> list[tuple[Graph, tuple[int, ...]]]:
         if comp == (1 << g.n) - 1:
             return [(g, tuple(range(g.n)))]
         seen |= comp
-        verts = []
-        rest = comp
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            verts.append(v)
-        index = {v: i for i, v in enumerate(verts)}
-        sub = Graph.from_edges(
-            len(verts),
-            [
-                (index[u], index[v])
-                for u, v in g.edges()
-                if comp & (1 << u) and comp & (1 << v)
-            ],
-        )
-        out.append((sub, tuple(verts)))
+        verts = tuple(v for v in range(start, g.n) if comp >> v & 1)
+        out.append((_relabel(g.adjacency, verts), verts))
     return out
+
+
+def _relabel(adjacency: Sequence[int], order: Sequence[int]) -> Graph:
+    """The graph whose vertex ``i`` is vertex ``order[i]`` of ``adjacency``.
+
+    Every neighbour of a listed vertex must be listed too.  The masks are
+    renumbered, not checked, so ``adjacency`` must be symmetric and
+    loop-free on ``order``.
+    """
+    bit = [0] * len(adjacency)
+    for i, v in enumerate(order):
+        bit[v] = 1 << i
+    masks = []
+    for v in order:
+        rest, mask = adjacency[v], 0
+        while rest:
+            low = rest & -rest
+            mask |= bit[low.bit_length() - 1]
+            rest ^= low
+        masks.append(mask)
+    return Graph._trusted(len(order), masks)
 
 
 # ---------------------------------------------------------------------------
 # graph6 codec (short form, n <= 62; ">>graph6<<" header tolerated on input)
 # ---------------------------------------------------------------------------
-
-
-def _pair_order(n: int) -> list[tuple[int, int]]:
-    # Column-major upper triangle: (0,1), (0,2), (1,2), (0,3), ...
-    return [(i, j) for j in range(1, n) for i in range(j)]
 
 
 # Each graph6 byte as the six bits it carries, most significant first.
@@ -270,8 +282,10 @@ _SIX_BITS = {code: format(code - 63, "06b") for code in range(63, 127)}
 def parse_graph6(text: str) -> Graph:
     """Decode a one-line graph6 string into a :class:`Graph`.
 
-    The bytes become one bit string, and column ``j`` of the upper triangle,
-    the bits of pairs ``(0, j) .. (j - 1, j)``, is read as one integer.
+    Every refusal is a :class:`GraphFormatError` with the byte offset of the
+    defect.  The body's bits, first bit the pair ``(0, 1)``, are graph6's
+    column-major upper triangle: read in reverse they are the edge code that
+    :func:`graph_from_code` decodes.
     """
     if text.endswith("\n"):
         text = text[:-1]
@@ -305,48 +319,46 @@ def parse_graph6(text: str) -> Graph:
     stray = bits.find("1", 6 + nbits)
     if stray >= 0:
         raise GraphFormatError("nonzero padding bits", offset=base + stray // 6)
-    adj = [0] * n
-    start = 6
-    for j in range(1, n):
-        column = int(bits[start:start + j][::-1], 2)
-        start += j
-        adj[j] = column
-        bit = 1 << j
-        while column:
-            low = column & -column
-            adj[low.bit_length() - 1] |= bit
-            column ^= low
-    return Graph._trusted(n, adj)
+    return graph_from_code(n, int(bits[6:6 + nbits][::-1] or "0", 2))
 
 
 def emit_graph6(g: Graph) -> str:
     """Encode a graph as canonical short-form graph6 (no header)."""
     if g.n > _G6_MAX_N:
         raise ValueError(f"graph6 short form supports at most {_G6_MAX_N} vertices")
-    out = [chr(g.n + 63)]
-    acc = 0
-    nbits = 0
-    for i, j in _pair_order(g.n):
-        acc = (acc << 1) | (1 if g.adjacency[i] & (1 << j) else 0)
-        nbits += 1
-        if nbits == 6:
-            out.append(chr(acc + 63))
-            acc = 0
-            nbits = 0
-    if nbits:
-        out.append(chr((acc << (6 - nbits)) + 63))
-    return "".join(out)
+    nbits = g.n * (g.n - 1) // 2
+    # The guard bit above the code keeps its leading zeros; reversed, the
+    # string starts at the pair (0, 1) and the guard is dropped.
+    bits = format(_edge_code(g) | 1 << nbits, "b")[:0:-1] + "0" * (-nbits % 6)
+    return chr(g.n + 63) + "".join(chr(int(bits[k:k + 6], 2) + 63) for k in range(0, nbits, 6))
 
 
 # ---------------------------------------------------------------------------
 # Named families
 # ---------------------------------------------------------------------------
 
-FAMILY_NAMES = ("kn", "kmn", "cn", "pn", "petersen", "qd", "wn")
+# Each family's parameter count, vertex count and edge list.  A hypercube's
+# order is read off its dimension capped at 63, so that no huge power is
+# formed before the order is refused.
+_KNESER_5_2 = list(combinations(range(5), 2))
+_FAMILIES = {
+    "kn": (1, lambda n: n, lambda n: combinations(range(n), 2)),
+    "kmn": (2, lambda a, b: a + b, lambda a, b: [(i, a + j) for i in range(a) for j in range(b)]),
+    "cn": (1, lambda n: n, lambda n: [(i, (i + 1) % n) for i in range(n)]),
+    "pn": (1, lambda n: n, lambda n: [(i, i + 1) for i in range(n - 1)]),
+    "petersen": (0, lambda: 10, lambda: [
+        (i, j) for i, j in combinations(range(10), 2)
+        if not set(_KNESER_5_2[i]) & set(_KNESER_5_2[j])]),
+    "qd": (1, lambda d: 1 << min(d, 63), lambda d: [
+        (x, x ^ (1 << b)) for x in range(1 << d) for b in range(d) if x < x ^ (1 << b)]),
+    "wn": (1, lambda n: n + 1, lambda n: [(i, (i + 1) % n) for i in range(n)]
+           + [(i, n) for i in range(n)]),
+}
+FAMILY_NAMES = tuple(_FAMILIES)
 
 
 def make_family(name: str, *params: int) -> Graph:
-    """Build a standard family member.
+    """Build a standard family member on at most 62 vertices.
 
     ``kn n``        complete graph
     ``kmn m n``     complete bipartite graph
@@ -355,49 +367,27 @@ def make_family(name: str, *params: int) -> Graph:
     ``petersen``    the Petersen graph, Kneser(5, 2) vertex order
     ``qd d``        hypercube of dimension d
     ``wn n``        wheel: n rim vertices (n >= 3) plus a hub, hub last
+
+    The order is read from the parameters and refused above graph6's
+    short-form limit before any edge is listed.
     """
     key = name.lower()
     if key not in FAMILY_NAMES:
         raise ValueError(f"unknown family {name!r}; known: {', '.join(FAMILY_NAMES)}")
-    expected = {"kn": 1, "kmn": 2, "cn": 1, "pn": 1, "petersen": 0, "qd": 1, "wn": 1}[key]
+    expected, order, edges = _FAMILIES[key]
     if len(params) != expected:
         raise ValueError(f"family {name!r} takes {expected} parameter(s)")
     if any(p <= 0 for p in params):
         raise ValueError(f"family parameters must be positive, got {params}")
-    if key == "kn":
-        (n,) = params
-        return Graph.from_edges(n, combinations(range(n), 2))
-    if key == "kmn":
-        a, b = params
-        return Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
-    if key == "cn":
-        (n,) = params
-        if n < 3:
-            raise ValueError("cycles need at least 3 vertices")
-        return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-    if key == "pn":
-        (n,) = params
-        return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-    if key == "petersen":
-        verts = list(combinations(range(5), 2))
-        edges = [
-            (i, j)
-            for i, j in combinations(range(10), 2)
-            if not set(verts[i]) & set(verts[j])
-        ]
-        return Graph.from_edges(10, edges)
-    if key == "qd":
-        (d,) = params
-        return Graph.from_edges(
-            1 << d,
-            [(x, x ^ (1 << b)) for x in range(1 << d) for b in range(d) if x < x ^ (1 << b)],
-        )
-    (n,) = params
-    if n < 3:
+    if key == "cn" and params[0] < 3:
+        raise ValueError("cycles need at least 3 vertices")
+    if key == "wn" and params[0] < 3:
         raise ValueError("wheels need at least 3 rim vertices")
-    rim = [(i, (i + 1) % n) for i in range(n)]
-    spokes = [(i, n) for i in range(n)]
-    return Graph.from_edges(n + 1, rim + spokes)
+    n = order(*params)
+    if n > _G6_MAX_N:
+        raise ValueError(f"family {name!r} has more than {_G6_MAX_N} vertices, "
+                         "the most graph6 short form holds")
+    return Graph.from_edges(n, edges(*params))
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +396,7 @@ def make_family(name: str, *params: int) -> Graph:
 
 
 def canonical_code(g: Graph) -> int:
-    """Least graph6 edge code of ``g`` over all relabellings of its vertices.
+    """Least edge code of ``g`` over all relabellings of its vertices.
 
     Bit ``j(j-1)/2 + i`` of a code is the pair ``(i, j)``, ``i < j``, so the
     least code compares pairs from ``(n-2, n-1)`` down to ``(0, 1)``.  Under
@@ -480,13 +470,34 @@ def canonical_code(g: Graph) -> int:
     return best
 
 
+def _edge_code(g: Graph) -> int:
+    """The edge code of ``g``: bit ``j(j-1)/2 + i`` is set for each edge ``(i, j)``."""
+    code = 0
+    for j in range(g.n - 1, 0, -1):
+        code = code << j | g.adjacency[j] & ((1 << j) - 1)
+    return code
+
+
 def graph_from_code(n: int, code: int) -> Graph:
+    """The graph on ``n`` vertices whose edge code is ``code``.
+
+    Bit ``j(j-1)/2 + i`` is the pair ``(i, j)``, ``i < j``, so column ``j``
+    of the upper triangle, the pairs ``(0, j) .. (j-1, j)``, is the next
+    ``j`` bits, read as one mask; bits past the last pair are ignored.
+    """
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
     adj = [0] * n
-    for k, (i, j) in enumerate(_pair_order(n)):
-        if code >> k & 1:
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-    return Graph(n, adj)
+    for j in range(1, n):
+        bit = 1 << j
+        column = code & (bit - 1)
+        code >>= j
+        adj[j] = column
+        while column:
+            low = column & -column
+            adj[low.bit_length() - 1] |= bit
+            column ^= low
+    return Graph._trusted(n, adj)
 
 
 def enumerate_connected_graphs(max_n: int) -> Iterator[Graph]:
@@ -514,6 +525,6 @@ def enumerate_connected_graphs(max_n: int) -> Iterator[Graph]:
         for h in level:
             for joined in range(1, new):
                 adj = [a | new if joined >> v & 1 else a for v, a in enumerate(h.adjacency)]
-                codes.add(canonical_code(Graph(n, adj + [joined])))
+                codes.add(canonical_code(Graph._trusted(n, adj + [joined])))
         level = [graph_from_code(n, code) for code in sorted(codes)]
         yield from level

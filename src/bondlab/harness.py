@@ -145,8 +145,6 @@ def _check(row: bnd.Bound, p: bnd.BoundParams) -> TheoremCheck:
     if row.target is None:
         return TheoremCheck(row.name, True, None, value, None)
     target = getattr(p, row.target)
-    if target is None:
-        return TheoremCheck(row.name, True, value, None, None)
     return TheoremCheck(row.name, True, value, target <= value, value - target)
 
 
@@ -388,17 +386,14 @@ def emit_report(
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for rec in records:
-            by_name = {c.name: c for c in rec.checks}
-
-            def cell(check: TheoremCheck | None, kind: str):
-                if check is None or check.satisfied is None:
-                    return "" if kind == "bound" else "skip"
-                return check.bound_value if kind == "bound" else ("ok" if check.satisfied else "FAIL")
-
+            # A verified record has one check per CHECK_NAMES entry, in
+            # order; an error record has none, and every cell is skipped.
+            checks = rec.checks or _UNMET.values()
             writer.writerow(
                 [none if v is None else v for v, none in zip(_CSV_VALUES(rec), _CSV_NONE)]
-                + [cell(by_name.get(name), "bound") for name in CHECK_NAMES]
-                + [cell(by_name.get(name), "ok") for name in CHECK_NAMES]
+                + ["" if c.satisfied is None else c.bound_value for c in checks]
+                + ["skip" if c.satisfied is None else "ok" if c.satisfied else "FAIL"
+                   for c in checks]
             )
         return buf.getvalue()
     if fmt == "json":

@@ -428,6 +428,14 @@ class TestEnumerateAndFamilies:
         assert code == 1
         assert "parameter" in err
 
+    @pytest.mark.parametrize("params", [("qd", "40"), ("kn", "100000"), ("pn", str(10**12))])
+    def test_families_refuse_large_orders_before_building(self, capsys, params):
+        # The order comes from the parameters alone; building Q40's edge
+        # list, or even P(10^12)'s, would not finish.
+        code, out, err = run(capsys, "families", *params)
+        assert (code, out) == (1, "")
+        assert err.startswith("bondlab: error: ") and "62 vertices" in err
+
 
 class TestConfig:
     def test_config_sets_default_flag_wins(self, capsys, tmp_path):

@@ -14,6 +14,8 @@ from bondlab.bondage import compute_b_prime
 from bondlab.graphs import (
     Graph,
     GraphFormatError,
+    _edge_code,
+    _relabel,
     canonical_code,
     components_with_vertices,
     degree_stats,
@@ -31,6 +33,7 @@ from conftest import (
     oracle_girth,
     random_graph,
     reference_canonical_code,
+    relabelled,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -55,6 +58,23 @@ class TestGraphBasics:
         with pytest.raises(ValueError):
             Graph(2, [0b10, 0b00])
 
+    @pytest.mark.parametrize("n, edges", [
+        (-1, []), (2, [(0, 0)]), (2, [(0, 2)]), (2, [(-1, 0)]), (0, [(0, 1)]),
+    ])
+    def test_from_edges_refuses_a_bad_order_or_edge(self, n, edges):
+        # from_edges checks each edge itself and skips the constructor.
+        with pytest.raises(ValueError):
+            Graph.from_edges(n, edges)
+
+    def test_from_edges_passes_the_checks_on_repeated_and_reversed_edges(self):
+        rng = random.Random(28)
+        for _ in range(200):
+            n = rng.randint(2, 12)
+            edges = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 2 * n))]
+            g = Graph.from_edges(n, edges)
+            checked = Graph(n, g.adjacency)
+            assert g.n == n and g.m == checked.m == len({tuple(sorted(e)) for e in edges})
+
     def test_edge_count_is_half_degree_sum(self):
         g = make_family("kmn", 2, 3)
         assert g.m == 6
@@ -67,9 +87,10 @@ class TestGraphBasics:
         assert Graph.from_edges(5, h.edges() + [(0, 1)]) == g
 
     @pytest.mark.parametrize("name", ["enumerate_6.g6", "verify_corpus7.csv",
-                                      "verify_sparse_pool.csv"])
+                                      "verify_sparse_pool.csv", "verify_disconnected.csv"])
     def test_trusted_graphs_pass_the_checks(self, name):
-        # parse_graph6, remove_edges and the chi search's core build graphs
+        # parse_graph6 (through graph_from_code), remove_edges,
+        # components_with_vertices and the chi search's core build graphs
         # without the constructor's checks; each must be a graph the checked
         # constructor accepts, with the same edge count.
         lines = (DATA / name).read_text().splitlines()
@@ -78,7 +99,8 @@ class TestGraphBasics:
         built = 0
         for line in lines:
             g = parse_graph6(line)
-            trusted = [g, embedding._core(g)[0]] if g.m else [g]
+            trusted = [g, embedding._core(g)[0]] if g.m and g.is_connected() else [g]
+            trusted += [sub for sub, _ in components_with_vertices(g)]
             trusted += [g.remove_edges([e]) for e in g.edges()]
             for h in trusted:
                 checked = Graph(h.n, h.adjacency)
@@ -149,6 +171,19 @@ class TestGraph6:
         back = nx.from_graph6_bytes(ours.encode())
         assert back.number_of_nodes() == g.n
         assert {tuple(sorted(e)) for e in back.edges()} == set(g.edges())
+
+    @pytest.mark.parametrize("text, n, edges", [
+        ("?", 0, []),
+        ("A?", 2, []),
+        ("A_", 2, [(0, 1)]),
+    ])
+    def test_smallest_orders_round_trip_with_networkx(self, text, n, edges):
+        g = parse_graph6(text)
+        assert (g.n, g.edges()) == (n, edges)
+        assert emit_graph6(g) == text
+        reference = nx.from_graph6_bytes(text.encode())
+        assert (reference.number_of_nodes(), list(reference.edges())) == (n, edges)
+        assert nx.to_graph6_bytes(reference, header=False).decode().strip() == text
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_each_padding_bit_refused_at_its_byte(self, n):
@@ -260,6 +295,20 @@ class TestFamilies:
         g = make_family("wn", 5)
         assert (g.n, g.m) == (6, 10)
         assert g.degree(5) == 5
+
+    @pytest.mark.parametrize("largest, smallest_refused", [
+        (("kn", 62), ("kn", 63)),
+        (("kmn", 31, 31), ("kmn", 31, 32)),
+        (("cn", 62), ("cn", 63)),
+        (("pn", 62), ("pn", 63)),
+        (("qd", 5), ("qd", 6)),
+        (("wn", 61), ("wn", 62)),
+    ])
+    def test_order_limit_is_graph6_short_form(self, largest, smallest_refused):
+        g = make_family(*largest)
+        assert g.n <= 62 and parse_graph6(emit_graph6(g)) == g
+        with pytest.raises(ValueError, match="more than 62 vertices"):
+            make_family(*smallest_refused)
 
     def test_bad_family(self):
         with pytest.raises(ValueError):
@@ -389,8 +438,13 @@ class TestCanonicalCode:
         assert canonical_code(_relabelled(g, _shuffled(rng, n))) == code
         own = sum(1 << (j * (j - 1) // 2 + i) for i, j in g.edges())
         assert code <= own
+        assert _edge_code(g) == own and graph_from_code(n, own) == g
         rep = graph_from_code(n, code)
         assert rep.m == g.m and canonical_code(rep) == code
+
+    def test_graph_from_code_refuses_a_negative_order(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            graph_from_code(-1, 0)
 
 
 class TestInvariants:
@@ -453,6 +507,28 @@ class TestInvariants:
             common_neighbors(make_family("cn", 4), 0, 2)
 
 
+class TestRelabel:
+    def test_matches_relabelled_on_seeded_permutations(self):
+        # relabelled moves vertex u to perm[u]; _relabel lists, for each new
+        # vertex, the old one it comes from, so it takes the inverse.
+        for seed in range(200):
+            g = random_graph(random.Random(seed), seed % 13 + 1, (seed % 7 + 1) / 8)
+            want = relabelled(g, random.Random(seed))
+            perm = list(range(g.n))
+            random.Random(seed).shuffle(perm)
+            order = [0] * g.n
+            for u, new in enumerate(perm):
+                order[new] = u
+            got = _relabel(g.adjacency, order)
+            assert got == want and got.m == g.m
+
+    def test_keeps_a_closed_vertex_subset_in_list_order(self):
+        # A triangle 1-3-5 and an edge 0-2: the triangle alone, listed 5, 1, 3.
+        g = Graph.from_edges(6, [(1, 3), (3, 5), (1, 5), (0, 2)])
+        got = _relabel(g.adjacency, [5, 1, 3])
+        assert got == Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+
+
 class TestComponents:
     def test_triangle_plus_edge(self):
         g = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (3, 4)])
@@ -468,6 +544,33 @@ class TestComponents:
     def test_empty_graph_splits_into_singletons(self):
         g = Graph(3, [0, 0, 0])
         assert [sub.n for sub, _ in components_with_vertices(g)] == [1, 1, 1]
+
+    def test_matches_induced_subgraphs_on_seeded_graphs(self):
+        # Oracle: a component's vertices are those joined to its least vertex
+        # by a path, and its graph keeps the edges with both ends among them,
+        # renumbered in label order.
+        rng = random.Random(29)
+        split = 0
+        for _ in range(300):
+            n = rng.randint(1, 14)
+            g = random_graph(rng, n, rng.choice([0.05, 0.1, 0.2]))
+            parts = components_with_vertices(g)
+            split += len(parts) > 1
+            left = set(range(n))
+            for sub, verts in parts:
+                reach, todo = {verts[0]}, [verts[0]]
+                for u in todo:
+                    for v in g.neighbors(u):
+                        if v not in reach:
+                            reach.add(v)
+                            todo.append(v)
+                assert verts == tuple(sorted(reach)) and verts[0] == min(left)
+                left -= reach
+                index = {v: i for i, v in enumerate(verts)}
+                induced = [(index[u], index[v]) for u, v in g.edges() if u in reach]
+                assert sub == Graph.from_edges(len(verts), induced)
+            assert not left
+        assert split > 200
 
     def test_reindexing_keeps_original_order(self):
         g = Graph.from_edges(6, [(1, 3), (3, 5), (0, 4)])
