@@ -675,6 +675,104 @@ def reference_core(g: Graph) -> Graph:
                                           for u in labels for v in adj[u] if u < v])
 
 
+@dataclass(frozen=True)
+class ReferenceFaces:
+    face_walks: tuple[tuple[tuple[int, int], ...], ...]
+    face_lengths: tuple[int, ...]
+    edge_face_lengths: dict[tuple[int, int], tuple[int, int]]
+    chi: int
+    orientable: bool
+
+
+def reference_trace_faces(g: Graph, rs: RotationSystem) -> ReferenceFaces:
+    """Face walks of a valid ``rs`` on connected ``g``, traced on int states.
+
+    State ``2 d + s`` is dart ``d`` (``2 e`` for edge ``e = (u, v)`` read
+    ``u -> v``, ``2 e + 1`` for ``v -> u``) on side ``s``.  Forward states
+    are started first, in dart order, then flipped ones; each orbit marks
+    its mirror orbit seen, and a one-sided (self-mirrored) orbit keeps only
+    its first half.  Per-edge face lengths are collected from the walks, and
+    orientability comes from a balance check of the edge signs.
+    """
+    edges = g.edges()
+    dart_of, tail, head = {}, [], []
+    for e, (u, v) in enumerate(edges):
+        dart_of[(u, v)] = 2 * e
+        dart_of[(v, u)] = 2 * e + 1
+        tail += [u, v]
+        head += [v, u]
+    nd = 2 * g.m
+    rot_next = [dict() for _ in range(g.n)]
+    rot_prev = [dict() for _ in range(g.n)]
+    for v, rot in enumerate(rs.rotations):
+        k = len(rot)
+        for i, x in enumerate(rot):
+            rot_next[v][x] = rot[(i + 1) % k]
+            rot_prev[v][x] = rot[(i - 1) % k]
+    neg = [rs.sign(tail[d], head[d]) < 0 for d in range(nd)]
+
+    def next_state(state: int) -> int:
+        d, s = state >> 1, state & 1
+        s2 = s ^ neg[d]
+        v = head[d]
+        w = rot_prev[v][tail[d]] if s2 else rot_next[v][tail[d]]
+        return (dart_of[(v, w)] << 1) | s2
+
+    def mirror(state: int) -> int:
+        d, s = state >> 1, state & 1
+        return ((d ^ 1) << 1) | (1 ^ s ^ neg[d])
+
+    visited = [False] * (2 * nd)
+    walks = []
+    for start in [2 * d for d in range(nd)] + [2 * d + 1 for d in range(nd)]:
+        if visited[start]:
+            continue
+        orbit = [start]
+        visited[start] = True
+        state = next_state(start)
+        while state != start:
+            orbit.append(state)
+            visited[state] = True
+            state = next_state(state)
+        self_mirrored = mirror(start) in set(orbit)
+        for s in orbit:
+            visited[mirror(s)] = True
+        if self_mirrored:
+            darts = [s >> 1 for s in orbit[: len(orbit) // 2]]
+        else:
+            darts = [s >> 1 for s in orbit]
+        walks.append(tuple((tail[d], head[d]) for d in darts))
+
+    lengths = tuple(len(w) for w in walks)
+    assert sum(lengths) == nd
+    per_edge: dict[tuple[int, int], list[int]] = {e: [] for e in edges}
+    for walk, length in zip(walks, lengths):
+        for u, v in walk:
+            per_edge[(u, v) if u < v else (v, u)].append(length)
+    assert all(len(occ) == 2 for occ in per_edge.values())
+
+    potential = [0] * g.n
+    seen = [False] * g.n
+    seen[0] = True
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for v in g.neighbors(u):
+            if not seen[v]:
+                seen[v] = True
+                potential[v] = potential[u] ^ (rs.sign(u, v) < 0)
+                stack.append(v)
+    orientable = all((potential[u] ^ potential[v]) == (rs.sign(u, v) < 0) for u, v in edges)
+
+    return ReferenceFaces(
+        face_walks=tuple(walks),
+        face_lengths=lengths,
+        edge_face_lengths={e: (min(occ), max(occ)) for e, occ in per_edge.items()},
+        chi=g.n - g.m + len(walks),
+        orientable=orientable,
+    )
+
+
 def reference_is_planar(g: Graph) -> bool:
     """Planarity by networkx's left-right test."""
     import networkx as nx
@@ -968,6 +1066,22 @@ def order_threshold_exceeded(n: int, chi: int, z: Fraction) -> bool:
     return w > 0 and w * w > 25 * n * n - 84 * n * chi + 36 * chi * chi
 
 
+def edge_face_lengths(g: Graph, summary: EmbeddingSummary) -> dict[tuple[int, int], tuple[int, int]]:
+    """Each edge of ``g`` with the lengths of the two face slots it fills, smaller first.
+
+    A one-sided face, or a face that runs along both sides of an edge, fills
+    both of that edge's slots.
+    """
+    per_edge: dict[tuple[int, int], list[int]] = {e: [] for e in g.edges()}
+    for walk in summary.face_walks:
+        for u, v in walk:
+            per_edge[(u, v) if u < v else (v, u)].append(len(walk))
+    for e, occ in per_edge.items():
+        if len(occ) != 2:
+            raise AssertionError(f"edge {e} appears {len(occ)} times across faces")
+    return {e: (min(occ), max(occ)) for e, occ in per_edge.items()}
+
+
 @dataclass(frozen=True)
 class CurvatureLedger:
     weights: dict[tuple[int, int], float]
@@ -983,7 +1097,7 @@ def curvature(g: Graph, summary: EmbeddingSummary) -> CurvatureLedger:
     if g.m < 1:
         raise ValueError("curvature needs at least one edge")
     weights = {}
-    for (u, v), (f1, f2) in summary.edge_face_lengths.items():
+    for (u, v), (f1, f2) in edge_face_lengths(g, summary).items():
         weights[(u, v)] = (
             1 / g.degree(u)
             + 1 / g.degree(v)

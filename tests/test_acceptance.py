@@ -29,6 +29,7 @@ from conftest import (
     SchemeSpace,
     closed_form_root,
     common_neighbors,
+    edge_face_lengths,
     order_threshold_exceeded,
     random_connected_graph,
     random_rotation_system,
@@ -202,7 +203,7 @@ def test_criterion_5_embedding_correctness():
         rs = random_rotation_system(rng, g, signed=rng.random() < 0.5)
         summary = trace_faces(g, rs)
         total = 0.0
-        for (u, v), (f1, f2) in summary.edge_face_lengths.items():
+        for (u, v), (f1, f2) in edge_face_lengths(g, summary).items():
             total += (
                 1 / g.degree(u) + 1 / g.degree(v) - 1
                 + 1 / f1 + 1 / f2 - summary.chi / g.m

@@ -22,6 +22,7 @@ from bondlab.graphs import Graph, enumerate_connected_graphs, make_family, parse
 from conftest import (
     SchemeSpace,
     curvature,
+    edge_face_lengths,
     identity_rotation,
     random_connected_graph,
     random_rotation_system,
@@ -29,6 +30,7 @@ from conftest import (
     reference_is_planar,
     reference_sweep,
     reference_sweep_scalar,
+    reference_trace_faces,
     relabelled,
     rotation_system_from_json,
     subdivided_with_pendants,
@@ -58,7 +60,7 @@ class TestTraceFaces:
             assert summary.face_lengths == (2 * (n - 1),)
             assert all(
                 pair == (2 * (n - 1), 2 * (n - 1))
-                for pair in summary.edge_face_lengths.values()
+                for pair in edge_face_lengths(g, summary).values()
             )
             assert summary.chi == 2
 
@@ -140,6 +142,48 @@ class TestTraceFaces:
         rs = random_rotation_system(rng, g, signed=True)
         again = rotation_system_from_json(rs.to_json_dict())
         assert again == rs
+
+
+def _assert_trace_matches_reference(g, rs):
+    got, want = trace_faces(g, rs), reference_trace_faces(g, rs)
+    assert got.face_walks == want.face_walks, (g.edges(), rs)
+    assert (got.face_lengths, got.chi, got.orientable) == (
+        want.face_lengths, want.chi, want.orientable), (g.edges(), rs)
+    assert edge_face_lengths(g, got) == want.edge_face_lengths, (g.edges(), rs)
+
+
+class TestTraceFacesAgainstReference:
+    """``trace_faces`` walks the faces of the int-state reference tracer, in its order."""
+
+    def test_every_signed_system_up_to_four_vertices(self):
+        checked = 0
+        for g in enumerate_connected_graphs(4):
+            if g.m == 0:
+                continue
+            edges = g.edges()
+            for rs in all_rotation_systems(g):
+                for mask in range(1 << g.m):
+                    negative = frozenset(e for i, e in enumerate(edges) if mask >> i & 1)
+                    _assert_trace_matches_reference(g, RotationSystem(rs.rotations, negative))
+                    checked += 1
+        assert checked == 1238
+
+    def test_seeded_random_systems(self):
+        rng = random.Random(30)
+        signed_count = 0
+        for _ in range(2000):
+            g = random_connected_graph(rng, rng.randint(2, 8))
+            signed = rng.random() < 0.5
+            signed_count += signed
+            _assert_trace_matches_reference(g, random_rotation_system(rng, g, signed=signed))
+        assert 900 < signed_count < 1100
+
+    def test_every_chi_golden_witness(self):
+        rows = json.loads((DATA / "chi_golden.json").read_text())
+        for row in rows:
+            g = parse_graph6(row["graph6"])
+            _assert_trace_matches_reference(g, rotation_system_from_json(row["output"]["witness"]))
+        assert len(rows) == 154
 
 
 class TestCurvature:
