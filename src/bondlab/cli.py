@@ -381,11 +381,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (GraphFormatError, ValueError, OverflowError) as exc:
+    except BrokenPipeError:  # an OSError, so it is caught first
+        return 0
+    except (GraphFormatError, ValueError, OverflowError, OSError) as exc:
         _error(str(exc))
         return 1
-    except BrokenPipeError:
-        return 0
 
 
 if __name__ == "__main__":

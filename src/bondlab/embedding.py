@@ -2,9 +2,12 @@
 
 A rotation system assigns each vertex a cyclic order of its neighbours; an
 edge sign of -1 reverses local orientation when the edge is crossed, which
-encodes non-orientable embeddings.  Faces are traced as orbits of the
-next-dart map on (dart, direction) states; each face corresponds to a
-mirror-image pair of orbits, so the face count is the number of orbit pairs.
+encodes non-orientable embeddings.  :func:`trace_faces` is the one face
+tracer: faces are orbits of the next-dart map on (dart, flipped) states,
+each face a mirror-image pair of orbits, and an orientable system never
+flips, so its faces are the orbits of its darts.  Every witness behind a
+certified chi is re-traced by it: the planarity test's plane rotation
+system and each scheme the branch-and-bound finds.
 
 Each orientability class is decided by a face-building branch-and-bound
 (:func:`_branch_and_bound`) that both finds and refutes: it decides "some
@@ -15,7 +18,7 @@ once, before any search: a tree's core collapses to a point; a core with at
 most 8 edges is planar by counting, since every nonplanar graph has at least
 9 (Kuratowski); a larger core whose cap allows the sphere is tested for
 planarity (:mod:`.planarity`).  A point, a counted core, or a planar core
-once a count of its faces confirms the test's rotation system, is certified
+once its rotation system from the test re-traces to chi 2, is certified
 at chi 2 orientably and 1 non-orientably with nothing searched.  Otherwise
 orientable chi is at most 0 and that side is searched first; the signed
 side is searched only while the orientable side is short of the signed
@@ -24,14 +27,15 @@ side's cap, since it could not raise chi otherwise.
 ``certified`` marks a proven maximum: the sphere, or the branch-and-bound's
 refutation of every larger value.  Witnesses are built when first read:
 a counted core's plane witness is then embedded by the planarity test and
-confirmed by a count of its faces, and every witness is lifted to the graph
-as given only then.
+re-traced to chi 2, and every witness is lifted to the graph as given only
+then.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar
 
@@ -60,7 +64,8 @@ class RotationSystem:
     """Per-vertex neighbour cycles plus the set of negative edges.
 
     ``rotations[v]`` lists the neighbours of ``v`` in cyclic order; an empty
-    ``negative_edges`` set is the orientable case.
+    ``negative_edges`` set is the orientable case.  Each negative edge is
+    written ``(u, v)`` with ``u < v``, as ``sign`` looks it up.
     """
 
     rotations: tuple[tuple[int, ...], ...]
@@ -70,76 +75,66 @@ class RotationSystem:
         if len(self.rotations) != g.n:
             raise ValueError(f"expected {g.n} rotations, got {len(self.rotations)}")
         for v, rot in enumerate(self.rotations):
-            if sorted(rot) != sorted(g.neighbors(v)):
+            mask = 0
+            for u in rot:
+                mask |= 1 << u if u >= 0 else -1  # a negative entry matches no mask
+            if mask != g.adjacency[v] or len(rot) != mask.bit_count():
                 raise ValueError(f"rotation at vertex {v} is not a permutation of its neighbours")
-        edges = set(g.edges())
-        for e in self.negative_edges:
-            if tuple(sorted(e)) not in edges:
-                raise ValueError(f"negative sign on non-edge {e}")
+        for u, v in self.negative_edges:
+            if not (0 <= u < v < g.n and g.adjacency[u] >> v & 1):
+                raise ValueError(f"negative sign on {(u, v)}, which is not an edge (u, v) with u < v")
 
     def sign(self, u: int, v: int) -> int:
         return -1 if (min(u, v), max(u, v)) in self.negative_edges else 1
 
     def to_json_dict(self) -> dict:
-        edges = sorted({tuple(sorted(e)) for e in self.negative_edges})
         return {
             "rotations": [list(rot) for rot in self.rotations],
-            "negative_edges": [list(e) for e in edges],
+            "negative_edges": [list(e) for e in sorted(self.negative_edges)],
         }
 
 
 @dataclass(frozen=True)
 class EmbeddingSummary:
-    """Faces of one embedding: walks, lengths, per-edge face sizes, and chi."""
+    """Faces of one embedding: walks, lengths, chi and orientability."""
 
     face_walks: tuple[tuple[tuple[int, int], ...], ...]
     face_lengths: tuple[int, ...]
-    edge_face_lengths: dict[tuple[int, int], tuple[int, int]]
     chi: int
     orientable: bool
 
 
-def _dart_tables(g: Graph):
-    edges = g.edges()
-    dart_of = {}
-    tail = []
-    head = []
-    for e, (u, v) in enumerate(edges):
-        dart_of[(u, v)] = 2 * e
-        dart_of[(v, u)] = 2 * e + 1
-        tail += [u, v]
-        head += [v, u]
-    return edges, dart_of, tail, head
-
-
 def _is_balanced(g: Graph, rs: RotationSystem) -> bool:
-    """True iff every cycle has positive sign product (orientable embedding)."""
-    if not rs.negative_edges:
-        return True
-    potential = [0] * g.n
-    seen = [False] * g.n
-    seen[0] = True
-    stack = [0]
+    """True iff every cycle has positive sign product (orientable embedding):
+    each edge agrees with sides switched across negative edges from vertex 0."""
+    side: list[bool | None] = [None] * g.n
+    side[0], stack = False, [0]
     while stack:
         u = stack.pop()
         for v in g.neighbors(u):
-            if not seen[v]:
-                seen[v] = True
-                potential[v] = potential[u] ^ (rs.sign(u, v) < 0)
+            s = side[u] ^ (rs.sign(u, v) < 0)
+            if side[v] is None:
+                side[v] = s
                 stack.append(v)
-    for u, v in g.edges():
-        if (potential[u] ^ potential[v]) != (rs.sign(u, v) < 0):
-            return False
+            elif side[v] != s:
+                return False
     return True
 
 
 def trace_faces(g: Graph, rs: RotationSystem) -> EmbeddingSummary:
     """Trace all face walks of the embedding determined by ``rs``.
 
-    For orientable systems every dart lies on exactly one walk; with negative
-    signs a one-sided face traverses some darts twice, but every edge still
-    contributes exactly two dart slots over all walks, so the lengths always
-    sum to 2m.
+    A walk reaching ``v`` along the dart ``(u, v)`` leaves along ``(v, w)``,
+    ``w`` following ``u`` at ``v``, or preceding it while the walk is
+    flipped; crossing a negative edge flips it.  Walks start from the
+    forward states in dart order, ``(u, v)`` then ``(v, u)`` for each edge
+    of ``g.edges()``, then, for a signed system only, the flipped ones.  A
+    face is a mirror-image pair of orbits: the first traced gives the walk
+    and marks its mirror seen; a one-sided face's orbit is its own mirror
+    and keeps its first half.  An orientable system never flips, so its
+    faces are the orbits of the darts, each dart on exactly one walk.  With
+    negative signs a one-sided face traverses some darts twice, but every
+    edge still fills exactly two slots, so the lengths always sum to 2m.
     """
     if g.n < 1 or g.m < 1:
         raise ValueError("face tracing needs at least one edge")
@@ -147,72 +142,60 @@ def trace_faces(g: Graph, rs: RotationSystem) -> EmbeddingSummary:
         raise ValueError("face tracing is defined for connected graphs")
     rs.validate(g)
 
-    edges, dart_of, tail, head = _dart_tables(g)
-    nd = 2 * g.m
-    rot_next = [dict() for _ in range(g.n)]
-    rot_prev = [dict() for _ in range(g.n)]
+    after = {}  # (u, v) -> w, the neighbour following u at v
     for v, rot in enumerate(rs.rotations):
-        k = len(rot)
-        for i, x in enumerate(rot):
-            rot_next[v][x] = rot[(i + 1) % k]
-            rot_prev[v][x] = rot[(i - 1) % k]
-    neg = [rs.sign(tail[d], head[d]) < 0 for d in range(nd)]
-
-    def next_state(state: int) -> int:
-        d, s = state >> 1, state & 1
-        s2 = s ^ neg[d]
-        v = head[d]
-        w = rot_prev[v][tail[d]] if s2 else rot_next[v][tail[d]]
-        return (dart_of[(v, w)] << 1) | s2
-
-    def mirror(state: int) -> int:
-        d, s = state >> 1, state & 1
-        return ((d ^ 1) << 1) | (1 ^ s ^ neg[d])
-
-    visited = [False] * (2 * nd)
+        w = rot[0]
+        for u in reversed(rot):
+            after[u, v] = w
+            w = u
     walks = []
-    # Forward-direction states first: without negative signs every face then
-    # gets traced from its forward orbit, so each dart appears exactly once
-    # across the walks instead of a face showing up mirrored.
-    starts = [2 * d for d in range(nd)] + [2 * d + 1 for d in range(nd)]
-    for start in starts:
-        if visited[start]:
-            continue
-        orbit = [start]
-        visited[start] = True
-        state = next_state(start)
-        while state != start:
-            orbit.append(state)
-            visited[state] = True
-            state = next_state(state)
-        self_mirrored = mirror(start) in set(orbit)
-        for s in orbit:
-            visited[mirror(s)] = True
-        if self_mirrored:
-            darts = [s >> 1 for s in orbit[: len(orbit) // 2]]
-        else:
-            darts = [s >> 1 for s in orbit]
-        walks.append(tuple((tail[d], head[d]) for d in darts))
+    orientable = not rs.negative_edges
+    if orientable:
+        # Each dart leaves the map once, on its own walk, so every edge
+        # fills exactly two slots with no count of them.
+        for u, v in g.edges():
+            for dart in ((u, v), (v, u)):
+                walk = []
+                while (w := after.pop(dart, None)) is not None:
+                    walk.append(dart)
+                    dart = (dart[1], w)
+                if walk:
+                    walks.append(tuple(walk))
+    else:
+        # The neighbour after u at v, or before it while the walk is flipped.
+        turn = (after, {(w, v): u for (u, v), w in after.items()})
+        seen: set[tuple[int, int, bool]] = set()
+        for flipped in (False, True):
+            for u, v in g.edges():
+                for start in ((u, v, flipped), (v, u, flipped)):
+                    if start in seen:
+                        continue
+                    walk, mirrors, state = [], set(), start
+                    while state not in seen:  # until the orbit is back at start
+                        seen.add(state)
+                        a, b, s = state
+                        s ^= rs.sign(a, b) < 0
+                        walk.append((a, b))
+                        mirrors.add((b, a, not s))
+                        state = (b, turn[s][a, b], s)
+                    seen |= mirrors
+                    if start in mirrors:  # one-sided: the orbit runs round the face twice
+                        del walk[len(walk) // 2:]
+                    walks.append(tuple(walk))
+        slots = Counter((a, b) if a < b else (b, a) for walk in walks for a, b in walk)
+        for e in g.edges():
+            if slots[e] != 2:
+                raise AssertionError(f"edge {e} appears {slots[e]} times across faces")
+        orientable = _is_balanced(g, rs)
 
-    lengths = tuple(len(w) for w in walks)
-    if sum(lengths) != nd:
+    lengths = tuple(map(len, walks))
+    if sum(lengths) != 2 * g.m:
         raise AssertionError("face walks do not cover each edge exactly twice")
-    per_edge: dict[tuple[int, int], list[int]] = {e: [] for e in edges}
-    for walk, length in zip(walks, lengths):
-        for u, v in walk:
-            per_edge[(u, v) if u < v else (v, u)].append(length)
-    edge_face_lengths = {}
-    for e, occ in per_edge.items():
-        if len(occ) != 2:
-            raise AssertionError(f"edge {e} appears {len(occ)} times across faces")
-        edge_face_lengths[e] = (min(occ), max(occ))
-
     return EmbeddingSummary(
         face_walks=tuple(walks),
         face_lengths=lengths,
-        edge_face_lengths=edge_face_lengths,
         chi=g.n - g.m + len(walks),
-        orientable=_is_balanced(g, rs),
+        orientable=orientable,
     )
 
 
@@ -278,7 +261,7 @@ class SideResult:
     ``witness`` is built by ``build`` when first read, then kept; it is None
     when there is no builder.  Building re-checks what the value rests on:
     a counted core's plane witness must come out of the planarity test and
-    count to chi 2 (an ``AssertionError`` otherwise).  ``build`` takes no
+    re-trace to chi 2 (an ``AssertionError`` otherwise).  ``build`` takes no
     part in comparisons, so two sides compare equal on their values alone.
     """
 
@@ -406,36 +389,18 @@ def _face_length_upper_bound(core: Graph) -> int:
     return min(2, core.n - core.m + (2 * core.m) // girth(core))
 
 
-def _orientable_face_count(rotations: tuple[tuple[int, ...], ...]) -> int:
-    """Orbits of the dart map ``(u, v) -> (v, w)``, ``w`` following ``u`` at ``v``.
-
-    These are the faces of the orientable embedding ``rotations`` gives,
-    counted without tracing its walks.
-    """
-    after = {}
-    for v, rot in enumerate(rotations):
-        for i, u in enumerate(rot):
-            after[u, v] = rot[(i + 1) % len(rot)]
-    faces = 0
-    while after:
-        dart = next(iter(after))
-        faces += 1
-        while dart in after:
-            dart = (dart[1], after.pop(dart))
-    return faces
-
-
 def _plane_witness(core: Graph, rotations: tuple[tuple[int, ...], ...] | None) -> RotationSystem:
-    """The planarity test's ``rotations`` of ``core``, confirmed at chi 2.
+    """The planarity test's ``rotations`` of ``core``, re-traced to chi 2.
 
-    Raises ``AssertionError`` when the test found none, or when a count of
-    the faces of its rotation system does not give chi 2.
+    Raises ``AssertionError`` when the test found none, or when
+    :func:`trace_faces` does not trace its rotation system to an orientable
+    chi 2.
     """
     if rotations is None:
         raise AssertionError("planarity test finds no plane embedding of a core decided planar")
     plane = RotationSystem(rotations)
-    plane.validate(core)
-    if core.n - core.m + _orientable_face_count(rotations) != 2:
+    traced = trace_faces(core, plane)
+    if traced.chi != 2 or not traced.orientable:
         raise AssertionError("planar rotation system does not re-trace to chi 2")
     return plane
 
@@ -472,8 +437,12 @@ def _branch_and_bound(core: Graph, t: int, allowance: int,
     if not signed:
         t += t % 2
     order = sorted(range(core.n), key=lambda v: -core.degree(v))
-    edges, _, tail, head = _dart_tables(_relabel(core.adjacency, order))
+    edges = _relabel(core.adjacency, order).edges()
     m = len(edges)
+    tail, head = [], []  # dart 2e is edge e = (u, v) read u -> v, dart 2e + 1 is v -> u
+    for u, v in edges:
+        tail += [u, v]
+        head += [v, u]
     need = t - core.n + m
     span = 2 * int(girth(core))
     outs: list[list[int]] = [[] for _ in order]
@@ -636,10 +605,9 @@ def max_euler_characteristic(
     *Sphere.*  A tree's core is a point.  A core with at most 8 edges is
     planar by counting, since every nonplanar graph has at least 9; neither
     the planarity test nor the girth cap runs for it, and its plane witness
-    is embedded by the test, its faces counted to confirm chi 2, when first
-    read.  A larger core whose face-length cap is 2 and which the planarity
-    test embeds, its faces counted again to confirm chi 2, gives the plane
-    witness.  Neither side is searched: orientable chi is 2, and
+    is embedded by the test and re-traced to chi 2 when first read.  A
+    larger core whose face-length cap is 2 and which the planarity test
+    embeds, re-traced to chi 2 at once, gives the plane witness.  Neither side is searched: orientable chi is 2, and
     non-orientable chi 1 by the planar identity, no witness.
 
     *Nonplanar.*  :func:`_search_side` decides the orientable side from the

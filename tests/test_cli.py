@@ -371,6 +371,13 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", str(corpus), "--format", "text")
         assert code == 0
 
+    @pytest.mark.parametrize("name", ["missing.g6", ""], ids=["missing file", "directory"])
+    def test_unreadable_corpus_is_one_error_line(self, capsys, tmp_path, name):
+        # FileNotFoundError and IsADirectoryError are reported, not raised.
+        code, out, err = run(capsys, "verify", str(tmp_path / name))
+        assert (code, out) == (1, "")
+        assert err.startswith("bondlab: error:") and err.count("\n") == 1
+
 
 class TestEnumerateAndFamilies:
     def test_enumerate_counts(self, capsys):

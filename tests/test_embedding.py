@@ -100,6 +100,21 @@ class TestTraceFaces:
         with pytest.raises(ValueError):
             trace_faces(g, rs)
 
+    @pytest.mark.parametrize("graph, rotations, negative", [
+        (("cn", 3), ((1, 2), (0, 2, 0), (0, 1)), ()),
+        (("cn", 3), ((1, -1), (0, 2), (0, 1)), ()),
+        (("cn", 3), ((1, 2), (0, 3), (0, 1)), ()),
+        (("cn", 4), ((1, 3), (0, 2), (1, 3), (0, 2)), ((-1, 2),)),
+        (("cn", 3), ((1, 2), (0, 2), (0, 1)), ((2, 0),)),
+    ], ids=["repeated neighbour", "entry -1", "entry n", "negative index", "unordered pair"])
+    def test_validate_rejects(self, graph, rotations, negative):
+        g = make_family(*graph)
+        rs = RotationSystem(rotations, frozenset(negative))
+        with pytest.raises(ValueError):
+            rs.validate(g)
+        with pytest.raises(ValueError):
+            trace_faces(g, rs)
+
     def test_rejects_disconnected(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
         with pytest.raises(ValueError):
@@ -791,8 +806,10 @@ class TestBranchAndBoundSearch:
 
     def test_traces_only_its_witnesses(self, corpus6, monkeypatch):
         # No side is swept: trace_faces runs once for each side the
-        # branch-and-bound certifies, on the witness it found, and never
-        # for a side the budget stopped or the planarity step decided.
+        # branch-and-bound certifies, on the witness it found, and once on
+        # the plane witness of a core of at least 9 edges that the planarity
+        # test embeds.  It never runs for a side the budget stopped, and a
+        # smaller core's plane witness is traced only when it is read.
         calls = []
         trace = embedding.trace_faces
 
@@ -804,16 +821,19 @@ class TestBranchAndBoundSearch:
         rng = random.Random(11)
         graphs = _stress_graphs() + corpus6
         graphs += [_sparse_graph(rng, rng.randint(8, 14), rng.randint(2, 5)) for _ in range(100)]
-        searched = 0
+        searched = planes = 0
         for g in graphs:
+            tested = embedding._core(g)[0].m >= embedding._NONPLANAR_MIN_EDGES
             for budget in (300, 10**6):
                 calls.clear()
                 result = max_euler_characteristic(g, budget=budget)
                 sides = [s for s in (result.orientable, result.nonorientable)
                          if s is not None and s.nodes > 0 and s.certified]
-                assert len(calls) == len(sides), (g.edges(), budget)
+                plane = tested and result.chi == 2 and result.orientable.nodes == 0
+                assert len(calls) == len(sides) + plane, (g.edges(), budget)
                 searched += len(sides)
-        assert searched > 50
+                planes += plane
+        assert searched > 50 and planes > 50
 
     def test_stress_graphs_spend_their_leftover_steps_as_nodes(self):
         # Both sides are searched node by node, and every stress graph is
