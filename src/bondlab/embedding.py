@@ -130,11 +130,11 @@ def trace_faces(g: Graph, rs: RotationSystem) -> EmbeddingSummary:
     forward states in dart order, ``(u, v)`` then ``(v, u)`` for each edge
     of ``g.edges()``, then, for a signed system only, the flipped ones.  A
     face is a mirror-image pair of orbits: the first traced gives the walk
-    and marks its mirror seen; a one-sided face's orbit is its own mirror
-    and keeps its first half.  An orientable system never flips, so its
-    faces are the orbits of the darts, each dart on exactly one walk.  With
-    negative signs a one-sided face traverses some darts twice, but every
-    edge still fills exactly two slots, so the lengths always sum to 2m.
+    and marks its mirror seen, and an orbit that is its own mirror keeps
+    its first half.  An orientable system never flips, so its faces are the
+    orbits of the darts, each dart on exactly one walk.  With negative
+    signs a face may pass a dart twice, but every edge still fills exactly
+    two slots, so the lengths always sum to 2m.
     """
     if g.n < 1 or g.m < 1:
         raise ValueError("face tracing needs at least one edge")
@@ -179,7 +179,7 @@ def trace_faces(g: Graph, rs: RotationSystem) -> EmbeddingSummary:
                         mirrors.add((b, a, not s))
                         state = (b, turn[s][a, b], s)
                     seen |= mirrors
-                    if start in mirrors:  # one-sided: the orbit runs round the face twice
+                    if start in mirrors:  # its own mirror: it runs round the face twice
                         del walk[len(walk) // 2:]
                     walks.append(tuple(walk))
         slots = Counter((a, b) if a < b else (b, a) for walk in walks for a, b in walk)
@@ -607,8 +607,9 @@ def max_euler_characteristic(
     the planarity test nor the girth cap runs for it, and its plane witness
     is embedded by the test and re-traced to chi 2 when first read.  A
     larger core whose face-length cap is 2 and which the planarity test
-    embeds, re-traced to chi 2 at once, gives the plane witness.  Neither side is searched: orientable chi is 2, and
-    non-orientable chi 1 by the planar identity, no witness.
+    embeds, re-traced to chi 2 at once, gives the plane witness.  Neither
+    side is searched: orientable chi is 2, and non-orientable chi 1 by the
+    planar identity, no witness.
 
     *Nonplanar.*  :func:`_search_side` decides the orientable side from the
     cap taken down to an even value at most 0, then, on the budget left,

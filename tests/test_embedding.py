@@ -100,19 +100,21 @@ class TestTraceFaces:
         with pytest.raises(ValueError):
             trace_faces(g, rs)
 
-    @pytest.mark.parametrize("graph, rotations, negative", [
-        (("cn", 3), ((1, 2), (0, 2, 0), (0, 1)), ()),
-        (("cn", 3), ((1, -1), (0, 2), (0, 1)), ()),
-        (("cn", 3), ((1, 2), (0, 3), (0, 1)), ()),
-        (("cn", 4), ((1, 3), (0, 2), (1, 3), (0, 2)), ((-1, 2),)),
-        (("cn", 3), ((1, 2), (0, 2), (0, 1)), ((2, 0),)),
+    @pytest.mark.parametrize("graph, rotations, negative, message", [
+        (("cn", 3), ((1, 2), (0, 2, 0), (0, 1)), (), "rotation at vertex 1"),
+        (("cn", 3), ((1, -1), (0, 2), (0, 1)), (), "rotation at vertex 0"),
+        (("cn", 3), ((1, 2), (0, 3), (0, 1)), (), "rotation at vertex 1"),
+        (("cn", 4), ((1, 3), (0, 2), (1, 3), (0, 2)), ((-1, 2),), "negative sign"),
+        (("cn", 3), ((1, 2), (0, 2), (0, 1)), ((2, 0),), "negative sign"),
     ], ids=["repeated neighbour", "entry -1", "entry n", "negative index", "unordered pair"])
-    def test_validate_rejects(self, graph, rotations, negative):
+    def test_validate_rejects(self, graph, rotations, negative, message):
+        # -1 would index the last vertex, whose mask holds a neighbour in
+        # each case; (2, 0) is an edge of C3, but sign() looks up (0, 2).
         g = make_family(*graph)
         rs = RotationSystem(rotations, frozenset(negative))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             rs.validate(g)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             trace_faces(g, rs)
 
     def test_rejects_disconnected(self):

@@ -115,6 +115,19 @@ class TestPlanarityStep:
             kinds["tested" if tested else "counted" if counted else "skipped"] += 1
         assert kinds == {"tested": 7, "counted": 13, "skipped": 6}
 
+    @pytest.mark.parametrize("family", [("qd", 3), ("kn", 4)], ids=["Q3 tested", "K4 counted"])
+    def test_a_plane_witness_must_retrace_to_the_sphere(self, family, monkeypatch):
+        # A rotation system from the planarity test counts only once
+        # trace_faces re-traces it to chi 2: Q3's core is tested at once,
+        # K4's when its witness is read.  Both graphs are their own core.
+        g = make_family(*family)
+        rotations = list(planar_rotations(g))
+        rotations[0] = rotations[0][::-1]
+        assert trace_faces(g, RotationSystem(tuple(rotations))).chi < 2
+        monkeypatch.setattr(embedding, "planar_rotations", lambda core: tuple(rotations))
+        with pytest.raises(AssertionError, match="does not re-trace to chi 2"):
+            max_euler_characteristic(g).witness
+
     @pytest.mark.parametrize("name", ["corpus6", "verify_corpus7.csv", "verify_sparse_pool.csv"])
     def test_cores_of_at_most_eight_edges_are_planar(self, corpus6, name):
         # The counting rule the search certifies the sphere by, checked
