@@ -37,6 +37,7 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, ClassVar
 
 from .graphs import Graph, _relabel, girth
@@ -126,15 +127,15 @@ def trace_faces(g: Graph, rs: RotationSystem) -> EmbeddingSummary:
 
     A walk reaching ``v`` along the dart ``(u, v)`` leaves along ``(v, w)``,
     ``w`` following ``u`` at ``v``, or preceding it while the walk is
-    flipped; crossing a negative edge flips it.  Walks start from the
-    forward states in dart order, ``(u, v)`` then ``(v, u)`` for each edge
-    of ``g.edges()``, then, for a signed system only, the flipped ones.  A
-    face is a mirror-image pair of orbits: the first traced gives the walk
-    and marks its mirror seen, and an orbit that is its own mirror keeps
-    its first half.  An orientable system never flips, so its faces are the
-    orbits of the darts, each dart on exactly one walk.  With negative
-    signs a face may pass a dart twice, but every edge still fills exactly
-    two slots, so the lengths always sum to 2m.
+    flipped; crossing a negative edge flips it.  A face is a mirror-image
+    pair of orbits of these (dart, flipped) states: the first traced gives
+    the walk and marks its mirror seen.  Walks start from the forward
+    states in dart order, ``(u, v)`` then ``(v, u)`` for each edge of
+    ``g.edges()``.  No face needs a flipped start: an orbit that never
+    leaves the flipped side crosses no negative edge, so its mirror holds
+    forward states.  An orientable system never flips, so its faces are the
+    orbits of the darts.  With negative signs a face may pass a dart twice,
+    but every edge still fills exactly two slots, so the lengths sum to 2m.
     """
     if g.n < 1 or g.m < 1:
         raise ValueError("face tracing needs at least one edge")
@@ -148,45 +149,31 @@ def trace_faces(g: Graph, rs: RotationSystem) -> EmbeddingSummary:
         for u in reversed(rot):
             after[u, v] = w
             w = u
+    # The neighbour after u at v, or before it while the walk is flipped.
+    turn = (after, {(w, v): u for (u, v), w in after.items()})
+    flips = {d for u, v in rs.negative_edges for d in ((u, v), (v, u))}
     walks = []
-    orientable = not rs.negative_edges
-    if orientable:
-        # Each dart leaves the map once, on its own walk, so every edge
-        # fills exactly two slots with no count of them.
-        for u, v in g.edges():
-            for dart in ((u, v), (v, u)):
-                walk = []
-                while (w := after.pop(dart, None)) is not None:
-                    walk.append(dart)
-                    dart = (dart[1], w)
-                if walk:
-                    walks.append(tuple(walk))
-    else:
-        # The neighbour after u at v, or before it while the walk is flipped.
-        turn = (after, {(w, v): u for (u, v), w in after.items()})
-        seen: set[tuple[int, int, bool]] = set()
-        for flipped in (False, True):
-            for u, v in g.edges():
-                for start in ((u, v, flipped), (v, u, flipped)):
-                    if start in seen:
-                        continue
-                    walk, mirrors, state = [], set(), start
-                    while state not in seen:  # until the orbit is back at start
-                        seen.add(state)
-                        a, b, s = state
-                        s ^= rs.sign(a, b) < 0
-                        walk.append((a, b))
-                        mirrors.add((b, a, not s))
-                        state = (b, turn[s][a, b], s)
-                    seen |= mirrors
-                    if start in mirrors:  # its own mirror: it runs round the face twice
-                        del walk[len(walk) // 2:]
-                    walks.append(tuple(walk))
-        slots = Counter((a, b) if a < b else (b, a) for walk in walks for a, b in walk)
-        for e in g.edges():
-            if slots[e] != 2:
-                raise AssertionError(f"edge {e} appears {slots[e]} times across faces")
-        orientable = _is_balanced(g, rs)
+    seen: set[tuple[int, int, bool]] = set()
+    for u, v in g.edges():
+        for start in ((u, v, False), (v, u, False)):
+            # No orbit is its own mirror, so the walk runs round its face
+            # once: the mirror map m reverses orbits, so such an orbit would
+            # hold a state x with m(x) = x, but m reverses the dart, or with
+            # m(x) = f(x), but the step f keeps the side bit that m flips.
+            walk, state = [], start
+            while state not in seen:  # until the orbit is back at start
+                seen.add(state)
+                a, b, s = state
+                s ^= (a, b) in flips
+                walk.append((a, b))
+                seen.add((b, a, not s))
+                state = (b, turn[s][a, b], s)
+            if walk:
+                walks.append(tuple(walk))
+    darts = Counter(chain.from_iterable(walks))
+    for u, v in g.edges():
+        if darts[u, v] + darts[v, u] != 2:
+            raise AssertionError(f"edge {(u, v)} does not fill exactly two face slots")
 
     lengths = tuple(map(len, walks))
     if sum(lengths) != 2 * g.m:
@@ -195,7 +182,7 @@ def trace_faces(g: Graph, rs: RotationSystem) -> EmbeddingSummary:
         face_walks=tuple(walks),
         face_lengths=lengths,
         chi=g.n - g.m + len(walks),
-        orientable=orientable,
+        orientable=not rs.negative_edges or _is_balanced(g, rs),
     )
 
 
