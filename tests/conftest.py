@@ -1069,8 +1069,7 @@ def order_threshold_exceeded(n: int, chi: int, z: Fraction) -> bool:
 def edge_face_lengths(g: Graph, summary: EmbeddingSummary) -> dict[tuple[int, int], tuple[int, int]]:
     """Each edge of ``g`` with the lengths of the two face slots it fills, smaller first.
 
-    A one-sided face, or a face that runs along both sides of an edge, fills
-    both of that edge's slots.
+    A face that passes an edge twice fills both of that edge's slots.
     """
     per_edge: dict[tuple[int, int], list[int]] = {e: [] for e in g.edges()}
     for walk in summary.face_walks:

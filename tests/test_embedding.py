@@ -88,25 +88,16 @@ class TestTraceFaces:
         assert summary.chi == 1
         assert not summary.orientable
 
-    def test_rejects_bad_rotation(self):
-        g = make_family("cn", 4)
-        rs = RotationSystem(((1, 3), (0, 2), (1, 3), (0, 0)))
-        with pytest.raises(ValueError):
-            trace_faces(g, rs)
-
-    def test_rejects_sign_on_non_edge(self):
-        g = make_family("pn", 3)
-        rs = RotationSystem(identity_rotation(g).rotations, frozenset({(0, 2)}))
-        with pytest.raises(ValueError):
-            trace_faces(g, rs)
-
     @pytest.mark.parametrize("graph, rotations, negative, message", [
+        (("cn", 4), ((1, 3), (0, 2), (1, 3), (0, 0)), (), "rotation at vertex 3"),
         (("cn", 3), ((1, 2), (0, 2, 0), (0, 1)), (), "rotation at vertex 1"),
         (("cn", 3), ((1, -1), (0, 2), (0, 1)), (), "rotation at vertex 0"),
         (("cn", 3), ((1, 2), (0, 3), (0, 1)), (), "rotation at vertex 1"),
         (("cn", 4), ((1, 3), (0, 2), (1, 3), (0, 2)), ((-1, 2),), "negative sign"),
+        (("pn", 3), ((1,), (0, 2), (1,)), ((0, 2),), "negative sign"),
         (("cn", 3), ((1, 2), (0, 2), (0, 1)), ((2, 0),), "negative sign"),
-    ], ids=["repeated neighbour", "entry -1", "entry n", "negative index", "unordered pair"])
+    ], ids=["bad rotation", "repeated neighbour", "entry -1", "entry n", "negative index", "non-edge",
+            "unordered pair"])
     def test_validate_rejects(self, graph, rotations, negative, message):
         # -1 would index the last vertex, whose mask holds a neighbour in
         # each case; (2, 0) is an edge of C3, but sign() looks up (0, 2).
