@@ -20,6 +20,28 @@ def corpus6():
     return [g for g in enumerate_connected_graphs(6) if g.m > 0]
 
 
+def _few_branch_vertices(g: Graph) -> bool:
+    """Fewer than six vertices of degree >= 3 and fewer than five of degree >= 4."""
+    degrees = [g.degree(v) for v in range(g.n)]
+    return sum(d >= 3 for d in degrees) < 6 and sum(d >= 4 for d in degrees) < 5
+
+
+def _subdivided_with_path(g: Graph) -> Graph:
+    """``g`` with its first edge subdivided and a 2-edge path hung on the new vertex."""
+    (u, v), rest = g.edges()[0], g.edges()[1:]
+    w = g.n
+    return Graph.from_edges(g.n + 3, rest + [(u, w), (w, v), (w, w + 1), (w + 1, w + 2)])
+
+
+def _minus_first_edge(g: Graph) -> Graph:
+    return Graph.from_edges(g.n, g.edges()[1:])
+
+
+# Two triangles joined by a perfect matching: planar, all six vertices of degree 3.
+PRISM = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                             (0, 3), (1, 4), (2, 5)])
+
+
 def _assert_verdict(g: Graph):
     rotations = planar_rotations(g)
     assert (rotations is not None) == reference_is_planar(g), g.edges()
@@ -129,9 +151,10 @@ class TestPlanarityStep:
             max_euler_characteristic(g).witness
 
     @pytest.mark.parametrize("name", ["corpus6", "verify_corpus7.csv", "verify_sparse_pool.csv"])
-    def test_cores_of_at_most_eight_edges_are_planar(self, corpus6, name):
+    def test_cores_with_few_branch_vertices_are_planar(self, corpus6, name):
         # The counting rule the search certifies the sphere by, checked
-        # against the planarity test on every core it decides.
+        # against networkx and the planarity test on every core it counts.
+        # It counts every core of at most 8 edges, as its docstring proves.
         if name == "corpus6":
             graphs = corpus6
         else:
@@ -140,11 +163,40 @@ class TestPlanarityStep:
         counted = 0
         for g in graphs:
             core = embedding._core(g)[0]
-            if core.m <= 8:
+            if core.m > 0 and _few_branch_vertices(core):
+                assert reference_is_planar(core), g.edges()
                 assert planar_rotations(core) is not None, g.edges()
                 counted += 1
-        assert counted == {"corpus6": 99, "verify_corpus7.csv": 277,
-                           "verify_sparse_pool.csv": 1072}[name]
+            else:
+                assert core.m == 0 or core.m >= 9, g.edges()
+        assert counted == {"corpus6": 106, "verify_corpus7.csv": 482,
+                           "verify_sparse_pool.csv": 1777}[name]
+
+    @pytest.mark.parametrize("g, counted", [
+        (make_family("kn", 5), False),
+        (make_family("kmn", 3, 3), False),
+        (_subdivided_with_path(make_family("kn", 5)), False),
+        (_subdivided_with_path(make_family("kmn", 3, 3)), False),
+        (_minus_first_edge(make_family("kn", 5)), True),
+        (_minus_first_edge(make_family("kmn", 3, 3)), True),
+        (PRISM, False),
+    ], ids=["K5", "K3,3", "K5 subdivided", "K3,3 subdivided", "K5 - e", "K3,3 - e", "prism"])
+    def test_the_count_stops_at_five_and_six_branch_vertices(self, g, counted):
+        # A subdivided K5 has five vertices of degree 4 and a subdivided
+        # K3,3 six of degree 3, so neither is counted, on the graph or on
+        # its core; one edge fewer and they are.  The prism has six
+        # vertices of degree 3 and is planar, so the planarity test decides it.
+        core = embedding._core(g)[0]
+        assert _few_branch_vertices(core) == _few_branch_vertices(g) == counted
+        assert reference_is_planar(g) == counted or g is PRISM
+
+    def test_the_prism_is_tested_at_once(self, monkeypatch):
+        calls = []
+        step = embedding.planar_rotations
+        monkeypatch.setattr(embedding, "planar_rotations", lambda core: calls.append(core) or step(core))
+        result = max_euler_characteristic(PRISM)
+        assert calls == [PRISM] and result.chi == 2 and result.certified
+        assert trace_faces(PRISM, result.witness).chi == 2 and calls == [PRISM]
 
     @pytest.mark.parametrize("graph6", ["E~z_", "Ev~_", "E~~?"])
     def test_nonplanar_cores_stop_at_genus_one(self, graph6):
