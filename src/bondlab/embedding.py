@@ -14,15 +14,16 @@ Each orientability class is decided by a face-building branch-and-bound
 scheme on this side has chi >= t" for t from the side's cap down, and the
 first t that holds is certified, as every larger t was refuted in full.
 Caps come from combinatorial face-length counting.  The sphere is decided
-once, before any search: a tree's core collapses to a point; a core with at
-most 8 edges is planar by counting, since every nonplanar graph has at least
-9 (Kuratowski); a larger core whose cap allows the sphere is tested for
-planarity (:mod:`.planarity`).  A point, a counted core, or a planar core
-once its rotation system from the test re-traces to chi 2, is certified
-at chi 2 orientably and 1 non-orientably with nothing searched.  Otherwise
-orientable chi is at most 0 and that side is searched first; the signed
-side is searched only while the orientable side is short of the signed
-side's cap, since it could not raise chi otherwise.
+once, before any search: a tree's core collapses to a point; a core with
+fewer than six vertices of degree >= 3 and fewer than five of degree >= 4
+is planar by counting, since a subdivided K3,3 or K5 has that many branch
+vertices (Kuratowski); any other core whose cap allows the sphere is tested
+for planarity (:mod:`.planarity`).  A point, a counted core, or a planar
+core once its rotation system from the test re-traces to chi 2, is
+certified at chi 2 orientably and 1 non-orientably with nothing searched.
+Otherwise orientable chi is at most 0 and that side is searched first; the
+signed side is searched only while the orientable side is short of the
+signed side's cap, since it could not raise chi otherwise.
 
 ``certified`` marks a proven maximum: the sphere, or the branch-and-bound's
 refutation of every larger value.  Witnesses are built when first read:
@@ -55,10 +56,6 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 100_000_000
-
-# Every nonplanar graph contains a subdivision of K5 (10 edges) or K3,3 (9).
-_NONPLANAR_MIN_EDGES = 9
-
 
 @dataclass(frozen=True)
 class RotationSystem:
@@ -363,7 +360,24 @@ def _core(g: Graph) -> tuple[Graph, list[int], list[tuple]]:
     return _relabel(adj, labels), labels, ops
 
 
-# -- caps and face counts ---------------------------------------------------
+# -- the sphere, caps and face counts ----------------------------------------
+
+
+def _planar_by_count(core: Graph) -> bool:
+    """True when ``core`` has too few branch vertices to be nonplanar.
+
+    By Kuratowski's theorem a nonplanar graph contains a subdivision of K5,
+    whose five branch vertices have degree 4, or of K3,3, whose six have
+    degree 3.  So a graph with fewer than six vertices of degree >= 3 and
+    fewer than five of degree >= 4 is planar.
+
+    This counts every core of at most 8 edges.  A core that is not a point
+    has minimum degree 2, so six vertices of degree >= 3 force
+    ``2m >= 18 + 2(n - 6)``, that is ``m >= n + 3 >= 9``, and five of degree
+    >= 4 force ``2m >= 20 + 2(n - 5)``, that is ``m >= n + 5 >= 10``.
+    """
+    degrees = [mask.bit_count() for mask in core.adjacency]
+    return sum(d >= 3 for d in degrees) < 6 and sum(d >= 4 for d in degrees) < 5
 
 
 def _face_length_upper_bound(core: Graph) -> int:
@@ -589,12 +603,17 @@ def max_euler_characteristic(
     vertices contracted; both keep chi on each side) in one of two
     branches, and lifts each witness back to ``g`` when it is first read.
 
-    *Sphere.*  A tree's core is a point.  A core with at most 8 edges is
-    planar by counting, since every nonplanar graph has at least 9; neither
-    the planarity test nor the girth cap runs for it, and its plane witness
-    is embedded by the test and re-traced to chi 2 when first read.  A
-    larger core whose face-length cap is 2 and which the planarity test
-    embeds, re-traced to chi 2 at once, gives the plane witness.  Neither
+    *Sphere.*  A tree's core is a point.  A core with fewer than six
+    vertices of degree >= 3 and fewer than five of degree >= 4 is planar by
+    counting (:func:`_planar_by_count`): a nonplanar graph holds a
+    subdivided K3,3, whose six branch vertices have degree 3, or a
+    subdivided K5, whose five have degree 4.  The count covers every core
+    of at most 8 edges, since at minimum degree 2 either set of branch
+    vertices forces at least 9.  Neither the planarity test nor the girth
+    cap runs for a counted core, and its plane witness is embedded by the
+    test and re-traced to chi 2 when first read.  Any other core whose
+    face-length cap is 2 and which the planarity test embeds, re-traced to
+    chi 2 at once, gives the plane witness.  Neither
     side is searched: orientable chi is 2, and non-orientable chi 1 by the
     planar identity, no witness.
 
@@ -628,7 +647,7 @@ def max_euler_characteristic(
     plane = None
     if core.m == 0:
         plane = functools.partial(lift, RotationSystem(((),)))  # the core of a tree is a point
-    elif core.m < _NONPLANAR_MIN_EDGES:
+    elif _planar_by_count(core):
         def plane() -> RotationSystem:
             return lift(_plane_witness(core, planar_rotations(core)))
     else:

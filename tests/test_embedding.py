@@ -800,9 +800,10 @@ class TestBranchAndBoundSearch:
     def test_traces_only_its_witnesses(self, corpus6, monkeypatch):
         # No side is swept: trace_faces runs once for each side the
         # branch-and-bound certifies, on the witness it found, and once on
-        # the plane witness of a core of at least 9 edges that the planarity
-        # test embeds.  It never runs for a side the budget stopped, and a
-        # smaller core's plane witness is traced only when it is read.
+        # the plane witness of a core that the branch-vertex count leaves to
+        # the planarity test and that the test embeds.  It never runs for a
+        # side the budget stopped.  A counted core's plane witness is traced
+        # when it is first read, and never again.
         calls = []
         trace = embedding.trace_faces
 
@@ -814,9 +815,11 @@ class TestBranchAndBoundSearch:
         rng = random.Random(11)
         graphs = _stress_graphs() + corpus6
         graphs += [_sparse_graph(rng, rng.randint(8, 14), rng.randint(2, 5)) for _ in range(100)]
-        searched = planes = 0
+        searched = planes = lazy = 0
         for g in graphs:
-            tested = embedding._core(g)[0].m >= embedding._NONPLANAR_MIN_EDGES
+            core = embedding._core(g)[0]
+            counted = core.m > 0 and embedding._planar_by_count(core)
+            tested = core.m > 0 and not counted
             for budget in (300, 10**6):
                 calls.clear()
                 result = max_euler_characteristic(g, budget=budget)
@@ -824,9 +827,13 @@ class TestBranchAndBoundSearch:
                          if s is not None and s.nodes > 0 and s.certified]
                 plane = tested and result.chi == 2 and result.orientable.nodes == 0
                 assert len(calls) == len(sides) + plane, (g.edges(), budget)
+                for _ in range(2):
+                    result.witness
+                    assert len(calls) == len(sides) + plane + counted, (g.edges(), budget)
                 searched += len(sides)
                 planes += plane
-        assert searched > 50 and planes > 50
+                lazy += counted
+        assert (searched, planes, lazy) == (58, 34, 394)
 
     def test_stress_graphs_spend_their_leftover_steps_as_nodes(self):
         # Both sides are searched node by node, and every stress graph is

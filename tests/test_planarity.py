@@ -20,12 +20,6 @@ def corpus6():
     return [g for g in enumerate_connected_graphs(6) if g.m > 0]
 
 
-def _few_branch_vertices(g: Graph) -> bool:
-    """Fewer than six vertices of degree >= 3 and fewer than five of degree >= 4."""
-    degrees = [g.degree(v) for v in range(g.n)]
-    return sum(d >= 3 for d in degrees) < 6 and sum(d >= 4 for d in degrees) < 5
-
-
 def _subdivided_with_path(g: Graph) -> Graph:
     """``g`` with its first edge subdivided and a 2-edge path hung on the new vertex."""
     (u, v), rest = g.edges()[0], g.edges()[1:]
@@ -107,11 +101,11 @@ class TestPlanarityStep:
         assert networkx_only == 4
 
     def test_runs_once_where_the_cap_allows_the_sphere(self, corpus6, monkeypatch):
-        # The search tests a core for planarity only when it has at least 9
-        # edges and a face-length cap of 2 (K5, K6 and Petersen have caps
-        # below 2; a tree has no core to test).  A core with 1-8 edges is
-        # planar by counting, so it is tested once, when its witness is
-        # first read, and never again.
+        # The search tests a core for planarity only when the branch-vertex
+        # count does not decide it and its face-length cap is 2 (K5, K6 and
+        # Petersen have caps below 2; a tree has no core to test).  A core
+        # with an edge that the count decides is planar, so it is tested
+        # once, when its witness is first read, and never again.
         calls = []
         step = embedding.planar_rotations
 
@@ -127,15 +121,15 @@ class TestPlanarityStep:
             calls.clear()
             result = max_euler_characteristic(g, budget=10**5)
             core = embedding._core(g)[0]
-            tested = core.m >= 9 and embedding._face_length_upper_bound(core) == 2
-            counted = 0 < core.m < 9
+            counted = core.m > 0 and embedding._planar_by_count(core)
+            tested = not counted and core.m > 0 and embedding._face_length_upper_bound(core) == 2
             assert calls == ([core] if tested else []), g.edges()
             witness = result.orientable.witness
             assert trace_faces(g, witness).chi == result.orientable.chi, g.edges()
             assert result.orientable.witness is witness, g.edges()
             assert calls == ([core] if tested or counted else []), g.edges()
             kinds["tested" if tested else "counted" if counted else "skipped"] += 1
-        assert kinds == {"tested": 7, "counted": 13, "skipped": 6}
+        assert kinds == {"tested": 3, "counted": 17, "skipped": 6}
 
     @pytest.mark.parametrize("family", [("qd", 3), ("kn", 4)], ids=["Q3 tested", "K4 counted"])
     def test_a_plane_witness_must_retrace_to_the_sphere(self, family, monkeypatch):
@@ -163,7 +157,7 @@ class TestPlanarityStep:
         counted = 0
         for g in graphs:
             core = embedding._core(g)[0]
-            if core.m > 0 and _few_branch_vertices(core):
+            if core.m > 0 and embedding._planar_by_count(core):
                 assert reference_is_planar(core), g.edges()
                 assert planar_rotations(core) is not None, g.edges()
                 counted += 1
@@ -187,7 +181,7 @@ class TestPlanarityStep:
         # its core; one edge fewer and they are.  The prism has six
         # vertices of degree 3 and is planar, so the planarity test decides it.
         core = embedding._core(g)[0]
-        assert _few_branch_vertices(core) == _few_branch_vertices(g) == counted
+        assert embedding._planar_by_count(core) == embedding._planar_by_count(g) == counted
         assert reference_is_planar(g) == counted or g is PRISM
 
     def test_the_prism_is_tested_at_once(self, monkeypatch):
