@@ -32,7 +32,8 @@ __all__ = ["planar_rotations"]
 def planar_rotations(g: Graph) -> tuple[tuple[int, ...], ...] | None:
     """A planar rotation system of the connected graph ``g``, or None if nonplanar.
 
-    ``result[v]`` lists the neighbours of ``v`` in cyclic order.
+    ``result[v]`` lists the neighbours of ``v`` in cyclic order.  Raises
+    ``ValueError`` when ``g`` is not connected.
     """
     adj = [list(g.neighbors(v)) for v in range(g.n)]
     rotations: list[list[int]] = [[] for _ in range(g.n)]
@@ -66,7 +67,8 @@ def _blocks(adj: list[list[int]]) -> list[list[tuple[int, int]]]:
     """Edge lists of the biconnected blocks of a connected graph (Tarjan).
 
     A bridge is a block of one edge.  The depth-first search keeps its own
-    stack, so deep graphs do not reach the recursion limit.
+    stack, so deep graphs do not reach the recursion limit.  Raises
+    ``ValueError`` when it leaves a vertex unvisited.
     """
     n = len(adj)
     if n == 0:
@@ -105,6 +107,8 @@ def _blocks(adj: list[list[int]]) -> list[list[tuple[int, int]]]:
                         if e == (u, v):
                             break
                     blocks.append(block)
+    if clock < n:
+        raise ValueError("planarity test needs a connected graph")
     return blocks
 
 

@@ -77,6 +77,13 @@ class TestPlanarRotations:
         assert (planar_rotations(g) is not None) == planar
         _assert_verdict(g)
 
+    def test_refuses_a_disconnected_graph(self):
+        # K5 on vertices 1-5 beside an isolated vertex 0: the search from
+        # vertex 0 would see no block, and so no obstruction.
+        g = Graph.from_edges(6, [(u + 1, v + 1) for u, v in make_family("kn", 5).edges()])
+        with pytest.raises(ValueError, match="connected"):
+            planar_rotations(g)
+
 
 class TestPlanarityStep:
     def test_agrees_with_the_exhaustive_orientable_sweep(self, corpus6):
