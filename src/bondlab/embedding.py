@@ -613,9 +613,9 @@ def max_euler_characteristic(
     cap runs for a counted core, and its plane witness is embedded by the
     test and re-traced to chi 2 when first read.  Any other core whose
     face-length cap is 2 and which the planarity test embeds, re-traced to
-    chi 2 at once, gives the plane witness.  Neither
-    side is searched: orientable chi is 2, and non-orientable chi 1 by the
-    planar identity, no witness.
+    chi 2 at once, gives the plane witness.  Neither side is searched:
+    orientable chi is 2, and non-orientable chi 1 by the planar identity,
+    no witness.
 
     *Nonplanar.*  :func:`_search_side` decides the orientable side from the
     cap taken down to an even value at most 0, then, on the budget left,

@@ -124,7 +124,9 @@ class TestPlanarityStep:
         kinds = {"tested": 0, "counted": 0, "skipped": 0}
         for g in corpus6[::7] + [make_family("qd", 3), make_family("kn", 5),
                                  make_family("kn", 6), make_family("petersen"),
-                                 make_family("pn", 5)]:
+                                 make_family("pn", 5), PRISM,
+                                 _minus_first_edge(make_family("kn", 5)),
+                                 _minus_first_edge(make_family("kmn", 3, 3))]:
             calls.clear()
             result = max_euler_characteristic(g, budget=10**5)
             core = embedding._core(g)[0]
@@ -136,7 +138,7 @@ class TestPlanarityStep:
             assert result.orientable.witness is witness, g.edges()
             assert calls == ([core] if tested or counted else []), g.edges()
             kinds["tested" if tested else "counted" if counted else "skipped"] += 1
-        assert kinds == {"tested": 3, "counted": 17, "skipped": 6}
+        assert kinds == {"tested": 4, "counted": 19, "skipped": 6}
 
     @pytest.mark.parametrize("family", [("qd", 3), ("kn", 4)], ids=["Q3 tested", "K4 counted"])
     def test_a_plane_witness_must_retrace_to_the_sphere(self, family, monkeypatch):
@@ -186,18 +188,11 @@ class TestPlanarityStep:
         # A subdivided K5 has five vertices of degree 4 and a subdivided
         # K3,3 six of degree 3, so neither is counted, on the graph or on
         # its core; one edge fewer and they are.  The prism has six
-        # vertices of degree 3 and is planar, so the planarity test decides it.
+        # vertices of degree 3 and is planar, so the planarity test decides
+        # it (test_runs_once_where_the_cap_allows_the_sphere).
         core = embedding._core(g)[0]
         assert embedding._planar_by_count(core) == embedding._planar_by_count(g) == counted
         assert reference_is_planar(g) == counted or g is PRISM
-
-    def test_the_prism_is_tested_at_once(self, monkeypatch):
-        calls = []
-        step = embedding.planar_rotations
-        monkeypatch.setattr(embedding, "planar_rotations", lambda core: calls.append(core) or step(core))
-        result = max_euler_characteristic(PRISM)
-        assert calls == [PRISM] and result.chi == 2 and result.certified
-        assert trace_faces(PRISM, result.witness).chi == 2 and calls == [PRISM]
 
     @pytest.mark.parametrize("graph6", ["E~z_", "Ev~_", "E~~?"])
     def test_nonplanar_cores_stop_at_genus_one(self, graph6):
