@@ -13,7 +13,9 @@ Each orientability class is decided by a face-building branch-and-bound
 (:func:`_branch_and_bound`) that both finds and refutes: it decides "some
 scheme on this side has chi >= t" for t from the side's cap down, and the
 first t that holds is certified, as every larger t was refuted in full.
-Caps come from combinatorial face-length counting.  The sphere is decided
+It places a state only while enough faces can still close, counting for
+the open face the shortest walk back to its start.  Caps come from
+combinatorial face-length counting.  The sphere is decided
 once, before any search: a tree's core collapses to a point; a core with
 fewer than six vertices of degree >= 3 and fewer than five of degree >= 4
 is planar by counting, since a subdivided K3,3 or K5 has that many branch
@@ -425,9 +427,13 @@ def _branch_and_bound(core: Graph, t: int, allowance: int,
     chosen, +1 first, when the walk first crosses its edge.  A closing face
     marks its mirror orbit used.  At minimum degree 2 no orbit is its own
     mirror, so a face takes at least ``2 girth`` states, counting the
-    mirror of each state placed: a branch is cut when its closed faces, the
-    open one, and one face per ``2 girth`` free states fall short of
-    ``t - n + m``.  Vertices are numbered by descending degree, so the first
+    mirror of each state placed.  The open face closes only by coming back
+    to its start, so once it places a state ``x`` it still needs at least
+    one state per edge of a shortest path from ``head(x)`` to the start's
+    tail.  A state is placed, and a link choice kept, only while the closed
+    faces, the open one, and one face per ``2 girth`` of the free states
+    left after ``x`` and that walk back reach ``t - n + m``; a link that
+    closes the face is always kept.  Vertices are numbered by descending degree, so the first
     faces go round the busiest ones.  Choices sit on an explicit stack, so
     depth costs no recursion.  A complete scheme counts on the signed side
     only if some edge is -1, which makes it non-orientable, and on either
@@ -478,13 +484,29 @@ def _branch_and_bound(core: Graph, t: int, allowance: int,
             raise AssertionError("branch-and-bound scheme does not re-trace to its value")
         return rs
 
+    # cost[w][x]: the free states that placing state x uses up at least
+    # when the open face started at a dart leaving w, which ``back`` holds
+    # for the open face.  The face closes only by walking from head(x) back
+    # to w, and each state placed takes its mirror too: 2 for x, and 2 per
+    # edge of a shortest path.
+    cost = []
+    for w in range(core.n):
+        dist = [-1] * core.n
+        dist[w] = 0
+        for u in (queue := [w]):
+            for d in outs[u]:
+                if dist[head[d]] < 0:
+                    dist[head[d]] = dist[u] + 1
+                    queue.append(head[d])
+        cost.append([2 + 2 * dist[head[x >> 1]] for x in range(4 * m)])
+
     used = [False] * (4 * m)
     trail: list = []  # undo records: a state marked used, ~edge for a sign, a link
     choices: list[list] = []  # trail length, registers, subject, alternatives, next
     closed, unused, cur, start, scan, nodes = 0, 4 * m, -1, -1, 0, 0
     while True:
-        subject = None
-        while closed + 1 + unused // span >= need:
+        alternatives = ()
+        while True:
             if cur < 0:
                 if unused == 0:
                     if closed >= need and (1 in sign) == signed:
@@ -493,6 +515,7 @@ def _branch_and_bound(core: Graph, t: int, allowance: int,
                 while used[scan]:
                     scan += 1
                 cur = start = scan
+                back = cost[tail[start >> 1]]
             else:
                 d = cur >> 1
                 if sign[d >> 1] < 0:
@@ -506,7 +529,9 @@ def _branch_and_bound(core: Graph, t: int, allowance: int,
                     ends = succ if s2 else pred
                     subject = (a, s2)
                     alternatives = [c for c in outs[v]
-                                    if c != a and ends[c] < 0 and (closing or far[a] != c)]
+                                    if c != a and ends[c] < 0 and (closing or far[a] != c)
+                                    and (2 * c + s2 == start
+                                         or closed + 1 + (unused - back[2 * c + s2]) // span >= need)]
                     break
                 cur = 2 * b + s2
                 if cur == start:
@@ -521,13 +546,15 @@ def _branch_and_bound(core: Graph, t: int, allowance: int,
                         if x == start:
                             break
                     continue
+            if closed + 1 + (unused - back[cur]) // span < need:
+                break
             if nodes >= allowance:
                 return None, nodes, False
             nodes += 1
             used[cur] = True
             trail.append(cur)
             unused -= 2  # the state and its mirror
-        if subject is not None:
+        if alternatives:
             choices.append([len(trail), (closed, unused, cur, start, scan),
                             subject, alternatives, 0])
         while choices and choices[-1][4] == len(choices[-1][3]):
@@ -536,6 +563,7 @@ def _branch_and_bound(core: Graph, t: int, allowance: int,
             return None, nodes, True
         top = choices[-1]
         mark, (closed, unused, cur, start, scan), subject, alternatives, k = top
+        back = cost[tail[start >> 1]]
         top[4] = k + 1
         while len(trail) > mark:
             rec = trail.pop()

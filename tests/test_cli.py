@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from bondlab import cli
-from bondlab.graphs import enumerate_connected_graphs, make_family, emit_graph6
+from bondlab.graphs import enumerate_connected_graphs, make_family, emit_graph6, parse_graph6
 
 from conftest import complete_tripartite, rotation_system_from_json, subdivided_with_pendants
 
@@ -29,6 +29,8 @@ CHI_NAMED = {
     "Petersen": lambda: make_family("petersen"),
     "P6": lambda: make_family("pn", 6),
     "K5 subdivided, pendants": lambda: subdivided_with_pendants(make_family("kn", 5)),
+    "projective, order 7": lambda: parse_graph6("F~zf?"),
+    "not projective, order 8": lambda: parse_graph6("G~{x}?"),
 }
 
 
@@ -111,9 +113,9 @@ class TestChi:
         code, _, err = run(capsys, "chi", g6, "--budget", "10", "--strict")
         assert code == 3
         assert "budget" in err
-        # K6 is decided in 220 orientable and 242 signed nodes, so a budget
-        # of 100 stops its orientable side and one of 300 its signed side.
-        for budget in ("100", "300"):
+        # K6 is decided in 67 orientable and 55 signed nodes, so a budget
+        # of 50 stops its orientable side and one of 100 its signed side.
+        for budget in ("50", "100"):
             code, out, err = run(capsys, "chi", "E~~w", "--budget", budget, "--strict")
             assert code == 3 and out == ""
             assert err == "bondlab: error: face-tracing budget exhausted in strict mode\n"
@@ -147,7 +149,7 @@ class TestChi:
         # chi_golden.json holds the parsed output of `chi --format json
         # --witness`, witness and steps_used included, for every graph with
         # an edge of order at most 6 (name null) and for named graphs; CI
-        # feeds the named rows' graph6 to the console script.
+        # feeds every row's graph6 to the console script.
         rows = json.loads((DATA / "chi_golden.json").read_text())
         corpus = [row["graph6"] for row in rows if row["name"] is None]
         assert corpus == [emit_graph6(g) for g in enumerate_connected_graphs(6) if g.m]
@@ -211,8 +213,9 @@ class TestBounds:
         assert "delta" in err
 
     def test_uncertified_chi_exit_three(self, capsys):
-        # K6 needs 462 search nodes to certify its chi.
-        code, out, err = run(capsys, "bounds", "--graph6", "E~~w", "--budget", "400")
+        # K6 needs 122 search nodes to certify its chi, 67 orientable and 55
+        # signed, so a budget of 100 stops its signed side.
+        code, out, err = run(capsys, "bounds", "--graph6", "E~~w", "--budget", "100")
         assert code == 3
         assert out == ""
         assert err.startswith("bondlab: error:") and "certify" in err
@@ -337,7 +340,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_strict_exits_three_on_an_uncertified_chi(self, capsys, tmp_path, threads):
-        # K4 is certified planar without a step; K6 needs 462 search nodes.
+        # K4 is certified planar without a step; K6 needs 122 search nodes.
         corpus = tmp_path / "k4k6.g6"
         corpus.write_text("C~\nE~~w\n")
         code, out, err = run(capsys, "verify", str(corpus), "--strict", "--budget", "100",
