@@ -433,8 +433,8 @@ def _branch_and_bound(core: Graph, t: int, allowance: int,
     tail.  A state is placed, and a link choice kept, only while the closed
     faces, the open one, and one face per ``2 girth`` of the free states
     left after ``x`` and that walk back reach ``t - n + m``; a link that
-    closes the face is always kept.  Vertices are numbered by descending degree, so the first
-    faces go round the busiest ones.  Choices sit on an explicit stack, so
+    closes the face is always kept.  Vertices are numbered by descending
+    degree, so the first faces go round the busiest ones.  Choices sit on an explicit stack, so
     depth costs no recursion.  A complete scheme counts on the signed side
     only if some edge is -1, which makes it non-orientable, and on either
     side only after :func:`trace_faces` re-traces it.  Orientable chi is
