@@ -456,13 +456,6 @@ def _branch_and_bound(core: Graph, t: int, allowance: int,
     for d, u in enumerate(tail):
         outs[u].append(d)
     sign = [-1 if signed else 0] * m  # -1 undecided, 0 for +1, 1 for -1
-    seen = {0}
-    for u in (queue := [0]):
-        for d in outs[u]:
-            if head[d] not in seen:
-                seen.add(head[d])
-                queue.append(head[d])
-                sign[d >> 1] = 0
 
     # The darts leaving a vertex, linked into chains by its partial rotation;
     # ``far`` maps each end of a chain to the other end.
@@ -488,7 +481,8 @@ def _branch_and_bound(core: Graph, t: int, allowance: int,
     # when the open face started at a dart leaving w, which ``back`` holds
     # for the open face.  The face closes only by walking from head(x) back
     # to w, and each state placed takes its mirror too: 2 for x, and 2 per
-    # edge of a shortest path.
+    # edge of a shortest path.  The search from w = 0 also finds the
+    # spanning tree whose edges stay +1.
     cost = []
     for w in range(core.n):
         dist = [-1] * core.n
@@ -498,6 +492,8 @@ def _branch_and_bound(core: Graph, t: int, allowance: int,
                 if dist[head[d]] < 0:
                     dist[head[d]] = dist[u] + 1
                     queue.append(head[d])
+                    if not w:
+                        sign[d >> 1] = 0
         cost.append([2 + 2 * dist[head[x >> 1]] for x in range(4 * m)])
 
     used = [False] * (4 * m)

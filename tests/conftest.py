@@ -1,14 +1,30 @@
 """Shared generators and independent oracles for the test suite.
 
-The oracles here deliberately take different routes from the library code:
-domination by raw subset enumeration and its search order by a search that
-rescans every vertex at each node, bondage by re-solving domination on
-every edge subset and its branch and bound by a scan of every set's breaker
-list, girth via per-edge shortest paths, isomorphism and the canonical code
-by permutation search, graph6 and planarity via networkx, chi sweeps that
-trace every scheme of a quotiented scheme space in full, cubic and radical
-floors by a scan of their defining predicate.  Agreement between
-two independent implementations is the point.
+Each quantity the library computes has one oracle here, a brute force or
+the definition, which shares no search with ``bondlab``:
+
+- gamma and its minimum dominating sets: raw subset enumeration,
+  ``brute_domination_number`` and ``brute_minimum_dominating_sets``;
+- the bondage number b: ``brute_bondage_number`` re-solves gamma by raw
+  enumeration on every edge subset, and ``brute_one_edge_breakers`` lists
+  the edges that break it alone;
+- chi on each side: ``reference_sweep`` traces every scheme of the side's
+  quotiented scheme space (``SchemeSpace``) in full, and ``reference_core``
+  reduces a graph by whole passes;
+- the faces of one scheme: ``reference_trace_faces``, on int states;
+- the canonical code, and with it isomorphism: ``reference_canonical_code``,
+  a minimum over all relabellings;
+- planarity: ``reference_is_planar``, networkx's left-right test;
+- girth: ``oracle_girth``, per-edge shortest paths;
+- the bound terms: cubic and radical floors by a scan of their defining
+  predicate, and the ``reference_cover_bound`` of the bondage search by
+  counting bits.
+
+Where the library pins the order of its witnesses, one same-order
+reference may stand beside the oracle: ``reference_dominating_sets`` for the
+domination search, ``reference_bondage_connected`` for the bondage search
+and ``reference_trace_faces`` for the face walks.  No test holds one oracle
+against another.
 
 The float and ``Fraction`` cross-checks of the bound formulas (the radical
 root, the sign families, the size threshold, the curvature ledger) and the
@@ -27,7 +43,6 @@ from itertools import combinations, permutations
 from typing import Callable, Iterable, Iterator, Sequence
 
 from bondlab.bounds import _require_chi_nonpositive
-from bondlab.domination import domination_number
 from bondlab.embedding import EmbeddingSummary, RotationSystem
 from bondlab.graphs import Graph
 
@@ -217,31 +232,6 @@ def brute_one_edge_breakers(g: Graph) -> list[tuple[int, int]]:
     return [e for e in g.edges() if brute_domination_number(g.remove_edges([e])) > gamma0]
 
 
-def colex_subsets(m: int, k: int) -> Iterator[tuple[int, ...]]:
-    """k-subsets of range(m) in colexicographic order."""
-    if k == 0:
-        yield ()
-        return
-    for last in range(k - 1, m):
-        for rest in colex_subsets(last, k - 1):
-            yield rest + (last,)
-
-
-def colex_bondage_number(g: Graph) -> int:
-    """Bondage by definition: re-solve domination on every edge subset.
-
-    Subsets come in growing size and colex order, and nothing about minimum
-    dominating sets is used.
-    """
-    gamma0 = domination_number(g).gamma
-    edges = g.edges()
-    for k in range(1, g.m + 1):
-        for subset in colex_subsets(g.m, k):
-            if domination_number(g.remove_edges([edges[i] for i in subset])).gamma > gamma0:
-                return k
-    raise AssertionError("bondage is defined for nonempty graphs")
-
-
 def corona_path(k: int) -> Graph:
     """P_k with a pendant vertex at each path vertex: 2^k minimum dominating sets."""
     edges = [(i, i + 1) for i in range(k - 1)] + [(i, k + i) for i in range(k)]
@@ -280,8 +270,6 @@ def subdivided_with_pendants(g: Graph) -> Graph:
 
 def oracle_girth(g: Graph) -> float:
     """Shortest cycle via per-edge shortest path in the edge-deleted graph."""
-    import math
-
     best = math.inf
     for u, v in g.edges():
         h = g.remove_edges([(u, v)])
@@ -298,21 +286,6 @@ def oracle_girth(g: Graph) -> float:
         if v in dist:
             best = min(best, dist[v] + 1)
     return best
-
-
-def are_isomorphic(a: Graph, b: Graph) -> bool:
-    if a.n != b.n or a.m != b.m:
-        return False
-    if sorted(a.degree(v) for v in range(a.n)) != sorted(b.degree(v) for v in range(b.n)):
-        return False
-    b_edges = set(b.edges())
-    for perm in permutations(range(a.n)):
-        if all(
-            ((perm[u], perm[v]) if perm[u] < perm[v] else (perm[v], perm[u])) in b_edges
-            for u, v in a.edges()
-        ):
-            return True
-    return False
 
 
 def reference_canonical_code(g: Graph) -> int:
@@ -334,7 +307,7 @@ def reference_canonical_code(g: Graph) -> int:
     return best
 
 
-_VECTOR_BLOCK = 4096  # schemes per block of reference_sweep_vector
+_VECTOR_BLOCK = 4096  # schemes per block of reference_sweep
 
 
 def _is_complete(g: Graph) -> bool:
@@ -358,7 +331,7 @@ def _is_complete_bipartite(g: Graph) -> bool:
 
 
 class SchemeSpace:
-    """Quotiented enumeration space of rotation schemes, for the sweeps below.
+    """Quotiented enumeration space of rotation schemes, for the sweep below.
 
     Vertex rotations are anchored at the smallest neighbour, listed in
     ``itertools.permutations`` order of the rest.  At the pivot (smallest
@@ -441,109 +414,13 @@ class SchemeSpace:
         return RotationSystem(rotations=rotations, negative_edges=neg)
 
 
-class _Budget:
-    __slots__ = ("remaining",)
+def reference_sweep(space: SchemeSpace, stop: int, start: int = 0) -> tuple[int, int | None]:
+    """Best chi over schemes ``start..stop-1`` of ``space``, each traced in full.
 
-    def __init__(self, limit: int):
-        self.remaining = limit
-
-    def charge(self, amount: int) -> bool:
-        """Consume ``amount`` steps if they fit in what remains.
-
-        A charge that does not fit is refused whole, so the budget is a hard
-        cap; refusal returns False.
-        """
-        if amount > self.remaining:
-            return False
-        self.remaining -= amount
-        return True
-
-
-def reference_sweep_scalar(space, limit: int, start: int = 0) -> tuple[int, int | None]:
-    """The pure-Python sweep: each scheme ``start..limit-1`` traced in full.
-
-    Same contract as :func:`reference_sweep`: returns (best, best_index),
-    where ``best_index`` is the first scheme attaining ``best``.  Only the
-    rotations that change between consecutive schemes are rewritten; faces
-    are counted by stamping orbits.
-    """
-    g = space.g
-    nd = 2 * g.m
-    best = -(10**9)
-    best_index = None
-    fwd = [0] * nd
-    bwd = [0] * nd
-    neg = [0] * nd
-    stamp_unsigned = [-1] * nd
-    stamp_signed = [-1] * (2 * nd)
-    digits = None
-    for index in range(start, limit):
-        new_digits, sign_mask = space.decode(index)
-        for v in range(g.n):
-            if digits is not None and new_digits[v] == digits[v]:
-                continue
-            rot = space.candidates[v][new_digits[v]]
-            k = len(rot)
-            for i, x in enumerate(rot):
-                d_in = space.dart_of[(x, v)]
-                fwd[d_in] = space.dart_of[(v, rot[(i + 1) % k])]
-                bwd[d_in] = space.dart_of[(v, rot[(i - 1) % k])]
-        digits = new_digits
-
-        if not space.signed:
-            faces = 0
-            for d0 in range(nd):
-                if stamp_unsigned[d0] == index:
-                    continue
-                faces += 1
-                d = d0
-                while stamp_unsigned[d] != index:
-                    stamp_unsigned[d] = index
-                    d = fwd[d]
-        else:
-            for b, e in enumerate(space.free_edges):
-                bit = sign_mask >> b & 1
-                neg[2 * e] = neg[2 * e + 1] = bit
-            faces = 0
-            for s0 in range(2 * nd):
-                if stamp_signed[s0] == index:
-                    continue
-                faces += 1
-                s = s0
-                orbit = []
-                while stamp_signed[s] != index:
-                    stamp_signed[s] = index
-                    orbit.append(s)
-                    d, sb = s >> 1, s & 1
-                    s2 = sb ^ neg[d]
-                    out = bwd[d] if s2 else fwd[d]
-                    s = (out << 1) | s2
-                for s in orbit:
-                    d, sb = s >> 1, s & 1
-                    stamp_signed[((d ^ 1) << 1) | (1 ^ sb ^ neg[d])] = index
-        chi = g.n - g.m + faces
-        if chi > best:
-            best = chi
-            best_index = index
-    return best, best_index
-
-
-def reference_sweep(space, limit: int, start: int = 0) -> tuple[int, int | None]:
-    """:func:`reference_sweep_vector` over schemes ``start..limit-1``.
-
-    A budget of exactly ``limit - start`` schemes' states makes its last
-    block shrink to end at ``limit``, and the next charge is refused there.
-    """
-    budget = _Budget((limit - start) * space.states)
-    return reference_sweep_vector(space, budget, start)
-
-
-def reference_sweep_vector(space, budget, start: int = 0) -> tuple[int, int | None]:
-    """The numpy sweep as it traced every scheme in full, block by block.
-
-    Kept verbatim apart from its name, the early-exit target it no longer
-    takes and the first scheme ``start``: each block builds the whole
-    next-state table per scheme and min-label doubles over all its states.
+    Returns ``(best, best_index)``, where ``best_index`` is the first scheme
+    attaining ``best``.  Blocks of at most ``_VECTOR_BLOCK`` schemes are
+    traced in numpy: each block builds the whole next-state table per
+    scheme and min-label doubles over all its states.
     """
     import numpy as np
 
@@ -582,13 +459,10 @@ def reference_sweep_vector(space, budget, start: int = 0) -> tuple[int, int | No
     doubling = max(1, math.ceil(math.log2(n_states)))
     arange_states = np.arange(n_states, dtype=np.int16)
 
+    stop = min(stop, space.total)
     index = start
-    while index < space.total:
-        # The last block shrinks to what the budget still covers, so the
-        # sweep reaches the same scheme as the scalar one when it runs out.
-        block = max(1, min(_VECTOR_BLOCK, space.total - index, budget.remaining // n_states))
-        if not budget.charge(block * n_states):
-            return best, best_index
+    while index < stop:
+        block = min(_VECTOR_BLOCK, stop - index)
         flat = np.arange(index, index + block, dtype=np.int64)
         rem = flat.copy()
         if space.signed:
@@ -676,7 +550,7 @@ def reference_core(g: Graph) -> Graph:
 
 
 @dataclass(frozen=True)
-class ReferenceFaces:
+class _ReferenceFaces:
     face_walks: tuple[tuple[tuple[int, int], ...], ...]
     face_lengths: tuple[int, ...]
     edge_face_lengths: dict[tuple[int, int], tuple[int, int]]
@@ -684,15 +558,15 @@ class ReferenceFaces:
     orientable: bool
 
 
-def reference_trace_faces(g: Graph, rs: RotationSystem) -> ReferenceFaces:
+def reference_trace_faces(g: Graph, rs: RotationSystem) -> _ReferenceFaces:
     """Face walks of a valid ``rs`` on connected ``g``, traced on int states.
 
     State ``2 d + s`` is dart ``d`` (``2 e`` for edge ``e = (u, v)`` read
     ``u -> v``, ``2 e + 1`` for ``v -> u``) on side ``s``.  Forward states
     are started first, in dart order, then flipped ones; each orbit marks
-    its mirror orbit seen, and a one-sided (self-mirrored) orbit keeps only
-    its first half.  Per-edge face lengths are collected from the walks, and
-    orientability comes from a balance check of the edge signs.
+    its mirror orbit seen, and no orbit is its own mirror.  Per-edge face
+    lengths are collected from the walks, and orientability comes from a
+    balance check of the edge signs.
     """
     edges = g.edges()
     dart_of, tail, head = {}, [], []
@@ -734,14 +608,14 @@ def reference_trace_faces(g: Graph, rs: RotationSystem) -> ReferenceFaces:
             orbit.append(state)
             visited[state] = True
             state = next_state(state)
-        self_mirrored = mirror(start) in set(orbit)
+        # The mirror map reverses orbits, so an orbit equal to its mirror
+        # would need a state x with mirror(x) = x, impossible as the mirror
+        # reverses the dart, or mirror(x) = next_state(x), impossible as the
+        # two differ in the side bit.
+        assert mirror(start) not in orbit
         for s in orbit:
             visited[mirror(s)] = True
-        if self_mirrored:
-            darts = [s >> 1 for s in orbit[: len(orbit) // 2]]
-        else:
-            darts = [s >> 1 for s in orbit]
-        walks.append(tuple((tail[d], head[d]) for d in darts))
+        walks.append(tuple((tail[s >> 1], head[s >> 1]) for s in orbit))
 
     lengths = tuple(len(w) for w in walks)
     assert sum(lengths) == nd
@@ -764,7 +638,7 @@ def reference_trace_faces(g: Graph, rs: RotationSystem) -> ReferenceFaces:
                 stack.append(v)
     orientable = all((potential[u] ^ potential[v]) == (rs.sign(u, v) < 0) for u, v in edges)
 
-    return ReferenceFaces(
+    return _ReferenceFaces(
         face_walks=tuple(walks),
         face_lengths=lengths,
         edge_face_lengths={e: (min(occ), max(occ)) for e, occ in per_edge.items()},
@@ -920,7 +794,7 @@ def reference_floor_largest_root(cubic) -> int:
 # as one isqrt expression instead.
 
 
-def reference_floor_by_predicate(pred: Callable[[int], bool], estimate: int) -> int:
+def _floor_by_predicate(pred: Callable[[int], bool], estimate: int) -> int:
     """Largest nonnegative integer satisfying a monotone predicate.
 
     ``pred`` must be true on 0..floor and false beyond; ``estimate`` only
@@ -954,7 +828,7 @@ def reference_bound_girth(delta: int, chi: int, g: int) -> int:
         return w <= 0 or w * w <= rad
 
     est = int((2 + math.sqrt(rad)) / (g - 2))
-    return delta + reference_floor_by_predicate(pred, est)
+    return delta + _floor_by_predicate(pred, est)
 
 
 def reference_bound_girth_baseline(delta: int, chi: int, g: int) -> int:
@@ -969,7 +843,7 @@ def reference_bound_girth_baseline(delta: int, chi: int, g: int) -> int:
         return w <= 0 or w * w <= rad
 
     est = int((math.sqrt(rad) - (g - 6)) / (2 * (g - 2)))
-    return delta + reference_floor_by_predicate(pred, est)
+    return delta + _floor_by_predicate(pred, est)
 
 
 def reference_order_term(chi: int, n: int) -> int:
@@ -988,7 +862,7 @@ def reference_order_term(chi: int, n: int) -> int:
         return w <= 0 or w * w <= rad
 
     est = int(0.5 - 3 * chi / n + math.sqrt(25 / 4 - 21 * chi / n + 9 * chi * chi / (n * n)))
-    return reference_floor_by_predicate(pred, est)
+    return _floor_by_predicate(pred, est)
 
 
 def size_threshold(chi: int, m: int) -> Fraction:
@@ -1082,12 +956,12 @@ def edge_face_lengths(g: Graph, summary: EmbeddingSummary) -> dict[tuple[int, in
 
 
 @dataclass(frozen=True)
-class CurvatureLedger:
+class _CurvatureLedger:
     weights: dict[tuple[int, int], float]
     total: float
 
 
-def curvature(g: Graph, summary: EmbeddingSummary) -> CurvatureLedger:
+def curvature(g: Graph, summary: EmbeddingSummary) -> _CurvatureLedger:
     """Per-edge discharging weights of a traced embedding; they sum to zero.
 
     w(uv) = 1/d(u) + 1/d(v) - 1 + 1/f(uv) + 1/f'(uv) - chi/m, where f and f'
@@ -1105,4 +979,4 @@ def curvature(g: Graph, summary: EmbeddingSummary) -> CurvatureLedger:
             + 1 / f2
             - summary.chi / g.m
         )
-    return CurvatureLedger(weights=weights, total=sum(weights.values()))
+    return _CurvatureLedger(weights=weights, total=sum(weights.values()))

@@ -36,7 +36,6 @@ from conftest import (
     brute_bondage_number,
     brute_domination_number,
     brute_one_edge_breakers,
-    colex_bondage_number,
     common_neighbors,
     complete_tripartite,
     corona_path,
@@ -165,7 +164,7 @@ class TestOneEdgeSweep:
         if not one:
             assert _bondage_connected(g, sets, 1) is None
             assert reference_bondage_connected(g, sets, 1, sweep=False) is None
-            return None
+            return
         edge = g.edges()[one.bit_length() - 1]
         assert edge in oracle
         # The sweep decides b = 1 before the branch and bound removes an edge,
@@ -176,34 +175,34 @@ class TestOneEdgeSweep:
             assert _bondage_connected(g, sets, 1) == (1, (edge,))
         assert reference_bondage_connected(g, sets, 1, sweep=False) == (1, (edge,))
         assert _bondage_connected(g, sets, 0) is None
-        return edge
 
-    def test_corpus6_against_colex(self):
+    def test_corpus6(self):
         for g in enumerate_connected_graphs(6):
             if g.m:
-                assert (self.check(g) is not None) == (colex_bondage_number(g) == 1), g.edges()
+                self.check(g)
 
     @given(st.integers(min_value=2, max_value=8), st.randoms(use_true_random=False))
     @settings(max_examples=80, deadline=None)
-    def test_random_graphs_against_colex(self, n, rng):
-        g = random_connected_graph(rng, n, extra=rng.uniform(0.0, 0.8))
-        assert (self.check(g) is not None) == (colex_bondage_number(g) == 1)
+    def test_random_graphs(self, n, rng):
+        self.check(random_connected_graph(rng, n, extra=rng.uniform(0.0, 0.8)))
 
 
 class TestHittingSearch:
-    """The search over minimum dominating sets against the colex oracle."""
+    """The search over minimum dominating sets against raw enumeration."""
 
-    def test_matches_colex_search_on_small_corpus(self):
+    def test_matches_brute_force_on_small_corpus(self):
         graphs = [g for g in enumerate_connected_graphs(6) if g.m]
         assert len(graphs) == 142
         for g in graphs:
-            assert bondage_number(g).b == colex_bondage_number(g), g.edges()
+            assert bondage_number(g).b == brute_bondage_number(g), g.edges()
 
     def test_corona_with_many_minimum_dominating_sets(self):
-        g = corona_path(10)
+        # Brute force on P10oK1 takes seconds; its b = 2 is pinned by the
+        # named golden and by the list scan below.
+        g = corona_path(6)
         gamma, sets = minimum_dominating_sets(g)
-        assert (gamma, len(sets)) == (10, 1024)
-        assert bondage_number(g).b == colex_bondage_number(g) == 2
+        assert (gamma, len(sets)) == (6, 64)
+        assert bondage_number(g).b == brute_bondage_number(g) == 2
 
     def test_stress_graphs(self):
         assert bondage_number(make_family("kmn", 5, 5)).b == 5

@@ -21,6 +21,7 @@ from bondlab.graphs import Graph, enumerate_connected_graphs, make_family, parse
 
 from conftest import (
     SchemeSpace,
+    complete_tripartite,
     curvature,
     edge_face_lengths,
     identity_rotation,
@@ -29,7 +30,6 @@ from conftest import (
     reference_core,
     reference_is_planar,
     reference_sweep,
-    reference_sweep_scalar,
     reference_trace_faces,
     relabelled,
     rotation_system_from_json,
@@ -383,7 +383,8 @@ class TestMaxChi:
     def test_quotient_matches_unquotiented_brute_force(self):
         # Every rotation system and every sign subset is traced, with no
         # reflection quotient, no pivot fixing and no reductions.  The
-        # quotiented oracle sweeps agree with it, and with the search.
+        # quotiented oracle sweep agrees with it, and so does the search.
+        # K4 is the one case whose pivot rotation is fixed.
         from itertools import combinations
 
         cases = [
@@ -391,6 +392,7 @@ class TestMaxChi:
             Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)]),  # bowtie
             make_family("kmn", 2, 3),
             Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)]),
+            make_family("kn", 4),
         ]
         for g in cases:
             best_or = -(10**9)
@@ -402,12 +404,8 @@ class TestMaxChi:
                         signed = RotationSystem(rs.rotations, frozenset(neg))
                         best_any = max(best_any, trace_faces(g, signed).chi)
             best_any = max(best_any, best_or)
-            swept = []
-            for signed in (False, True):
-                space = SchemeSpace(g, signed)
-                vector = reference_sweep(space, space.total)
-                assert vector == reference_sweep_scalar(space, space.total), (g.edges(), signed)
-                swept.append(vector[0])
+            swept = [reference_sweep(space, space.total)[0]
+                     for space in (SchemeSpace(g, False), SchemeSpace(g, True))]
             assert swept[0] == best_or and max(swept) == best_any, g.edges()
             result = max_euler_characteristic(g)
             assert result.orientable.chi == best_or, g.edges()
@@ -547,56 +545,25 @@ def _swept_chi(core, signed):
 
 
 def _stress_graphs():
-    k333 = Graph.from_edges(9, [(u, v) for u in range(9) for v in range(u + 1, 9)
-                                if u // 3 != v // 3])
-    return [make_family("kmn", 5, 5), make_family("qd", 4), k333]
-
-
-def _assert_sweeps_agree(core, budget):
-    """Both oracle sweeps of each side of ``core`` agree on what ``budget`` pays for."""
-    for signed in (False, True):
-        space = SchemeSpace(core, signed)
-        limit = min(space.total, budget // space.states)
-        assert reference_sweep(space, limit) == reference_sweep_scalar(space, limit), (
-            core.edges(), signed, budget)
+    return [make_family("kmn", 5, 5), make_family("qd", 4), complete_tripartite(3)]
 
 
 def _assert_window_matches_trace_faces(core, signed, lo, hi):
-    """Both oracle sweeps of schemes ``lo..hi-1`` against :func:`trace_faces` on each."""
+    """The oracle sweep of schemes ``lo..hi-1`` against :func:`trace_faces` on each."""
     space = SchemeSpace(core, signed)
     chis = [trace_faces(core, space.scheme(i)).chi for i in range(lo, hi)]
     best = max(chis)
     assert reference_sweep(space, hi, lo) == (best, lo + chis.index(best)), (core.edges(), lo)
-    assert reference_sweep_scalar(space, hi, lo) == (best, lo + chis.index(best))
     return space, chis
 
 
 class TestReferenceSweeps:
-    """The oracle sweeps the branch-and-bound is held to.
+    """The oracle sweep the branch-and-bound is held to.
 
-    The numpy sweep and the pure-Python one trace every scheme of a side's
-    quotient by different routes; they must agree with each other, and
-    scheme by scheme with :func:`trace_faces`.
+    It traces every scheme of a side's quotient in full.  It must agree
+    scheme by scheme with :func:`trace_faces` here, and over whole quotients
+    with the unquotiented brute force of ``TestMaxChi``.
     """
-
-    def test_corpus6_cores(self, corpus6):
-        # Budgets that cut each sweep early and late.
-        for core in _distinct_cores(corpus6):
-            _assert_sweeps_agree(core, 10**4)
-            _assert_sweeps_agree(core, 10**5)
-
-    @pytest.mark.parametrize("g", _stress_graphs(), ids=["K5,5", "Q4", "K3,3,3"])
-    def test_stress_graphs(self, g):
-        _assert_sweeps_agree(embedding._core(g)[0], 10**6)
-
-    def test_scalar_and_vector_paths_agree(self):
-        # Whole quotients, both sides.
-        for g in (make_family("kmn", 3, 3), make_family("kn", 4), make_family("qd", 3)):
-            core = embedding._core(g)[0]
-            for signed in (False, True):
-                space = SchemeSpace(core, signed)
-                swept = reference_sweep(space, space.total)
-                assert swept == reference_sweep_scalar(space, space.total), (g.edges(), signed)
 
     @given(st.integers(min_value=3, max_value=7), st.booleans(), st.randoms(use_true_random=False))
     @settings(max_examples=40, deadline=None)
@@ -609,7 +576,7 @@ class TestReferenceSweeps:
         hi = min(total, lo + rng.randint(1, 200))
         space, chis = _assert_window_matches_trace_faces(core, signed, lo, hi)
         for i in range(lo, min(hi, lo + 20)):
-            assert reference_sweep_scalar(space, i + 1, i)[0] == chis[i - lo]
+            assert reference_sweep(space, i + 1, i)[0] == chis[i - lo]
 
     @pytest.mark.parametrize("g", [
         make_family("kmn", 5, 5),
