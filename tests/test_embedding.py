@@ -19,6 +19,7 @@ from bondlab.embedding import (
 )
 from bondlab.graphs import Graph, enumerate_connected_graphs, make_family, parse_graph6
 
+import conftest
 from conftest import (
     SchemeSpace,
     complete_tripartite,
@@ -548,12 +549,21 @@ def _stress_graphs():
     return [make_family("kmn", 5, 5), make_family("qd", 4), complete_tripartite(3)]
 
 
-def _assert_window_matches_trace_faces(core, signed, lo, hi):
-    """The oracle sweep of schemes ``lo..hi-1`` against :func:`trace_faces` on each."""
+def _assert_window_matches_trace_faces(core, signed, lo, hi, monkeypatch=None, blocks=()):
+    """The oracle sweep of schemes ``lo..hi-1`` against :func:`trace_faces` on each.
+
+    The sweep runs once in its own blocks and once more in each size of
+    ``blocks``, which ``monkeypatch`` sets.
+    """
     space = SchemeSpace(core, signed)
     chis = [trace_faces(core, space.scheme(i)).chi for i in range(lo, hi)]
     best = max(chis)
     assert reference_sweep(space, hi, lo) == (best, lo + chis.index(best)), (core.edges(), lo)
+    for block in blocks:
+        monkeypatch.setattr(conftest, "_VECTOR_BLOCK", block)
+        assert reference_sweep(space, hi, lo) == (best, lo + chis.index(best)), (
+            core.edges(), lo, block)
+        monkeypatch.undo()
     return space, chis
 
 
@@ -561,9 +571,42 @@ class TestReferenceSweeps:
     """The oracle sweep the branch-and-bound is held to.
 
     It traces every scheme of a side's quotient in full.  It must agree
-    scheme by scheme with :func:`trace_faces` here, and over whole quotients
-    with the unquotiented brute force of ``TestMaxChi``.
+    scheme by scheme with :func:`trace_faces` in any block size, and over
+    whole quotients with known genus and crosscap numbers here and with
+    the unquotiented brute force of ``TestMaxChi``.
     """
+
+    def test_corpus6_cores(self, corpus6, monkeypatch):
+        # Each side cut where 3e3 states' worth of schemes ends: 47 of the
+        # 126 sides are swept whole, the rest stop early.  Blocks of 7
+        # schemes move the first best into later blocks and leave a short
+        # last one.
+        for core in _distinct_cores(corpus6):
+            for signed in (False, True):
+                space = SchemeSpace(core, signed)
+                _assert_window_matches_trace_faces(
+                    core, signed, 0, min(space.total, 3000 // space.states), monkeypatch, (7,))
+
+    @pytest.mark.parametrize("g", _stress_graphs(), ids=["K5,5", "Q4", "K3,3,3"])
+    def test_stress_graphs(self, g, monkeypatch):
+        # Five blocks from scheme 0, the last one short.  The first best
+        # lies past the first block on K3,3,3's sides and Q4's signed one.
+        core = embedding._core(g)[0]
+        for signed in (False, True):
+            _assert_window_matches_trace_faces(core, signed, 0, 300, monkeypatch, (64,))
+
+    def test_whole_quotients_reach_genus_and_crosscap_number(self):
+        # K3,3 has genus 1 and crosscap number 1; K4 and Q3 are planar, and
+        # every planar graph with a cycle embeds in the projective plane.
+        for g, chis in ((make_family("kmn", 3, 3), (0, 1)),
+                        (make_family("kn", 4), (2, 1)),
+                        (make_family("qd", 3), (2, 1))):
+            core = embedding._core(g)[0]
+            for signed, chi in zip((False, True), chis):
+                space = SchemeSpace(core, signed)
+                best, index = reference_sweep(space, space.total)
+                assert best == chi, (g.edges(), signed)
+                assert trace_faces(core, space.scheme(index)).chi == chi
 
     @given(st.integers(min_value=3, max_value=7), st.booleans(), st.randoms(use_true_random=False))
     @settings(max_examples=40, deadline=None)
