@@ -46,6 +46,12 @@ class TestTable:
         assert code == 0
         assert out == (DATA / "comparison_table_chi_-21_0.txt").read_text()
 
+    def test_csv_matches_golden_file_to_minus_2000(self, capsys):
+        code, out, _ = run(capsys, "table", "--chi-from", "-2000", "--chi-to", "0",
+                           "--format", "csv")
+        assert code == 0
+        assert out == (DATA / "comparison_table_chi_-2000_0.csv").read_text()
+
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, "table", "--chi-from", "-1", "--chi-to", "0", "--format", "csv")
         assert code == 0
