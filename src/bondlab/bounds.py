@@ -1,8 +1,9 @@
 """Exact evaluation of bondage upper-bound formulas, and the bound registry.
 
-Every integer term here is computed with exact arithmetic: cubic-root floors
-by integer bisection, and each radical floor floor((c + sqrt(r)) / a), for
-integers a > 0 and r >= 0, as the single expression (c + isqrt(r)) // a.
+Every integer term here is computed with exact arithmetic: each cubic-root
+floor by an integer sign bracket seeded at isqrt(-b), b the cubic's linear
+coefficient, and each radical floor floor((c + sqrt(r)) / a), for integers
+a > 0 and r >= 0, as the single expression (c + isqrt(r)) // a.
 That identity holds because for an integer q, a*q - c <= sqrt(r) exactly
 when a*q - c <= isqrt(r).  Rational thresholds are compared with cleared
 denominators.  No float decides a bound, a threshold or a check, and a
@@ -52,6 +53,7 @@ __all__ = [
     "REPORTED",
 ]
 
+
 def _require_chi_nonpositive(chi: int) -> None:
     if chi > 0:
         raise ValueError(f"formula requires chi <= 0, got {chi}")
@@ -96,15 +98,37 @@ def baseline_bound_cubic(chi: int) -> CubicSpec:
 
 
 def floor_largest_root(cubic: CubicSpec) -> int:
-    """Floor of the unique nonnegative real root, by exact integer bisection.
+    """Floor of the unique nonnegative real root, by an exact integer bracket.
 
-    The cubic is negative at 0, so doubling ``hi`` until the cubic turns
-    positive brackets the root with ``cubic(lo) <= 0 < cubic(hi)``, and
-    halving keeps that bracket until ``hi = lo + 1``.
+    The cubic is <= 0 on [0, root] and positive beyond, so the floor is the
+    largest integer z >= 0 with ``cubic(z) <= 0``.  The search starts at
+    ``q = isqrt(-b)`` (0 when ``b >= 0``): it gallops up from ``q`` by steps
+    1, 2, 4, ... while the cubic stays <= 0, or down from ``q`` while it
+    stays positive, never below 0, where the cubic is negative.  That
+    brackets the root with ``cubic(lo) <= 0 < cubic(hi)``, and halving
+    keeps the bracket until ``hi = lo + 1``, so a floor costs O(log |floor
+    - q|) evaluations.
+
+    For both bound cubics the floor is q or q + 1 at every chi <= 0, which
+    takes 2 evaluations or 4.  With x = -chi the improved cubic is
+    (z+3)(z^2 - 2z - 3x - 2) - 6, so its root t >= 3 has (t - 1)^2 in
+    (3x + 3, 3x + 4], and q = isqrt(3x + 8).  The baseline cubic is
+    (z+3)(z^2 - z - 6x - 4) - 12, so its root r >= 3 has (r - 1/2)^2 in
+    (6x + 4.25, 6x + 6.25], and q = isqrt(6x + 7).  Either way q <= root
+    < q + 2.
     """
-    lo, hi = 0, 1
-    while cubic(hi) <= 0:
-        lo, hi = hi, 2 * hi
+    q = math.isqrt(-cubic.b) if cubic.b < 0 else 0
+    step = 1
+    if cubic(q) <= 0:
+        lo, hi = q, q + 1
+        while cubic(hi) <= 0:
+            step *= 2
+            lo, hi = hi, hi + step
+    else:
+        lo, hi = q - 1, q
+        while lo > 0 and cubic(lo) > 0:
+            step *= 2
+            lo, hi = max(lo - step, 0), lo
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if cubic(mid) <= 0:
@@ -401,6 +425,10 @@ class BoundReport:
     entries: tuple[BoundEntry, ...]
 
 
+# Per reported row, the one entry it yields whenever its hypothesis is unmet.
+_UNMET = {row.name: BoundEntry(row.name, None, None, False, row.formula) for row in REPORTED}
+
+
 def build_bound_report(
     delta: int,
     chi: int,
@@ -435,7 +463,7 @@ def build_bound_report(
     entries: list[BoundEntry] = []
     for row in REPORTED:
         if not row.applicable(p):
-            entries.append(BoundEntry(row.name, None, None, False, row.formula))
+            entries.append(_UNMET[row.name])
             continue
         value = row.value(p)
         entries.append(BoundEntry(row.name, value - delta, value, True, row.formula))

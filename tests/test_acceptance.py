@@ -241,7 +241,7 @@ def test_criterion_6_root_solver_correctness():
         6,
         "root-solver correctness",
         ok,
-        "exact floors = bisection floors on [-200, 0]; asymptotics at -1e6",
+        "seeded exact floors = float bisection floors on [-200, 0]; asymptotics at -1e6",
     )
 
 

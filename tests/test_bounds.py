@@ -36,6 +36,19 @@ def _by_name(report):
     return {e.name: e for e in report.entries}
 
 
+class CountingCubic:
+    """A cubic that counts its evaluations; ``.b`` seeds the floor search."""
+
+    def __init__(self, cubic):
+        self.cubic = cubic
+        self.b = cubic.b
+        self.calls = 0
+
+    def __call__(self, z):
+        self.calls += 1
+        return self.cubic(z)
+
+
 class TestCubicTerms:
     def test_frozen_term_pairs(self):
         for i, (baseline, improved) in enumerate(TERM_PAIRS):
@@ -63,12 +76,23 @@ class TestCubicTerms:
                     bnd.largest_root_bisect(cubic)
                 ), (chi, make.__name__)
 
-    def test_bisection_floor_matches_the_scan(self):
+    def test_seeded_floor_matches_the_scan_in_four_evaluations(self):
         for chi in range(-5000, 1):
             for make in (bnd.improved_bound_cubic, bnd.baseline_bound_cubic):
                 cubic = make(chi)
-                assert bnd.floor_largest_root(cubic) == reference_floor_largest_root(cubic), (
+                counted = CountingCubic(cubic)
+                assert bnd.floor_largest_root(counted) == reference_floor_largest_root(cubic), (
                     chi, make.__name__)
+                assert counted.calls <= 4, (chi, make.__name__, counted.calls)
+
+    @pytest.mark.parametrize("cubic, floor", [
+        # isqrt(-b) = 1 lies above the root, so the search gallops down.
+        (bnd.CubicSpec(1000, -1, -1), 0),
+        # b >= 0 starts the search at 0, far below the root.
+        (bnd.CubicSpec(1, 5, -10**9), 999),
+    ])
+    def test_seeded_floor_from_a_start_off_the_root(self, cubic, floor):
+        assert bnd.floor_largest_root(cubic) == reference_floor_largest_root(cubic) == floor
 
     @pytest.mark.parametrize("chi", [-10**30, -10**200])
     def test_floor_brackets_the_root_far_beyond_the_scan(self, chi):
@@ -383,6 +407,18 @@ class TestBoundReport:
         report = _by_name(bnd.build_bound_report(3, 2))
         assert not report["cubic"].applicable
         assert not report["size"].applicable
+
+    def test_unmet_entries_are_shared(self):
+        first = bnd.build_bound_report(3, 2)
+        second = bnd.build_bound_report(5, -4, girth=math.inf, n=9, m=8)
+        unmet = [e for e in second.entries if not e.applicable]
+        assert [e.name for e in unmet] == ["girth", "girth_baseline", "size", "genus"]
+        for entry in unmet:
+            assert entry is _by_name(first)[entry.name]
+            row = next(row for row in bnd.REPORTED if row.name == entry.name)
+            assert entry == bnd.BoundEntry(row.name, None, None, False, row.formula)
+        # An applicable entry is built for its report.
+        assert _by_name(second)["cubic"] is not _by_name(bnd.build_bound_report(5, -4))["cubic"]
 
     def test_triangle_entry_needs_girth_at_least_four(self):
         report = _by_name(bnd.build_bound_report(3, -1, girth=3))
