@@ -110,12 +110,12 @@ def floor_largest_root(cubic: CubicSpec) -> int:
     - q|) evaluations.
 
     For both bound cubics the floor is q or q + 1 at every chi <= 0, which
-    takes 2 evaluations or 4.  With x = -chi the improved cubic is
-    (z+3)(z^2 - 2z - 3x - 2) - 6, so its root t >= 3 has (t - 1)^2 in
-    (3x + 3, 3x + 4], and q = isqrt(3x + 8).  The baseline cubic is
-    (z+3)(z^2 - z - 6x - 4) - 12, so its root r >= 3 has (r - 1/2)^2 in
-    (6x + 4.25, 6x + 6.25], and q = isqrt(6x + 7).  Either way q <= root
-    < q + 2.
+    takes 2 evaluations or 4.  Both roots are 3 at chi = 0 and grow as chi
+    falls.  With x = -chi the improved cubic is (z+3)(z^2 - 2z - 3x - 2) - 6,
+    so its root t has (t - 1)^2 in (3x + 3, 3x + 4], and q = isqrt(3x + 8).
+    The baseline cubic is (z+3)(z^2 - z - 6x - 4) - 12, so its root r has
+    (r - 1/2)^2 in (6x + 4.25, 6x + 6.25], and q = isqrt(6x + 7).  Either
+    way root < q + 2, and root >= q for x >= 1 (q = 2 at x = 0).
     """
     q = math.isqrt(-cubic.b) if cubic.b < 0 else 0
     step = 1
