@@ -54,10 +54,13 @@ class Graph:
     """Loop-free undirected graph with vertices ``0..n-1``.
 
     ``adjacency[v]`` is a bitmask of the neighbours of ``v``.  The edge count
-    ``m`` is derived once and cached.
+    ``m`` is derived once and cached.  The edge list, connectivity, degree
+    stats and girth are derived on first use and kept, since the masks
+    never change: :meth:`edges`, :meth:`is_connected`,
+    :func:`degree_stats` and :func:`girth` fill the last four slots.
     """
 
-    __slots__ = ("n", "adjacency", "m")
+    __slots__ = ("n", "adjacency", "m", "_edges", "_connected", "_degree_stats", "_girth")
 
     def __init__(self, n: int, adjacency: Sequence[int]):
         if n < 0:
@@ -82,6 +85,7 @@ class Graph:
         self.n = n
         self.adjacency = adj
         self.m = degree_total // 2
+        self._edges = self._connected = self._degree_stats = self._girth = None
 
     @classmethod
     def _trusted(cls, n: int, adjacency: Sequence[int]) -> "Graph":
@@ -93,7 +97,8 @@ class Graph:
         g = cls.__new__(cls)
         g.n = n
         g.adjacency = adj = tuple(adjacency)
-        g.m = sum(mask.bit_count() for mask in adj) // 2
+        g.m = sum(map(int.bit_count, adj)) // 2
+        g._edges = g._connected = g._degree_stats = g._girth = None
         return g
 
     @classmethod
@@ -122,17 +127,13 @@ class Graph:
             mask ^= low
 
     def edges(self) -> list[tuple[int, int]]:
-        """All edges as sorted ``(u, v)`` pairs with ``u < v``, lexicographic."""
-        out = []
-        for u in range(self.n):
-            mask = self.adjacency[u] >> (u + 1)
-            v = u + 1
-            while mask:
-                if mask & 1:
-                    out.append((u, v))
-                mask >>= 1
-                v += 1
-        return out
+        """All edges as sorted ``(u, v)`` pairs with ``u < v``, lexicographic.
+
+        Each call returns a new list, so the caller may change it.
+        """
+        if self._edges is None:
+            self._edges = _edge_list(self.adjacency)
+        return list(self._edges)
 
     def closed_mask(self, v: int) -> int:
         return self.adjacency[v] | (1 << v)
@@ -147,7 +148,9 @@ class Graph:
         return Graph._trusted(self.n, adj)
 
     def is_connected(self) -> bool:
-        return self.n <= 1 or _closure(self.adjacency, 1) == (1 << self.n) - 1
+        if self._connected is None:
+            self._connected = self.n <= 1 or _closure(self.adjacency, 1) == (1 << self.n) - 1
+        return self._connected
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -161,6 +164,18 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _edge_list(adjacency: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """The edges of ``adjacency`` as sorted ``(u, v)`` pairs with ``u < v``."""
+    out = []
+    for u, mask in enumerate(adjacency):
+        mask &= -2 << u  # the neighbours above u
+        while mask:
+            low = mask & -mask
+            out.append((u, low.bit_length() - 1))
+            mask ^= low
+    return tuple(out)
 
 
 def _closure(adjacency: Sequence[int], seed: int) -> int:
@@ -187,14 +202,23 @@ class DegreeStats:
 
 
 def degree_stats(g: Graph) -> DegreeStats:
-    if g.n < 1:
-        raise ValueError("degree stats need at least one vertex")
-    degrees = [g.degree(v) for v in range(g.n)]
-    return DegreeStats(max_degree=max(degrees), min_degree=min(degrees))
+    if g._degree_stats is None:
+        if g.n < 1:
+            raise ValueError("degree stats need at least one vertex")
+        degrees = [mask.bit_count() for mask in g.adjacency]
+        g._degree_stats = DegreeStats(max_degree=max(degrees), min_degree=min(degrees))
+    return g._degree_stats
 
 
 def girth(g: Graph) -> float:
-    """Length of a shortest cycle, or ``math.inf`` for forests.
+    """Length of a shortest cycle, or ``math.inf`` for forests."""
+    if g._girth is None:
+        g._girth = _shortest_cycle(g.adjacency)
+    return g._girth
+
+
+def _shortest_cycle(adjacency: Sequence[int]) -> float:
+    """The girth of the graph with masks ``adjacency``.
 
     Runs one breadth-first search per root over layer bitmasks.  An edge
     inside layer ``k`` closes a cycle of length at most ``2k + 1``, and a
@@ -204,7 +228,7 @@ def girth(g: Graph) -> float:
     ``2k + 1`` is no shorter than the best cycle so far.
     """
     best = math.inf
-    for root in range(g.n):
+    for root in range(len(adjacency)):
         seen = layer = 1 << root
         k = 0
         while layer and 2 * k + 1 < best:
@@ -213,7 +237,7 @@ def girth(g: Graph) -> float:
             while rest:
                 v = (rest & -rest).bit_length() - 1
                 rest &= rest - 1
-                adj = g.adjacency[v]
+                adj = adjacency[v]
                 inside |= adj & layer
                 new = adj & ~seen
                 twice |= reached & new
@@ -235,14 +259,14 @@ def components_with_vertices(g: Graph) -> list[tuple[Graph, tuple[int, ...]]]:
     densely in the order of its original labels.  A connected graph is its
     own single component, returned as it stands.
     """
+    if g.n and g.is_connected():
+        return [(g, tuple(range(g.n)))]
     seen = 0
     out = []
     for start in range(g.n):
         if seen & (1 << start):
             continue
         comp = _closure(g.adjacency, 1 << start)
-        if comp == (1 << g.n) - 1:
-            return [(g, tuple(range(g.n)))]
         seen |= comp
         verts = tuple(v for v in range(start, g.n) if comp >> v & 1)
         out.append((_relabel(g.adjacency, verts), verts))

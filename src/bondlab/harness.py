@@ -13,9 +13,10 @@ and whether that fails a run is the caller's decision (``verify --strict``).
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from typing import Iterable, Sequence
@@ -116,11 +117,13 @@ class CorpusSummary:
         default=(), metadata={"items": {"type": "string"}})
 
 
-def graph_params(g: Graph, search: ChiSearchResult | None) -> bnd.BoundParams:
+def graph_params(g: Graph, search: ChiSearchResult | None, **facts) -> bnd.BoundParams:
     """The bound parameters of ``g``, given its chi search (None if not run).
 
     Only certified values are read from the search: ``chi``, ``h`` and
-    ``k`` stay None where it left them open.
+    ``k`` stay None where it left them open.  ``facts`` sets the fields the
+    graph and the search do not give (``connected``, ``edge_bound``, ``b``
+    and ``b_prime``).
     """
     chi = h = k = None
     if search is not None:
@@ -130,22 +133,48 @@ def graph_params(g: Graph, search: ChiSearchResult | None) -> bnd.BoundParams:
             h = (2 - search.orientable.chi) // 2
         if search.nonorientable is not None and search.nonorientable.certified:
             k = 2 - search.nonorientable.chi
-    return bnd.BoundParams(degree_stats(g).max_degree, chi, girth(g), g.n, g.m, h, k)
+    return bnd.BoundParams(degree_stats(g).max_degree, chi, girth(g), g.n, g.m, h, k, **facts)
 
 
 # Per row, the one check it yields whenever its hypothesis is unmet.
 _UNMET = {row.name: TheoremCheck(row.name, False, None, None, None) for row in CHECKS}
 
 
-def _check(row: bnd.Bound, p: bnd.BoundParams) -> TheoremCheck:
-    """Evaluate one registry row; ``satisfied`` is None when it is skipped."""
+def _outcome(row: bnd.Bound, p: bnd.BoundParams) -> tuple | None:
+    """What one registry row's check is made of: None when its hypothesis is
+    unmet, else its value and the value of its target (None without one)."""
     if not row.applicable(p):
+        return None
+    return row.value(p), None if row.target is None else getattr(p, row.target)
+
+
+@functools.cache
+def _make_check(row: bnd.Bound, outcome: tuple | None) -> TheoremCheck:
+    """The check of ``row`` with the given :func:`_outcome`, built once."""
+    if outcome is None:
         return _UNMET[row.name]
-    value = row.value(p)
+    value, target = outcome
     if row.target is None:
         return TheoremCheck(row.name, True, None, value, None)
-    target = getattr(p, row.target)
     return TheoremCheck(row.name, True, value, target <= value, value - target)
+
+
+# The checks of each distinct tuple of outcomes met so far.  An outcome is
+# a verdict or integers bounded by the order of a graph the domination
+# search takes, so this table and ``_make_check``'s stay finite; a corpus
+# meets a few dozen tuples.  Sharing only saves work: no output depends on
+# which checks are the same object.
+_CHECK_TUPLES: dict[tuple, tuple[TheoremCheck, ...]] = {}
+
+
+def _checks(p: bnd.BoundParams) -> tuple[TheoremCheck, ...]:
+    """One check per row of ``CHECKS``, in order: ``satisfied`` is None when
+    the row is skipped."""
+    outcomes = tuple(_outcome(row, p) for row in CHECKS)
+    checks = _CHECK_TUPLES.get(outcomes)
+    if checks is None:
+        checks = _CHECK_TUPLES[outcomes] = tuple(map(_make_check, CHECKS, outcomes))
+    return checks
 
 
 def verify_graph(g: Graph, budget: int = DEFAULT_BUDGET) -> VerificationRecord:
@@ -163,8 +192,9 @@ def _verify(g: Graph, graph6: str, budget: int) -> VerificationRecord:
     proxy = compute_b_prime(g) if connected else None
     b_prime = proxy.b_prime if connected else None
     search = max_euler_characteristic(g, budget=budget) if connected else None
-    p = replace(
-        graph_params(g, search),
+    p = graph_params(
+        g,
+        search,
         connected=connected,
         edge_bound=proxy.edge_term if connected else hartnell_rall_bound(g),
         b=b,
@@ -175,7 +205,7 @@ def _verify(g: Graph, graph6: str, budget: int) -> VerificationRecord:
         n=g.n,
         m=g.m,
         delta=p.delta,
-        min_degree=min(map(g.degree, range(g.n))),
+        min_degree=degree_stats(g).min_degree,
         girth=None if p.girth == math.inf else p.girth,
         gamma=bond.gamma_before,
         b=b,
@@ -186,7 +216,7 @@ def _verify(g: Graph, graph6: str, budget: int) -> VerificationRecord:
         chi_nonorientable=None if p.k is None else 2 - p.k,
         connected=connected,
         b_exceeds_bprime=None if b_prime is None else b > b_prime,
-        checks=tuple(_check(row, p) for row in CHECKS),
+        checks=_checks(p),
     )
 
 
@@ -330,25 +360,27 @@ def _json_text(value, pad: str, laid_out: dict) -> str:
     """``value`` as ``json.dumps(value, indent=2)`` lays it out at indent ``pad``.
 
     Records, checks and summaries are written as objects under their report
-    keys; dicts, lists and tuples as objects and arrays.  Each distinct
-    check and tuple is laid out once: ``laid_out`` keeps its text by
-    ``(value, pad)``.  Those keys compare by ``==``, under which ``1 ==
-    True``; that is safe only because each field of a check always holds
-    one type (``bound_value`` and ``slack`` an int or None,
-    ``hypothesis_met`` and ``satisfied`` a bool or None).
+    keys, their scalar fields in place; dicts, lists and tuples as objects
+    and arrays.  Each check and tuple object is laid out once: ``laid_out``
+    keeps its text by ``(id(value), pad)``.  The payload holds every value
+    until the report is written, so no id is reused meanwhile; an equal
+    value that is another object is laid out again, to the same text.
     """
     kind = type(value)
     if kind in _JSON_SCALARS:
         return _JSON_SCALARS[kind](value)
     shared = kind is TheoremCheck or kind is tuple
     if shared:
-        text = laid_out.get((value, pad))
+        text = laid_out.get((id(value), pad))
         if text is not None:
             return text
     inner = pad + "  "
     if kind in _JSON_FIELDS:
         keys, values = _JSON_FIELDS[kind]
-        items = [k + _json_text(v, inner, laid_out) for k, v in zip(keys, values(value))]
+        items = []
+        for k, v in zip(keys, values(value)):
+            scalar = _JSON_SCALARS.get(type(v))
+            items.append(k + (scalar(v) if scalar else _json_text(v, inner, laid_out)))
         opening, closing = "{", "}"
     elif kind is dict:
         items = [
@@ -366,7 +398,7 @@ def _json_text(value, pad: str, laid_out: dict) -> str:
     else:
         text = f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{closing}"
     if shared:
-        laid_out[value, pad] = text
+        laid_out[id(value), pad] = text
     return text
 
 
@@ -377,9 +409,8 @@ def emit_report(
 ) -> str:
     """Render records as csv, json, or text with a fixed field order.
 
-    The JSON report lays out each distinct check, and each distinct tuple of
-    checks, once per call: a corpus repeats a few dozen of them thousands
-    of times.
+    The JSON report lays out each check and each tuple of checks once per
+    call: the records of a corpus share a few dozen of them.
     """
     if fmt == "csv":
         buf = io.StringIO()

@@ -561,3 +561,62 @@ class TestComponents:
         assert parts[0][1] == (0, 4)
         assert parts[1][1] == (1, 3, 5)
         assert parts[2][1] == (2,)
+
+
+def _invariants(g: Graph) -> tuple:
+    """The four values a graph keeps once read."""
+    return g.edges(), g.is_connected(), degree_stats(g), girth(g)
+
+
+class TestMemoisedInvariants:
+    """A graph keeps its edge list, connectivity, degree stats and girth
+    once read; every read must equal a fresh graph's on the same masks."""
+
+    @staticmethod
+    def _memo_graphs() -> list[Graph]:
+        out = list(enumerate_connected_graphs(6))
+        for name in ("verify_disconnected.csv", "verify_sparse_pool.csv"):
+            lines = (DATA / name).read_text().splitlines()[1:]
+            out += [parse_graph6(line.split(",", 1)[0]) for line in lines]
+        return out
+
+    def test_reads_equal_a_fresh_graph(self):
+        graphs = self._memo_graphs()
+        assert len(graphs) == 143 + 187 + 2000
+        for g in graphs:
+            first, second = _invariants(g), _invariants(g)
+            assert first == second == _invariants(Graph(g.n, g.adjacency)), emit_graph6(g)
+
+    def test_edges_returns_a_new_list(self):
+        g = make_family("petersen")
+        edges = g.edges()
+        want = list(edges)
+        edges.append((0, 9))
+        edges.reverse()
+        assert g.edges() == want and g.edges() is not g.edges()
+
+    def test_derived_graphs_read_their_own_values(self):
+        # remove_edges, components_with_vertices and _relabel build new
+        # graphs from a graph whose values are already read; each must read
+        # its own, not the source's.
+        graphs = self._memo_graphs()[::7]
+        derived = 0
+        for g in graphs:
+            _invariants(g)
+            built = [g.remove_edges([e]) for e in g.edges()]
+            built += [sub for sub, _ in components_with_vertices(g) if sub is not g]
+            built.append(_relabel(g.adjacency, range(g.n - 1, -1, -1)))
+            for h in built:
+                assert _invariants(h) == _invariants(Graph(h.n, h.adjacency)), emit_graph6(g)
+            derived += len(built)
+        assert derived > 3 * len(graphs)
+
+    def test_removing_a_bridge_disconnects_a_read_graph(self):
+        g = make_family("pn", 4)
+        assert g.is_connected() and girth(g) == math.inf
+        h = g.remove_edges([(1, 2)])
+        assert not h.is_connected() and degree_stats(h).min_degree == 1
+        assert [verts for _, verts in components_with_vertices(h)] == [(0, 1), (2, 3)]
+
+    def test_empty_graph_has_no_components(self):
+        assert components_with_vertices(Graph(0, [])) == []

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import pickle
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bondlab import bondage, cli, domination, embedding, harness
+from bondlab import bondage, cli, domination, embedding, graphs, harness
 from bondlab.graphs import (
     GRAPH6_HEADER,
     Graph,
@@ -53,6 +54,42 @@ class TestVerifyGraph:
         assert len(calls) == 2
         assert calls[0] == g
         assert calls[1].m == g.m - rec.b
+
+    @pytest.mark.parametrize("pendants", [0, 1])
+    def test_graph_invariants_once_per_connected_record(self, monkeypatch, pendants):
+        # The record's own graph gets one connectivity closure, one edge
+        # listing, one degree scan and one girth search, however many layers
+        # read them.  K3,3 is its own core; with a pendant vertex its core is
+        # another graph, whose two searched sides take its girth once.
+        # Graphs are told apart by their mask tuple, which each graph owns.
+        k33 = make_family("kmn", 3, 3)
+        g = Graph.from_edges(6 + pendants, k33.edges() + [(0, 6)] * pendants)
+        calls = []
+        for name in ("_closure", "_edge_list", "_shortest_cycle"):
+            original = getattr(graphs, name)
+
+            def counted(adjacency, *rest, name=name, original=original):
+                calls.append((name, adjacency))
+                return original(adjacency, *rest)
+
+            monkeypatch.setattr(graphs, name, counted)
+        stats = graphs.DegreeStats
+
+        def counted_stats(**kwargs):
+            calls.append(("DegreeStats", None))
+            return stats(**kwargs)
+
+        monkeypatch.setattr(graphs, "DegreeStats", counted_stats)
+        rec = verify_graph(g)
+        assert rec.chi == 1 and rec.connected and rec.girth == 4
+
+        def count(name):
+            return sum(1 for called, adjacency in calls if called == name and adjacency is g.adjacency)
+
+        assert [count(name) for name in ("_closure", "_edge_list", "_shortest_cycle")] == [1, 1, 1]
+        assert calls.count(("DegreeStats", None)) == 1
+        searched = [adjacency for called, adjacency in calls if called == "_shortest_cycle"]
+        assert sorted(searched) == sorted([g.adjacency, k33.adjacency][:1 + pendants])
 
     def test_hartnell_rall_bound_once_per_record(self, monkeypatch):
         # Connected records read the edge bound off the b' proxy.
@@ -342,15 +379,21 @@ class TestCorpus7Golden:
         assert emit_report(records, "csv") == lines[0] + "".join(picked)
 
 
-def test_sparse_pool_report_matches_golden():
+@pytest.fixture(scope="module")
+def sparse_pool():
+    """The lines of verify_sparse_pool.csv and the records of its graphs."""
+    lines = (DATA / "verify_sparse_pool.csv").read_text().splitlines(keepends=True)
+    return lines, verify_corpus([line.split(",", 1)[0] for line in lines[1:]])
+
+
+def test_sparse_pool_report_matches_golden(sparse_pool):
     # verify_sparse_pool.csv is `verify --format csv` over the graph6 lines of
     # perfbench/data/sparse_pool.json, 2,000 connected graphs with n 8-14 on
     # which bondage and its domination solves are most of the cost; CI
     # compares it through the console script as well.  Its JSON report, where
     # the same checks repeat by the thousand, must be what json.dumps writes.
-    lines = (DATA / "verify_sparse_pool.csv").read_text().splitlines(keepends=True)
+    lines, (records, summary) = sparse_pool
     assert len(lines) == 2001
-    records, summary = verify_corpus([line.split(",", 1)[0] for line in lines[1:]])
     assert emit_report(records, "csv") == "".join(lines)
     assert emit_report(records, "json", summary) == TestEmitReport._dumps(records, summary)
 
@@ -460,8 +503,9 @@ class TestEmitReport:
 
     def _assert_json_as_dumps(self, records):
         summary = harness._summarize(records)
-        assert emit_report(records, "json", summary) == self._dumps(records, summary)
-        assert emit_report(records, "json") == self._dumps(records, summary)
+        want = self._dumps(records, summary)
+        assert emit_report(records, "json", summary) == want
+        assert emit_report(records, "json") == want
 
     def test_json_as_dumps_on_corpus6(self):
         lines = [emit_graph6(g) for g in enumerate_connected_graphs(6) if g.m > 0]
@@ -473,6 +517,23 @@ class TestEmitReport:
         quoted = [VerificationRecord(graph6='D\\"{', error='malformed graph6: "\\" \u00e9 \t'),
                   VerificationRecord(graph6="", error="")]
         self._assert_json_as_dumps(malformed + quoted + sample[0])
+
+    def test_json_as_dumps_on_records_that_share_no_checks(self, sparse_pool):
+        # Verified records share their checks, but the report must not rely
+        # on it: records pickled back one by one, as from --threads workers,
+        # or whose checks dataclasses.replace rebuilds share none, and must
+        # give the same report.
+        records = sparse_pool[1][0]
+        pickled = [pickle.loads(pickle.dumps(r)) for r in records]
+        rebuilt = [replace(r, checks=tuple(replace(c) for c in r.checks)) for r in records]
+        first = {}
+        i, j = next((first[r.checks], k) for k, r in enumerate(records)
+                    if first.setdefault(r.checks, k) != k)
+        assert records[i].checks is records[j].checks
+        for copy in (pickled, rebuilt):
+            assert copy[i].checks == copy[j].checks
+            assert not any(a is b for a, b in zip(copy[i].checks, copy[j].checks))
+            self._assert_json_as_dumps(copy)
 
     @given(st.integers(min_value=2, max_value=7), st.randoms(use_true_random=False))
     @settings(max_examples=25, deadline=None)
