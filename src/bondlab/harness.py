@@ -160,10 +160,11 @@ def _make_check(row: bnd.Bound, outcome: tuple | None) -> TheoremCheck:
 
 
 # The checks of each distinct tuple of outcomes met so far.  An outcome is
-# a verdict or integers bounded by the order of a graph the domination
-# search takes, so this table and ``_make_check``'s stay finite; a corpus
-# meets a few dozen tuples.  Sharing only saves work: no output depends on
-# which checks are the same object.
+# a verdict or small integers of the graph (its order, size and degrees, b
+# and the bounds on it), so this table and ``_make_check``'s hold a few
+# dozen entries over a corpus: 74 tuples over the 2,000 sparse-pool graphs.
+# Both hold frozen values only, and sharing only saves work: no output
+# depends on which checks are the same object.
 _CHECK_TUPLES: dict[tuple, tuple[TheoremCheck, ...]] = {}
 
 
