@@ -8,7 +8,8 @@ gamma(G)`` holds exactly when ``S`` breaks every minimum dominating set
 ``inc[v] & reach(D)``: the edges at ``v`` that also meet ``D``.
 
 One deepening domination search gives ``gamma`` and lists every minimum
-dominating set.  Every breaker is then numbered once: set ``f`` owns an
+dominating set as a vertex mask, in search order.  Every breaker is then
+numbered once: set ``f`` owns an
 ``n``-bit block at offset ``f * n``, and bit ``v`` of it is ``E(v, D_f)``.
 Each edge keeps the mask ``contain[e]`` of the breakers that hold it, and
 each breaker's count of edges is kept bit-sliced.
@@ -99,12 +100,12 @@ def compute_b_prime(g: Graph) -> BPrimeResult:
 
 
 def _breaker_masks(
-    n: int, edges: list[tuple[int, int]], sets: list[tuple[int, ...]]
+    n: int, edges: list[tuple[int, int]], sets: list[int]
 ) -> tuple[list[int], int, int]:
     """Every breaker as one bit: per edge, the breakers that hold it.
 
     ``edges`` are the edges of an ``n``-vertex graph and ``sets`` its
-    minimum dominating sets.  Set ``f`` owns the ``n``-bit block at offset
+    minimum dominating sets as vertex masks.  Set ``f`` owns the ``n``-bit block at offset
     ``f * n``, and bit ``v`` of that block stands for ``E(v, D_f)``; it is a
     breaker when ``v`` is not in ``D_f``.  Returns ``contain``, with
     ``contain[i]`` the breakers that hold ``edges[i]``, the mask of every
@@ -115,10 +116,7 @@ def _breaker_masks(
     """
     sets_in_blocks = 0
     for dom in reversed(sets):
-        mask = 0
-        for u in dom:
-            mask |= 1 << u
-        sets_in_blocks = sets_in_blocks << n | mask
+        sets_in_blocks = sets_in_blocks << n | dom
     base = ((1 << n * len(sets)) - 1) // ((1 << n) - 1)
     member = [sets_in_blocks >> u & base for u in range(n)]
     contain = [
@@ -197,11 +195,12 @@ def _covers(hits: list[int], need: int, k: int) -> bool:
 
 
 def _bondage_connected(
-    g: Graph, sets: list[tuple[int, ...]], limit: int
+    g: Graph, sets: list[int], limit: int
 ) -> tuple[int, tuple[tuple[int, int], ...]] | None:
     """The fewest edges, at most ``limit``, that break every set of ``sets``.
 
-    ``sets`` must be every minimum dominating set of ``g``.
+    ``sets`` must be every minimum dominating set of ``g``, as vertex masks
+    in the order :func:`minimum_dominating_sets` lists them.
     """
     edges = g.edges()
     n = g.n
@@ -237,10 +236,12 @@ def _bondage_connected(
         # The breakers ``E(v, D_f)`` as edge masks, by ``v``, built when the
         # search first branches on set ``f``.
         if f not in families:
+            dom = sets[f]
             reach = 0
-            for u in sets[f]:
-                reach |= inc[u]
-            families[f] = [inc[v] & reach for v in range(n) if v not in sets[f]]
+            for v in range(n):
+                if dom >> v & 1:
+                    reach |= inc[v]
+            families[f] = [inc[v] & reach for v in range(n) if not dom >> v & 1]
         return families[f]
 
     best_size = limit + 1

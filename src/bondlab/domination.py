@@ -3,10 +3,13 @@
 One search deepens on target set size from a lower bound, branching on the
 closed neighbourhood of a most-constrained uncovered vertex.  The first
 level with a dominating set is the domination number; the whole vertex set
-dominates, so the deepening ends by level ``n``.  The search stops at its
-first set for :func:`domination_number`, and runs that level to completion
-for :func:`minimum_dominating_sets`, so the bondage search gets ``gamma``
-and every minimum dominating set in one pass.
+dominates, so the deepening ends by level ``n``.  Sets are vertex masks.
+The search appends each set it reaches to one list, in search order, so
+:func:`minimum_dominating_sets` lists the whole first level with a set in
+the pass that finds it, and the bondage search gets ``gamma`` and every
+minimum dominating set at once.  :func:`domination_number` runs the same
+search in first-set mode: it stops at the first set, and its witness is
+that set's vertices in label order.
 
 Deepening starts at the larger of two lower bounds taken from the graph
 alone: ``ceil(n / max closed neighbourhood)``, and the size of a greedy
@@ -23,8 +26,7 @@ neighbourhood, cannot cover what is uncovered.  Graphs above
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .graphs import Graph
 
@@ -79,29 +81,26 @@ def _packing_bound(closed: Sequence[int], order: Sequence[int]) -> int:
 
 
 def _dominating_sets(
-    closed: Sequence[int], order: Sequence[int], k: int
-) -> Iterator[tuple[int, ...]]:
-    """Dominating sets of at most ``k`` vertices in search order, none twice.
+    closed: Sequence[int], order: Sequence[int], k: int, max_cover: int, first: bool = False
+) -> list[int]:
+    """Dominating sets of at most ``k`` vertices as vertex masks, in search order, none twice.
 
-    ``order`` is :func:`_search_order` of ``closed``.  Branches on the closed
+    ``order`` is :func:`_search_order` of ``closed`` and ``max_cover`` the
+    largest closed neighbourhood's size.  Branches on the closed
     neighbourhood of the first uncovered vertex in that order, a most
     constrained one, taking candidates by label; each branch excludes the
     candidates its earlier siblings took, so no set is reached twice.  With
     one pick left, each candidate is tested directly.  With ``k`` the
-    domination number this yields every minimum dominating set.
+    domination number this lists every minimum dominating set; with
+    ``first`` the search stops at its first set.
     """
-    full = (1 << len(closed)) - 1
-    max_cover = max(map(int.bit_count, closed))
-    chosen: list[int] = []
+    found: list[int] = []
 
-    def dfs(covered: int, remaining: int, excluded: int) -> Iterator[tuple[int, ...]]:
-        uncovered = full & ~covered
-        if not uncovered:
-            yield tuple(chosen)
-            return
+    def dfs(uncovered: int, chosen: int, remaining: int, excluded: int) -> bool:
+        # True once ``first`` has its set, which ends the search.
         # Admissible bound: no pick covers more than max_cover vertices.
         if max_cover * remaining < uncovered.bit_count():
-            return
+            return False
         for classmask in order:
             pick = uncovered & classmask
             if pick:
@@ -111,48 +110,53 @@ def _dominating_sets(
             while cand:
                 low = cand & -cand
                 cand ^= low
-                c = low.bit_length() - 1
-                if not uncovered & ~closed[c]:
-                    yield (*chosen, c)
-            return
+                if not uncovered & ~closed[low.bit_length() - 1]:
+                    found.append(chosen | low)
+                    if first:
+                        return True
+            return False
         while cand:
             low = cand & -cand
             cand ^= low
-            c = low.bit_length() - 1
-            chosen.append(c)
-            yield from dfs(covered | closed[c], remaining - 1, excluded)
-            chosen.pop()
+            rest = uncovered & ~closed[low.bit_length() - 1]
+            if not rest:
+                found.append(chosen | low)
+                if first:
+                    return True
+            elif dfs(rest, chosen | low, remaining - 1, excluded):
+                return True
             excluded |= low
+        return False
 
-    return dfs(0, k, 0)
+    dfs((1 << len(closed)) - 1, 0, k, 0)
+    return found
 
 
-def _deepen(g: Graph) -> tuple[int, Iterator[tuple[int, ...]]]:
-    """The domination number of ``g`` and its minimum dominating sets.
+def _deepen(g: Graph, first: bool = False) -> tuple[int, list[int]]:
+    """The domination number of ``g`` and its minimum dominating sets as vertex masks.
 
     Deepening starts at ``ceil(n / max closed neighbourhood)`` or at the
     size of a greedy 2-packing, whichever is larger, and every level below
-    the returned one is refuted in full.  The iterator yields the sets of
-    that level in search order, unsorted, none twice; its first set is
-    already found, and the rest are searched only when it is read on.
-    Raises ``ValueError`` on an empty graph and above :data:`VERTEX_LIMIT`
-    vertices.
+    the returned one is refuted in full.  The level that has a set is listed
+    in the same pass, in search order, none twice; with ``first`` the list
+    holds only its first set.  Raises ``ValueError`` on an empty graph and
+    above :data:`VERTEX_LIMIT` vertices.
     """
     if g.n < 1:
         raise ValueError("domination needs at least one vertex")
     error = instance_size_error(g.n)
     if error is not None:
         raise ValueError(error)
-    closed = [g.closed_mask(v) for v in range(g.n)]
+    closed = [mask | 1 << v for v, mask in enumerate(g.adjacency)]
     order = _search_order(closed)
     max_cover = max(map(int.bit_count, closed))
     for k in range(max(-(-g.n // max_cover), _packing_bound(closed, order)), g.n + 1):
-        sets = _dominating_sets(closed, order, k)
-        for first in sets:
+        sets = _dominating_sets(closed, order, k, max_cover, first)
+        if sets:
             # A smaller set would show a lower bound above the domination number.
-            if len(first) < k:
-                raise AssertionError(f"{len(first)} vertices dominate below level {k}")
-            return k, chain((first,), sets)
+            if sets[0].bit_count() < k:
+                raise AssertionError(f"{sets[0].bit_count()} vertices dominate below level {k}")
+            return k, sets
     # The whole vertex set dominates, so this is unreachable.
     raise AssertionError("search found no dominating set of n vertices")
 
@@ -160,19 +164,22 @@ def _deepen(g: Graph) -> tuple[int, Iterator[tuple[int, ...]]]:
 def domination_number(g: Graph) -> DominationResult:
     """Exact domination number with a deterministic minimum witness.
 
-    Raises ``ValueError`` on an empty graph and above :data:`VERTEX_LIMIT`
+    The search of :func:`minimum_dominating_sets` stops at its first set,
+    and the witness is that set's vertices in label order.  Raises
+    ``ValueError`` on an empty graph and above :data:`VERTEX_LIMIT`
     vertices.
     """
-    gamma, sets = _deepen(g)
-    return DominationResult(gamma=gamma, witness=next(sets))
+    gamma, (first,) = _deepen(g, first=True)
+    return DominationResult(
+        gamma=gamma, witness=tuple(v for v in range(g.n) if first >> v & 1)
+    )
 
 
-def minimum_dominating_sets(g: Graph) -> tuple[int, list[tuple[int, ...]]]:
-    """The domination number of ``g`` and every minimum dominating set, each sorted.
+def minimum_dominating_sets(g: Graph) -> tuple[int, list[int]]:
+    """The domination number of ``g`` and every minimum dominating set as a vertex mask.
 
     One deepening search finds the first level with a dominating set and
-    lists that whole level, in the search order :func:`domination_number`
-    takes its witness from.
+    lists that whole level in search order; its first set is the witness
+    of :func:`domination_number`.
     """
-    gamma, sets = _deepen(g)
-    return gamma, [tuple(sorted(d)) for d in sets]
+    return _deepen(g)

@@ -382,6 +382,34 @@ def _planar_by_count(core: Graph) -> bool:
     return sum(d >= 3 for d in degrees) < 6 and sum(d >= 4 for d in degrees) < 5
 
 
+def _planar_by_rank(g: Graph) -> bool:
+    """True when the connected graph ``g`` has cycle rank at most 3, so is planar.
+
+    The cycle rank of a connected graph is ``m - n + 1``, and no subgraph
+    has a larger one.  A subdivided K3,3 has cycle rank 9 - 6 + 1 = 4 and a
+    subdivided K5 has 10 - 5 + 1 = 6, since subdividing an edge adds one
+    vertex and one edge.  So by Kuratowski's theorem a connected graph with
+    ``m - n <= 2`` holds neither and is planar, with no core and no count.
+    Both reductions of :func:`_core` remove one vertex and one edge, so its
+    core would have ``m - n <= 2`` too, and :func:`_planar_by_count` would
+    count it planar.  This covers trees.
+    """
+    return g.m - g.n <= 2
+
+
+def _lifted_plane(core: Graph, labels: list[int], ops: list[tuple], n: int) -> RotationSystem:
+    """A plane scheme of the planar graph ``core`` was reduced from, by :func:`_core`.
+
+    The core of a tree is a point; any other core takes the planarity
+    test's scheme, re-traced to chi 2 by :func:`_plane_witness`.
+    """
+    if core.m == 0:
+        plane = RotationSystem(((),))
+    else:
+        plane = _plane_witness(core, planar_rotations(core))
+    return _lift_witness(plane, labels, ops, n)
+
+
 def _face_length_upper_bound(core: Graph) -> int:
     """Proven cap on chi from face-length counting on the core.
 
@@ -627,15 +655,19 @@ def max_euler_characteristic(
     vertices contracted; both keep chi on each side) in one of two
     branches, and lifts each witness back to ``g`` when it is first read.
 
-    *Sphere.*  A tree's core is a point.  A core with fewer than six
+    *Sphere.*  A graph of cycle rank at most 3 (``m - n <= 2``, trees
+    included) is planar by rank (:func:`_planar_by_rank`): a subdivided
+    K3,3 has cycle rank 4 and a subdivided K5 has 6.  Its core is not even
+    built until the plane witness is first read.  A core with fewer than six
     vertices of degree >= 3 and fewer than five of degree >= 4 is planar by
     counting (:func:`_planar_by_count`): a nonplanar graph holds a
     subdivided K3,3, whose six branch vertices have degree 3, or a
     subdivided K5, whose five have degree 4.  The count covers every core
     of at most 8 edges, since at minimum degree 2 either set of branch
     vertices forces at least 9.  Neither the planarity test nor the girth
-    cap runs for a counted core, and its plane witness is embedded by the
-    test and re-traced to chi 2 when first read.  Any other core whose
+    cap runs for a graph planar by rank or a counted core, and the plane
+    witness is embedded by the test (a tree's core is a point), lifted and
+    re-traced to chi 2 when first read.  Any other core whose
     face-length cap is 2 and which the planarity test embeds, re-traced to
     chi 2 at once, gives the plane witness.  Neither side is searched:
     orientable chi is 2, and non-orientable chi 1 by the planar identity,
@@ -665,19 +697,19 @@ def max_euler_characteristic(
     if not g.is_connected():
         raise ValueError("chi search is defined for connected graphs; split components first")
 
-    core, labels, ops = _core(g)
-    lift = functools.partial(_lift_witness, labels=labels, ops=ops, n=g.n)
-
     plane = None
-    if core.m == 0:
-        plane = functools.partial(lift, RotationSystem(((),)))  # the core of a tree is a point
-    elif _planar_by_count(core):
+    if _planar_by_rank(g):
         def plane() -> RotationSystem:
-            return lift(_plane_witness(core, planar_rotations(core)))
+            return _lifted_plane(*_core(g), g.n)
     else:
-        cap = _face_length_upper_bound(core)
-        if cap == 2 and (rotations := planar_rotations(core)) is not None:
-            plane = functools.partial(lift, _plane_witness(core, rotations))
+        core, labels, ops = _core(g)
+        lift = functools.partial(_lift_witness, labels=labels, ops=ops, n=g.n)
+        if _planar_by_count(core):
+            plane = functools.partial(_lifted_plane, core, labels, ops, g.n)
+        else:
+            cap = _face_length_upper_bound(core)
+            if cap == 2 and (rotations := planar_rotations(core)) is not None:
+                plane = functools.partial(lift, _plane_witness(core, rotations))
 
     nonor_side: SideResult | None = None
     if plane is not None:

@@ -95,6 +95,11 @@ def random_rotation_system(rng: random.Random, g: Graph, signed: bool = False) -
 # ---------------------------------------------------------------------------
 
 
+def mask_vertices(mask: int) -> tuple[int, ...]:
+    """The vertices of a vertex mask, in label order."""
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
 def common_neighbors(g: Graph, u: int, v: int) -> int:
     """Number of shared neighbours of the endpoints of edge ``uv``."""
     if not (0 <= u < g.n and 0 <= v < g.n):
@@ -167,7 +172,8 @@ def reference_dominating_sets(
     """Dominating sets of at most ``k`` vertices in search order, none twice.
 
     This is the recursive search that ``domination._dominating_sets``
-    replaced, kept as an oracle of its order: it rescans every closed
+    replaced, kept as an oracle of its order (the search lists vertex
+    masks; this yields the picks in pick order): it rescans every closed
     neighbourhood for the branch vertex and the gain bound at each node.
     Branches on the closed neighbourhood of a most-constrained uncovered
     vertex; each branch excludes the candidates its earlier siblings took,

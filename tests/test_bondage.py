@@ -39,6 +39,7 @@ from conftest import (
     common_neighbors,
     complete_tripartite,
     corona_path,
+    mask_vertices,
     random_connected_graph,
     random_graph,
     reference_bondage_connected,
@@ -157,12 +158,13 @@ class TestOneEdgeSweep:
 
     @staticmethod
     def check(g):
-        _, sets = minimum_dominating_sets(g)
+        _, masks = minimum_dominating_sets(g)
+        sets = [mask_vertices(mask) for mask in masks]
         one = _one_edge_breaker(_breaker_families(g, sets))
         oracle = brute_one_edge_breakers(g)
         assert bool(one) == bool(oracle)
         if not one:
-            assert _bondage_connected(g, sets, 1) is None
+            assert _bondage_connected(g, masks, 1) is None
             assert reference_bondage_connected(g, sets, 1, sweep=False) is None
             return
         edge = g.edges()[one.bit_length() - 1]
@@ -172,9 +174,9 @@ class TestOneEdgeSweep:
         # own branch and bound takes.  It honours the limit.
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bondage, "_minus", None)
-            assert _bondage_connected(g, sets, 1) == (1, (edge,))
+            assert _bondage_connected(g, masks, 1) == (1, (edge,))
         assert reference_bondage_connected(g, sets, 1, sweep=False) == (1, (edge,))
-        assert _bondage_connected(g, sets, 0) is None
+        assert _bondage_connected(g, masks, 0) is None
 
     def test_corpus6(self):
         for g in enumerate_connected_graphs(6):
@@ -256,12 +258,13 @@ class TestBitmaskSearch:
 
     @staticmethod
     def check(g, limits=None):
-        _, sets = minimum_dominating_sets(g)
+        _, masks = minimum_dominating_sets(g)
+        sets = [mask_vertices(mask) for mask in masks]
         stats = degree_stats(g)
         top = stats.max_degree + stats.min_degree - 1
         for limit in range(top + 1) if limits is None else limits:
             want = reference_bondage_connected(g, sets, limit)
-            assert bondage._bondage_connected(g, sets, limit) == want, (g.edges(), limit)
+            assert bondage._bondage_connected(g, masks, limit) == want, (g.edges(), limit)
         return want
 
     def test_corpus6_at_every_limit(self):

@@ -19,6 +19,7 @@ from conftest import (
     brute_minimum_dominating_sets,
     corona_path,
     is_dominating,
+    mask_vertices,
     random_graph,
     reference_dominating_sets,
 )
@@ -83,12 +84,13 @@ class TestDominationNumber:
         # One pass gives gamma and the whole level; sparse draws are often
         # disconnected.
         g = random_graph(rng, n, p=rng.uniform(0.2, 0.7))
-        gamma, found = minimum_dominating_sets(g)
+        gamma, masks = minimum_dominating_sets(g)
+        found = [mask_vertices(mask) for mask in masks]
         assert gamma == brute_domination_number(g)
         assert len(set(found)) == len(found)
         assert sorted(found) == brute_minimum_dominating_sets(g)
         # The listing starts with the witness domination_number stops at.
-        assert found[0] == tuple(sorted(domination_number(g).witness))
+        assert found[0] == domination_number(g).witness
 
     @given(st.integers(min_value=1, max_value=8), st.randoms(use_true_random=False))
     @settings(max_examples=100, deadline=None)
@@ -96,7 +98,8 @@ class TestDominationNumber:
         g = random_graph(rng, n)
         k, sets = _deepen(g)
         assert k == brute_domination_number(g) == domination_number(g).gamma
-        assert sorted(tuple(sorted(d)) for d in sets) == brute_minimum_dominating_sets(g)
+        assert sorted(map(mask_vertices, sets)) == brute_minimum_dominating_sets(g)
+        assert _deepen(g, first=True) == (k, sets[:1])
 
     def test_witness_deterministic(self):
         g = make_family("petersen")
@@ -124,13 +127,24 @@ class TestSearchOrder:
     """The search against the recursive search it replaced, level by level."""
 
     @staticmethod
-    def check(g, top):
+    def listing(g, k, first=False):
+        # The level's sets as sorted vertex tuples, in search order.
         closed = [g.closed_mask(v) for v in range(g.n)]
-        order = _search_order(closed)
+        max_cover = max(map(int.bit_count, closed))
+        sets = _dominating_sets(closed, _search_order(closed), k, max_cover, first)
+        return [mask_vertices(mask) for mask in sets]
+
+    def check(self, g, top):
+        closed = [g.closed_mask(v) for v in range(g.n)]
         full = (1 << g.n) - 1
         for k in range(top + 1):
-            want = list(reference_dominating_sets(closed, full, k))
-            assert list(_dominating_sets(closed, order, k)) == want, (g.edges(), k)
+            want = [tuple(sorted(d)) for d in reference_dominating_sets(closed, full, k)]
+            assert self.listing(g, k) == want, (g.edges(), k)
+
+    def check_first(self, g, top):
+        # First-set mode lists exactly the full listing's first set.
+        for k in range(top + 1):
+            assert self.listing(g, k, first=True) == self.listing(g, k)[:1], (g.edges(), k)
 
     def test_every_graph_to_six_vertices(self):
         graphs = list(every_graph(6))
@@ -144,6 +158,16 @@ class TestSearchOrder:
     def test_random_graphs(self, n, rng):
         g = random_graph(rng, n, p=rng.uniform(0.1, 0.7))
         self.check(g, min(brute_domination_number(g) + 1, g.n))
+
+    def test_first_set_mode_on_every_graph_to_six_vertices(self):
+        for g in every_graph(6):
+            self.check_first(g, g.n)
+
+    @given(st.integers(min_value=1, max_value=9), st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_first_set_mode_on_random_graphs(self, n, rng):
+        g = random_graph(rng, n, p=rng.uniform(0.1, 0.7))
+        self.check_first(g, min(brute_domination_number(g) + 1, g.n))
 
     def test_corona_with_many_minimum_dominating_sets(self):
         self.check(corona_path(10), 10)

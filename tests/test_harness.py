@@ -44,9 +44,9 @@ class TestVerifyGraph:
         calls = []
         original = domination._deepen
 
-        def counted(g):
+        def counted(g, first=False):
             calls.append(g)
-            return original(g)
+            return original(g, first)
 
         monkeypatch.setattr(domination, "_deepen", counted)
         g = make_family("kmn", 3, 3)

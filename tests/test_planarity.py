@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import networkx as nx
@@ -13,6 +14,7 @@ from bondlab.planarity import planar_rotations
 from conftest import SchemeSpace, random_connected_graph, reference_is_planar, reference_sweep
 
 DATA = Path(__file__).parent / "data"
+PERFBENCH_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data"
 
 
 @pytest.fixture(scope="module")
@@ -211,3 +213,50 @@ class TestPlanarityStep:
         assert result.steps_used == 0
         assert result.nonorientable.chi == 1 and result.nonorientable.certified
         assert trace_faces(g, result.witness).chi == 2
+
+
+class TestPlanarByRank:
+    """A connected graph with ``m - n <= 2`` is planar before its core is built."""
+
+    @staticmethod
+    def cores_built(monkeypatch):
+        calls = []
+        core = embedding._core
+
+        def counted(g):
+            calls.append(g)
+            return core(g)
+
+        monkeypatch.setattr(embedding, "_core", counted)
+        return calls
+
+    def test_order_seven_and_the_pool(self, monkeypatch):
+        # Cycle rank at most 3 holds no subdivided K3,3 (rank 4) or K5
+        # (rank 6): chi 2 and 1 with no step, and the core is built only
+        # for the witness, which re-traces to the sphere.
+        pool = json.loads((PERFBENCH_DATA / "sparse_pool.json").read_text())["rows"]
+        small = [g for g in enumerate_connected_graphs(7) if g.m <= g.n + 2]
+        sparse = [g for g in (parse_graph6(row[1]) for row in pool) if g.m <= g.n + 2]
+        assert (len(small), len(sparse)) == (305, 950)
+        calls = self.cores_built(monkeypatch)
+        for g in small + sparse:
+            result = max_euler_characteristic(g, budget=0)
+            assert (result.chi, result.certified, result.steps_used) == (2, True, 0)
+            nonor = result.nonorientable
+            assert (nonor.chi, nonor.certified) == (1, True)
+            assert calls == [], g.edges()
+            witness = result.witness
+            assert calls == [g], g.edges()
+            if g.m:  # K1 has no faces to trace
+                traced = trace_faces(g, witness)
+                assert traced.chi == 2 and traced.orientable, g.edges()
+            calls.clear()
+
+    def test_cycle_rank_four_builds_the_core(self, monkeypatch):
+        graphs = [g for g in enumerate_connected_graphs(6) if g.m == g.n + 3]
+        assert make_family("kmn", 3, 3) in graphs
+        calls = self.cores_built(monkeypatch)
+        for g in graphs:
+            calls.clear()
+            max_euler_characteristic(g)
+            assert calls == [g], g.edges()
