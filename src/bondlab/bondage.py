@@ -9,8 +9,8 @@ gamma(G)`` holds exactly when ``S`` breaks every minimum dominating set
 
 One deepening domination search gives ``gamma`` and lists every minimum
 dominating set as a vertex mask, in search order.  Every breaker is then
-numbered once: set ``f`` owns an
-``n``-bit block at offset ``f * n``, and bit ``v`` of it is ``E(v, D_f)``.
+numbered once: set ``f`` owns an ``n``-bit block at offset ``f * n``, and
+bit ``v`` of it is ``E(v, D_f)``.
 Each edge keeps the mask ``contain[e]`` of the breakers that hold it, and
 each breaker's count of edges is kept bit-sliced.
 
@@ -105,14 +105,14 @@ def _breaker_masks(
     """Every breaker as one bit: per edge, the breakers that hold it.
 
     ``edges`` are the edges of an ``n``-vertex graph and ``sets`` its
-    minimum dominating sets as vertex masks.  Set ``f`` owns the ``n``-bit block at offset
-    ``f * n``, and bit ``v`` of that block stands for ``E(v, D_f)``; it is a
-    breaker when ``v`` is not in ``D_f``.  Returns ``contain``, with
-    ``contain[i]`` the breakers that hold ``edges[i]``, the mask of every
-    breaker, and the mask of each block's lowest bit.  ``member[u]`` marks
-    the blocks whose set holds ``u``, so edge ``(a, b)`` is in ``E(a, D)``
-    exactly when ``b`` is in ``D`` and ``a`` is not, and ``contain`` takes
-    two shifts an edge.
+    minimum dominating sets as vertex masks.  Set ``f`` owns the ``n``-bit
+    block at offset ``f * n``, and bit ``v`` of that block stands for
+    ``E(v, D_f)``; it is a breaker when ``v`` is not in ``D_f``.  Returns
+    ``contain``, with ``contain[i]`` the breakers that hold ``edges[i]``,
+    the mask of every breaker, and the mask of each block's lowest bit.
+    ``member[u]`` marks the blocks whose set holds ``u``, so edge ``(a, b)``
+    is in ``E(a, D)`` exactly when ``b`` is in ``D`` and ``a`` is not, and
+    ``contain`` takes two shifts an edge.
     """
     sets_in_blocks = 0
     for dom in reversed(sets):

@@ -398,10 +398,11 @@ def _planar_by_rank(g: Graph) -> bool:
 
 
 def _lifted_plane(core: Graph, labels: list[int], ops: list[tuple], n: int) -> RotationSystem:
-    """A plane scheme of the planar graph ``core`` was reduced from, by :func:`_core`.
+    """A plane scheme of the ``n``-vertex planar graph that :func:`_core` reduced to ``core``.
 
     The core of a tree is a point; any other core takes the planarity
-    test's scheme, re-traced to chi 2 by :func:`_plane_witness`.
+    test's scheme, re-traced to chi 2 by :func:`_plane_witness`, and
+    :func:`_lift_witness` undoes ``ops`` on it.
     """
     if core.m == 0:
         plane = RotationSystem(((),))
