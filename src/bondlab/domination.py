@@ -38,6 +38,8 @@ VERTEX_LIMIT = 40
 
 @dataclass(frozen=True)
 class DominationResult:
+    """The domination number and a minimum dominating set, in label order."""
+
     gamma: int
     witness: tuple[int, ...]
 

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -141,11 +142,6 @@ class TestSearchOrder:
             want = [tuple(sorted(d)) for d in reference_dominating_sets(closed, full, k)]
             assert self.listing(g, k) == want, (g.edges(), k)
 
-    def check_first(self, g, top):
-        # First-set mode lists exactly the full listing's first set.
-        for k in range(top + 1):
-            assert self.listing(g, k, first=True) == self.listing(g, k)[:1], (g.edges(), k)
-
     def test_every_graph_to_six_vertices(self):
         graphs = list(every_graph(6))
         assert len(graphs) == 1 + 2 + 4 + 11 + 34 + 156
@@ -159,15 +155,13 @@ class TestSearchOrder:
         g = random_graph(rng, n, p=rng.uniform(0.1, 0.7))
         self.check(g, min(brute_domination_number(g) + 1, g.n))
 
-    def test_first_set_mode_on_every_graph_to_six_vertices(self):
-        for g in every_graph(6):
-            self.check_first(g, g.n)
-
-    @given(st.integers(min_value=1, max_value=9), st.randoms(use_true_random=False))
-    @settings(max_examples=150, deadline=None)
-    def test_first_set_mode_on_random_graphs(self, n, rng):
-        g = random_graph(rng, n, p=rng.uniform(0.1, 0.7))
-        self.check_first(g, min(brute_domination_number(g) + 1, g.n))
+    def test_first_set_mode_lists_the_first_set(self):
+        rng = random.Random(5)
+        graphs = list(every_graph(6))
+        graphs += [random_graph(rng, rng.randint(1, 9), p=rng.uniform(0.1, 0.7)) for _ in range(150)]
+        for g in graphs:
+            for k in range(g.n + 1):
+                assert self.listing(g, k, first=True) == self.listing(g, k)[:1], (g.edges(), k)
 
     def test_corona_with_many_minimum_dominating_sets(self):
         self.check(corona_path(10), 10)
