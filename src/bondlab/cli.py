@@ -75,12 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bondlab",
         description="Exact bondage-number laboratory: invariants, embeddings, bounds.",
-        allow_abbrev=False,
-    )
-    parser.add_argument(
-        "--config",
-        metavar="PATH",
-        help="key=value file of defaults mirroring the long flags; flags win",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -145,55 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("params", nargs="*", type=int)
 
     return parser
-
-
-def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Fold --config key=value pairs in as defaults; explicit flags win.
-
-    The file's flags go right after the subcommand, so any flag given on the
-    command line comes later and argparse keeps its value.  A boolean key
-    reads ``true``/``yes``/``on`` as the flag and ``false``/``no``/``off`` as
-    its absence.  A key that only other subcommands define is skipped, so
-    one file serves every command; a key that no subcommand defines is
-    passed on, and argparse rejects it.
-    """
-    for at, token in enumerate(argv):
-        if token == "--config":
-            if at + 1 >= len(argv):
-                parser.error("--config needs a path")
-            path, rest = argv[at + 1], argv[:at] + argv[at + 2:]
-            break
-        if token.startswith("--config="):
-            path, rest = token[len("--config="):], argv[:at] + argv[at + 1:]
-            break
-    else:
-        return argv
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        parser.error(f"cannot read config: {exc}")
-    at = next((i + 1 for i, token in enumerate(rest) if token in _COMMANDS), len(rest))
-    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    defined = {name: set(p._option_string_actions) for name, p in sub.choices.items()}
-    own = defined.get(rest[at - 1], set()) if at else set()
-    elsewhere = set().union(*defined.values()) - own
-    extra: list[str] = []
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            parser.error(f"config line {ln}: expected key=value")
-        key, value = (part.strip() for part in line.split("=", 1))
-        flag = "--" + key.replace("_", "-")
-        if flag in elsewhere:
-            continue
-        if value.lower() in ("true", "yes", "on"):
-            extra.append(flag)
-        elif value.lower() not in ("false", "no", "off"):
-            extra.extend([flag, value])
-    return rest[:at] + extra + rest[at:]
 
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
@@ -375,10 +320,7 @@ _COMMANDS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    argv = list(sys.argv[1:] if argv is None else argv)
-    argv = _apply_config(parser, argv)
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except BrokenPipeError:  # an OSError, so it is caught first

@@ -256,9 +256,11 @@ def verify_corpus(
     byte-identical for any parallelism degree.  The lines go to the workers
     in about 32 chunks a worker: a light record then pays no round trip of
     its own, and the costly records near the end of a corpus sorted by size
-    still spread over the workers.
+    still spread over the workers.  At most one worker starts per line, so
+    a corpus of one line, or none, runs serially whatever ``jobs`` asks.
     """
     work = [(line.strip(), budget) for line in lines if line.strip()]
+    jobs = min(jobs, len(work))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -80,17 +80,10 @@ class TestInvariants:
         assert "b: 1" in out
 
     @pytest.mark.parametrize("command, graph", [("invariants", "A_"), ("verify", "-")])
-    @pytest.mark.parametrize("via", ["flag", "config"])
-    def test_bondage_cap_is_not_an_option(self, capsys, tmp_path, command, graph, via):
-        # The witness search always runs to its proven limit, and no
-        # subcommand defines the key, so a config file cannot set it either.
-        argv = [command, graph, "--bondage-cap=1"]
-        if via == "config":
-            conf = tmp_path / "bondlab.conf"
-            conf.write_text("bondage_cap = 1\n")
-            argv = ["--config", str(conf), command, graph]
+    def test_bondage_cap_is_not_an_option(self, capsys, command, graph):
+        # The witness search always runs to its proven limit.
         with pytest.raises(SystemExit) as exc:
-            run(capsys, *argv)
+            run(capsys, command, graph, "--bondage-cap=1")
         assert exc.value.code == 2
         assert "--bondage-cap" in capsys.readouterr().err
 
@@ -126,15 +119,9 @@ class TestChi:
             assert code == 3 and out == ""
             assert err == "bondlab: error: face-tracing budget exhausted in strict mode\n"
 
-    def test_no_exhaustive_flag(self, capsys, tmp_path):
-        # chi has no --exhaustive option, on the command line or in a config file.
+    def test_no_exhaustive_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(capsys, "chi", "E~~w", "--exhaustive")
-        assert exc.value.code == 2
-        conf = tmp_path / "bondlab.conf"
-        conf.write_text("exhaustive = true\n")
-        with pytest.raises(SystemExit) as exc:
-            run(capsys, "--config", str(conf), "chi", "E~~w")
         assert exc.value.code == 2
 
     def test_negative_budget_uses_no_steps(self, capsys):
@@ -265,18 +252,11 @@ class TestBounds:
     @pytest.mark.parametrize("flag", [
         "--delta", "--chi", "--girth", "--n", "--m", "--genus-h", "--genus-k",
     ])
-    @pytest.mark.parametrize("via", ["flag", "config"])
-    def test_graph6_with_a_parameter_exits_two(self, capsys, tmp_path, flag, via):
+    def test_graph6_with_a_parameter_exits_two(self, capsys, flag):
         # --graph6 derives every parameter from K5; a given one would be
-        # ignored, so it is a usage error, also when a config file gives it.
-        argv = ["bounds", "--graph6", emit_graph6(make_family("kn", 5))]
-        if via == "flag":
-            argv += [flag, "4"]
-        else:
-            config = tmp_path / "bounds.conf"
-            config.write_text(f"{flag[2:].replace('-', '_')} = 4\n")
-            argv = ["--config", str(config), *argv]
-        code, out, err = run(capsys, *argv)
+        # ignored, so it is a usage error.
+        code, out, err = run(capsys, "bounds", "--graph6", emit_graph6(make_family("kn", 5)),
+                             flag, "4")
         assert code == 2 and out == ""
         assert err == f"bondlab: error: --graph6 derives every parameter; drop {flag}\n"
 
@@ -357,19 +337,11 @@ class TestVerify:
         assert code == 0 and "graphs=2 malformed=0 failures=0" in out
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
-    @pytest.mark.parametrize("via", ["flag", "config"])
-    def test_threads_below_one_is_a_usage_error(self, capsys, tmp_path, threads, via):
+    def test_threads_below_one_is_a_usage_error(self, capsys, tmp_path, threads):
         corpus = tmp_path / "k4.g6"
         corpus.write_text("C~\n")
-        argv = ["verify", str(corpus)]
-        if via == "flag":
-            argv += ["--threads", threads]
-        else:
-            conf = tmp_path / "run.conf"
-            conf.write_text(f"threads = {threads}\n")
-            argv = ["--config", str(conf)] + argv
         with pytest.raises(SystemExit) as exc:
-            cli.main(argv)
+            cli.main(["verify", str(corpus), "--threads", threads])
         captured = capsys.readouterr()
         assert exc.value.code == 2 and captured.out == ""
         assert f"argument --threads: needs at least 1 worker, not {threads}" in captured.err
@@ -453,113 +425,6 @@ class TestEnumerateAndFamilies:
         assert err.startswith("bondlab: error: ") and "62 vertices" in err
 
 
-class TestConfig:
-    def test_config_sets_default_flag_wins(self, capsys, tmp_path):
-        conf = tmp_path / "run.conf"
-        conf.write_text("format=csv\nchi-to=0\nchi-from=-1\n")
-        code, out, _ = run(capsys, "--config", str(conf), "table")
-        assert code == 0
-        assert out.splitlines()[0] == "chi,baseline_term,improved_term"
-        # explicit flag beats the config value
-        code, out, _ = run(
-            capsys, "--config", str(conf), "table", "--format", "text"
-        )
-        assert code == 0
-        assert out.splitlines()[0].lstrip().startswith("chi")
-        assert "," not in out.splitlines()[0]
-
-    def test_config_applies_under_the_equals_spelling(self, capsys, tmp_path):
-        conf = tmp_path / "run.conf"
-        conf.write_text("format = csv\n")
-        code, out, _ = run(capsys, f"--config={conf}", "table", "--chi-from", "-1", "--chi-to", "0")
-        assert code == 0
-        assert out.splitlines()[0] == "chi,baseline_term,improved_term"
-
-    def test_explicit_equals_flag_beats_the_config(self, capsys, tmp_path):
-        conf = tmp_path / "run.conf"
-        conf.write_text("format = csv\n")
-        code, out, _ = run(
-            capsys, "--config", str(conf), "table", "--chi-from", "-1", "--chi-to", "0",
-            "--format=text",
-        )
-        assert code == 0
-        assert "," not in out.splitlines()[0]
-
-    def test_false_boolean_leaves_the_flag_off(self, capsys, tmp_path):
-        g6 = emit_graph6(make_family("kmn", 3, 3))
-        conf = tmp_path / "run.conf"
-        conf.write_text("strict = false\n")
-        code, out, _ = run(capsys, "--config", str(conf), "chi", g6, "--budget", "10")
-        assert code == 0
-        assert out.startswith("chi: None (certified: False)")
-        conf.write_text("strict = true\n")
-        code, _, err = run(capsys, "--config", str(conf), "chi", g6, "--budget", "10")
-        assert code == 3
-        assert "budget" in err
-
-    def test_key_of_another_subcommand_is_skipped(self, capsys, tmp_path):
-        # enumerate has no --format, but table, chi and verify do.
-        conf = tmp_path / "run.conf"
-        conf.write_text("format = csv\n")
-        code, out, _ = run(capsys, "--config", str(conf), "enumerate", "--max-n", "2")
-        assert code == 0 and out == "@\nA_\n"
-
-    @pytest.mark.parametrize("key, argv", [
-        ("strict = true", ["bounds", "--delta", "3", "--chi", "-1"]),
-        ("threads = 2", ["chi", "C~", "--format", "json"]),
-        ("witness = true", ["invariants", "A_"]),
-    ])
-    def test_keys_only_other_subcommands_define_are_skipped(self, capsys, tmp_path, key, argv):
-        # The run is the one without the file: chi and verify define --strict,
-        # verify --threads and chi --witness, but the chosen command does not.
-        conf = tmp_path / "run.conf"
-        conf.write_text(key + "\n")
-        plain = run(capsys, *argv)
-        assert plain[0] == 0
-        assert run(capsys, "--config", str(conf), *argv) == plain
-
-    def test_config_threads_reach_verify(self, capsys, monkeypatch, tmp_path):
-        # The config file is the one way to set a worker count without the
-        # flag; the environment sets none.
-        monkeypatch.setenv("BONDLAB_THREADS", "3")
-        corpus = tmp_path / "corpus.g6"
-        corpus.write_text("\n".join(emit_graph6(make_family("cn", k)) for k in (3, 4, 5)) + "\n")
-        conf = tmp_path / "run.conf"
-        conf.write_text("threads = 2\n")
-        parser = cli.build_parser()
-        assert parser.parse_args(["verify", "x"]).threads == 1
-        args = parser.parse_args(cli._apply_config(parser, ["--config", str(conf), "verify", "x"]))
-        assert args.threads == 2
-        seen = []
-        real = cli.verify_corpus
-
-        def spy(lines, budget, jobs):
-            seen.append(jobs)
-            return real(lines, budget=budget, jobs=jobs)
-
-        monkeypatch.setattr(cli, "verify_corpus", spy)
-        code, out, _ = run(capsys, "--config", str(conf), "verify", str(corpus), "--format", "csv")
-        assert code == 0
-        code, serial, _ = run(capsys, "verify", str(corpus), "--format", "csv", "--threads", "1")
-        assert code == 0 and out == serial
-        assert seen == [2, 1]
-
-    def test_abbreviated_config_is_a_usage_error(self, capsys, tmp_path):
-        # Read as --config, the file would be parsed and then ignored.
-        conf = tmp_path / "run.conf"
-        conf.write_text("format = csv\n")
-        with pytest.raises(SystemExit) as exc:
-            run(capsys, "--conf", str(conf), "table", "--chi-from", "-1", "--chi-to", "0")
-        assert exc.value.code == 2
-
-    def test_config_rejects_bad_lines(self, capsys, tmp_path):
-        conf = tmp_path / "bad.conf"
-        conf.write_text("this is not a pair\n")
-        with pytest.raises(SystemExit) as exc:
-            run(capsys, "--config", str(conf), "table", "--chi-from", "0", "--chi-to", "0")
-        assert exc.value.code == 2
-
-
 class TestHelpAndEnvironment:
     def test_verify_help_documents_bound_columns(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -582,6 +447,17 @@ class TestHelpAndEnvironment:
         epilog = out[out.index("and their formulas"):].splitlines()[1:]
         named = [line.split()[0] for line in epilog if line.startswith("  ")]
         assert named == expected[command]
+
+    def test_environment_sets_no_worker_count(self, monkeypatch):
+        monkeypatch.setenv("BONDLAB_THREADS", "3")
+        assert cli.build_parser().parse_args(["verify", "x"]).threads == 1
+
+    def test_config_is_an_unknown_option(self, capsys):
+        for argv in (["--config", "x", "table", "--chi-from", "-1", "--chi-to", "0"],
+                     ["--config=x", "verify"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2 and capsys.readouterr().out == "", argv
 
 
 class TestDeterminism:

@@ -321,6 +321,34 @@ class TestVerifyCorpus:
         parallel, _ = verify_corpus(lines, jobs=3)
         assert serial == parallel
 
+    def test_workers_never_outnumber_lines(self, monkeypatch):
+        # The fake pool records the worker count it is asked for and maps
+        # serially, so no process starts however many jobs are asked for.
+        asked = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
+        lines = [emit_graph6(make_family("cn", k)) for k in (3, 4, 5)]
+        serial, _ = verify_corpus(lines)
+        records, _ = verify_corpus(lines, jobs=10**6)
+        assert asked == [3] and records == serial
+        # An empty or one-line corpus builds no pool at all.
+        assert verify_corpus([], jobs=10**6)[0] == []
+        assert verify_corpus(["", lines[0], " "], jobs=10**6)[0] == serial[:1]
+        assert asked == [3]
+
     def test_counterexample_collection(self):
         _, summary = verify_corpus([emit_graph6(make_family("pn", 7))])
         assert summary.bprime_counterexamples == (emit_graph6(make_family("pn", 7)),)
