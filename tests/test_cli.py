@@ -33,6 +33,17 @@ CHI_NAMED = {
     "not projective, order 8": lambda: parse_graph6("G~{x}?"),
 }
 
+# One member of each family: its `families` arguments, order and size.
+FAMILY_ROWS = [
+    (("kn", "5"), 5, 10),
+    (("kmn", "2", "3"), 5, 6),
+    (("cn", "5"), 5, 5),
+    (("pn", "4"), 4, 3),
+    (("petersen",), 10, 15),
+    (("qd", "3"), 8, 12),
+    (("wn", "5"), 6, 10),
+]
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -86,6 +97,19 @@ class TestInvariants:
             run(capsys, command, graph, "--bondage-cap=1")
         assert exc.value.code == 2
         assert "--bondage-cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["invariants", "chi"])
+    def test_stdin_without_a_graph_exits_one(self, capsys, monkeypatch, command):
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n  \n"))
+        code, out, err = run(capsys, command)
+        assert (code, out) == (1, "")
+        assert err == "bondlab: error: no graph6 line on stdin\n"
+
+    def test_text_output_shows_infinite_girth(self, capsys):
+        code, out, _ = run(capsys, "invariants", emit_graph6(make_family("pn", 4)))
+        lines = out.splitlines()
+        assert code == 0
+        assert "girth: inf" in lines and "connected: True" in lines
 
     def test_malformed_graph_exits_one(self, capsys):
         code, _, err = run(capsys, "invariants", "!!!")
@@ -346,6 +370,22 @@ class TestVerify:
         assert exc.value.code == 2 and captured.out == ""
         assert f"argument --threads: needs at least 1 worker, not {threads}" in captured.err
 
+    @pytest.mark.parametrize("threads", ["two", "1.5", ""])
+    def test_threads_not_a_whole_number_is_a_usage_error(self, capsys, threads):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "-", "--threads", threads])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert f"argument --threads: invalid positive_int value: {threads!r}" in captured.err
+
+    def test_stdin_corpus_matches_the_file(self, capsys, monkeypatch, tmp_path):
+        corpus = tmp_path / "corpus.g6"
+        corpus.write_text("C~\nB~~\n\nD~{\n")
+        from_file = run(capsys, "verify", str(corpus), "--format", "csv")
+        monkeypatch.setattr("sys.stdin", io.StringIO(corpus.read_text()))
+        assert run(capsys, "verify", "--format", "csv") == from_file
+        assert from_file[0] == 0 and len(from_file[1].splitlines()) == 4
+
     def test_empty_corpus_exits_zero(self, capsys, tmp_path):
         corpus = tmp_path / "empty.g6"
         corpus.write_text("")
@@ -416,6 +456,20 @@ class TestEnumerateAndFamilies:
         assert code == 1
         assert "parameter" in err
 
+    @pytest.mark.parametrize("params, order, size", FAMILY_ROWS,
+                             ids=[row[0][0] for row in FAMILY_ROWS])
+    def test_every_family_emits_its_graph(self, capsys, params, order, size):
+        code, out, err = run(capsys, "families", *params)
+        g = parse_graph6(out.strip())
+        assert code == 0 and err == ""
+        assert (g.n, g.m) == (order, size)
+        assert out == emit_graph6(make_family(params[0], *map(int, params[1:]))) + "\n"
+
+    def test_family_rows_cover_every_family(self):
+        from bondlab.graphs import FAMILY_NAMES
+
+        assert sorted(row[0][0] for row in FAMILY_ROWS) == sorted(FAMILY_NAMES)
+
     @pytest.mark.parametrize("params", [("qd", "40"), ("kn", "100000"), ("pn", str(10**12))])
     def test_families_refuse_large_orders_before_building(self, capsys, params):
         # The order comes from the parameters alone; building Q40's edge
@@ -452,12 +506,36 @@ class TestHelpAndEnvironment:
         monkeypatch.setenv("BONDLAB_THREADS", "3")
         assert cli.build_parser().parse_args(["verify", "x"]).threads == 1
 
-    def test_config_is_an_unknown_option(self, capsys):
-        for argv in (["--config", "x", "table", "--chi-from", "-1", "--chi-to", "0"],
-                     ["--config=x", "verify"]):
-            with pytest.raises(SystemExit) as exc:
-                cli.main(argv)
-            assert exc.value.code == 2 and capsys.readouterr().out == "", argv
+    @pytest.mark.parametrize("argv", [
+        ["--config", "x", "table", "--chi-from", "-1", "--chi-to", "0"],
+        ["--config=x", "verify"],
+        ["--conf=x", "verify"],
+        ["invariants", "A_", "--config=x"],
+        ["chi", "A_", "--config=x"],
+        ["bounds", "--delta", "3", "--chi", "-1", "--config=x"],
+        ["table", "--chi-from", "-1", "--chi-to", "0", "--config=x"],
+        ["verify", "-", "--config=x"],
+        ["enumerate", "--max-n", "3", "--config=x"],
+        ["families", "kn", "3", "--config=x"],
+    ], ids=["top-level", "top-level-equals", "abbreviated", "invariants", "chi", "bounds",
+            "table", "verify", "enumerate", "families"])
+    def test_config_is_an_unknown_option(self, capsys, argv):
+        # No parser level reads a settings file, so argparse refuses the
+        # line before any command runs.  Before a command, "x" is then read
+        # as the command name.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.startswith("usage: bondlab")
+        assert ("invalid choice: 'x'" if argv[0] == "--config" else "--conf") in captured.err
+
+    def test_a_command_is_required(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "the following arguments are required: command" in captured.err
 
 
 class TestDeterminism:

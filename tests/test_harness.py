@@ -321,9 +321,19 @@ class TestVerifyCorpus:
         parallel, _ = verify_corpus(lines, jobs=3)
         assert serial == parallel
 
-    def test_workers_never_outnumber_lines(self, monkeypatch):
+    @pytest.mark.parametrize("lines, jobs, pools", [
+        (0, 10**6, []),
+        (1, 10**6, []),
+        (2, 10**6, [2]),
+        (3, 10**6, [3]),
+        (4, 4, [4]),
+        (5, 2, [2]),
+        (5, 1, []),
+    ])
+    def test_workers_never_outnumber_lines(self, monkeypatch, lines, jobs, pools):
         # The fake pool records the worker count it is asked for and maps
         # serially, so no process starts however many jobs are asked for.
+        # A corpus of one line, or none, builds no pool at all.
         asked = []
 
         class FakePool:
@@ -339,15 +349,18 @@ class TestVerifyCorpus:
             def map(self, fn, items, chunksize=1):
                 return map(fn, items)
 
+        corpus = [emit_graph6(make_family("cn", k)) for k in range(3, 3 + lines)]
+        serial, _ = verify_corpus(corpus)
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
-        lines = [emit_graph6(make_family("cn", k)) for k in (3, 4, 5)]
-        serial, _ = verify_corpus(lines)
-        records, _ = verify_corpus(lines, jobs=10**6)
-        assert asked == [3] and records == serial
-        # An empty or one-line corpus builds no pool at all.
-        assert verify_corpus([], jobs=10**6)[0] == []
-        assert verify_corpus(["", lines[0], " "], jobs=10**6)[0] == serial[:1]
-        assert asked == [3]
+        records, _ = verify_corpus(corpus, jobs=jobs)
+        assert asked == pools and records == serial
+
+    def test_blank_lines_start_no_worker(self, monkeypatch):
+        asked = []
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                            lambda max_workers: asked.append(max_workers))
+        records, _ = verify_corpus(["", "C~", " ", "\t"], jobs=10**6)
+        assert asked == [] and records == verify_corpus(["C~"])[0]
 
     def test_counterexample_collection(self):
         _, summary = verify_corpus([emit_graph6(make_family("pn", 7))])
