@@ -1,11 +1,12 @@
 """Exact evaluation of bondage upper-bound formulas, and the bound registry.
 
-Every integer term here is computed with exact arithmetic: each cubic-root
-floor by an integer sign bracket seeded at isqrt(-b), b the cubic's linear
-coefficient, and each radical floor floor((c + sqrt(r)) / a), for integers
-a > 0 and r >= 0, as the single expression (c + isqrt(r)) // a.
-That identity holds because for an integer q, a*q - c <= sqrt(r) exactly
-when a*q - c <= isqrt(r).  Rational thresholds are compared with cleared
+Every integer term here is computed with exact arithmetic, and none by a
+search: each cubic-root floor is q or q + 1 for q = isqrt(-b), b the
+cubic's linear coefficient, picked and certified by two sign evaluations,
+and each radical floor floor((c + sqrt(r)) / a), for integers a > 0 and
+r >= 0, is the single expression (c + isqrt(r)) // a.
+That identity holds because for an integer w, a*w - c <= sqrt(r) exactly
+when a*w - c <= isqrt(r).  Rational thresholds are compared with cleared
 denominators.  No float decides a bound, a threshold or a check, and a
 report holds no float: floating point appears only in three cross-check
 functions that the tests hold the exact values against
@@ -67,7 +68,7 @@ class CubicSpec:
     the root product is -c > 0, so either exactly one real root is positive
     (two negative), or the only real root is positive (complex pair has
     positive norm).  Either way the cubic is negative on [0, root) and
-    positive beyond, which is what the integer floor search relies on.
+    positive beyond, which is what the certified integer floor relies on.
     """
 
     a: int
@@ -98,44 +99,33 @@ def baseline_bound_cubic(chi: int) -> CubicSpec:
 
 
 def floor_largest_root(cubic: CubicSpec) -> int:
-    """Floor of the unique nonnegative real root, by an exact integer bracket.
+    """Floor of the unique nonnegative real root: q or q + 1, certified.
 
-    The cubic is <= 0 on [0, root] and positive beyond, so the floor is the
-    largest integer z >= 0 with ``cubic(z) <= 0``.  The search starts at
-    ``q = isqrt(-b)`` (0 when ``b >= 0``): it gallops up from ``q`` by steps
-    1, 2, 4, ... while the cubic stays <= 0, or down from ``q`` while it
-    stays positive, never below 0, where the cubic is negative.  That
-    brackets the root with ``cubic(lo) <= 0 < cubic(hi)``, and halving
-    keeps the bracket until ``hi = lo + 1``, so a floor costs O(log |floor
-    - q|) evaluations.
+    The cubic is <= 0 on [0, root] and positive beyond, so an integer z >= 0
+    is the floor exactly when ``cubic(z) <= 0 < cubic(z + 1)``.  With
+    ``q = isqrt(-b)`` (0 when ``b >= 0``), one evaluation at q + 1 picks z as
+    q + 1 or q, and one more, at q + 2 or at q, certifies the half of that
+    inequality the pick left open.  A cubic whose floor is neither q nor
+    q + 1 fails the certificate and raises ValueError; no floor is returned
+    unproved.
 
-    For both bound cubics the floor is q or q + 1 at every chi <= 0, which
-    takes 2 evaluations or 4.  Both roots are 3 at chi = 0 and grow as chi
-    falls.  With x = -chi the improved cubic is (z+3)(z^2 - 2z - 3x - 2) - 6,
-    so its root t has (t - 1)^2 in (3x + 3, 3x + 4], and q = isqrt(3x + 8).
-    The baseline cubic is (z+3)(z^2 - z - 6x - 4) - 12, so its root r has
-    (r - 1/2)^2 in (6x + 4.25, 6x + 6.25], and q = isqrt(6x + 7).  Either
-    way root < q + 2, and root >= q for x >= 1 (q = 2 at x = 0).
+    For both bound cubics the floor is q or q + 1 at every chi <= 0, so
+    each takes exactly 2 evaluations.  Both roots are 3 at chi = 0 and grow
+    as chi falls.  With x = -chi the improved cubic is
+    (z+3)(z^2 - 2z - 3x - 2) - 6, so its root t has (t - 1)^2 in
+    (3x + 3, 3x + 4], and q = isqrt(3x + 8).  The baseline cubic is
+    (z+3)(z^2 - z - 6x - 4) - 12, so its root r has (r - 1/2)^2 in
+    (6x + 4.25, 6x + 6.25], and q = isqrt(6x + 7).  Either way root < q + 2,
+    and root >= q for x >= 1 (q = 2 at x = 0).
     """
-    q = math.isqrt(-cubic.b) if cubic.b < 0 else 0
-    step = 1
-    if cubic(q) <= 0:
-        lo, hi = q, q + 1
-        while cubic(hi) <= 0:
-            step *= 2
-            lo, hi = hi, hi + step
+    q = math.isqrt(max(-cubic.b, 0))
+    if cubic(q + 1) <= 0:
+        z, proved = q + 1, cubic(q + 2) > 0
     else:
-        lo, hi = q - 1, q
-        while lo > 0 and cubic(lo) > 0:
-            step *= 2
-            lo, hi = max(lo - step, 0), lo
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if cubic(mid) <= 0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+        z, proved = q, cubic(q) <= 0
+    if not proved:
+        raise ValueError(f"floor of the root of {cubic!r} is neither {q} nor {q + 1}")
+    return z
 
 
 # Stays in the library because perfbench/run.py:BOUNDS_TRACED names it.

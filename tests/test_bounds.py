@@ -37,7 +37,7 @@ def _by_name(report):
 
 
 class CountingCubic:
-    """A cubic that counts its evaluations; ``.b`` seeds the floor search."""
+    """A cubic that counts its evaluations; ``.b`` gives the floor's q."""
 
     def __init__(self, cubic):
         self.cubic = cubic
@@ -76,30 +76,42 @@ class TestCubicTerms:
                     bnd.largest_root_bisect(cubic)
                 ), (chi, make.__name__)
 
-    def test_seeded_floor_matches_the_scan_in_four_evaluations(self):
+    def test_seeded_floor_matches_the_scan_in_two_evaluations(self):
         for chi in range(-5000, 1):
             for make in (bnd.improved_bound_cubic, bnd.baseline_bound_cubic):
                 cubic = make(chi)
                 counted = CountingCubic(cubic)
                 assert bnd.floor_largest_root(counted) == reference_floor_largest_root(cubic), (
                     chi, make.__name__)
-                assert counted.calls <= 4, (chi, make.__name__, counted.calls)
+                assert counted.calls == 2, (chi, make.__name__, counted.calls)
 
     @pytest.mark.parametrize("cubic, floor", [
-        # isqrt(-b) = 1 lies above the root, so the search gallops down.
+        # isqrt(-b) = 1 lies above the root.
         (bnd.CubicSpec(1000, -1, -1), 0),
-        # b >= 0 starts the search at 0, far below the root.
+        # b >= 0 gives q = 0, far below the root.
         (bnd.CubicSpec(1, 5, -10**9), 999),
     ])
     def test_seeded_floor_from_a_start_off_the_root(self, cubic, floor):
-        assert bnd.floor_largest_root(cubic) == reference_floor_largest_root(cubic) == floor
+        # Only floors of q or q + 1, q = isqrt(-b), are certified; a cubic
+        # whose floor lies elsewhere is refused, never answered.
+        assert reference_floor_largest_root(cubic) == floor
+        with pytest.raises(ValueError, match="is neither"):
+            bnd.floor_largest_root(cubic)
 
     @pytest.mark.parametrize("chi", [-10**30, -10**200])
     def test_floor_brackets_the_root_far_beyond_the_scan(self, chi):
         for make in (bnd.improved_bound_cubic, bnd.baseline_bound_cubic):
             cubic = make(chi)
-            z = bnd.floor_largest_root(cubic)
+            counted = CountingCubic(cubic)
+            z = bnd.floor_largest_root(counted)
             assert cubic(z) <= 0 < cubic(z + 1)
+            assert counted.calls == 2, (make.__name__, counted.calls)
+
+    @pytest.mark.parametrize("a, b, c", [(0, -1, -1), (1, -1, 0)])
+    def test_cubic_spec_refuses_coefficient_signs(self, a, b, c):
+        # The signs are what make the certified root the largest one.
+        with pytest.raises(ValueError, match="need a > 0 and c < 0"):
+            bnd.CubicSpec(a, b, c)
 
     def test_closed_form_agrees_with_bisection(self):
         for chi in range(-200, 1):

@@ -72,6 +72,20 @@ class TestTable:
         code, _, err = run(capsys, "table", "--chi-from", "0", "--chi-to", "2")
         assert code == 1
         assert err.startswith("bondlab: error:")
+        code, out, err = run(capsys, "table", "--chi-from", "1", "--chi-to", "0")
+        assert (code, out) == (1, "")
+        assert err == "bondlab: error: empty range\n"
+
+    def test_broken_pipe_exits_zero(self, capsys, monkeypatch):
+        # A reader that closes the pipe early, as `bondlab table | head`
+        # does, ends the command quietly.
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError
+
+        monkeypatch.setattr("sys.stdout", ClosedPipe())
+        assert cli.main(["table", "--chi-from", "-1", "--chi-to", "0"]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestInvariants:
@@ -115,6 +129,11 @@ class TestInvariants:
         code, _, err = run(capsys, "invariants", "!!!")
         assert code == 1
         assert "bondlab: error:" in err
+
+    def test_edgeless_graph_exits_one(self, capsys):
+        code, out, err = run(capsys, "invariants", "@")
+        assert (code, out) == (1, "")
+        assert err == "bondlab: error: graph has no edges; bondage is undefined\n"
 
 
 class TestChi:
@@ -176,6 +195,21 @@ class TestChi:
             code, out, _ = run(capsys, "chi", row["graph6"], "--format", "json", "--witness")
             assert code == 0
             assert json.loads(out) == row["output"], row["name"] or row["graph6"]
+
+    def test_text_output(self, capsys):
+        code, out, _ = run(capsys, "chi", "D~{")
+        assert code == 0
+        assert out.splitlines() == [
+            "chi: 1 (certified: True)",
+            "orientable side: {'chi': 0, 'certified': True}",
+            "nonorientable side: {'chi': 1, 'certified': True}",
+        ]
+        code, text, _ = run(capsys, "chi", "D~{", "--witness")
+        _, dumped, _ = run(capsys, "chi", "D~{", "--format", "json", "--witness")
+        lines = text.splitlines()
+        assert code == 0 and lines[:3] == out.splitlines() and len(lines) == 4
+        assert lines[3].startswith("witness: ")
+        assert json.loads(lines[3].removeprefix("witness: ")) == json.loads(dumped)["witness"]
 
     def test_orientable_only(self, capsys):
         g6 = emit_graph6(make_family("kn", 5))
@@ -250,10 +284,14 @@ class TestBounds:
         (["--m", "-3"], "size must be >= 0, got -3"),
         (["--chi", "5"], "Euler characteristic must be <= 2, got 5"),
         (["--n", "3"], "maximum degree 3 exceeds n - 1 = 2"),
-    ], ids=["delta", "girth", "n", "m", "chi", "delta-above-n"])
+        (["--genus-h", "-1"], "orientable genus must be >= 0"),
+        (["--genus-k", "0"], "non-orientable genus must be >= 1"),
+    ], ids=["delta", "girth", "n", "m", "chi", "delta-above-n", "genus-h", "genus-k"])
     def test_out_of_range_parameter_exits_one(self, capsys, flags, message):
         # chi 1 makes every chi row inapplicable, so no row reads the value:
-        # the parameter alone is refused, not the formula it would feed.
+        # the parameter alone is refused, not the formula it would feed.  A
+        # genus is read by the genus row alone, which refuses one no
+        # surface has.
         argv = ["bounds", "--delta", "3", "--chi", "1", *flags]
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
@@ -455,6 +493,9 @@ class TestEnumerateAndFamilies:
         code, _, err = run(capsys, "families", "kn")  # missing parameter
         assert code == 1
         assert "parameter" in err
+        code, out, err = run(capsys, "families", "wn", "2")
+        assert (code, out) == (1, "")
+        assert err == "bondlab: error: wheels need at least 3 rim vertices\n"
 
     @pytest.mark.parametrize("params, order, size", FAMILY_ROWS,
                              ids=[row[0][0] for row in FAMILY_ROWS])
